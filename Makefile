@@ -4,7 +4,7 @@ GO ?= go
 BENCH_OUT ?= BENCH_new.json
 BENCH_SCALE ?= 100
 
-.PHONY: all build vet test short race lint lint-diff lint-fix-fingerprints fuzz bench bench-workers bench-repeat bench-json serve smoke-server smoke-cluster ci
+.PHONY: all build vet test short race lint lint-diff fuzz bench bench-workers bench-repeat bench-json serve smoke-server smoke-cluster ci
 
 # fuzz time per target for the bounded CI pass (override for longer local runs).
 FUZZTIME ?= 15s
@@ -27,20 +27,22 @@ short:
 
 # race covers the concurrent probe engine, the session layer, the
 # multi-tenant HTTP server (including the cluster proxy/failover paths),
-# the blob store, the metrics registry, and the packages experiments fan
-# out over worker pools (dataset loading, graph cues) — everything with
-# shared mutable state. The experiment sweeps themselves run -short under
-# race: the full sweeps take minutes with the detector on, and the short
-# pass still smoke-runs every experiment ID through the same worker pools.
+# the blob store, the metrics registry, the packages experiments fan
+# out over worker pools (dataset loading, graph cues, the PLAM miner and
+# its itemset substrate), and the wire codec every snapshot goes through —
+# everything with shared mutable state. The experiment sweeps themselves
+# run -short under race: the full sweeps take minutes with the detector on,
+# and the short pass still smoke-runs every experiment ID through the same
+# worker pools.
 race:
-	$(GO) test -race ./internal/bayeslsh ./internal/core ./internal/server ./internal/metrics ./internal/blob/... ./internal/ring ./internal/dataset ./internal/graph
+	$(GO) test -race ./internal/bayeslsh ./internal/core ./internal/server ./internal/metrics ./internal/blob/... ./internal/ring ./internal/dataset ./internal/graph ./internal/lam ./internal/itemset ./internal/wire
 	$(GO) test -race -short ./internal/experiments
 
 # lint is ci tier 1b: formatting drift (gofmt -l), vet regressions, and
 # plasmalint — the project-specific invariant analyzers in internal/lint
-# (mapiter, atomicmix, prealloc, httperr, lockorder, codecsym, codeclayout,
-# goleak), each encoding a bug class this repo has already shipped a fix
-# for. The tree must stay clean; deliberate exceptions carry
+# (mapiter, atomicmix, prealloc, httperr, lockorder, goleak), each encoding
+# a bug class this repo has already shipped a fix for. The tree must stay
+# clean; deliberate exceptions carry
 # //lint:<analyzer>-ok <reason> annotations.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -59,18 +61,15 @@ lint-diff:
 	sh scripts/lintdiff.sh "$$tmp"; status=$$?; \
 	rm -f "$$tmp"; exit $$status
 
-# lint-fix-fingerprints regenerates the golden codec-layout fingerprints
-# under internal/lint/testdata/layouts after a deliberate wire-format change.
-# Bump the codec's version constant in the same commit, or the codeclayout
-# analyzer keeps failing on purpose.
-lint-fix-fingerprints:
-	$(GO) run ./cmd/plasmalint -fix-layouts ./...
-
 # fuzz runs each native fuzz target for $(FUZZTIME) on top of the checked-in
-# seed corpora in testdata/fuzz: the snapshot decoder (warm-start trust
-# boundary) and the live-ingest request parser (wire trust boundary).
+# seed corpora in testdata/fuzz and the golden streams in testdata/golden:
+# the three snapshot decoders (cache, session, spec — the warm-start and
+# restore-upload trust boundary) and the live-ingest request parser (wire
+# trust boundary).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
+	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz FuzzSpecUnmarshal -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run xxx -fuzz FuzzAppendRowsBody -fuzztime $(FUZZTIME) ./internal/server
 
 bench:

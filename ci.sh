@@ -4,17 +4,18 @@
 # same commands.
 #
 # Tier 1 (fast): vet + build + short tests, which still smoke-run every
-# experiment ID at reduced scale.
+# experiment ID at reduced scale, and decode + re-encode the golden
+# snapshot streams byte for byte (wire-format drift without a version bump
+# fails here).
 # Tier 1b (lint): gofmt drift, go vet, and plasmalint — the custom
 # invariant analyzers (internal/lint) that catch the repo's recurring bug
 # classes (map-order nondeterminism, mixed atomic access, unbounded decode
 # preallocation, envelope-bypassing error paths, interprocedural lock-order
-# inversions, encode/decode layout asymmetry, unversioned wire-format
-# drift, leak-prone goroutine spawns) in seconds, before the race detector
-# gets a chance. The -json findings stream is then diffed against the
+# inversions, leak-prone goroutine spawns) in seconds, before the race
+# detector gets a chance. The -json findings stream is then diffed against the
 # checked-in baseline by scripts/lintdiff.sh.
 # Tier 2 (race): race-detector pass over the concurrent engine, session,
-# and server packages.
+# server, miner and wire-codec packages.
 # Tier 3 (daemon smoke): boot plasmad on a random port, run a probe/curve/
 # cues loop over HTTP, exercise snapshot persistence and a warm restart,
 # and verify graceful shutdown. Then a 3-node cluster smoke: create via
@@ -25,10 +26,11 @@
 # compares it against the checked-in BENCH_baseline.json: schema drift
 # (version bump, missing block, changed experiment set) fails the build,
 # timing regressions are warn-only.
-# Tier 5 (fuzz): a bounded native-fuzzing pass (~30s total) over the two
-# parsers that consume untrusted bytes — the cache snapshot decoder and the
-# live-ingest request body — seeded from the checked-in corpora under
-# testdata/fuzz/.
+# Tier 5 (fuzz): a bounded native-fuzzing pass (~60s total) over the
+# parsers that consume untrusted bytes — the cache, session and spec
+# snapshot decoders and the live-ingest request body — seeded from the
+# checked-in corpora under testdata/fuzz/ and the golden streams under
+# testdata/golden/.
 # Tier 6 (full, optional via CI_FULL=1): the complete test suite including
 # the seconds-long experiment sweeps.
 set -eu

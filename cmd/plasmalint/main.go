@@ -1,23 +1,20 @@
-// Command plasmalint runs the repo's custom static-analysis suite: eight
+// Command plasmalint runs the repo's custom static-analysis suite: six
 // analyzers that enforce invariants this codebase has already shipped a
 // bugfix for (see internal/lint), including interprocedural lock-order
-// checking over a type-driven call graph, encode/decode layout symmetry
-// for the binary codecs, and golden wire-format fingerprints tied to the
-// codec version constants. It is stdlib-only and resolves imports through
-// `go list -export`, so it needs no tooling beyond the toolchain.
+// checking over a type-driven call graph. It is stdlib-only and resolves
+// imports through `go list -export`, so it needs no tooling beyond the
+// toolchain.
 //
 // Usage:
 //
-//	plasmalint [-only mapiter,httperr] [-json] [-fix-layouts] [packages]
+//	plasmalint [-only mapiter,httperr] [-json] [packages]
 //
 // With no packages it lints ./... from the current directory. Findings
 // print as "file:line: [analyzer] message" and exit status 1; a clean tree
 // exits 0. -json emits one {file, line, analyzer, message, chain} object
-// per line for scripts/lintdiff.sh. -fix-layouts regenerates the codec
-// layout fingerprints under internal/lint/testdata/layouts (the
-// `make lint-fix-fingerprints` path) instead of linting. Deliberate
-// violations carry a //lint:<analyzer>-ok <reason> comment on the flagged
-// line or the line above — the reason is mandatory.
+// per line for scripts/lintdiff.sh. Deliberate violations carry a
+// //lint:<analyzer>-ok <reason> comment on the flagged line or the line
+// above — the reason is mandatory.
 package main
 
 import (

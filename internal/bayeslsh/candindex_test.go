@@ -121,6 +121,7 @@ func TestCandIndexBuiltOnceAndReused(t *testing.T) {
 // on 1 worker or 8. Run under -race this also checks the SRP gaussian-row
 // cache is safe for concurrent sketching.
 func TestParallelSketchDeterminism(t *testing.T) {
+	forceParallel(t)
 	rng := rand.New(rand.NewSource(9))
 	tab, err := dataset.NewTable("wine", 1)
 	if err != nil {

@@ -53,6 +53,7 @@ func growCache(t *testing.T, full *vec.Dataset, base int, sizes []int, p Params,
 // SketchTime may differ (it records the initial build's cost), so it is
 // zeroed before the byte comparison.
 func TestAppendRowsEquivalence(t *testing.T) {
+	forceParallel(t)
 	const base = 30
 	thresholds := []float64{0.9, 0.7, 0.5}
 	for _, m := range []struct {

@@ -119,25 +119,34 @@ func (s *PairStore) RangeShard(shard int, f func(key uint64, ps PairState)) {
 	sh.mu.RUnlock()
 }
 
-// RangeShardSorted is RangeShard in ascending key order: the shard's entries
-// are copied out under the read lock, sorted, then visited. Use it where the
-// visit order feeds float accumulation — Go's random map order would make
-// the last ulp of such sums vary run to run, and curve evaluation must be
-// bit-reproducible (the differential ingest harness compares it exactly).
-func (s *PairStore) RangeShardSorted(shard int, f func(key uint64, ps PairState)) {
-	type entry struct {
-		k  uint64
-		ps PairState
-	}
+// pairEntry is one memoized pair outside the store: what a sorted visit
+// yields and what a snapshot carries.
+type pairEntry struct {
+	key uint64
+	ps  PairState
+}
+
+// sortedShard copies one stripe's entries out under its read lock and
+// returns them in ascending key order.
+func (s *PairStore) sortedShard(shard int) []pairEntry {
 	sh := &s.shards[shard]
 	sh.mu.RLock()
-	entries := make([]entry, 0, len(sh.m))
+	entries := make([]pairEntry, 0, len(sh.m))
 	for k, ps := range sh.m {
-		entries = append(entries, entry{k, ps})
+		entries = append(entries, pairEntry{k, ps})
 	}
 	sh.mu.RUnlock()
-	sort.Slice(entries, func(a, b int) bool { return entries[a].k < entries[b].k })
-	for _, e := range entries {
-		f(e.k, e.ps)
+	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
+	return entries
+}
+
+// RangeShardSorted is RangeShard in ascending key order, visiting a sorted
+// copy of the shard. Use it where the visit order feeds float accumulation —
+// Go's random map order would make the last ulp of such sums vary run to
+// run, and curve evaluation must be bit-reproducible (the differential
+// ingest harness compares it exactly).
+func (s *PairStore) RangeShardSorted(shard int, f func(key uint64, ps PairState)) {
+	for _, e := range s.sortedShard(shard) {
+		f(e.key, e.ps)
 	}
 }

@@ -2,6 +2,7 @@ package bayeslsh
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -27,12 +28,21 @@ func searchSequence(t *testing.T, ds *vec.Dataset, workers int, thresholds []flo
 	return out
 }
 
+// forceParallel runs the rest of the test under GOMAXPROCS(4), so worker
+// pools truly interleave and a 1-CPU container cannot hide a result that
+// depends on the schedule.
+func forceParallel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSearchWorkersDeterminism is the tentpole contract: a probe sequence
 // must return byte-identical pair sets, identical cost counters, and
 // identical accuracy against Exact whether it runs on 1 worker or 8. The
 // descending sequence exercises the cache-resume paths (cache hits, pruned
 // pairs extended) under batching.
 func TestSearchWorkersDeterminism(t *testing.T) {
+	forceParallel(t)
 	wine, err := dataset.NewTable("wine", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +89,7 @@ func TestSearchWorkersDeterminism(t *testing.T) {
 // parallel evaluation: one call per row, rows in order, pair counts
 // nondecreasing, identical to the serial trace.
 func TestSearchProgressParallel(t *testing.T) {
+	forceParallel(t)
 	tab, err := dataset.NewTable("wine", 1)
 	if err != nil {
 		t.Fatal(err)

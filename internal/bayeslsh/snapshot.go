@@ -1,17 +1,12 @@
 package bayeslsh
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"math"
-	"sort"
 	"time"
 
 	"plasmahd/internal/vec"
+	"plasmahd/internal/wire"
 )
 
 // Snapshot codec for the knowledge cache. The format is a versioned binary
@@ -27,11 +22,12 @@ import (
 // count, so a restored cache can rebuild its SRP sketcher and keep accepting
 // appended rows.
 //
-// All integers are little-endian fixed width. Encoding is deterministic:
-// the same cache state always produces the same bytes, because pair entries
-// are written in sorted key order within each shard. Decoding validates the
-// magic, the version, every length field against sane bounds, and the
-// trailing checksum, so a corrupted or truncated snapshot fails loudly
+// cacheImage.walk is the one description of the payload: internal/wire
+// drives it in both directions, so every range and structure check in it
+// guards the encoder as well as the decoder. All integers are little-endian
+// fixed width. Encoding is deterministic: the same cache state always
+// produces the same bytes, because pair entries are written in sorted key
+// order within each shard. A corrupted or truncated snapshot fails loudly
 // instead of producing a silently-wrong cache.
 
 // cacheSnapMagic identifies a knowledge-cache snapshot stream.
@@ -55,137 +51,143 @@ var (
 	ErrSnapshotCorrupt = errors.New("bayeslsh: corrupt snapshot")
 )
 
+// snapErrors maps wire failures onto the typed errors above.
+var snapErrors = wire.Errors{
+	Magic:    ErrSnapshotMagic,
+	Version:  ErrSnapshotVersion,
+	Checksum: ErrSnapshotChecksum,
+	Corrupt:  ErrSnapshotCorrupt,
+}
+
 const (
 	sketchKindMinhash = 0
 	sketchKindSRP     = 1
 
 	pairFlagDone     = 1 << 0
 	pairFlagHasExact = 1 << 1
+
+	// Generous ceilings that a real cache never exceeds but a corrupt length
+	// field easily does, so a walk fails before acting on it.
+	maxSnapRows      = 1 << 28
+	maxSnapMaxHashes = 1 << 20
+	maxSnapShards    = 1 << 16
 )
 
-// snapWriter accumulates a CRC over everything written and latches the first
-// error so encode code can stay straight-line.
-type snapWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	err error
-}
-
-func newSnapWriter(w io.Writer) *snapWriter {
-	return &snapWriter{w: w, crc: crc32.New(crc32.MakeTable(crc32.Castagnoli))}
-}
-
-func (sw *snapWriter) bytes(b []byte) {
-	if sw.err != nil {
-		return
+// flagBit returns bit when set holds, for packing bools into a wire byte.
+func flagBit(set bool, bit uint8) uint8 {
+	if set {
+		return bit
 	}
-	if _, err := sw.w.Write(b); err != nil {
-		sw.err = err
-		return
+	return 0
+}
+
+// cacheImage is what a snapshot records of a cache ahead of the pair
+// entries: a private copy when encoding, the decoded fields when decoding.
+type cacheImage struct {
+	params     Params
+	seed       int64
+	measure    vec.Measure
+	rows       rowView
+	dim        int
+	sketchTime time.Duration
+	shards     int
+}
+
+// walk is the cache snapshot layout: header, signature block, then the pair
+// store shard by shard. Moving entries between a shard and the stream is
+// the only direction-specific work, so the entry points supply it: load
+// yields the entries to walk for a shard (none when decoding) and store
+// receives each entry that walked clean.
+func (im *cacheImage) walk(c *wire.Codec, load func(shard int) []pairEntry, store func(pairEntry)) {
+	c.Header(cacheSnapMagic, CacheSnapshotVersion)
+	p := &im.params
+	p.Epsilon = c.F64(p.Epsilon)
+	p.Delta = c.F64(p.Delta)
+	p.Gamma = c.F64(p.Gamma)
+	p.MaxHashes = int(c.U32(uint32(p.MaxHashes)))
+	p.Step = int(c.U32(uint32(p.Step)))
+	p.MaxDFFrac = c.F64(p.MaxDFFrac)
+	p.Lite = c.U8(flagBit(p.Lite, 1)) != 0
+	p.Workers = int(int32(c.U32(uint32(p.Workers))))
+	im.seed = c.I64(im.seed)
+	im.measure = vec.Measure(c.U8(uint8(im.measure)))
+	im.rows.n = c.Count(im.rows.n, maxSnapRows, "row count")
+	im.dim = int(c.U32(uint32(im.dim)))
+	im.sketchTime = time.Duration(c.I64(int64(im.sketchTime)))
+	if p.MaxHashes < 1 || p.MaxHashes > maxSnapMaxHashes {
+		c.Fail("MaxHashes %d out of range", p.MaxHashes)
 	}
-	sw.crc.Write(b)
-}
-
-func (sw *snapWriter) u8(v uint8)    { sw.bytes([]byte{v}) }
-func (sw *snapWriter) u16(v uint16)  { sw.bytes(binary.LittleEndian.AppendUint16(nil, v)) }
-func (sw *snapWriter) u32(v uint32)  { sw.bytes(binary.LittleEndian.AppendUint32(nil, v)) }
-func (sw *snapWriter) u64(v uint64)  { sw.bytes(binary.LittleEndian.AppendUint64(nil, v)) }
-func (sw *snapWriter) i64(v int64)   { sw.u64(uint64(v)) }
-func (sw *snapWriter) f64(v float64) { sw.u64(math.Float64bits(v)) }
-func (sw *snapWriter) f32(v float32) { sw.u32(math.Float32bits(v)) }
-
-// finish appends the running CRC (the CRC itself is not CRC-covered).
-func (sw *snapWriter) finish() error {
-	if sw.err != nil {
-		return sw.err
+	if p.Step < 1 || p.Step > p.MaxHashes {
+		c.Fail("Step %d out of range for MaxHashes %d", p.Step, p.MaxHashes)
 	}
-	_, err := sw.w.Write(binary.LittleEndian.AppendUint32(nil, sw.crc.Sum32()))
-	return err
-}
-
-// snapReader mirrors snapWriter: every read feeds the CRC, the first error
-// latches, and structural violations become ErrSnapshotCorrupt.
-type snapReader struct {
-	r   io.Reader
-	crc hash.Hash32
-	err error
-}
-
-func newSnapReader(r io.Reader) *snapReader {
-	return &snapReader{r: r, crc: crc32.New(crc32.MakeTable(crc32.Castagnoli))}
-}
-
-func (sr *snapReader) bytes(n int) []byte {
-	if sr.err != nil {
-		return nil
+	if im.measure != vec.CosineSim && im.measure != vec.JaccardSim {
+		c.Fail("unknown measure %d", int(im.measure))
 	}
-	//lint:prealloc-ok every caller passes a constant 1/2/4/8-byte width, never a decoded count
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		sr.err = fmt.Errorf("%w: truncated stream: %v", ErrSnapshotCorrupt, err)
-		return nil
+	if im.dim < 1 || im.dim > maxSnapRows {
+		c.Fail("dimension %d out of range", im.dim)
 	}
-	sr.crc.Write(b)
-	return b
-}
 
-func (sr *snapReader) u8() uint8 {
-	b := sr.bytes(1)
-	if b == nil {
-		return 0
+	// The sketch kind is a pure function of the measure (NewCache builds
+	// minhash for Jaccard, SRP for cosine) and every signature has the exact
+	// schedule length — the comparison kernels index both signatures without
+	// bounds checks, so a ragged or mislabeled sketch block would make later
+	// probes panic instead of failing the walk here.
+	kind := uint8(sketchKindSRP)
+	if im.measure == vec.JaccardSim {
+		kind = sketchKindMinhash
 	}
-	return b[0]
-}
-
-func (sr *snapReader) u16() uint16 {
-	b := sr.bytes(2)
-	if b == nil {
-		return 0
+	if got := c.U8(kind); got != kind {
+		c.Fail("sketch kind %d does not match measure %v", got, im.measure)
 	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (sr *snapReader) u32() uint32 {
-	b := sr.bytes(4)
-	if b == nil {
-		return 0
+	if kind == sketchKindMinhash {
+		im.rows.minSigs = walkSigs(c, im.rows.minSigs, im.rows.n, p.MaxHashes, c.U32)
+	} else {
+		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, im.rows.n, (p.MaxHashes+63)/64, c.U64)
 	}
-	return binary.LittleEndian.Uint32(b)
-}
 
-func (sr *snapReader) u64() uint64 {
-	b := sr.bytes(8)
-	if b == nil {
-		return 0
+	im.shards = c.Count(im.shards, maxSnapShards, "shard count")
+	if im.shards < 1 {
+		c.Fail("shard count %d out of range", im.shards)
 	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (sr *snapReader) i64() int64   { return int64(sr.u64()) }
-func (sr *snapReader) f64() float64 { return math.Float64frombits(sr.u64()) }
-func (sr *snapReader) f32() float32 { return math.Float32frombits(sr.u32()) }
-
-// corrupt latches a structural-violation error.
-func (sr *snapReader) corrupt(format string, args ...any) {
-	if sr.err == nil {
-		sr.err = fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
+	pair := func(e pairEntry) {
+		if e = im.walkPair(c, e); c.Err() == nil {
+			store(e)
+		}
+	}
+	for sh := 0; sh < im.shards && c.Err() == nil; sh++ {
+		entries := load(sh)
+		count := c.Count(len(entries), maxSnapRows, "shard entry count")
+		wire.Each(c, entries, count, pair)
 	}
 }
 
-// verifyCRC reads the trailing checksum (outside the CRC stream) and
-// compares it with the running value.
-func (sr *snapReader) verifyCRC() error {
-	if sr.err != nil {
-		return sr.err
+// walkSigs walks the signature block: n signatures of exactly width words.
+func walkSigs[T any](c *wire.Codec, sigs [][]T, n, width int, word func(T) T) [][]T {
+	return wire.Slice(c, sigs, n, func(sig []T) []T {
+		ln := int(c.U32(uint32(len(sig))))
+		if ln != width {
+			c.Fail("signature length %d, want %d for the hash schedule", ln, width)
+		}
+		return wire.Slice(c, sig, ln, word)
+	})
+}
+
+// walkPair walks one pair-store entry.
+func (im *cacheImage) walkPair(c *wire.Codec, e pairEntry) pairEntry {
+	e.key = c.U64(e.key)
+	ps := &e.ps
+	ps.M = int32(c.U32(uint32(ps.M)))
+	ps.N = int32(c.U32(uint32(ps.N)))
+	flags := c.U8(flagBit(ps.Done, pairFlagDone) | flagBit(ps.HasExact, pairFlagHasExact))
+	ps.Done = flags&pairFlagDone != 0
+	ps.HasExact = flags&pairFlagHasExact != 0
+	ps.Exact = c.F32(ps.Exact)
+	if i, j := UnpackKey(e.key); i < 0 || j <= i || int(j) >= im.rows.n {
+		c.Fail("pair key (%d,%d) out of range for %d rows", i, j, im.rows.n)
+	} else if ps.M < 0 || ps.N < ps.M || int(ps.N) > im.params.MaxHashes {
+		c.Fail("pair (%d,%d): evidence %d/%d out of range", i, j, ps.M, ps.N)
 	}
-	var b [4]byte
-	if _, err := io.ReadFull(sr.r, b[:]); err != nil {
-		return fmt.Errorf("%w: missing checksum: %v", ErrSnapshotCorrupt, err)
-	}
-	if got, want := binary.LittleEndian.Uint32(b[:]), sr.crc.Sum32(); got != want {
-		return fmt.Errorf("%w: stored %08x computed %08x", ErrSnapshotChecksum, got, want)
-	}
-	return nil
+	return e
 }
 
 // EncodeSnapshot serializes the cache — params, seed, sketches, and the
@@ -199,90 +201,19 @@ func (sr *snapReader) verifyCRC() error {
 func (c *Cache) EncodeSnapshot(w io.Writer) error {
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
-	v := c.rows()
-	sw := newSnapWriter(w)
-	sw.bytes(cacheSnapMagic[:])
-	sw.u16(CacheSnapshotVersion)
-
-	p := c.Params
-	sw.f64(p.Epsilon)
-	sw.f64(p.Delta)
-	sw.f64(p.Gamma)
-	sw.u32(uint32(p.MaxHashes))
-	sw.u32(uint32(p.Step))
-	sw.f64(p.MaxDFFrac)
-	if p.Lite {
-		sw.u8(1)
-	} else {
-		sw.u8(0)
+	im := cacheImage{
+		params:     c.Params,
+		seed:       c.Seed,
+		measure:    c.Measure,
+		rows:       c.rows(),
+		dim:        c.dim,
+		sketchTime: c.SketchTime,
+		shards:     c.Pairs.Shards(),
 	}
-	sw.u32(uint32(p.Workers))
-	sw.i64(c.Seed)
-	sw.u8(uint8(c.Measure))
-	sw.u32(uint32(v.n))
-	sw.u32(uint32(c.dim))
-	sw.i64(int64(c.SketchTime))
-
-	if v.minSigs != nil {
-		sw.u8(sketchKindMinhash)
-		for _, sig := range v.minSigs {
-			sw.u32(uint32(len(sig)))
-			for _, x := range sig {
-				sw.u32(x)
-			}
-		}
-	} else {
-		sw.u8(sketchKindSRP)
-		for _, sig := range v.srpSigs {
-			sw.u32(uint32(len(sig)))
-			for _, x := range sig {
-				sw.u64(x)
-			}
-		}
-	}
-
-	sw.u32(uint32(c.Pairs.Shards()))
-	type entry struct {
-		key uint64
-		ps  PairState
-	}
-	for sh := 0; sh < c.Pairs.Shards(); sh++ {
-		var entries []entry
-		c.Pairs.RangeShard(sh, func(key uint64, ps PairState) {
-			entries = append(entries, entry{key, ps})
-		})
-		sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
-		sw.u32(uint32(len(entries)))
-		for _, e := range entries {
-			sw.u64(e.key)
-			sw.u32(uint32(e.ps.M))
-			sw.u32(uint32(e.ps.N))
-			var flags uint8
-			if e.ps.Done {
-				flags |= pairFlagDone
-			}
-			if e.ps.HasExact {
-				flags |= pairFlagHasExact
-			}
-			sw.u8(flags)
-			sw.f32(e.ps.Exact)
-		}
-	}
-	return sw.finish()
+	wc := wire.NewEncoder(w, snapErrors)
+	im.walk(wc, c.Pairs.sortedShard, func(pairEntry) {})
+	return wc.Finish()
 }
-
-// decode bounds: generous ceilings that a real cache never exceeds but a
-// corrupt length field easily does, so decode fails before allocating.
-const (
-	maxSnapRows      = 1 << 28
-	maxSnapMaxHashes = 1 << 20
-	// maxSnapPrealloc bounds any slice capacity taken from a declared count
-	// before the elements behind it have been read. Counts are untrusted
-	// (snapshots can arrive over the wire), so slices grow by append as
-	// bytes actually arrive: a fabricated count in a tiny stream can never
-	// allocate more than the stream backs.
-	maxSnapPrealloc = 1 << 12
-)
 
 // DecodeSnapshot reads a cache snapshot written by EncodeSnapshot,
 // reconstructing the decision tables (which are pure functions of the
@@ -290,157 +221,28 @@ const (
 // The returned cache is immediately usable by SearchWorkers and yields
 // byte-identical probe results to the cache it was encoded from.
 func DecodeSnapshot(r io.Reader) (*Cache, error) {
-	sr := newSnapReader(r)
-	magic := sr.bytes(8)
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if [8]byte(magic) != cacheSnapMagic {
-		return nil, fmt.Errorf("%w: got %q", ErrSnapshotMagic, magic)
-	}
-	if v := sr.u16(); sr.err == nil && v != CacheSnapshotVersion {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrSnapshotVersion, v, CacheSnapshotVersion)
-	}
-
-	var p Params
-	p.Epsilon = sr.f64()
-	p.Delta = sr.f64()
-	p.Gamma = sr.f64()
-	p.MaxHashes = int(sr.u32())
-	p.Step = int(sr.u32())
-	p.MaxDFFrac = sr.f64()
-	p.Lite = sr.u8() != 0
-	p.Workers = int(int32(sr.u32()))
-	seed := sr.i64()
-	measure := vec.Measure(sr.u8())
-	n := int(sr.u32())
-	dim := int(sr.u32())
-	sketchTime := time.Duration(sr.i64())
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if p.MaxHashes < 1 || p.MaxHashes > maxSnapMaxHashes {
-		sr.corrupt("MaxHashes %d out of range", p.MaxHashes)
-	}
-	if p.Step < 1 || p.Step > p.MaxHashes {
-		sr.corrupt("Step %d out of range for MaxHashes %d", p.Step, p.MaxHashes)
-	}
-	if measure != vec.CosineSim && measure != vec.JaccardSim {
-		sr.corrupt("unknown measure %d", int(measure))
-	}
-	if n < 0 || n > maxSnapRows {
-		sr.corrupt("row count %d out of range", n)
-	}
-	if dim < 1 || dim > maxSnapRows {
-		sr.corrupt("dimension %d out of range", dim)
-	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-
-	c := &Cache{
-		Params:     p,
-		Measure:    measure,
-		n:          n,
-		dim:        dim,
-		Seed:       seed,
-		Pairs:      NewPairStore(),
-		SketchTime: sketchTime,
-		pruneMax:   make(map[float64][]int32),
-		//lint:prealloc-ok schedulePoints ≤ MaxHashes/Step+1 and MaxHashes was validated ≤ maxSnapMaxHashes above
-		conc: make([][]bool, p.schedulePoints()),
-	}
-
-	// The sketch kind is a pure function of the measure (NewCache builds
-	// minhash for Jaccard, SRP for cosine) and every signature has the exact
-	// schedule length — the comparison kernels index both signatures without
-	// bounds checks, so a ragged or mislabeled sketch block would make later
-	// probes panic instead of failing the decode here.
-	kind := sr.u8()
-	wantKind := uint8(sketchKindSRP)
-	if measure == vec.JaccardSim {
-		wantKind = sketchKindMinhash
-	}
-	if sr.err == nil && kind != wantKind {
-		sr.corrupt("sketch kind %d does not match measure %v", kind, measure)
-	}
-	switch {
-	case sr.err != nil:
-	case kind == sketchKindMinhash:
-		c.minSigs = make([][]uint32, 0, min(n, maxSnapPrealloc))
-		for i := 0; i < n && sr.err == nil; i++ {
-			ln := int(sr.u32())
-			if sr.err == nil && ln != p.MaxHashes {
-				sr.corrupt("row %d: minhash signature length %d, want MaxHashes %d", i, ln, p.MaxHashes)
-				break
-			}
-			sig := make([]uint32, 0, min(ln, maxSnapPrealloc))
-			for k := 0; k < ln && sr.err == nil; k++ {
-				sig = append(sig, sr.u32())
-			}
-			c.minSigs = append(c.minSigs, sig)
-		}
-	case kind == sketchKindSRP:
-		words := (p.MaxHashes + 63) / 64
-		c.srpSigs = make([][]uint64, 0, min(n, maxSnapPrealloc))
-		for i := 0; i < n && sr.err == nil; i++ {
-			ln := int(sr.u32())
-			if sr.err == nil && ln != words {
-				sr.corrupt("row %d: SRP signature length %d, want %d words", i, ln, words)
-				break
-			}
-			sig := make([]uint64, 0, min(ln, maxSnapPrealloc))
-			for k := 0; k < ln && sr.err == nil; k++ {
-				sig = append(sig, sr.u64())
-			}
-			c.srpSigs = append(c.srpSigs, sig)
-		}
-	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-
-	shards := int(sr.u32())
-	if shards < 1 || shards > 1<<16 {
-		sr.corrupt("shard count %d out of range", shards)
-	}
-	for sh := 0; sh < shards && sr.err == nil; sh++ {
-		count := int(sr.u32())
-		if count < 0 || count > maxSnapRows {
-			sr.corrupt("shard %d: entry count %d out of range", sh, count)
-			break
-		}
-		for e := 0; e < count && sr.err == nil; e++ {
-			key := sr.u64()
-			var ps PairState
-			ps.M = int32(sr.u32())
-			ps.N = int32(sr.u32())
-			flags := sr.u8()
-			ps.Done = flags&pairFlagDone != 0
-			ps.HasExact = flags&pairFlagHasExact != 0
-			ps.Exact = sr.f32()
-			if sr.err != nil {
-				break
-			}
-			i, j := UnpackKey(key)
-			if i < 0 || j <= i || int(j) >= n {
-				sr.corrupt("shard %d: pair key (%d,%d) out of range for %d rows", sh, i, j, n)
-				break
-			}
-			if ps.M < 0 || ps.N < ps.M || int(ps.N) > p.MaxHashes {
-				sr.corrupt("pair (%d,%d): evidence %d/%d out of range", i, j, ps.M, ps.N)
-				break
-			}
-			c.Pairs.Update(key, ps)
-		}
-	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if err := sr.verifyCRC(); err != nil {
+	var im cacheImage
+	pairs := NewPairStore()
+	wc := wire.NewDecoder(r, snapErrors)
+	im.walk(wc, func(int) []pairEntry { return nil }, func(e pairEntry) { pairs.Update(e.key, e.ps) })
+	if err := wc.Finish(); err != nil {
 		return nil, err
 	}
 
+	c := &Cache{
+		Params:     im.params,
+		Measure:    im.measure,
+		n:          im.rows.n,
+		minSigs:    im.rows.minSigs,
+		srpSigs:    im.rows.srpSigs,
+		dim:        im.dim,
+		Seed:       im.seed,
+		Pairs:      pairs,
+		SketchTime: im.sketchTime,
+		pruneMax:   make(map[float64][]int32),
+		//lint:prealloc-ok schedulePoints ≤ MaxHashes/Step+1 and the walk validated MaxHashes ≤ maxSnapMaxHashes
+		conc: make([][]bool, im.params.schedulePoints()),
+	}
 	for k := range c.conc {
 		c.conc[k] = c.buildConcRow(k)
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"plasmahd/internal/vec"
+	"plasmahd/internal/wire"
+	"plasmahd/internal/wire/wiretest"
 )
 
 // snapDataset builds a small deterministic cosine dataset.
@@ -208,6 +210,28 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	})
 }
 
+// forgeSnapshotHead writes a well-formed cache snapshot header — default
+// params, the given measure and declared row count — followed by the given
+// sketch-kind byte, through the same wire primitives the real walk uses.
+func forgeSnapshotHead(c *wire.Codec, measure vec.Measure, rows uint32, kind uint8) {
+	p := DefaultParams()
+	c.Header(cacheSnapMagic, CacheSnapshotVersion)
+	c.F64(p.Epsilon)
+	c.F64(p.Delta)
+	c.F64(p.Gamma)
+	c.U32(uint32(p.MaxHashes))
+	c.U32(uint32(p.Step))
+	c.F64(p.MaxDFFrac)
+	c.U8(0) // Lite
+	c.U32(uint32(p.Workers))
+	c.I64(7) // seed
+	c.U8(uint8(measure))
+	c.U32(rows)
+	c.U32(24) // dim
+	c.I64(0)  // sketch time
+	c.U8(kind)
+}
+
 // TestSnapshotHugeDeclaredCounts feeds the decoder a tiny stream whose
 // in-bounds length fields declare an enormous cache. The decode must die on
 // the truncation, not preallocate gigabytes from the declared counts — the
@@ -222,27 +246,12 @@ func TestSnapshotHugeDeclaredCounts(t *testing.T) {
 		{sketchKindSRP, vec.CosineSim},
 	} {
 		var buf bytes.Buffer
-		sw := newSnapWriter(&buf)
-		sw.bytes(cacheSnapMagic[:])
-		sw.u16(CacheSnapshotVersion)
-		p := DefaultParams()
-		sw.f64(p.Epsilon)
-		sw.f64(p.Delta)
-		sw.f64(p.Gamma)
-		sw.u32(uint32(p.MaxHashes))
-		sw.u32(uint32(p.Step))
-		sw.f64(p.MaxDFFrac)
-		sw.u8(0) // Lite
-		sw.u32(uint32(p.Workers))
-		sw.i64(7)                // seed
-		sw.u8(uint8(tc.measure)) // measure
-		sw.u32(maxSnapRows)      // declared rows: in-bounds but absurd
-		sw.u32(24)               // dim
-		sw.i64(0)                // sketch time
-		sw.u8(tc.kind)
-		// The stream ends here: none of the declared rows exist.
-		if sw.err != nil {
-			t.Fatal(sw.err)
+		c := wire.NewEncoder(&buf, snapErrors)
+		// Declared rows: in-bounds but absurd. The stream ends after the
+		// kind byte: none of the declared rows exist.
+		forgeSnapshotHead(c, tc.measure, maxSnapRows, tc.kind)
+		if c.Err() != nil {
+			t.Fatal(c.Err())
 		}
 		_, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
 		if !errors.Is(err, ErrSnapshotCorrupt) {
@@ -261,36 +270,21 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 	p := DefaultParams()
 	encode := func(measure vec.Measure, kind uint8, sigLens []int) []byte {
 		var buf bytes.Buffer
-		sw := newSnapWriter(&buf)
-		sw.bytes(cacheSnapMagic[:])
-		sw.u16(CacheSnapshotVersion)
-		sw.f64(p.Epsilon)
-		sw.f64(p.Delta)
-		sw.f64(p.Gamma)
-		sw.u32(uint32(p.MaxHashes))
-		sw.u32(uint32(p.Step))
-		sw.f64(p.MaxDFFrac)
-		sw.u8(0) // Lite
-		sw.u32(uint32(p.Workers))
-		sw.i64(7) // seed
-		sw.u8(uint8(measure))
-		sw.u32(uint32(len(sigLens))) // rows
-		sw.u32(24)                   // dim
-		sw.i64(0)                    // sketch time
-		sw.u8(kind)
+		c := wire.NewEncoder(&buf, snapErrors)
+		forgeSnapshotHead(c, measure, uint32(len(sigLens)), kind)
 		for _, ln := range sigLens {
-			sw.u32(uint32(ln))
+			c.U32(uint32(ln))
 			for k := 0; k < ln; k++ {
 				if kind == sketchKindMinhash {
-					sw.u32(uint32(k))
+					c.U32(uint32(k))
 				} else {
-					sw.u64(uint64(k))
+					c.U64(uint64(k))
 				}
 			}
 		}
-		sw.u32(1) // shards
-		sw.u32(0) // no pair entries
-		if err := sw.finish(); err != nil {
+		c.U32(1) // shards
+		c.U32(0) // no pair entries
+		if err := c.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -317,4 +311,37 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 			}
 		})
 	}
+	// The same forgery with well-formed signatures decodes: the cases above
+	// are refused for their sketch block, not for the forging itself.
+	if _, err := DecodeSnapshot(bytes.NewReader(encode(vec.CosineSim, sketchKindSRP, []int{words, words}))); err != nil {
+		t.Fatalf("well-formed forged snapshot: %v", err)
+	}
+}
+
+// TestSnapshotGolden decodes the checked-in snapshots — written by the
+// encoder of the commit that introduced each version — and re-encodes them
+// byte for byte: the guard against layout drift without a version bump.
+func TestSnapshotGolden(t *testing.T) {
+	wiretest.Golden(t, wiretest.Format{
+		Name:         "cache",
+		Version:      int(CacheSnapshotVersion),
+		VersionConst: "CacheSnapshotVersion",
+		Sums: map[string]string{
+			"cache-v2-minhash.snap": "2541a52dabbe90b585b630e43c04594bc7c1ec4dae0eaf97db426b4533b77064",
+			"cache-v2-srp.snap":     "4a5e280ee4335fb81c3e6c78d887600cb1f502a0fd8b8effdd4ea8d2dfae69f1",
+		},
+		Recode: func(data []byte) ([]byte, error) {
+			c, err := DecodeSnapshot(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			if c.Pairs.Len() == 0 {
+				t.Error("golden snapshot carries no pair evidence")
+			}
+			var out bytes.Buffer
+			err = c.EncodeSnapshot(&out)
+			return out.Bytes(), err
+		},
+		ErrVersion: ErrSnapshotVersion,
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -69,10 +70,19 @@ func TestConcurrentProbesSharedCache(t *testing.T) {
 	}
 }
 
+// forceParallel runs the rest of the test under GOMAXPROCS(4), so worker
+// pools truly interleave and a 1-CPU container cannot hide a result that
+// depends on the schedule.
+func forceParallel(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestProbeIncrementalDeterministicAcrossWorkers pins that the snapshot
 // extrapolations — which fan out over the pair store's stripes — do not
 // depend on the worker count.
 func TestProbeIncrementalDeterministicAcrossWorkers(t *testing.T) {
+	forceParallel(t)
 	tab, err := dataset.NewTable("wine", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +118,7 @@ func TestProbeIncrementalDeterministicAcrossWorkers(t *testing.T) {
 // TestKnowledgeCachingWorkloadWorkers pins that the parallel uncached
 // baseline arm reports the same deterministic hash counts as a serial run.
 func TestKnowledgeCachingWorkloadWorkers(t *testing.T) {
+	forceParallel(t)
 	d, err := dataset.NewCorpusScaled("twitter", 300, 3)
 	if err != nil {
 		t.Fatal(err)

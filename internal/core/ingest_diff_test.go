@@ -87,6 +87,7 @@ func normalizeForSnapshot(s *Session) {
 // snapshots. The snapshot of the grown session must additionally round-trip
 // through RestoreSession unchanged, append epoch included.
 func TestSessionIngestEquivalence(t *testing.T) {
+	forceParallel(t)
 	const base = 30
 	thresholds := []float64{0.9, 0.7, 0.5}
 	grid := ThresholdGrid(0.3, 0.95, 10)

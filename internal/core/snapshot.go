@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
@@ -14,6 +12,7 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/vec"
+	"plasmahd/internal/wire"
 )
 
 // Session snapshots make the knowledge cache durable: everything a probe
@@ -36,9 +35,11 @@ import (
 // original rows. A warm restart of a grown session is byte-identical: its
 // re-snapshot reproduces the saved bytes exactly.
 //
-// RestoreSession validates the decoded cache against the dataset it will
-// probe (row count and measure); a mismatch is a typed error, never a
-// silently-wrong cache.
+// sessionImage.walk is the one description of the payload ahead of the
+// cache stream: internal/wire drives it in both directions, so its checks
+// guard Snapshot as well as RestoreSession. RestoreSession additionally
+// validates the decoded cache against the dataset it will probe (row count
+// and measure); a mismatch is a typed error, never a silently-wrong cache.
 
 // sessSnapMagic identifies a session snapshot stream.
 var sessSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
@@ -75,192 +76,18 @@ func (e *SnapshotMismatchError) Error() string {
 		e.Field, e.Snapshot, e.Dataset)
 }
 
+// sessErrors maps wire failures onto the typed errors above.
+var sessErrors = wire.Errors{
+	Magic:    ErrSessionSnapshotMagic,
+	Version:  ErrSessionSnapshotVersion,
+	Checksum: ErrSessionSnapshotChecksum,
+	Corrupt:  ErrSessionSnapshotCorrupt,
+}
+
 const (
 	snapMaxStringLen = 1 << 16
 	snapMaxRows      = 1 << 28
-	// snapPreallocCap bounds any slice capacity taken from a declared count
-	// before the elements behind it have been read. Counts are untrusted
-	// (POST /v1/sessions/restore accepts uploaded snapshots), so slices grow
-	// by append as bytes actually arrive: a fabricated count in a tiny body
-	// can never allocate more than the stream backs.
-	snapPreallocCap = 1 << 12
 )
-
-// sessWriter / sessReader mirror the bayeslsh codec helpers: CRC over every
-// byte, first error latches.
-type sessWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	err error
-}
-
-func newSessWriter(w io.Writer) *sessWriter {
-	return &sessWriter{w: w, crc: crc32.New(crc32.MakeTable(crc32.Castagnoli))}
-}
-
-func (sw *sessWriter) Write(b []byte) (int, error) { // io.Writer for nested codecs
-	if sw.err != nil {
-		return 0, sw.err
-	}
-	n, err := sw.w.Write(b)
-	sw.crc.Write(b[:n])
-	if err != nil {
-		sw.err = err
-	}
-	return n, err
-}
-
-func (sw *sessWriter) bytes(b []byte) { _, _ = sw.Write(b) }
-func (sw *sessWriter) u8(v uint8)     { sw.bytes([]byte{v}) }
-func (sw *sessWriter) u16(v uint16)   { sw.bytes(binary.LittleEndian.AppendUint16(nil, v)) }
-func (sw *sessWriter) u32(v uint32)   { sw.bytes(binary.LittleEndian.AppendUint32(nil, v)) }
-func (sw *sessWriter) u64(v uint64)   { sw.bytes(binary.LittleEndian.AppendUint64(nil, v)) }
-func (sw *sessWriter) i64(v int64)    { sw.u64(uint64(v)) }
-func (sw *sessWriter) f64(v float64)  { sw.u64(math.Float64bits(v)) }
-
-// str/blob enforce the same length cap the reader does, so an encode can
-// never succeed at producing a snapshot the decoder is guaranteed to
-// refuse — an over-long field fails the save loudly instead.
-func (sw *sessWriter) str(s string) {
-	if len(s) > snapMaxStringLen {
-		if sw.err == nil {
-			sw.err = fmt.Errorf("core: snapshot string field is %d bytes, max %d", len(s), snapMaxStringLen)
-		}
-		return
-	}
-	sw.u32(uint32(len(s)))
-	sw.bytes([]byte(s))
-}
-
-func (sw *sessWriter) blob(b []byte) {
-	if len(b) > snapMaxStringLen {
-		if sw.err == nil {
-			sw.err = fmt.Errorf("core: snapshot blob field is %d bytes, max %d", len(b), snapMaxStringLen)
-		}
-		return
-	}
-	sw.u32(uint32(len(b)))
-	sw.bytes(b)
-}
-func (sw *sessWriter) finish() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	_, err := sw.w.Write(binary.LittleEndian.AppendUint32(nil, sw.crc.Sum32()))
-	return err
-}
-
-type sessReader struct {
-	r   io.Reader
-	crc hash.Hash32
-	err error
-}
-
-func newSessReader(r io.Reader) *sessReader {
-	return &sessReader{r: r, crc: crc32.New(crc32.MakeTable(crc32.Castagnoli))}
-}
-
-func (sr *sessReader) Read(b []byte) (int, error) { // io.Reader for nested codecs
-	if sr.err != nil {
-		return 0, sr.err
-	}
-	n, err := sr.r.Read(b)
-	sr.crc.Write(b[:n])
-	return n, err
-}
-
-func (sr *sessReader) bytesN(n int) []byte {
-	if sr.err != nil {
-		return nil
-	}
-	//lint:prealloc-ok callers pass constant widths or lengths already validated ≤ snapMaxStringLen (str/blob)
-	b := make([]byte, n)
-	if _, err := io.ReadFull(sr.r, b); err != nil {
-		sr.err = fmt.Errorf("%w: truncated stream: %v", ErrSessionSnapshotCorrupt, err)
-		return nil
-	}
-	sr.crc.Write(b)
-	return b
-}
-
-func (sr *sessReader) u8() uint8 {
-	b := sr.bytesN(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (sr *sessReader) u16() uint16 {
-	b := sr.bytesN(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (sr *sessReader) u32() uint32 {
-	b := sr.bytesN(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (sr *sessReader) u64() uint64 {
-	b := sr.bytesN(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (sr *sessReader) i64() int64   { return int64(sr.u64()) }
-func (sr *sessReader) f64() float64 { return math.Float64frombits(sr.u64()) }
-
-func (sr *sessReader) corrupt(format string, args ...any) {
-	if sr.err == nil {
-		sr.err = fmt.Errorf("%w: %s", ErrSessionSnapshotCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (sr *sessReader) str() string {
-	n := int(sr.u32())
-	if sr.err != nil {
-		return ""
-	}
-	if n > snapMaxStringLen {
-		sr.corrupt("string length %d out of range", n)
-		return ""
-	}
-	return string(sr.bytesN(n))
-}
-
-func (sr *sessReader) blob() []byte {
-	n := int(sr.u32())
-	if sr.err != nil {
-		return nil
-	}
-	if n > snapMaxStringLen {
-		sr.corrupt("blob length %d out of range", n)
-		return nil
-	}
-	return sr.bytesN(n)
-}
-
-func (sr *sessReader) verifyCRC() error {
-	if sr.err != nil {
-		return sr.err
-	}
-	var b [4]byte
-	if _, err := io.ReadFull(sr.r, b[:]); err != nil {
-		return fmt.Errorf("%w: missing checksum: %v", ErrSessionSnapshotCorrupt, err)
-	}
-	if got, want := binary.LittleEndian.Uint32(b[:]), sr.crc.Sum32(); got != want {
-		return fmt.Errorf("%w: stored %08x computed %08x", ErrSessionSnapshotChecksum, got, want)
-	}
-	return nil
-}
 
 // datasetHash fingerprints the dataset content a cache was built from:
 // dim, measure, and every row verbatim (FNV-64a over their little-endian
@@ -290,71 +117,83 @@ func datasetHash(ds *vec.Dataset) uint64 {
 	return h.Sum64()
 }
 
-// encodeDataset writes the session's dataset verbatim (post-normalization),
-// for sessions over uploaded data that no registry spec can rebuild.
-// Restored rows are used exactly as stored — they are NOT re-normalized,
-// which would perturb the float values and break restart determinism.
-func encodeDataset(sw *sessWriter, ds *vec.Dataset) {
-	sw.str(ds.Name)
-	sw.u32(uint32(ds.Dim))
-	sw.u8(uint8(ds.Measure))
-	sw.u32(uint32(len(ds.Rows)))
-	for _, row := range ds.Rows {
-		sw.u32(uint32(len(row.Indices)))
-		for _, ix := range row.Indices {
-			sw.u32(uint32(ix))
-		}
-		for _, v := range row.Values {
-			sw.f64(v)
-		}
-	}
+// sessionImage is what a session snapshot records ahead of the cache
+// stream: filled from the session when encoding, by the walk when decoding.
+type sessionImage struct {
+	spec   []byte // dataset.Spec binary codec; empty for a zero spec
+	embed  bool
+	data   *vec.Dataset // walked only when embed
+	hash   uint64
+	epoch  int64
+	probes []ProbeRecord
 }
 
-func decodeDataset(sr *sessReader) *vec.Dataset {
-	ds := &vec.Dataset{Name: sr.str()}
-	ds.Dim = int(sr.u32())
-	ds.Measure = vec.Measure(sr.u8())
-	n := int(sr.u32())
-	if sr.err != nil {
-		return nil
+// walk is the session snapshot layout up to the embedded cache stream.
+func (im *sessionImage) walk(c *wire.Codec) {
+	c.Header(sessSnapMagic, SessionSnapshotVersion)
+	im.spec = c.Blob(im.spec, snapMaxStringLen)
+	embed := uint8(0)
+	if im.embed {
+		embed = 1
 	}
-	if ds.Dim < 0 || ds.Dim > snapMaxRows || n < 0 || n > snapMaxRows {
-		sr.corrupt("dataset dims %dx%d out of range", n, ds.Dim)
-		return nil
+	if im.embed = c.U8(embed) == 1; im.embed {
+		walkDataset(c, im.data)
 	}
+	im.hash = c.U64(im.hash)
+	im.epoch = int64(c.U32(uint32(im.epoch)))
+	n := c.Count(len(im.probes), snapMaxRows, "probe count")
+	im.probes = wire.Slice(c, im.probes, n, func(pr ProbeRecord) ProbeRecord { return walkProbe(c, pr) })
+}
+
+// walkDataset walks a dataset verbatim (post-normalization), for sessions
+// over uploaded data that no registry spec can rebuild. Restored rows are
+// used exactly as stored — they are NOT re-normalized, which would perturb
+// the float values and break restart determinism.
+func walkDataset(c *wire.Codec, ds *vec.Dataset) {
+	ds.Name = c.Str(ds.Name, snapMaxStringLen)
+	ds.Dim = c.Count(ds.Dim, snapMaxRows, "dataset dimension")
+	ds.Measure = vec.Measure(c.U8(uint8(ds.Measure)))
+	n := c.Count(len(ds.Rows), snapMaxRows, "dataset row count")
 	if ds.Measure != vec.CosineSim && ds.Measure != vec.JaccardSim {
-		sr.corrupt("unknown dataset measure %d", int(ds.Measure))
-		return nil
+		c.Fail("unknown dataset measure %d", int(ds.Measure))
 	}
-	ds.Rows = make([]vec.Sparse, 0, min(n, snapPreallocCap))
-	for i := 0; i < n && sr.err == nil; i++ {
-		nnz := int(sr.u32())
-		if nnz < 0 || nnz > ds.Dim {
-			sr.corrupt("row %d: %d non-zeros over dimension %d", i, nnz, ds.Dim)
-			return nil
-		}
-		row := vec.Sparse{
-			Indices: make([]int32, 0, min(nnz, snapPreallocCap)),
-			Values:  make([]float64, 0, min(nnz, snapPreallocCap)),
-		}
-		for k := 0; k < nnz && sr.err == nil; k++ {
-			row.Indices = append(row.Indices, int32(sr.u32()))
-		}
-		for k := 0; k < nnz && sr.err == nil; k++ {
-			row.Values = append(row.Values, sr.f64())
-		}
-		if sr.err != nil {
-			return nil
-		}
+	index := func(ix int32) int32 { return int32(c.U32(uint32(ix))) }
+	ds.Rows = wire.Slice(c, ds.Rows, n, func(row vec.Sparse) vec.Sparse {
+		nnz := c.Count(len(row.Indices), ds.Dim, "row non-zero count")
+		row.Indices = wire.Slice(c, row.Indices, nnz, index)
+		row.Values = wire.Slice(c, row.Values, nnz, c.F64)
 		for k, ix := range row.Indices {
 			if ix < 0 || int(ix) >= ds.Dim || (k > 0 && row.Indices[k-1] >= ix) {
-				sr.corrupt("row %d: indices not strictly increasing in [0,%d)", i, ds.Dim)
-				return nil
+				c.Fail("row indices not strictly increasing in [0,%d)", ds.Dim)
+				break
 			}
 		}
-		ds.Rows = append(ds.Rows, row)
+		return row
+	})
+}
+
+// walkProbe walks one probe record.
+func walkProbe(c *wire.Codec, pr ProbeRecord) ProbeRecord {
+	var res bayeslsh.Result
+	if pr.Result != nil {
+		res = *pr.Result
 	}
-	return ds
+	pr.Threshold = c.F64(pr.Threshold)
+	res.Threshold = c.F64(res.Threshold)
+	n := c.Count(len(res.Pairs), snapMaxRows, "probe pair count")
+	res.Pairs = wire.Slice(c, res.Pairs, n, func(p bayeslsh.Pair) bayeslsh.Pair {
+		p.I = int32(c.U32(uint32(p.I)))
+		p.J = int32(c.U32(uint32(p.J)))
+		p.Est = c.F64(p.Est)
+		return p
+	})
+	res.Candidates = int(c.I64(int64(res.Candidates)))
+	res.Pruned = int(c.I64(int64(res.Pruned)))
+	res.CacheHits = int(c.I64(int64(res.CacheHits)))
+	res.HashesCompared = c.I64(res.HashesCompared)
+	res.ProcessTime = time.Duration(c.I64(int64(res.ProcessTime)))
+	pr.Result = &res
+	return pr
 }
 
 // Snapshot serializes the session — dataset spec (or the data itself when
@@ -367,59 +206,35 @@ func decodeDataset(sr *sessReader) *vec.Dataset {
 func (s *Session) Snapshot(w io.Writer) error {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	ds := s.Dataset()
-	probes := s.ProbeRecords()
-
-	sw := newSessWriter(w)
-	sw.bytes(sessSnapMagic[:])
-	sw.u16(SessionSnapshotVersion)
-
-	specBlob, err := s.Spec.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if s.Spec.IsZero() {
-		specBlob = nil
-	}
-	sw.blob(specBlob)
-
+	// The walk assigns every field it visits, so it gets a private shallow
+	// copy: probes and readers share the live dataset and take no lock.
+	ds := *s.Dataset()
 	// Sessions without a spec embed the dataset so they can be rehydrated
 	// from the snapshot alone (uploaded data has no recipe to replay), and
 	// so do grown sessions: replaying the spec would reproduce only the
 	// original rows, never the appended ones.
-	if s.Spec.IsZero() || s.appendEpoch.Load() > 0 {
-		sw.u8(1)
-		encodeDataset(sw, ds)
-	} else {
-		sw.u8(0)
+	im := sessionImage{
+		embed:  s.Spec.IsZero() || s.appendEpoch.Load() > 0,
+		data:   &ds,
+		hash:   datasetHash(&ds),
+		epoch:  s.appendEpoch.Load(),
+		probes: s.ProbeRecords(),
 	}
-	sw.u64(datasetHash(ds))
-	sw.u32(uint32(s.appendEpoch.Load()))
-
-	sw.u32(uint32(len(probes)))
-	for _, pr := range probes {
-		sw.f64(pr.Threshold)
-		res := pr.Result
-		sw.f64(res.Threshold)
-		sw.u32(uint32(len(res.Pairs)))
-		for _, p := range res.Pairs {
-			sw.u32(uint32(p.I))
-			sw.u32(uint32(p.J))
-			sw.f64(p.Est)
-		}
-		sw.i64(int64(res.Candidates))
-		sw.i64(int64(res.Pruned))
-		sw.i64(int64(res.CacheHits))
-		sw.i64(res.HashesCompared)
-		sw.i64(int64(res.ProcessTime))
-	}
-
-	if sw.err == nil {
-		if err := s.Cache.EncodeSnapshot(sw); err != nil {
+	if !s.Spec.IsZero() {
+		var err error
+		if im.spec, err = s.Spec.MarshalBinary(); err != nil {
 			return err
 		}
 	}
-	return sw.finish()
+
+	c := wire.NewEncoder(w, sessErrors)
+	im.walk(c)
+	if c.Err() == nil {
+		if err := s.Cache.EncodeSnapshot(c); err != nil {
+			return err
+		}
+	}
+	return c.Finish()
 }
 
 // RestoreSession decodes a session snapshot and validates it against the
@@ -434,90 +249,30 @@ func (s *Session) Snapshot(w io.Writer) error {
 // subsequent probes return exactly the results an uninterrupted session
 // would have produced, for any worker count.
 func RestoreSession(r io.Reader, ds *vec.Dataset) (*Session, error) {
-	sr := newSessReader(r)
-	magic := sr.bytesN(8)
-	if sr.err != nil {
-		return nil, sr.err
+	im := sessionImage{data: new(vec.Dataset)}
+	c := wire.NewDecoder(r, sessErrors)
+	im.walk(c)
+	if c.Err() != nil {
+		return nil, c.Err()
 	}
-	if [8]byte(magic) != sessSnapMagic {
-		return nil, fmt.Errorf("%w: got %q", ErrSessionSnapshotMagic, magic)
-	}
-	if v := sr.u16(); sr.err == nil && v != SessionSnapshotVersion {
-		return nil, fmt.Errorf("%w: got %d, support %d", ErrSessionSnapshotVersion, v, SessionSnapshotVersion)
-	}
-
 	var spec dataset.Spec
-	specBlob := sr.blob()
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if len(specBlob) > 0 {
-		if err := spec.UnmarshalBinary(specBlob); err != nil {
+	if len(im.spec) > 0 {
+		if err := spec.UnmarshalBinary(im.spec); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSessionSnapshotCorrupt, err)
 		}
 	}
-
-	var embedded *vec.Dataset
-	if sr.u8() == 1 {
-		embedded = decodeDataset(sr)
-	}
-	wantHash := sr.u64()
-	appendEpoch := int64(sr.u32())
-	if sr.err != nil {
-		return nil, sr.err
-	}
-
-	nProbes := int(sr.u32())
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if nProbes < 0 || nProbes > snapMaxRows {
-		return nil, fmt.Errorf("%w: probe count %d out of range", ErrSessionSnapshotCorrupt, nProbes)
-	}
-	probes := make([]ProbeRecord, 0, min(nProbes, snapPreallocCap))
-	for i := 0; i < nProbes && sr.err == nil; i++ {
-		var pr ProbeRecord
-		pr.Threshold = sr.f64()
-		res := &bayeslsh.Result{Threshold: sr.f64()}
-		nPairs := int(sr.u32())
-		if sr.err != nil {
-			break
-		}
-		if nPairs < 0 || nPairs > snapMaxRows {
-			sr.corrupt("probe %d: pair count %d out of range", i, nPairs)
-			break
-		}
-		res.Pairs = make([]bayeslsh.Pair, 0, min(nPairs, snapPreallocCap))
-		for k := 0; k < nPairs && sr.err == nil; k++ {
-			i := int32(sr.u32())
-			j := int32(sr.u32())
-			est := sr.f64()
-			res.Pairs = append(res.Pairs, bayeslsh.Pair{I: i, J: j, Est: est})
-		}
-		res.Candidates = int(sr.i64())
-		res.Pruned = int(sr.i64())
-		res.CacheHits = int(sr.i64())
-		res.HashesCompared = sr.i64()
-		res.ProcessTime = time.Duration(sr.i64())
-		pr.Result = res
-		probes = append(probes, pr)
-	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-
-	cache, err := bayeslsh.DecodeSnapshot(sr)
+	cache, err := bayeslsh.DecodeSnapshot(c)
 	if err != nil {
 		return nil, err
 	}
-	if err := sr.verifyCRC(); err != nil {
+	if err := c.Finish(); err != nil {
 		return nil, err
 	}
 
 	if ds == nil {
 		switch {
-		case embedded != nil:
-			ds = embedded
+		case im.embed:
+			ds = im.data
 		case !spec.IsZero():
 			// Refuse a spec that cannot match the cache before paying the
 			// generation cost: the snapshot records the row count the cache
@@ -547,16 +302,16 @@ func RestoreSession(r io.Reader, ds *vec.Dataset) (*Session, error) {
 	// Content check: a dataset of the right shape but different vectors
 	// (a registry generator that changed across versions, a different
 	// upload) would make every cached sketch and pair state wrong.
-	if got := datasetHash(ds); got != wantHash {
+	if got := datasetHash(ds); got != im.hash {
 		return nil, &SnapshotMismatchError{
 			Field:    "content",
-			Snapshot: fmt.Sprintf("%016x", wantHash),
+			Snapshot: fmt.Sprintf("%016x", im.hash),
 			Dataset:  fmt.Sprintf("%016x", got),
 		}
 	}
 
-	s := &Session{Cache: cache, Spec: spec, probes: probes}
+	s := &Session{Cache: cache, Spec: spec, probes: im.probes}
 	s.ds.Store(ds)
-	s.appendEpoch.Store(appendEpoch)
+	s.appendEpoch.Store(im.epoch)
 	return s, nil
 }

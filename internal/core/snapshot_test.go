@@ -2,13 +2,18 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
+	"io"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/vec"
+	"plasmahd/internal/wire"
+	"plasmahd/internal/wire/wiretest"
 )
 
 func probeSeq(t *testing.T, s *Session, thresholds []float64) []*bayeslsh.Result {
@@ -54,6 +59,7 @@ func equalResults(t *testing.T, label string, a, b []*bayeslsh.Result) {
 // regardless of whether the dataset is re-supplied or rehydrated from the
 // embedded spec.
 func TestSessionSnapshotRestartDeterminism(t *testing.T) {
+	forceParallel(t)
 	spec := dataset.Spec{Kind: "table", Name: "wine", Seed: 1}
 	firstHalf := []float64{0.85, 0.7}
 	secondHalf := []float64{0.9, 0.6, 0.7}
@@ -144,6 +150,74 @@ func TestSessionSnapshotEmbedsUploadedData(t *testing.T) {
 	for k := range want {
 		if want[k] != got[k] {
 			t.Fatalf("curve point %d: %+v vs %+v", k, want[k], got[k])
+		}
+	}
+}
+
+// uploadedJaccard is a small spec-less Jaccard session: its snapshots embed
+// the dataset.
+func uploadedJaccard() *Session {
+	ds := vec.FromDenseMatrix("uploaded", [][]float64{
+		{1, 0, 1, 0, 1, 1}, {1, 0, 1, 0, 1, 0}, {0, 1, 0, 1, 0, 0}, {0, 1, 0, 1, 1, 0}, {1, 1, 1, 1, 1, 1},
+	}, vec.JaccardSim)
+	return NewSession(ds, bayeslsh.DefaultParams(), 9)
+}
+
+// TestSnapshotConcurrentWithReaders: Snapshot promises to be safe while
+// probes are in flight, and probes and the server's session-info reads share
+// the live dataset without a lock — so encoding an embedded dataset must not
+// write through it. Under -race this is the check.
+func TestSnapshotConcurrentWithReaders(t *testing.T) {
+	forceParallel(t)
+	s := uploadedJaccard()
+	var wg sync.WaitGroup
+	for _, th := range []float64{0.8, 0.6, 0.4} {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Probe(th); err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if ds := s.Dataset(); ds.Name != "uploaded" || ds.Dim != 6 || ds.Measure != vec.JaccardSim || ds.N() != 5 {
+					t.Errorf("live dataset changed under a snapshot: %s %dx%d %v", ds.Name, ds.N(), ds.Dim, ds.Measure)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := s.Snapshot(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFailedSnapshotLeavesDatasetAlone: a session whose dataset cannot be
+// encoded fails the save with the typed error and keeps probing the dataset
+// it had — the walk's checks must not rewrite live fields on the way out.
+func TestFailedSnapshotLeavesDatasetAlone(t *testing.T) {
+	for name, damage := range map[string]func(*vec.Dataset){
+		"name over the string cap":     func(ds *vec.Dataset) { ds.Name = strings.Repeat("x", snapMaxStringLen+1) },
+		"dimension over the count cap": func(ds *vec.Dataset) { ds.Dim = snapMaxRows + 1 },
+	} {
+		s := uploadedJaccard()
+		damage(s.Dataset())
+		before := *s.Dataset()
+		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+			t.Errorf("%s: Snapshot err = %v, want ErrSessionSnapshotCorrupt", name, err)
+		}
+		if after := *s.Dataset(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: failed Snapshot changed the live dataset: %s dim %d %v -> %s dim %d %v", name,
+				before.Name[:8], before.Dim, before.Measure, after.Name[:min(8, len(after.Name))], after.Dim, after.Measure)
 		}
 	}
 }
@@ -301,39 +375,102 @@ func TestSpecBinaryRoundTrip(t *testing.T) {
 // gigabytes from the declared counts — POST /v1/sessions/restore accepts
 // attacker-built snapshots.
 func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
-	header := func(sw *sessWriter) {
-		sw.bytes(sessSnapMagic[:])
-		sw.bytes(binary.LittleEndian.AppendUint16(nil, SessionSnapshotVersion))
-		sw.blob(nil) // no spec
+	forge := func(body func(c *wire.Codec)) []byte {
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, sessErrors)
+		c.Header(sessSnapMagic, SessionSnapshotVersion)
+		c.Blob(nil, snapMaxStringLen) // no spec
+		body(c)
+		if c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		return buf.Bytes()
 	}
 	t.Run("dataset rows", func(t *testing.T) {
-		var buf bytes.Buffer
-		sw := newSessWriter(&buf)
-		header(sw)
-		sw.u8(1) // embedded dataset follows
-		sw.str("evil")
-		sw.u32(1 << 20)             // dim
-		sw.u8(uint8(vec.CosineSim)) // measure
-		sw.u32(snapMaxRows)         // declared rows; the stream ends here
-		if sw.err != nil {
-			t.Fatal(sw.err)
-		}
-		if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+		stream := forge(func(c *wire.Codec) {
+			c.U8(1) // embedded dataset follows
+			c.Str("evil", snapMaxStringLen)
+			c.U32(1 << 20)             // dim
+			c.U8(uint8(vec.CosineSim)) // measure
+			c.U32(snapMaxRows)         // declared rows; the stream ends here
+		})
+		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
 			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
 		}
 	})
 	t.Run("probe records", func(t *testing.T) {
-		var buf bytes.Buffer
-		sw := newSessWriter(&buf)
-		header(sw)
-		sw.u8(0)            // no embedded dataset
-		sw.u64(0)           // dataset hash
-		sw.u32(snapMaxRows) // declared probe count; the stream ends here
-		if sw.err != nil {
-			t.Fatal(sw.err)
-		}
-		if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+		stream := forge(func(c *wire.Codec) {
+			c.U8(0)            // no embedded dataset
+			c.U64(0)           // dataset hash
+			c.U32(0)           // append epoch
+			c.U32(snapMaxRows) // declared probe count; the stream ends here
+		})
+		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
 			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
+		}
+	})
+}
+
+// recodeSession restores a snapshot from its own bytes and snapshots the
+// result again.
+func recodeSession(data []byte) ([]byte, error) {
+	s, err := RestoreSession(bytes.NewReader(data), nil)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	err = s.Snapshot(&out)
+	return out.Bytes(), err
+}
+
+// TestSessionSnapshotGolden decodes the checked-in session snapshots — one
+// rehydrated from its spec, one grown session embedding its dataset, both
+// written by the encoder of the commit that introduced the version — and
+// re-encodes them byte for byte: the guard against layout drift without a
+// version bump.
+func TestSessionSnapshotGolden(t *testing.T) {
+	wiretest.Golden(t, wiretest.Format{
+		Name:         "session",
+		Version:      int(SessionSnapshotVersion),
+		VersionConst: "SessionSnapshotVersion",
+		Sums: map[string]string{
+			"session-v2-embedded.snap": "258ed3c26d4d11c500b87021a3be390ea6c776544b805d3bf4f851b565a571df",
+			"session-v2-spec.snap":     "7d9899e803b237bc0c2bcb0b5ddeba76d79952d045b93bc62676ed61f78cc690",
+		},
+		Recode:     recodeSession,
+		ErrVersion: ErrSessionSnapshotVersion,
+	})
+	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v2-embedded.snap")["session-v2-embedded.snap"]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.AppendEpoch() == 0 || !s.Spec.IsZero() || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
+		t.Errorf("embedded golden: epoch %d, spec %+v, %d pairs, %d probes — want a grown spec-less probed session",
+			s.AppendEpoch(), s.Spec, s.CachedPairs(), s.ProbeCount())
+	}
+}
+
+// FuzzRestoreSession feeds arbitrary bytes to the session snapshot decoder,
+// the trust boundary of POST /v1/sessions/restore. It must never panic, and
+// any stream it accepts must re-encode canonically: snapshot(restore(x)) is
+// a fixed point.
+func FuzzRestoreSession(f *testing.F) {
+	for _, data := range wiretest.Files(f, "session-v*") {
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte("PLHDSESS"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := recodeSession(data)
+		if err != nil {
+			return
+		}
+		out2, err := recodeSession(out)
+		if err != nil {
+			t.Fatalf("re-restore of canonical encoding: %v", err)
+		}
+		if !bytes.Equal(out, out2) {
+			t.Fatalf("encoding is not a fixed point: %d vs %d bytes", len(out), len(out2))
 		}
 	})
 }

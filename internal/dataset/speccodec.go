@@ -1,9 +1,10 @@
 package dataset
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
-	"fmt"
+
+	"plasmahd/internal/wire"
 )
 
 // Binary codec for Spec, so a session snapshot can carry the recipe for its
@@ -17,14 +18,17 @@ import (
 //	edges   int64
 //	seed    int64
 //
-// Integrity (checksums, truncation) is the containing snapshot's job; this
-// codec only validates its own structure.
+// Spec.walk is the one description of the record; internal/wire drives it
+// in both directions. Integrity (checksums) is the containing snapshot's
+// job; this codec only validates its own structure.
 
 // specCodecVersion is the current Spec wire version.
 const specCodecVersion = 1
 
-// ErrSpecCodec is wrapped by every Spec decode failure.
+// ErrSpecCodec is wrapped by every Spec codec failure.
 var ErrSpecCodec = errors.New("dataset: corrupt spec encoding")
+
+var specErrors = wire.Errors{Corrupt: ErrSpecCodec}
 
 // IsZero reports whether the spec names no source — the state of sessions
 // created from uploaded data rather than a registry recipe.
@@ -32,106 +36,37 @@ func (s Spec) IsZero() bool {
 	return s.Kind == "" && s.Name == "" && s.Rows == 0 && s.Edges == 0 && s.Seed == 0
 }
 
-// specWriter / specReader mirror the snapshot codec helpers in shape —
-// one method per field kind — so the encode and decode field sequences
-// read symmetrically and plasmalint's codecsym analyzer can compare them.
-// This codec operates on an in-memory record, so there is no CRC or error
-// latching on the writer; the reader latches its first failure.
-type specWriter struct{ out []byte }
-
-func (w *specWriter) u8(v uint8)   { w.out = append(w.out, v) }
-func (w *specWriter) u64(v uint64) { w.out = binary.LittleEndian.AppendUint64(w.out, v) }
-
-// str16 writes a uint16 length prefix plus the bytes; callers bound the
-// length before encoding.
-func (w *specWriter) str16(s string) {
-	w.out = binary.LittleEndian.AppendUint16(w.out, uint16(len(s)))
-	w.out = append(w.out, s...)
-}
-
-type specReader struct {
-	data []byte
-	err  error
-}
-
-func (r *specReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrSpecCodec, fmt.Sprintf(format, args...))
+// walk is the Spec record layout.
+func (s *Spec) walk(c *wire.Codec) {
+	if v := c.U8(specCodecVersion); v != specCodecVersion {
+		c.Fail("unsupported version %d", v)
 	}
-}
-
-func (r *specReader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.data) < n {
-		r.fail("truncated %s", what)
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
-	return b
-}
-
-func (r *specReader) u8() uint8 {
-	b := r.take(1, "byte")
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *specReader) u64() uint64 {
-	b := r.take(8, "integer")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *specReader) str16() string {
-	b := r.take(2, "length")
-	if b == nil {
-		return ""
-	}
-	return string(r.take(int(binary.LittleEndian.Uint16(b)), "string"))
+	s.Kind = c.Str16(s.Kind)
+	s.Name = c.Str16(s.Name)
+	s.Rows = int(c.I64(int64(s.Rows)))
+	s.Edges = int(c.I64(int64(s.Edges)))
+	s.Seed = c.I64(s.Seed)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s Spec) MarshalBinary() ([]byte, error) {
-	if len(s.Kind) > 0xffff || len(s.Name) > 0xffff {
-		return nil, fmt.Errorf("dataset: spec kind/name too long to encode")
-	}
-	w := &specWriter{}
-	w.u8(specCodecVersion)
-	w.str16(s.Kind)
-	w.str16(s.Name)
-	w.u64(uint64(s.Rows))
-	w.u64(uint64(s.Edges))
-	w.u64(uint64(s.Seed))
-	return w.out, nil
+	var buf bytes.Buffer
+	c := wire.NewEncoder(&buf, specErrors)
+	s.walk(c)
+	return buf.Bytes(), c.Err()
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *Spec) UnmarshalBinary(data []byte) error {
-	r := &specReader{data: data}
-	if len(data) < 1 {
-		return fmt.Errorf("%w: empty", ErrSpecCodec)
-	}
-	if v := r.u8(); v != specCodecVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrSpecCodec, v)
-	}
+	r := bytes.NewReader(data)
+	c := wire.NewDecoder(r, specErrors)
 	var out Spec
-	out.Kind = r.str16()
-	out.Name = r.str16()
-	out.Rows = int(int64(r.u64()))
-	out.Edges = int(int64(r.u64()))
-	out.Seed = int64(r.u64())
-	if r.err != nil {
-		return r.err
+	out.walk(c)
+	if r.Len() != 0 {
+		c.Fail("%d trailing bytes after spec record", r.Len())
 	}
-	if n := len(r.data); n != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after spec record", ErrSpecCodec, n)
+	if c.Err() != nil {
+		return c.Err()
 	}
 	*s = out
 	return nil

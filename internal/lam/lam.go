@@ -16,8 +16,9 @@
 //
 // Concurrency: PLAM (Params.Workers > 1) mines phase-2 partitions on a
 // worker pool. Partitions are disjoint row sets, so the parallel run is
-// race-free and produces the same patterns as the serial one, merely
-// interleaved; Mine re-sorts its output to keep results deterministic.
+// race-free; workers return their patterns unnumbered and Mine hands out
+// codes in partition order once the pool has drained, so the result is
+// identical for any worker count.
 package lam
 
 import (
@@ -25,7 +26,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"plasmahd/internal/itemset"
@@ -98,8 +98,7 @@ func Mine(db *itemset.DB, p Params) *Result {
 		NumItems:        db.NumItems,
 		codeRow:         map[int32]int{},
 	}
-	var nextCode atomic.Int32
-	nextCode.Store(int32(db.NumItems))
+	nextCode := int32(db.NumItems)
 
 	for pass := 1; pass <= p.Passes; pass++ {
 		t0 := time.Now()
@@ -107,35 +106,41 @@ func Mine(db *itemset.DB, p Params) *Result {
 		res.LocalizeTime += time.Since(t0)
 
 		t1 := time.Now()
-		var mu sync.Mutex
-		var passPatterns []Pattern
-		tasks := make(chan []int)
+		mined := make([][]minedPattern, len(parts))
+		tasks := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for part := range tasks {
-					pats := minePartition(work.Rows, part, p.Utility, &nextCode, pass)
-					if len(pats) > 0 {
-						mu.Lock()
-						passPatterns = append(passPatterns, pats...)
-						mu.Unlock()
-					}
+				for pi := range tasks {
+					mined[pi] = minePartition(work.Rows, parts[pi], p.Utility, pass)
 				}
 			}()
 		}
-		for _, part := range parts {
+		for pi, part := range parts {
 			if len(part) >= 2 {
-				tasks <- part
+				tasks <- pi
 			}
 		}
 		close(tasks)
 		wg.Wait()
 		res.MineTime += time.Since(t1)
 
-		// Append code-table rows; deterministic order by code.
-		sort.Slice(passPatterns, func(a, b int) bool { return passPatterns[a].Code < passPatterns[b].Code })
+		// Number the patterns and point their rows at them serially, in
+		// partition order: codes feed the next pass's localization, so they
+		// must not depend on which worker finished first.
+		var passPatterns []Pattern
+		for _, pats := range mined {
+			for _, m := range pats {
+				m.Code = nextCode
+				nextCode++
+				for _, t := range m.hits {
+					work.Rows[t] = append(work.Rows[t], m.Code)
+				}
+				passPatterns = append(passPatterns, m.Pattern)
+			}
+		}
 		for _, pat := range passPatterns {
 			res.codeRow[pat.Code] = len(work.Rows)
 			work.Rows = append(work.Rows, append([]int32(nil), pat.Items...))
@@ -157,14 +162,22 @@ func Mine(db *itemset.DB, p Params) *Result {
 	return res
 }
 
+// minedPattern is a consumed pattern that has no code yet, with the rows it
+// was consumed in (which still need the code appended).
+type minedPattern struct {
+	Pattern
+	hits []int32
+}
+
 // minePartition is Algorithm 4 (MineConsumePhase) on one partition: build
 // the trie, generate the utility-ordered potential list, and consume
-// fruitful patterns, rewriting the partition's rows in place. Partitions
-// are disjoint row sets, so concurrent calls never touch the same row.
-func minePartition(rows [][]int32, part []int, u Utility, nextCode *atomic.Int32, pass int) []Pattern {
+// fruitful patterns, removing their items from the partition's rows in
+// place. Partitions are disjoint row sets, so concurrent calls never touch
+// the same row.
+func minePartition(rows [][]int32, part []int, u Utility, pass int) []minedPattern {
 	root := buildTrie(rows, part)
 	potentials := generatePotentials(root, rows, u)
-	var out []Pattern
+	var out []minedPattern
 	for _, pot := range potentials {
 		// Recompute actual coverage against the (possibly rewritten) rows.
 		hits := pot.Tids[:0:0]
@@ -179,12 +192,10 @@ func minePartition(rows [][]int32, part []int, u Utility, nextCode *atomic.Int32
 		if f*l <= f+l {
 			continue
 		}
-		code := nextCode.Add(1) - 1
 		for _, t := range hits {
 			rows[t] = removeSubsetSorted(rows[t], pot.Items)
-			rows[t] = append(rows[t], code)
 		}
-		out = append(out, Pattern{Code: code, Items: pot.Items, Freq: f, Pass: pass})
+		out = append(out, minedPattern{Pattern{Items: pot.Items, Freq: f, Pass: pass}, hits})
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package lam
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -225,6 +226,10 @@ func TestMineMorePassesNeverWorse(t *testing.T) {
 }
 
 func TestPLAMParallelMatchesSerial(t *testing.T) {
+	// Force real parallelism: on a 1-CPU container the pool would otherwise
+	// run its workers one after another and hide any schedule dependence.
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	tr, err := dataset.NewTransactionsScaled("mushroom", 400, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -232,10 +237,17 @@ func TestPLAMParallelMatchesSerial(t *testing.T) {
 	db := itemset.FromRows(tr.Rows)
 	serial := Mine(db, Params{Hashes: 16, Chunk: 50, Passes: 2, Utility: Area, Workers: 1, Seed: 2})
 	parallel := Mine(db, Params{Hashes: 16, Chunk: 50, Passes: 2, Utility: Area, Workers: 4, Seed: 2})
-	// Partitions are independent, so compression must be identical
+	// Partitions are independent and codes are numbered in partition order,
+	// so the whole result — not just its size — must be identical
 	// regardless of worker count (§4.4.4 loses only across machines).
 	if serial.CompressedSize != parallel.CompressedSize {
 		t.Errorf("serial %d tokens vs parallel %d", serial.CompressedSize, parallel.CompressedSize)
+	}
+	if !reflect.DeepEqual(serial.Patterns, parallel.Patterns) {
+		t.Errorf("patterns differ: serial %d, parallel %d", len(serial.Patterns), len(parallel.Patterns))
+	}
+	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
+		t.Error("rewritten rows differ between serial and parallel runs")
 	}
 	// And parallel output must still be lossless.
 	for i := range db.Rows {

@@ -197,97 +197,8 @@ func TestLockorderV1MissesTwoHop(t *testing.T) {
 	}
 }
 
-func TestCodecsymGolden(t *testing.T) {
-	runGolden(t, NewCodecsym(CodecsymConfig{
-		Pairs: []CodecPair{
-			{Name: "good", Pkg: "src/codecsym", Encode: "encodeGood", Decode: "decodeGood"},
-			{Name: "swapped", Pkg: "src/codecsym", Encode: "encodeBad", Decode: "decodeBad"},
-			{Name: "half", Pkg: "src/codecsym", Encode: "encodeHalf", Decode: "decodeHalf"},
-			{Name: "outer", Pkg: "src/codecsym", Encode: "encodeOuter", Decode: "decodeOuter"},
-		},
-		Nested: map[string]string{"encodeGood": "decodeGood"},
-	}), "codecsym")
-}
-
 func TestGoleakGolden(t *testing.T) {
 	runGolden(t, NewGoleak(GoleakConfig{Packages: []string{"src/goleak"}}), "goleak")
-}
-
-// TestCodeclayout walks the fingerprint lifecycle against a throwaway
-// codec: fresh (no golden), blessed, layout drift without a version bump
-// (the dangerous case, called out as such), and a bumped version with a
-// stale fingerprint.
-func TestCodeclayout(t *testing.T) {
-	srcDir := t.TempDir()
-	src := `package layoutfix
-
-type fixWriter struct{ out []byte }
-
-func (w *fixWriter) u8(v uint8)   { w.out = append(w.out, v) }
-func (w *fixWriter) u32(v uint32) { w.out = append(w.out, byte(v)) }
-
-const fixVersion = 1
-
-func encodeFix() []byte {
-	w := &fixWriter{}
-	w.u8(fixVersion)
-	w.u32(42)
-	return w.out
-}
-`
-	if err := os.WriteFile(filepath.Join(srcDir, "fix.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := sharedLoader(t).LoadDir(srcDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewModule([]*Package{pkg})
-	goldDir := t.TempDir()
-	cfg := CodeclayoutConfig{
-		Pairs: []CodecPair{{Name: "fix", Pkg: srcDir, Encode: "encodeFix", Decode: "decodeFix", Version: "fixVersion"}},
-		Dir:   goldDir,
-	}
-	az := NewCodeclayout(cfg)
-	goldenPath := filepath.Join(goldDir, "fix.layout")
-
-	expect := func(stage, wantSub string) {
-		t.Helper()
-		findings := LintModule(m, []*Analyzer{az})
-		if wantSub == "" {
-			if len(findings) != 0 {
-				t.Fatalf("%s: got findings %v, want none", stage, findings)
-			}
-			return
-		}
-		if len(findings) != 1 || !strings.Contains(findings[0].Message, wantSub) {
-			t.Fatalf("%s: findings = %v, want one containing %q", stage, findings, wantSub)
-		}
-	}
-
-	expect("fresh codec", "no golden layout fingerprint")
-
-	written, err := WriteLayoutGoldens(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(written) != 1 || written[0] != goldenPath {
-		t.Fatalf("WriteLayoutGoldens wrote %v, want [%s]", written, goldenPath)
-	}
-	expect("blessed", "")
-
-	// Golden records a different layout under the same version: the edit
-	// that silently breaks every deployed snapshot.
-	if err := os.WriteFile(goldenPath, []byte("version 1\nlayout u8\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	expect("layout drift, version unbumped", "bump the version constant")
-
-	// Version moved on but the fingerprint was never regenerated.
-	if err := os.WriteFile(goldenPath, []byte("version 2\nlayout u8 u32\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	expect("stale fingerprint", "regenerate with `make lint-fix-fingerprints`")
 }
 
 // TestAnnotationHygiene pins the framework rules around the escape hatch:
@@ -466,7 +377,7 @@ func TestLoaderSingleCheck(t *testing.T) {
 			}
 		}
 	}
-	LintModule(NewModule(pkgs), DefaultAnalyzers(dir))
+	LintModule(NewModule(pkgs), DefaultAnalyzers())
 	if got := loader.Checks(); got != len(paths) {
 		t.Errorf("loader ran %d parse+type-check passes for %d packages; loads are not shared", got, len(paths))
 	}
@@ -600,38 +511,6 @@ func inverted(s *Server, m *Manager) {
 	m.mu.Unlock()
 }
 `,
-		// codec.go seeds codecsym (transposed decode) and codeclayout (no
-		// golden fingerprint exists under this throwaway module root).
-		"internal/core/codec.go": `package core
-
-type sessWriter struct{ out []byte }
-
-func (w *sessWriter) u32(v uint32) { w.out = append(w.out, byte(v)) }
-func (w *sessWriter) u64(v uint64) { w.out = append(w.out, byte(v)) }
-
-type sessReader struct{ data []byte }
-
-func (r *sessReader) u32() uint32 { return 0 }
-func (r *sessReader) u64() uint64 { return 0 }
-
-const SessionSnapshotVersion uint16 = 2
-
-type Session struct{}
-
-func (s *Session) Snapshot() []byte {
-	w := &sessWriter{}
-	w.u32(1)
-	w.u64(2)
-	return w.out
-}
-
-func RestoreSession(data []byte) *Session {
-	r := &sessReader{data: data}
-	r.u64()
-	r.u32()
-	return &Session{}
-}
-`,
 		"internal/server/spawn.go": `package server
 
 func tick() {}
@@ -652,7 +531,7 @@ func kick() {
 		t.Fatalf("exit = %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
 	}
 
-	lineRe := regexp.MustCompile(`^[^:\s]+\.go:\d+: \[(mapiter|atomicmix|prealloc|httperr|lockorder|codecsym|codeclayout|goleak)\] .+$`)
+	lineRe := regexp.MustCompile(`^[^:\s]+\.go:\d+: \[(mapiter|atomicmix|prealloc|httperr|lockorder|goleak)\] .+$`)
 	seen := map[string]bool{}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 	for _, line := range lines {
@@ -663,7 +542,7 @@ func kick() {
 		}
 		seen[m[1]] = true
 	}
-	for _, az := range []string{"mapiter", "atomicmix", "prealloc", "httperr", "lockorder", "codecsym", "codeclayout", "goleak"} {
+	for _, az := range []string{"mapiter", "atomicmix", "prealloc", "httperr", "lockorder", "goleak"} {
 		if !seen[az] {
 			t.Errorf("no finding from %s in output:\n%s", az, &stdout)
 		}

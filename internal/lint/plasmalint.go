@@ -24,6 +24,7 @@ var (
 	// decodeFiles are the codec files that parse untrusted bytes. New
 	// codec files must be added here.
 	decodeFiles = []string{
+		"internal/wire/wire.go",
 		"internal/bayeslsh/snapshot.go",
 		"internal/core/snapshot.go",
 		"internal/dataset/speccodec.go",
@@ -42,44 +43,18 @@ var (
 			{Pkg: "plasmahd/internal/bayeslsh", Type: "Cache", Field: "appendMu"},
 		},
 	}
-	// codecPairs are the paired binary codecs codecsym/codeclayout check.
-	// Encode/Decode names may be receiver-qualified ("Session.Snapshot")
-	// when the bare name is ambiguous in its package.
-	codecPairs = []CodecPair{
-		{Name: "cache", Pkg: "plasmahd/internal/bayeslsh",
-			Encode: "Cache.EncodeSnapshot", Decode: "DecodeSnapshot",
-			Version: "CacheSnapshotVersion"},
-		{Name: "session", Pkg: "plasmahd/internal/core",
-			Encode: "Session.Snapshot", Decode: "RestoreSession",
-			Version: "SessionSnapshotVersion"},
-		{Name: "spec", Pkg: "plasmahd/internal/dataset",
-			Encode: "Spec.MarshalBinary", Decode: "Spec.UnmarshalBinary",
-			Version: "specCodecVersion"},
-	}
-	// nestedCodecs collapse one codec's entry points to a shared leaf when
-	// another codec embeds it (the session snapshot embeds the cache's).
-	nestedCodecs = map[string]string{"EncodeSnapshot": "DecodeSnapshot"}
 	// goleakPkgs are where an orphaned goroutine outlives SIGTERM.
 	goleakPkgs = []string{"plasmahd/internal/server", "plasmahd/internal/blob"}
 )
 
-// layoutGoldenDir locates the checked-in codec fingerprints relative to
-// the module root.
-func layoutGoldenDir(root string) string {
-	return filepath.Join(root, "internal", "lint", "testdata", "layouts")
-}
-
-// DefaultAnalyzers returns the production analyzer suite — all eight —
-// with golden layout fingerprints under the given module root.
-func DefaultAnalyzers(root string) []*Analyzer {
+// DefaultAnalyzers returns the production analyzer suite — all six.
+func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewMapiter(MapiterConfig{Packages: determinismPkgs}),
 		NewAtomicmix(),
 		NewPrealloc(PreallocConfig{Files: decodeFiles}),
 		NewHTTPErr(HTTPErrConfig{Packages: serverPkgs, AllowFuncs: envelopeFuncs}),
 		NewLockorder(LockorderConfig{Chains: lockChains, Interprocedural: true}),
-		NewCodecsym(CodecsymConfig{Pairs: codecPairs, Nested: nestedCodecs}),
-		NewCodeclayout(CodeclayoutConfig{Pairs: codecPairs, Nested: nestedCodecs, Dir: layoutGoldenDir(root)}),
 		NewGoleak(GoleakConfig{Packages: goleakPkgs}),
 	}
 }
@@ -98,17 +73,15 @@ type jsonFinding struct {
 // Main is the plasmalint driver: load every package matching the patterns
 // (default ./...) exactly once, run the suite over the shared module, and
 // print findings — "file:line: [analyzer] message" by default, one JSON
-// object per line with -json. -fix-layouts regenerates the codec layout
-// fingerprints instead of linting. Exit status: 0 clean, 1 findings,
-// 2 usage or load failure.
+// object per line with -json. Exit status: 0 clean, 1 findings, 2 usage or
+// load failure.
 func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plasmalint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as JSON Lines (file, line, analyzer, message, chain)")
-	fixLayouts := fs.Bool("fix-layouts", false, "regenerate codec layout fingerprints and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: plasmalint [-only analyzers] [-json] [-fix-layouts] [packages]\n")
+		fmt.Fprintf(stderr, "usage: plasmalint [-only analyzers] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -119,7 +92,7 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	analyzers := DefaultAnalyzers(dir)
+	analyzers := DefaultAnalyzers()
 	if *only != "" {
 		sel := make(map[string]bool)
 		for _, n := range strings.Split(*only, ",") {
@@ -159,19 +132,6 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 		pkgs = append(pkgs, pkg)
 	}
 	m := NewModule(pkgs)
-
-	if *fixLayouts {
-		written, err := WriteLayoutGoldens(m, CodeclayoutConfig{
-			Pairs: codecPairs, Nested: nestedCodecs, Dir: layoutGoldenDir(dir)})
-		if err != nil {
-			fmt.Fprintf(stderr, "plasmalint: %v\n", err)
-			return 2
-		}
-		for _, p := range written {
-			fmt.Fprintf(stderr, "plasmalint: wrote %s\n", relPath(dir, p))
-		}
-		return 0
-	}
 
 	all := LintModule(m, analyzers)
 	enc := json.NewEncoder(stdout)

@@ -8,6 +8,7 @@ package lsh
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -156,23 +157,14 @@ func MatchesPacked(a, b []uint64, n int) int {
 	matches := 0
 	full := n / 64
 	for w := 0; w < full; w++ {
-		matches += 64 - popcount(a[w]^b[w])
+		matches += 64 - bits.OnesCount64(a[w]^b[w])
 	}
 	if rem := n % 64; rem > 0 && full < len(a) {
 		mask := uint64(1)<<uint(rem) - 1
 		diff := (a[full] ^ b[full]) & mask
-		matches += rem - popcount(diff)
+		matches += rem - bits.OnesCount64(diff)
 	}
 	return matches
-}
-
-func popcount(x uint64) int {
-	// math/bits is stdlib but keeping an explicit SWAR popcount documents
-	// the hot path; identical performance after inlining.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }
 
 // CosineToCollision maps a cosine similarity to the SRP per-bit collision

@@ -2,7 +2,6 @@ package lsh
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -173,13 +172,6 @@ func TestMatchesU32Prefix(t *testing.T) {
 	}
 	if MatchesU32(a, b, 100) != 2 {
 		t.Error("overlong n must clamp")
-	}
-}
-
-func TestPopcountMatchesStdlib(t *testing.T) {
-	f := func(x uint64) bool { return popcount(x) == bits.OnesCount64(x) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

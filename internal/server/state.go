@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -131,8 +132,10 @@ func (s *Server) loadSessionBlob(id string) (*ManagedSession, error) {
 		return nil, err
 	}
 	defer rc.Close()
+	// The decoder reads a field at a time; buffer above the tracker so the
+	// blob is read in blocks and body.n still counts the blob's bytes.
 	body := &maxBytesTracker{r: rc}
-	sess, err := core.RestoreSession(body, nil)
+	sess, err := core.RestoreSession(bufio.NewReader(body), nil)
 	s.snapBytesIn.Add(body.n)
 	if err != nil {
 		return nil, err
