@@ -11,11 +11,11 @@
 # invariant analyzers (internal/lint) that catch the repo's recurring bug
 # classes (map-order nondeterminism, mixed atomic access, unbounded decode
 # preallocation, envelope-bypassing error paths, interprocedural lock-order
-# inversions, leak-prone goroutine spawns) in seconds, before the race
-# detector gets a chance. The -json findings stream is then diffed against the
-# checked-in baseline by scripts/lintdiff.sh.
+# inversions and stale lock chains, leak-prone goroutine spawns) in seconds,
+# before the race detector gets a chance. Any finding fails the tier.
 # Tier 2 (race): race-detector pass over the concurrent engine, session,
-# server, miner and wire-codec packages.
+# server, fan-out, miner and wire-codec packages, the session-lifecycle
+# tests ten times over.
 # Tier 3 (daemon smoke): boot plasmad on a random port, run a probe/curve/
 # cues loop over HTTP, exercise snapshot persistence and a warm restart,
 # and verify graceful shutdown. Then a 3-node cluster smoke: create via
@@ -41,14 +41,8 @@ trap 'rm -rf "$scratch"' EXIT
 echo "== tier 1: vet + build + short tests =="
 make vet build short
 
-echo "== tier 1b: lint (gofmt + vet + plasmalint + lintdiff) =="
-# Both plasmalint invocations (text gate, then -json for the lintdiff
-# ratchet) share one `go list -export -deps` walk — the dominant cost of a
-# cold plasmalint start — through a cache file scoped to this tier. The
-# variable is deliberately NOT exported for the whole script: the lint
-# tests inside `make short` load their own temp modules, which must not
-# see this module's package list.
-PLASMALINT_GOLIST_CACHE="$scratch/golist.json" make lint lint-diff
+echo "== tier 1b: lint (gofmt + vet + plasmalint) =="
+make lint
 
 echo "== tier 2: race detector on concurrent packages =="
 make race

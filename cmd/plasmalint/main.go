@@ -7,14 +7,12 @@
 //
 // Usage:
 //
-//	plasmalint [-only mapiter,httperr] [-json] [packages]
+//	plasmalint [-only mapiter,httperr] [packages]
 //
 // With no packages it lints ./... from the current directory. Findings
 // print as "file:line: [analyzer] message" and exit status 1; a clean tree
-// exits 0. -json emits one {file, line, analyzer, message, chain} object
-// per line for scripts/lintdiff.sh. Deliberate violations carry a
-// //lint:<analyzer>-ok <reason> comment on the flagged line or the line
-// above — the reason is mandatory.
+// exits 0. Deliberate violations carry a //lint:<analyzer>-ok <reason>
+// comment on the flagged line or the line above — the reason is mandatory.
 package main
 
 import (

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"plasmahd/internal/lsh"
+	"plasmahd/internal/par"
 	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
@@ -192,6 +193,11 @@ func (c *Cache) rows() rowView {
 	return rowView{n: c.n, minSigs: c.minSigs, srpSigs: c.srpSigs}
 }
 
+// sketchChunk is how many rows a sketching worker takes at a time. Each row's
+// signature is written only to its own slot, so the signatures are identical
+// for any worker count — the parallel-sketching contract.
+const sketchChunk = 16
+
 // NewCache sketches the dataset and returns an empty knowledge cache.
 // Minhash signatures are built for Jaccard data, signed-random-projection
 // signatures for cosine data. Sketching — the one-time start-up cost of
@@ -214,13 +220,13 @@ func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
 	if ds.Measure == vec.JaccardSim {
 		c.mh = lsh.NewMinHasher(p.MaxHashes, seed)
 		c.minSigs = make([][]uint32, ds.N())
-		sketchRows(ds.N(), workers, func(i int) {
+		par.For(ds.N(), workers, sketchChunk, func(i int) {
 			c.minSigs[i] = c.mh.Sketch(ds.Rows[i])
 		})
 	} else {
 		c.srp = lsh.NewSRP(p.MaxHashes, ds.Dim, seed)
 		c.srpSigs = make([][]uint64, ds.N())
-		sketchRows(ds.N(), workers, func(i int) {
+		par.For(ds.N(), workers, sketchChunk, func(i int) {
 			c.srpSigs[i] = c.srp.Sketch(ds.Rows[i])
 		})
 	}
@@ -268,7 +274,7 @@ func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
 			c.mh = lsh.NewMinHasher(c.Params.MaxHashes, c.Seed)
 		}
 		sigs := make([][]uint32, len(rows))
-		sketchRows(len(rows), workers, func(i int) {
+		par.For(len(rows), workers, sketchChunk, func(i int) {
 			sigs[i] = c.mh.Sketch(rows[i])
 		})
 		c.rowsMu.Lock()
@@ -283,7 +289,7 @@ func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
 			c.srp = lsh.NewSRP(c.Params.MaxHashes, c.dim, c.Seed)
 		}
 		sigs := make([][]uint64, len(rows))
-		sketchRows(len(rows), workers, func(i int) {
+		par.For(len(rows), workers, sketchChunk, func(i int) {
 			sigs[i] = c.srp.Sketch(rows[i])
 		})
 		c.rowsMu.Lock()
@@ -504,42 +510,12 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float6
 }
 
 // evalBatch evaluates cands[idx] into outs[idx] on the given number of
-// workers. Work is handed out in fixed-size chunks from an atomic cursor;
-// since each outcome lands at its candidate's index, the result is
+// workers. Since each outcome lands at its candidate's index, the result is
 // independent of scheduling.
 func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, cands []candidate, outs []candOutcome, t float64, bound []int32, workers int) {
-	const chunk = 64
-	if workers > len(cands)/chunk {
-		workers = len(cands) / chunk
-	}
-	if workers <= 1 {
-		for idx, cd := range cands {
-			outs[idx] = c.evalCandidate(ds, v, cd, t, bound)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= len(cands) {
-					return
-				}
-				hi := lo + chunk
-				if hi > len(cands) {
-					hi = len(cands)
-				}
-				for idx := lo; idx < hi; idx++ {
-					outs[idx] = c.evalCandidate(ds, v, cands[idx], t, bound)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(cands), workers, 64, func(idx int) {
+		outs[idx] = c.evalCandidate(ds, v, cands[idx], t, bound)
+	})
 }
 
 // Search runs an all-pairs similarity probe at threshold t, reusing and

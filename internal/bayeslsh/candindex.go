@@ -1,11 +1,6 @@
 package bayeslsh
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"plasmahd/internal/vec"
-)
+import "plasmahd/internal/vec"
 
 // candIndex is the persistent candidate-generation index of a knowledge
 // cache. The original engine rebuilt an inverted index (postings map, df
@@ -266,43 +261,4 @@ func (c *Cache) putScratch(sc *probeScratch) {
 	sc.cands = sc.cands[:0]
 	sc.marks = sc.marks[:0]
 	c.scratchPool.Put(sc)
-}
-
-// sketchRows runs f(0..n-1) across up to workers goroutines in fixed-size
-// chunks handed out by an atomic cursor. Every index is visited exactly
-// once and each f(i) writes only slot i, so the result is identical for any
-// worker count — the NewCache parallel-sketching contract.
-func sketchRows(n, workers int, f func(i int)) {
-	const chunk = 16
-	if workers > n/chunk {
-		workers = n / chunk
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(chunk)) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					f(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

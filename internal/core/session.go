@@ -17,6 +17,7 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/graph"
+	"plasmahd/internal/par"
 	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
@@ -200,7 +201,7 @@ func (s *Session) CumulativeAPSS(grid []float64) []CurvePoint {
 	type partial struct{ est, varsum []float64 }
 	store := s.Cache.Pairs
 	partials := make([]partial, store.Shards())
-	eachShard(store.Shards(), s.Cache.Params.WorkerCount(), func(sh int) {
+	par.For(store.Shards(), s.Cache.Params.WorkerCount(), 1, func(sh int) {
 		est := make([]float64, len(grid))
 		varsum := make([]float64, len(grid))
 		store.RangeShardSorted(sh, func(_ uint64, ps bayeslsh.PairState) {
@@ -222,35 +223,6 @@ func (s *Session) CumulativeAPSS(grid []float64) []CurvePoint {
 		points[k].ErrBar = math.Sqrt(points[k].ErrBar)
 	}
 	return points
-}
-
-// eachShard runs f(0..shards-1) on up to workers goroutines.
-func eachShard(shards, workers int, f func(shard int)) {
-	if workers <= 1 {
-		for sh := 0; sh < shards; sh++ {
-			f(sh)
-		}
-		return
-	}
-	if workers > shards {
-		workers = shards
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				sh := int(next.Add(1)) - 1
-				if sh >= shards {
-					return
-				}
-				f(sh)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // CurveAt evaluates a single cumulative-APSS point — the one-threshold
@@ -453,7 +425,7 @@ func (s *Session) ProbeIncremental(t1 float64, targets []float64, snapshots int)
 		// fanned out over the pair store's stripes like CumulativeAPSS.
 		store := s.Cache.Pairs
 		partials := make([][]float64, store.Shards())
-		eachShard(store.Shards(), s.Cache.Params.WorkerCount(), func(sh int) {
+		par.For(store.Shards(), s.Cache.Params.WorkerCount(), 1, func(sh int) {
 			sums := make([]float64, len(targets))
 			store.RangeShard(sh, func(key uint64, ps bayeslsh.PairState) {
 				_, j := bayeslsh.UnpackKey(key)

@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"plasmahd/internal/itemset"
+	"plasmahd/internal/par"
 )
 
 // Params configures LAM. The zero value is not valid; use DefaultParams.
@@ -107,24 +107,11 @@ func Mine(db *itemset.DB, p Params) *Result {
 
 		t1 := time.Now()
 		mined := make([][]minedPattern, len(parts))
-		tasks := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pi := range tasks {
-					mined[pi] = minePartition(work.Rows, parts[pi], p.Utility, pass)
-				}
-			}()
-		}
-		for pi, part := range parts {
-			if len(part) >= 2 {
-				tasks <- pi
+		par.For(len(parts), workers, 1, func(pi int) {
+			if len(parts[pi]) >= 2 {
+				mined[pi] = minePartition(work.Rows, parts[pi], p.Utility, pass)
 			}
-		}
-		close(tasks)
-		wg.Wait()
+		})
 		res.MineTime += time.Since(t1)
 
 		// Number the patterns and point their rows at them serially, in

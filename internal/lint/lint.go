@@ -14,9 +14,9 @@
 //     daemon.
 //   - httperr:   PR 6 — error paths that bypassed the JSON envelope were
 //     invisible to the stats and metrics counters.
-//   - lockorder: the documented hierarchy (Server.stateMu → Manager.mu,
-//     Session.appendMu → Cache.appendMu) is only prose; an inversion is a
-//     deadlock waiting for load.
+//   - lockorder: the documented hierarchy (Session.appendMu →
+//     Cache.appendMu) is only prose; an inversion is a deadlock waiting for
+//     load.
 //
 // A finding prints as "file:line: [analyzer] message". A site that is
 // deliberate carries a "//lint:<analyzer>-ok <reason>" comment on the same
@@ -38,12 +38,6 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Chain, when non-empty, is the call path that makes an
-	// interprocedural finding true (outermost caller first, the offending
-	// primitive site last). It rides along in -json output so CI tooling
-	// can de-duplicate findings whose surface line moved but whose cause
-	// did not.
-	Chain []string
 }
 
 // String renders the canonical "file:line: [analyzer] message" shape that

@@ -3,7 +3,6 @@ package lint
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -141,60 +140,20 @@ func TestHTTPErrGolden(t *testing.T) {
 	}), "httperr")
 }
 
-func fixtureChains() []LockChain {
-	return []LockChain{{
-		{Pkg: "src/lockorder", Type: "Server", Field: "stateMu"},
-		{Pkg: "src/lockorder", Type: "Manager", Field: "mu"},
-	}}
-}
-
+// TestLockorderGolden covers the direct inversions, the seeded two-hop one
+// (twoHop → hopOne → hopTwo) that only the call graph can see, reported with
+// its witness chain down to the Lock() site, and a chain entry nothing locks.
 func TestLockorderGolden(t *testing.T) {
-	runGolden(t, NewLockorder(LockorderConfig{
-		Chains:          fixtureChains(),
-		Interprocedural: true,
-	}), "lockorder")
-}
-
-// TestLockorderV1MissesTwoHop proves the interprocedural layer earns its
-// keep: with Interprocedural off, the per-function walk still catches the
-// direct inversions but cannot see the seeded two-hop one (twoHop →
-// hopOne → hopTwo), which the call-graph layer reports with a witness
-// chain ending at the Lock() site.
-func TestLockorderV1MissesTwoHop(t *testing.T) {
-	abs, err := filepath.Abs(filepath.Join("testdata", "src", "lockorder"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := sharedLoader(t).LoadDir(abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := Lint(pkg, []*Analyzer{NewLockorder(LockorderConfig{Chains: fixtureChains()})})
-	if len(v1) != 2 {
-		t.Errorf("v1 found %d findings, want exactly the 2 direct inversions: %v", len(v1), v1)
-	}
-	for _, f := range v1 {
-		if strings.Contains(f.Message, "hopOne") {
-			t.Errorf("intraprocedural lockorder unexpectedly saw the two-hop inversion: %s", f)
-		}
-	}
-	v2 := Lint(pkg, []*Analyzer{NewLockorder(LockorderConfig{
-		Chains: fixtureChains(), Interprocedural: true,
-	})})
-	wantChain := []string{"lockorder.twoHop", "lockorder.hopOne", "lockorder.hopTwo", "Server.stateMu.Lock"}
-	found := false
-	for _, f := range v2 {
-		if !strings.Contains(f.Message, "calls lockorder.hopOne while holding Manager.mu") {
-			continue
-		}
-		found = true
-		if fmt.Sprint(f.Chain) != fmt.Sprint(wantChain) {
-			t.Errorf("two-hop witness chain = %v, want %v", f.Chain, wantChain)
-		}
-	}
-	if !found {
-		t.Errorf("interprocedural lockorder missed the seeded two-hop inversion: %v", v2)
-	}
+	runGolden(t, NewLockorder(LockorderConfig{Chains: []LockChain{
+		{
+			{Pkg: "src/lockorder", Type: "Server", Field: "stateMu"},
+			{Pkg: "src/lockorder", Type: "Manager", Field: "mu"},
+		},
+		{
+			{Pkg: "src/lockorder", Type: "Retired", Field: "oldMu"},
+			{Pkg: "src/lockorder", Type: "Retired", Field: "newMu"},
+		},
+	}}), "lockorder")
 }
 
 func TestGoleakGolden(t *testing.T) {
@@ -383,33 +342,6 @@ func TestLoaderSingleCheck(t *testing.T) {
 	}
 }
 
-// TestLoaderGolistCache pins the PLASMALINT_GOLIST_CACHE contract ci.sh
-// relies on: the first loader writes the `go list -export -deps` output
-// to the cache file, and a second loader serves its package index
-// entirely from it — proven by rooting the second loader in a directory
-// that is not a module at all.
-func TestLoaderGolistCache(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"internal/core/ok.go": "package core\n\nfunc OK() {}\n",
-	})
-	cache := filepath.Join(t.TempDir(), "golist.json")
-	t.Setenv("PLASMALINT_GOLIST_CACHE", cache)
-	if _, err := NewLoader(dir); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(cache)
-	if err != nil || info.Size() == 0 {
-		t.Fatalf("first loader did not populate the cache file: %v", err)
-	}
-	l2, err := NewLoader(t.TempDir())
-	if err != nil {
-		t.Fatalf("cached loader in a non-module dir: %v", err)
-	}
-	if _, err := l2.Load("plasmahd/internal/core"); err != nil {
-		t.Fatalf("loading through the cache: %v", err)
-	}
-}
-
 // ---- end-to-end driver tests ----
 
 // buildLint builds the plasmalint binary once for subprocess tests.
@@ -497,18 +429,29 @@ func handle(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "nope", http.StatusNotFound)
 }
 `,
-		"internal/server/locks.go": `package server
+		"internal/bayeslsh/cache.go": `package bayeslsh
 
 import "sync"
 
-type Server struct{ stateMu sync.Mutex }
-type Manager struct{ mu sync.Mutex }
+type Cache struct{ appendMu sync.Mutex }
 
-func inverted(s *Server, m *Manager) {
-	m.mu.Lock()
-	s.stateMu.Lock()
-	s.stateMu.Unlock()
-	m.mu.Unlock()
+type sink interface{ Grown() }
+
+func (c *Cache) Append(s sink) {
+	c.appendMu.Lock()
+	s.Grown()
+	c.appendMu.Unlock()
+}
+`,
+		"internal/core/session.go": `package core
+
+import "sync"
+
+type Session struct{ appendMu sync.Mutex }
+
+func (s *Session) Grown() {
+	s.appendMu.Lock()
+	s.appendMu.Unlock()
 }
 `,
 		"internal/server/spawn.go": `package server
@@ -552,69 +495,6 @@ func kick() {
 	}
 }
 
-// TestDriverJSON pins the machine-readable schema scripts/lintdiff.sh
-// consumes: one JSON object per line with exactly file / line / analyzer /
-// message / chain, chain always an array (never null), and lockorder's
-// interprocedural findings carrying their witness chain through it.
-func TestDriverJSON(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"internal/server/locks.go": `package server
-
-import "sync"
-
-type Server struct{ stateMu sync.Mutex }
-type Manager struct{ mu sync.Mutex }
-
-func twoHop(s *Server, m *Manager) {
-	m.mu.Lock()
-	hop(s)
-	m.mu.Unlock()
-}
-
-func hop(s *Server) {
-	s.stateMu.Lock()
-	s.stateMu.Unlock()
-}
-`,
-	})
-	cmd := exec.Command(plasmalintBin(t), "-json", "./...")
-	cmd.Dir = dir
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("exit = %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
-	}
-	var sawChain bool
-	for _, line := range strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n") {
-		var f struct {
-			File     string    `json:"file"`
-			Line     int       `json:"line"`
-			Analyzer string    `json:"analyzer"`
-			Message  string    `json:"message"`
-			Chain    *[]string `json:"chain"`
-		}
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("non-JSON output line %q: %v", line, err)
-		}
-		if f.File == "" || f.Line <= 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("finding with empty required field: %s", line)
-		}
-		if f.Chain == nil {
-			t.Errorf("chain is null, want an array: %s", line)
-		} else if len(*f.Chain) > 0 {
-			sawChain = true
-			if got := (*f.Chain)[len(*f.Chain)-1]; got != "Server.stateMu.Lock" {
-				t.Errorf("witness chain %v does not end at the Lock site", *f.Chain)
-			}
-		}
-	}
-	if !sawChain {
-		t.Errorf("no finding carried a witness chain:\n%s", &stdout)
-	}
-}
-
 // TestDriverCleanModule pins the zero-exit path.
 func TestDriverCleanModule(t *testing.T) {
 	dir := writeModule(t, map[string]string{
@@ -629,6 +509,20 @@ func keys(m map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+`,
+		// The configured lock chain, taken in order: core is loaded, so a
+		// Session.appendMu nothing locked would be a stale-chain finding.
+		"internal/core/session.go": `package core
+
+import "sync"
+
+type Session struct{ appendMu sync.Mutex }
+
+func (s *Session) Append(grow func()) {
+	s.appendMu.Lock()
+	grow()
+	s.appendMu.Unlock()
 }
 `,
 	})

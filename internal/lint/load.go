@@ -58,7 +58,7 @@ func NewLoader(dir string) (*Loader, error) {
 		files:   make(map[string][]string),
 		pkgs:    make(map[string]*Package),
 	}
-	out, err := l.cachedGoList("-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...", "std")
+	out, err := l.goList("-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...", "std")
 	if err != nil {
 		return nil, err
 	}
@@ -88,32 +88,6 @@ func NewLoader(dir string) (*Loader, error) {
 		return os.Open(exp)
 	}).(types.ImporterFrom)
 	return l, nil
-}
-
-// cachedGoList is goList behind an optional file cache. When
-// PLASMALINT_GOLIST_CACHE names a file, its contents are used verbatim if
-// present and written after the first real run otherwise — the `go list
-// -export -deps` walk over the module plus std is the dominant cost of a
-// cold plasmalint start, and ci.sh runs the binary twice in tier 1b (text
-// and -json). The cache is only sound within one CI run over an unchanged
-// tree; the tier script creates it in a fresh temp dir.
-func (l *Loader) cachedGoList(args ...string) (string, error) {
-	cache := os.Getenv("PLASMALINT_GOLIST_CACHE")
-	if cache != "" {
-		if b, err := os.ReadFile(cache); err == nil {
-			return string(b), nil
-		}
-	}
-	out, err := l.goList(args...)
-	if err != nil {
-		return "", err
-	}
-	if cache != "" {
-		if werr := os.WriteFile(cache, []byte(out), 0o644); werr != nil {
-			return "", fmt.Errorf("lint: writing go list cache: %w", werr)
-		}
-	}
-	return out, nil
 }
 
 func (l *Loader) goList(args ...string) (string, error) {

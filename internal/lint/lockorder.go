@@ -8,27 +8,29 @@ import (
 )
 
 // Lockorder checks that the documented lock hierarchy is never acquired in
-// reverse. The repo's two chains:
+// reverse. The repo's one chain:
 //
-//	Server.stateMu → Manager.mu   (revive/spill/DELETE coordination)
 //	Session.appendMu → Cache.appendMu   (ingest vs snapshot serialization)
 //
 // Each chain orders an outer lock before an inner one; acquiring the outer
 // while the inner is held inverts the hierarchy and can deadlock against
 // the documented path. Two layers:
 //
-//   - Per-function (v1): a linear source-order walk of each body that
-//     models `defer x.Unlock()` as held until return and treats branches
-//     as straight-line code.
-//   - Interprocedural (v2): with Interprocedural set, every call site is
-//     checked against the module call graph — holding an inner lock and
-//     calling anything that can transitively reach an acquisition of an
-//     outer lock in the same chain is a finding, with the witness call
-//     chain reported. Spawned (`go`) calls are excluded: the spawned body
-//     runs on its own goroutine, so its acquisitions are not ordered
-//     after the caller's held locks. Calls through function values are
-//     not resolved (see Module) — hooks crossing a lock boundary document
-//     the ordering at the hook site.
+//   - Per-function: a linear source-order walk of each body that models
+//     `defer x.Unlock()` as held until return and treats branches as
+//     straight-line code.
+//   - Interprocedural: every call site is checked against the module call
+//     graph — holding an inner lock and calling anything that can
+//     transitively reach an acquisition of an outer lock in the same chain
+//     is a finding, with the witness call chain reported. Spawned (`go`)
+//     calls are excluded: the spawned body runs on its own goroutine, so
+//     its acquisitions are not ordered after the caller's held locks.
+//     Calls through function values are not resolved (see Module) — hooks
+//     crossing a lock boundary document the ordering at the hook site.
+//
+// A chain entry whose package is loaded but which nothing locks is itself a
+// finding: a lock that was renamed or removed would otherwise silently stop
+// being policed.
 //
 // Sites where the approximation is wrong carry //lint:lockorder-ok <reason>.
 type LockID struct {
@@ -40,13 +42,9 @@ type LockID struct {
 // LockChain is one ordered hierarchy, outermost first.
 type LockChain []LockID
 
-// LockorderConfig lists the documented chains. Interprocedural enables the
-// call-graph layer; off, the analyzer is exactly the v1 per-function check
-// (the regression test for the seeded two-hop inversion runs both ways to
-// prove v1 misses it).
+// LockorderConfig lists the documented chains.
 type LockorderConfig struct {
-	Chains          []LockChain
-	Interprocedural bool
+	Chains []LockChain
 }
 
 // NewLockorder builds the analyzer.
@@ -59,15 +57,57 @@ func NewLockorder(cfg LockorderConfig) *Analyzer {
 }
 
 func runLockorder(m *Module, cfg LockorderConfig) []Finding {
-	var acq map[int][]lockReach
-	if cfg.Interprocedural {
-		acq = lockAcquirers(m, cfg)
-	}
-	var out []Finding
+	acq := lockAcquirers(m, cfg)
+	out := staleLocks(m, cfg, acq)
 	for _, key := range m.keys {
 		out = append(out, lockWalk(m, cfg, m.funcs[key], acq)...)
 	}
 	return out
+}
+
+// staleLocks reports every configured lock that a loaded package should
+// define but that no function acquires, at the type's declaration or, when
+// the type is gone too, at the package clause.
+func staleLocks(m *Module, cfg LockorderConfig, acq map[int][]lockReach) []Finding {
+	locked := make(map[LockID]bool)
+	for ci, chain := range cfg.Chains {
+		for ri, id := range chain {
+			if len(acq[ci][ri].sites) > 0 {
+				locked[id] = true
+			}
+		}
+	}
+	var out []Finding
+	for _, chain := range cfg.Chains {
+		for _, id := range chain {
+			if locked[id] {
+				continue
+			}
+			locked[id] = true // report a lock named by two chains once
+			for _, p := range m.Pkgs {
+				if !id.inPackage(p.ImportPath) {
+					continue
+				}
+				pos := p.Files[0].Package
+				if obj := p.Types.Scope().Lookup(id.Type); obj != nil {
+					pos = obj.Pos()
+				}
+				out = append(out, Finding{
+					Pos:      p.Fset.Position(pos),
+					Analyzer: "lockorder",
+					Message: fmt.Sprintf("the configured lock hierarchy names %s.%s, which nothing in %s ever locks — renamed or removed? update the chains, or the lock is no longer policed",
+						id.Type, id.Field, p.ImportPath),
+				})
+			}
+		}
+	}
+	return out
+}
+
+// inPackage reports whether the package with this import path is the one
+// the lock's type is declared in.
+func (id LockID) inPackage(pkgPath string) bool {
+	return pkgPath == id.Pkg || strings.HasSuffix(pkgPath, id.Pkg) || strings.HasPrefix(pkgPath, id.Pkg+"/")
 }
 
 // lockReach is, for one (chain, rank), the set of functions from which a
@@ -198,7 +238,7 @@ func lockWalk(m *Module, cfg LockorderConfig, mf *moduleFunc, acq map[int][]lock
 				}
 				return true
 			}
-			if acq == nil || inDefer > 0 {
+			if inDefer > 0 {
 				return true
 			}
 			// Interprocedural: does any resolved callee reach an acquisition
@@ -262,7 +302,6 @@ func lockCallFinding(m *Module, cfg LockorderConfig, mf *moduleFunc, call *ast.C
 				shortFuncKey(cs.callee), heldName, lockName,
 				baseName(sitePos.Filename), sitePos.Line,
 				strings.Join(chainKeys, " → "), lockName, heldName),
-			Chain: chainKeys,
 		}, true
 	}
 	return Finding{}, false
@@ -307,7 +346,7 @@ func classifyLockCall(p *Package, cfg LockorderConfig, call *ast.CallExpr) (lock
 			if field.Name() != id.Field || owner.Obj().Name() != id.Type {
 				continue
 			}
-			if pkgPath == id.Pkg || strings.HasSuffix(pkgPath, id.Pkg) || strings.HasPrefix(pkgPath, id.Pkg+"/") {
+			if id.inPackage(pkgPath) {
 				return lockEvent{chain: ci, rank: ri, acquire: acquire, call: call}, true
 			}
 		}

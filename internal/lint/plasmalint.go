@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -20,6 +19,8 @@ var (
 		"plasmahd/internal/bayeslsh",
 		"plasmahd/internal/core",
 		"plasmahd/internal/experiments",
+		"plasmahd/internal/lam",
+		"plasmahd/internal/itemset",
 	}
 	// decodeFiles are the codec files that parse untrusted bytes. New
 	// codec files must be added here.
@@ -34,10 +35,6 @@ var (
 	// ResponseWriter directly.
 	envelopeFuncs = []string{"writeJSON", "writeError"}
 	lockChains    = []LockChain{
-		{
-			{Pkg: "plasmahd/internal/server", Type: "Server", Field: "stateMu"},
-			{Pkg: "plasmahd/internal/server", Type: "Manager", Field: "mu"},
-		},
 		{
 			{Pkg: "plasmahd/internal/core", Type: "Session", Field: "appendMu"},
 			{Pkg: "plasmahd/internal/bayeslsh", Type: "Cache", Field: "appendMu"},
@@ -54,34 +51,21 @@ func DefaultAnalyzers() []*Analyzer {
 		NewAtomicmix(),
 		NewPrealloc(PreallocConfig{Files: decodeFiles}),
 		NewHTTPErr(HTTPErrConfig{Packages: serverPkgs, AllowFuncs: envelopeFuncs}),
-		NewLockorder(LockorderConfig{Chains: lockChains, Interprocedural: true}),
+		NewLockorder(LockorderConfig{Chains: lockChains}),
 		NewGoleak(GoleakConfig{Packages: goleakPkgs}),
 	}
 }
 
-// jsonFinding is the stable machine-readable finding schema consumed by
-// scripts/lintdiff.sh. Field order and names are part of the contract;
-// chain is always present (empty, not null) so consumers can index it.
-type jsonFinding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain"`
-}
-
 // Main is the plasmalint driver: load every package matching the patterns
 // (default ./...) exactly once, run the suite over the shared module, and
-// print findings — "file:line: [analyzer] message" by default, one JSON
-// object per line with -json. Exit status: 0 clean, 1 findings, 2 usage or
-// load failure.
+// print findings as "file:line: [analyzer] message". Exit status: 0 clean,
+// 1 findings, 2 usage or load failure.
 func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plasmalint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as JSON Lines (file, line, analyzer, message, chain)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: plasmalint [-only analyzers] [-json] [packages]\n")
+		fmt.Fprintf(stderr, "usage: plasmalint [-only analyzers] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -134,23 +118,8 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	m := NewModule(pkgs)
 
 	all := LintModule(m, analyzers)
-	enc := json.NewEncoder(stdout)
 	for _, f := range all {
 		f.Pos.Filename = relPath(dir, f.Pos.Filename)
-		if *asJSON {
-			chain := f.Chain
-			if chain == nil {
-				chain = []string{}
-			}
-			if err := enc.Encode(jsonFinding{
-				File: f.Pos.Filename, Line: f.Pos.Line,
-				Analyzer: f.Analyzer, Message: f.Message, Chain: chain,
-			}); err != nil {
-				fmt.Fprintf(stderr, "plasmalint: %v\n", err)
-				return 2
-			}
-			continue
-		}
 		fmt.Fprintln(stdout, f.String())
 	}
 	if len(all) > 0 {

@@ -57,14 +57,14 @@ func annotated(w *world) {
 	w.mgr.mu.Unlock()
 }
 
-// ---- interprocedural cases: the v1 per-function walk sees nothing wrong
-// in any single body below; only the call graph exposes the inversion. ----
+// ---- interprocedural cases: a per-function walk sees nothing wrong in any
+// single body below; only the call graph exposes the inversion. ----
 
 // twoHop is the seeded two-hop inversion: inner held, then a call whose
 // transitive callee acquires the outer lock.
 func twoHop(w *world) {
 	w.mgr.mu.Lock()
-	hopOne(w) // want "calls lockorder.hopOne while holding Manager.mu"
+	hopOne(w) // want "calls lockorder.hopOne while holding Manager.mu, and the callee can acquire Server.stateMu (lockorder.go:76) — call chain lockorder.twoHop → lockorder.hopOne → lockorder.hopTwo → Server.stateMu.Lock;"
 	w.mgr.mu.Unlock()
 }
 
@@ -100,4 +100,15 @@ func outerThenCallInner(w *world) {
 	w.srv.stateMu.Lock()
 	lockInner(w)
 	w.srv.stateMu.Unlock()
+}
+
+// ---- stale chain: the fixture config also orders Retired.oldMu before
+// Retired.newMu, but oldMu was "renamed away" — nothing locks it, so the
+// entry polices nothing and is reported where the type is declared. ----
+
+type Retired struct{ oldMu, newMu sync.Mutex } // want "names Retired.oldMu, which nothing in"
+
+func lockNew(r *Retired) {
+	r.newMu.Lock()
+	r.newMu.Unlock()
 }

@@ -98,7 +98,7 @@ func (s *Server) serveOwned(w http.ResponseWriter, r *http.Request) bool {
 		if node == rv.self {
 			// Every preferred owner ahead of us is unreachable: serve as
 			// the failover owner (acquire will revive from the blob store).
-			if s.blobs == nil {
+			if s.mgr.store == nil {
 				s.writeError(w, http.StatusBadGateway, "peer_unreachable",
 					"owner %q of session %q is unreachable and this node has no blob store to revive from",
 					seq[0], id)
@@ -199,23 +199,16 @@ func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, node string, bo
 // their evidence, and the next proxied request retries the handoff once
 // the session is idle.
 func (s *Server) handoff(id, owner string) bool {
-	if s.blobs == nil {
+	if s.mgr.store == nil {
 		return false
 	}
-	ms, ok := s.mgr.StealIdle(id)
-	if !ok {
+	if unloaded, err := s.mgr.Unload(id, true); !unloaded || err != nil {
+		// Nothing idle to hand off, or its spill failed (counted and logged
+		// there): the owner revives whatever snapshot the store last saw.
 		return false
 	}
-	if err := s.spillSession(ms); err != nil {
-		// spillSession already counted the failure and logged the lost
-		// pair count; the session is gone from this node either way — the
-		// owner revives whatever snapshot the store last saw.
-		s.logf("cluster: handoff of %s to %s could not persist fresh evidence: %v", id, owner, err)
-		return false
-	}
-	s.mgr.stats.SessionsSpilled.Add(1)
 	s.clusterHandoffs.Inc()
-	s.logf("cluster: handed off session %s to owner %s (%d cached pairs)", id, owner, ms.Session.CachedPairs())
+	s.logf("cluster: handed off session %s to owner %s", id, owner)
 	return true
 }
 
@@ -225,10 +218,10 @@ func (s *Server) handoff(id, owner string) bool {
 // is left alone: the in-flight request finishes against it, and a later
 // handoff retries.
 func (s *Server) dropStale(id, from string) {
-	if s.blobs == nil {
+	if s.mgr.store == nil {
 		return
 	}
-	if _, ok := s.mgr.StealIdle(id); ok {
+	if unloaded, _ := s.mgr.Unload(id, false); unloaded {
 		s.logf("cluster: dropped stale resident copy of %s superseded by handoff from %s", id, from)
 	}
 }

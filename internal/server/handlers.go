@@ -419,12 +419,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		params.Workers = s.cfg.Workers
 	}
 	ms, err := s.mgr.Create(spec, ds, params, req.Seed)
-	if err != nil {
-		if errors.Is(err, ErrCapacity) {
-			s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
-		} else {
-			s.writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		}
+	if err != nil { // ErrCapacity: the only way an admission fails
+		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sessionInfoOf(ms))
@@ -527,20 +523,8 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// Under stateMu so the removals cannot interleave with a revive's file
-	// load. The tombstone goes first and covers the in-flight windows the
-	// lock cannot: an eviction spill whose victim is already unlinked but
-	// whose file is not yet written skips the write, and a revive that
-	// already loaded the file sweeps its own admission (see revive).
-	s.stateMu.Lock()
-	s.markDeleted(id)
-	removedFile := s.removeSessionState(id)
-	err := s.mgr.Remove(id)
-	s.stateMu.Unlock()
-	// The file removal counts as a successful delete on its own: a session
-	// that was spilled to disk (so not resident) must still be deletable,
-	// not left to resurrect on the next boot.
-	if err != nil && !removedFile {
+	// Resident or spilled: the blob goes too, so it cannot resurrect.
+	if err := s.mgr.Delete(id); err != nil {
 		s.writeError(w, http.StatusNotFound, "not_found", "no session %q", id)
 		return
 	}
@@ -932,17 +916,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	if raw := r.URL.Query().Get("persist"); raw == "1" || raw == "true" {
-		if s.blobs == nil {
+		if s.mgr.store == nil {
 			s.writeError(w, http.StatusBadRequest, "bad_request",
 				"persist requires the daemon to run with -state-dir")
 			return
 		}
-		n, err := s.saveSession(ms)
+		n, err := s.mgr.Persist(ms)
+		if errors.Is(err, ErrNotFound) {
+			// Deleted while this request held it: nothing was written.
+			s.writeError(w, http.StatusNotFound, "not_found", "no session %q", ms.ID)
+			return
+		}
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, "internal", "snapshot failed: %v", err)
 			return
 		}
-		s.snapBytesOut.Add(int64(n))
 		s.writeJSON(w, http.StatusOK, map[string]any{
 			"sessionId": ms.ID,
 			"key":       stateKey(ms.ID),
@@ -974,7 +962,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err := hw.flush(); err != nil {
 		panic(http.ErrAbortHandler)
 	}
-	s.snapBytesOut.Add(hw.written)
+	s.mgr.snapBytesOut.Add(hw.written)
 }
 
 // snapshotHoldback is how much of a streamed snapshot is withheld before
@@ -1053,7 +1041,7 @@ func (t *maxBytesTracker) Read(p []byte) (int, error) {
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	body := &maxBytesTracker{r: r.Body}
 	sess, err := core.RestoreSession(body, nil)
-	s.snapBytesIn.Add(body.n)
+	s.mgr.snapBytesIn.Add(body.n)
 	if err != nil {
 		if body.tooBig != nil {
 			s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
@@ -1065,11 +1053,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	ms := &ManagedSession{Spec: sess.Spec, Session: sess, Created: time.Now()}
 	if err := s.mgr.AdmitNew(ms); err != nil {
-		if errors.Is(err, ErrCapacity) {
-			s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
-		} else {
-			s.writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		}
+		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
 		return
 	}
 	s.writeJSON(w, http.StatusCreated, sessionInfoOf(ms))

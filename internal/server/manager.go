@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"plasmahd/internal/bayeslsh"
+	"plasmahd/internal/blob"
 	"plasmahd/internal/core"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/metrics"
@@ -19,13 +20,9 @@ import (
 // session is busy, so nothing can be evicted to make room.
 var ErrCapacity = errors.New("server: session capacity reached and all sessions are busy")
 
-// ErrNotFound is returned for unknown session IDs (including evicted ones).
+// ErrNotFound is returned for session IDs that are neither resident nor in
+// the blob store (never created, deleted, or evicted by a daemon without one).
 var ErrNotFound = errors.New("server: no such session")
-
-// ErrConflict is returned when a session is admitted under an ID that is
-// already resident (e.g. two requests racing to revive the same spilled
-// session).
-var ErrConflict = errors.New("server: session id already resident")
 
 // Manager owns the named probe sessions of a plasmad instance. Sessions are
 // keyed by ID; at capacity the least-recently-used *idle* session is evicted
@@ -40,44 +37,32 @@ type Manager struct {
 	reg      *metrics.Registry
 
 	// retiredCueHits/Misses/IndexRebuilds accumulate the per-session
-	// counters of sessions that left the manager (eviction, DELETE), so the
+	// counters of sessions that left the manager (see detachLocked), so the
 	// manager-wide totals stay monotone across session churn: live sessions
 	// are summed at read time, departed ones are folded in here first.
 	retiredCueHits     atomic.Int64
 	retiredCueMisses   atomic.Int64
 	retiredIdxRebuilds atomic.Int64
 
-	// spill, when set, receives each session evicted for capacity before it
-	// is dropped, so its knowledge cache can be written to disk instead of
-	// discarded. admit invokes it after releasing mu — a spill is a full
-	// session encode plus a file write, too slow to hold the manager lock
-	// for — on a victim that is idle and already unlinked from the session
-	// map, so the hook must tolerate manager calls running concurrently.
-	spill func(*ManagedSession) error
-
 	// owns, when set, restricts which session IDs this manager may mint: in
 	// cluster mode each node creates only sessions the consistent-hash ring
 	// assigns to it, so the global "s<n>" ID space partitions across nodes
-	// with no coordination and no collisions (see mintID).
+	// with no coordination and no collisions (see mintID). server.New sets
+	// it, like store and logf, once, before the manager serves anything.
 	owns func(string) bool
 
-	mu       sync.Mutex
-	sessions map[string]*ManagedSession
-}
+	// store is where sessions go when they leave memory and where they come
+	// back from (nil: persistence off, an evicted session is gone). logf is
+	// the server's log; a standalone manager's is silent.
+	store blob.Store
+	logf  func(format string, args ...any)
 
-// SetSpill installs the eviction spill hook (nil disables spilling).
-func (m *Manager) SetSpill(f func(*ManagedSession) error) {
-	m.mu.Lock()
-	m.spill = f
-	m.mu.Unlock()
-}
+	snapBytesIn  *metrics.Counter // snapshot bytes decoded (restore uploads, revives, warm boots)
+	snapBytesOut *metrics.Counter // snapshot bytes encoded (downloads, persists, spills, shutdown saves)
 
-// SetOwns installs the ID-ownership filter (nil, the default, accepts every
-// ID — single-node mode). Must be set before the manager mints any ID.
-func (m *Manager) SetOwns(f func(string) bool) {
-	m.mu.Lock()
-	m.owns = f
-	m.mu.Unlock()
+	// mu guards slots: where every session ID lives right now (lifecycle.go).
+	mu    sync.Mutex
+	slots map[string]*slot
 }
 
 // mintID allocates the next session ID this node is allowed to own. The
@@ -85,12 +70,9 @@ func (m *Manager) SetOwns(f func(string) bool) {
 // peers) are simply never minted anywhere else either — each node walks the
 // same sequence and keeps only its own residue class under the ring hash.
 func (m *Manager) mintID() string {
-	m.mu.Lock()
-	owns := m.owns
-	m.mu.Unlock()
 	for {
 		id := fmt.Sprintf("s%d", m.nextID.Add(1))
-		if owns == nil || owns(id) {
+		if m.owns == nil || m.owns(id) {
 			return id
 		}
 	}
@@ -104,7 +86,12 @@ func NewManager(capacity int) *Manager {
 	if capacity < 1 {
 		capacity = 1
 	}
-	m := &Manager{capacity: capacity, sessions: make(map[string]*ManagedSession), reg: metrics.NewRegistry()}
+	m := &Manager{
+		capacity: capacity,
+		slots:    make(map[string]*slot),
+		reg:      metrics.NewRegistry(),
+		logf:     func(string, ...any) {},
+	}
 	m.stats = Stats{
 		SessionsCreated:  m.reg.Counter("plasmad_sessions_created_total", "Sessions created via POST /v1/sessions."),
 		SessionsEvicted:  m.reg.Counter("plasmad_sessions_evicted_total", "Sessions evicted by the capacity LRU."),
@@ -117,6 +104,10 @@ func NewManager(capacity int) *Manager {
 		Requests:         m.reg.Counter("plasmad_http_requests_started_total", "HTTP requests received, before routing."),
 		Errors:           m.reg.Counter("plasmad_request_errors_total", "Error responses: every error envelope written, plus recovered panics."),
 	}
+	m.snapBytesIn = m.reg.Counter("plasmad_snapshot_bytes_in_total",
+		"Snapshot bytes decoded: restore uploads, disk revives, warm boots.")
+	m.snapBytesOut = m.reg.Counter("plasmad_snapshot_bytes_out_total",
+		"Snapshot bytes encoded: downloads, explicit persists, eviction spills, shutdown saves.")
 	m.reg.GaugeFunc("plasmad_sessions_resident", "Sessions currently resident in memory.",
 		func() float64 { return float64(m.Len()) })
 	m.reg.GaugeFunc("plasmad_sessions_capacity", "Configured resident-session capacity.",
@@ -134,13 +125,9 @@ func NewManager(capacity int) *Manager {
 // IndexRebuilds sums the candidate-index rebuild counters over resident
 // sessions plus the retired accumulator (monotone across session churn).
 func (m *Manager) IndexRebuilds() int64 {
-	var total int64
-	m.mu.Lock()
-	for _, ms := range m.sessions {
-		total += ms.Session.Cache.IndexRebuilds()
-	}
-	m.mu.Unlock()
-	return total + m.retiredIdxRebuilds.Load()
+	total := m.retiredIdxRebuilds.Load()
+	m.eachResident(func(ms *ManagedSession) { total += ms.Session.Cache.IndexRebuilds() })
+	return total
 }
 
 // Registry returns the manager's metrics registry, so the HTTP layer can
@@ -151,23 +138,13 @@ func (m *Manager) Registry() *metrics.Registry { return m.reg }
 // plus the retired accumulator, so the totals are monotone across eviction
 // and deletion.
 func (m *Manager) CueCacheStats() (hits, misses int64) {
-	m.mu.Lock()
-	for _, ms := range m.sessions {
+	hits, misses = m.retiredCueHits.Load(), m.retiredCueMisses.Load()
+	m.eachResident(func(ms *ManagedSession) {
 		h, mi := ms.Session.CueCacheStats()
 		hits += h
 		misses += mi
-	}
-	m.mu.Unlock()
-	return hits + m.retiredCueHits.Load(), misses + m.retiredCueMisses.Load()
-}
-
-// retire folds a departing session's cue and index-rebuild counters into
-// the retired accumulators (see CueCacheStats, IndexRebuilds).
-func (m *Manager) retire(ms *ManagedSession) {
-	h, mi := ms.Session.CueCacheStats()
-	m.retiredCueHits.Add(h)
-	m.retiredCueMisses.Add(mi)
-	m.retiredIdxRebuilds.Add(ms.Session.Cache.IndexRebuilds())
+	})
+	return hits, misses
 }
 
 // Stats is the manager's counter block: handles into the metrics registry,
@@ -206,14 +183,11 @@ type StatsSnapshot struct {
 
 // Snapshot reads the counters.
 func (m *Manager) Snapshot() StatsSnapshot {
-	m.mu.Lock()
-	n := len(m.sessions)
-	m.mu.Unlock()
 	cueHits, cueMisses := m.CueCacheStats()
 	return StatsSnapshot{
 		CueCacheHits:     cueHits,
 		CueCacheMisses:   cueMisses,
-		Sessions:         n,
+		Sessions:         m.Len(),
 		Capacity:         m.capacity,
 		SessionsCreated:  m.stats.SessionsCreated.Load(),
 		SessionsEvicted:  m.stats.SessionsEvicted.Load(),
@@ -331,20 +305,6 @@ func (m *Manager) AdmitNew(ms *ManagedSession) error {
 	return nil
 }
 
-// AdmitAs registers a restored session under its original ID — the warm-boot
-// and spilled-session-revival paths, where the ID is the client's handle and
-// must survive the round trip through disk. Returns ErrConflict if the ID is
-// already resident.
-func (m *Manager) AdmitAs(ms *ManagedSession, id string) error {
-	ms.ID = id
-	m.bumpNextID(id)
-	if err := m.admit(ms); err != nil {
-		return err
-	}
-	m.stats.SessionsRestored.Add(1)
-	return nil
-}
-
 // bumpNextID advances the ID counter past a restored "s<n>" ID so freshly
 // created sessions never collide with warm-started ones.
 func (m *Manager) bumpNextID(id string) {
@@ -360,129 +320,28 @@ func (m *Manager) bumpNextID(id string) {
 	}
 }
 
-// admit registers ms, evicting (and spilling, when configured) idle LRU
-// sessions as needed to stay within capacity. Victims are chosen and
-// unlinked under the lock, but serialized to disk after it is released —
-// a spill is a full session encode plus a file write, far too slow to
-// stall every Acquire on the daemon for.
-//
-// The window between unlink and spill completion is benign: a request
-// naming a victim's ID during it either misses (404) or revives an older
-// snapshot of that session; both cost only recomputable cache evidence,
-// never wrong results.
-func (m *Manager) admit(ms *ManagedSession) error {
-	ms.touch()
-	m.mu.Lock()
-	if _, ok := m.sessions[ms.ID]; ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrConflict, ms.ID)
-	}
-	var victims []*ManagedSession
-	for len(m.sessions) >= m.capacity {
-		victim := m.lruIdleLocked()
-		if victim == nil {
-			m.mu.Unlock()
-			return ErrCapacity
-		}
-		delete(m.sessions, victim.ID)
-		m.stats.SessionsEvicted.Add(1)
-		m.retire(victim)
-		victims = append(victims, victim)
-	}
-	m.sessions[ms.ID] = ms
-	spill := m.spill
-	m.mu.Unlock()
-
-	if spill != nil {
-		for _, victim := range victims {
-			if err := spill(victim); err == nil {
-				m.stats.SessionsSpilled.Add(1)
-			}
-		}
-	}
-	return nil
-}
-
-// lruIdleLocked returns the idle session with the oldest last use, or nil
-// when every resident session is held by a request. Callers hold m.mu.
-func (m *Manager) lruIdleLocked() *ManagedSession {
-	var victim *ManagedSession
-	for _, ms := range m.sessions {
-		if !ms.Idle() {
-			continue
-		}
-		if victim == nil || ms.lastUsed.Load() < victim.lastUsed.Load() {
-			victim = ms
-		}
-	}
-	return victim
-}
-
-// Acquire returns the session and marks it busy (exempt from eviction) and
-// recently used. Callers must call the returned release exactly once.
-func (m *Manager) Acquire(id string) (*ManagedSession, func(), error) {
-	m.mu.Lock()
-	ms, ok := m.sessions[id]
-	if ok {
-		// Mark busy under the lock so eviction cannot race the handoff.
-		ms.active.Add(1)
-		ms.touch()
-	}
-	m.mu.Unlock()
-	if !ok {
-		return nil, nil, ErrNotFound
-	}
-	return ms, ms.release, nil
-}
-
-// StealIdle unlinks a session from the manager if and only if it is
-// resident and idle, returning it for a rebalance handoff. Unlike Remove it
-// counts as neither a delete nor an eviction — the session is moving, not
-// dying — but like eviction it folds the departing counters into the
-// retired accumulators so manager-wide totals stay monotone. A busy session
-// is left untouched (the caller retries on a later request).
-func (m *Manager) StealIdle(id string) (*ManagedSession, bool) {
-	m.mu.Lock()
-	ms, ok := m.sessions[id]
-	if !ok || !ms.Idle() {
-		m.mu.Unlock()
-		return nil, false
-	}
-	delete(m.sessions, id)
-	m.mu.Unlock()
-	m.retire(ms)
-	return ms, true
-}
-
-// Remove deletes a session by ID (explicit DELETE, not eviction).
-func (m *Manager) Remove(id string) error {
-	m.mu.Lock()
-	ms, ok := m.sessions[id]
-	delete(m.sessions, id)
-	m.mu.Unlock()
-	if !ok {
-		return ErrNotFound
-	}
-	m.retire(ms)
-	m.stats.SessionsDeleted.Add(1)
-	return nil
-}
-
 // List returns the resident sessions sorted by ID.
 func (m *Manager) List() []*ManagedSession {
-	m.mu.Lock()
-	out := make([]*ManagedSession, 0, len(m.sessions))
-	for _, ms := range m.sessions {
-		out = append(out, ms)
-	}
-	m.mu.Unlock()
+	var out []*ManagedSession
+	m.eachResident(func(ms *ManagedSession) { out = append(out, ms) })
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
 // Len returns the number of resident sessions.
 func (m *Manager) Len() int {
+	n := 0
+	m.eachResident(func(*ManagedSession) { n++ })
+	return n
+}
+
+// eachResident calls fn for every resident session, under the manager lock.
+func (m *Manager) eachResident(fn func(*ManagedSession)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.sessions)
+	for _, sl := range m.slots {
+		if sl.ms != nil {
+			fn(sl.ms)
+		}
+	}
 }

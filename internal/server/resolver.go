@@ -98,17 +98,18 @@ func (rv *resolver) nodes() int {
 func (s *Server) OwnerNode(id string) string { return s.resolver.owner(id) }
 
 // acquire is the "where stored" half of session resolution: {id} resolves
-// to a busy-marked resident session, falling back to a transparent revival
-// from the blob store for sessions that were spilled by eviction, handed
-// off by a rebalance, or saved by a departed node. On failure it writes
-// the 404 envelope. The routing layer (serveOwned) has already decided
-// that this node serves the request, so by the time acquire runs, local
-// memory and the shared blob store are the only places left to look.
+// to a busy-marked session, resident or transparently revived from the
+// blob store (Manager.Acquire). On failure it writes the error envelope:
+// 404 for an ID neither place knows, 503 for a spilled session that cannot
+// come back while every resident one is busy. The routing layer (serveOwned)
+// has already decided that this node serves the request, so local memory
+// and the shared blob store are the only places left to look.
 func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (*ManagedSession, func(), bool) {
 	id := r.PathValue("id")
 	ms, release, err := s.mgr.Acquire(id)
-	if errors.Is(err, ErrNotFound) && s.revive(id) {
-		ms, release, err = s.mgr.Acquire(id)
+	if errors.Is(err, ErrCapacity) {
+		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
+		return nil, nil, false
 	}
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, "not_found", "no session %q", id)

@@ -8,7 +8,10 @@
 // The Manager enforces a session capacity with LRU eviction of idle
 // sessions and coalesces duplicate in-flight probes at the same threshold
 // (singleflight): with a shared cache, a second concurrent identical probe
-// could only redo identical hash comparisons. Everything is stdlib
+// could only redo identical hash comparisons. It also owns every session's
+// whole lifecycle — resident, spilled to the blob store, revived, handed
+// off, deleted — as one state machine under one lock (lifecycle.go), so the
+// HTTP layer never reasons about where a session is. Everything is stdlib
 // net/http; docs/API.md documents the wire format (a test keeps it in
 // lock-step with the route table).
 package server
@@ -22,7 +25,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -98,16 +100,12 @@ type Server struct {
 	httpRequests *metrics.CounterVec   // route, method, code class
 	httpLatency  *metrics.HistogramVec // route
 	rateLimited  *metrics.CounterVec   // scope: session | inflight
-	snapBytesIn  *metrics.Counter      // snapshot bytes decoded (restore, revive, warm boot)
-	snapBytesOut *metrics.Counter      // snapshot bytes encoded (downloads, persists, spills)
 	probeBatches *metrics.Counter
 	rowsAppended *metrics.Counter // rows accepted by POST /v1/sessions/{id}/rows
 
 	// Cluster plumbing (see resolver.go and cluster.go). resolver is always
-	// non-nil; in single-node mode it resolves everything locally. blobs is
-	// nil when persistence is disabled.
+	// non-nil; in single-node mode it resolves everything locally.
 	resolver    *resolver
-	blobs       blob.Store
 	proxyClient *http.Client
 
 	clusterProxied   *metrics.Counter // requests forwarded to their owner
@@ -116,23 +114,6 @@ type Server struct {
 
 	limiter  *tokenLimiter // per-session token buckets; nil when disabled
 	inflight atomic.Int64  // requests currently inside the middleware
-
-	// stateMu serializes disk revives and eviction spills against DELETEs.
-	// Without it a DELETE that misses a spilled session in the manager can
-	// interleave with a concurrent revive of the same ID: the revive
-	// re-admits the session after the map check, the DELETE then removes
-	// only the file, and a 204'd session lives on in memory (and
-	// re-persists at shutdown). All three paths are rare, so one lock is
-	// correctness at no meaningful cost.
-	stateMu sync.Mutex
-	// deleted tombstones explicitly DELETEd session IDs (under stateMu).
-	// An eviction spill runs after the victim is already unlinked from the
-	// manager, so a DELETE racing that window sees neither a resident
-	// session nor a state file — without the tombstone the spill would then
-	// write the file and resurrect the deleted session. Only IDs the
-	// daemon could have minted are recorded (see markDeleted), so the set
-	// is bounded by sessions ever created.
-	deleted map[string]bool
 }
 
 // New builds a server (routes registered, not yet listening).
@@ -162,12 +143,12 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:     cfg,
-		mgr:     NewManager(cfg.Capacity),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		deleted: make(map[string]bool),
+		cfg:   cfg,
+		mgr:   NewManager(cfg.Capacity),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
+	s.mgr.logf = s.logf
 	rv, err := newResolver(cfg.NodeID, cfg.Peers)
 	if err != nil {
 		// An invalid cluster config must not half-join a ring: fall back to
@@ -186,10 +167,6 @@ func New(cfg Config) *Server {
 	s.rateLimited = reg.CounterVec("plasmad_rate_limited_total",
 		"Requests rejected with 429: per-session token bucket (scope=session) or the global inflight cap (scope=inflight).",
 		"scope")
-	s.snapBytesIn = reg.Counter("plasmad_snapshot_bytes_in_total",
-		"Snapshot bytes decoded: restore uploads, disk revives, warm boots.")
-	s.snapBytesOut = reg.Counter("plasmad_snapshot_bytes_out_total",
-		"Snapshot bytes encoded: downloads, explicit persists, eviction spills, shutdown saves.")
 	s.probeBatches = reg.Counter("plasmad_probe_batches_total",
 		"Batched probe requests served by POST /v1/sessions/{id}/probes.")
 	s.rowsAppended = reg.Counter("plasmad_rows_appended_total",
@@ -201,7 +178,7 @@ func New(cfg Config) *Server {
 	reg.GaugeFunc("plasmad_goroutines", "Goroutines in the process.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	if rv.clustered() {
-		s.mgr.SetOwns(rv.owns)
+		s.mgr.owns = rv.owns
 		s.proxyClient = &http.Client{Transport: newProxyTransport()}
 		s.clusterProxied = reg.Counter("plasmad_cluster_proxied_total",
 			"Session requests forwarded to their owning node.")
@@ -241,22 +218,19 @@ func New(cfg Config) *Server {
 	}
 	switch {
 	case cfg.Store != nil:
-		s.blobs = cfg.Store
+		s.mgr.store = cfg.Store
 	case cfg.StateDir != "":
 		d, err := blob.NewDir(cfg.StateDir)
 		if err != nil {
 			s.logf("state dir %s unavailable, persistence disabled: %v", cfg.StateDir, err)
 		} else {
-			s.blobs = d
+			s.mgr.store = d
 		}
 	}
-	if s.blobs != nil {
-		s.mgr.SetSpill(s.spillSession)
-		if n, err := s.LoadState(); err != nil {
-			s.logf("warm start failed: %v", err)
-		} else if n > 0 {
-			s.logf("warm start: %d session(s) restored from the blob store", n)
-		}
+	if n, err := s.LoadState(); err != nil {
+		s.logf("warm start failed: %v", err)
+	} else if n > 0 {
+		s.logf("warm start: %d session(s) restored from the blob store", n)
 	}
 	s.hsrv = &http.Server{
 		Handler:           s.Handler(),
@@ -304,7 +278,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 		defer cancel()
 		err := s.hsrv.Shutdown(sctx)
-		if s.blobs != nil {
+		if s.mgr.store != nil {
 			if saved, failed, serr := s.SaveState(sctx); serr != nil {
 				s.logf("state save incomplete: %d saved, %d failed -> blob store (first error: %v)",
 					saved, failed, serr)
