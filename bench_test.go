@@ -37,8 +37,9 @@ func benchExperiment(b *testing.B, id string) {
 // cold probe outside the timed loop pays for sketch-backed evidence AND the
 // persistent candidate index build; every timed iteration then reuses the
 // index and the pooled probe scratch, so wall time and allocs/op here are
-// the repeat-probe trajectory tracked in BENCH_baseline.json's repeatProbe
-// block. Workers is pinned to 1 so allocs/op measures the engine, not
+// the repeat-probe trajectory (`make bench-repeat`; the repository benchmark
+// reports the same layer as bayeslsh.hit_probe_s and bayeslsh.probe_allocs).
+// Workers is pinned to 1 so allocs/op measures the engine, not
 // goroutine scheduling.
 func BenchmarkRepeatProbe(b *testing.B) {
 	ds, err := dataset.NewCorpusScaled("twitter", 400, 1)

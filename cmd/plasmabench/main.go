@@ -5,113 +5,22 @@
 //	plasmabench -list
 //	plasmabench -exp E2.7            # one experiment at default scale
 //	plasmabench -all -scale 200      # everything, capped datasets
-//	plasmabench -json -all -scale 100 > BENCH.json   # machine-readable
 //
 // Scale caps per-dataset row counts; 0 runs the default reproduction scale
 // recorded in EXPERIMENTS.md (minutes, not hours). Output is plain text:
 // aligned tables for the paper's tables, TSV/ASCII series for its figures.
-//
-// With -json, table/figure text is suppressed and a single JSON report is
-// written to stdout instead: per-experiment wall times plus the cache
-// statistics of a canonical knowledge-caching workload (sketch cost,
-// per-probe hash counts and cache hits, final cached-pair count) — the
-// machine-readable perf trajectory CI tracks across commits.
+// It prints experiments; performance is measured by the repository's
+// benchmark, `go run ./bench`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
-	"plasmahd/internal/core"
-	"plasmahd/internal/dataset"
 	"plasmahd/internal/experiments"
-	"plasmahd/internal/vec"
 )
-
-// benchReport is the -json output shape (schema 3: schema 2 plus the
-// ingest block). Wall times move with the machine; the counter fields
-// (candidates, pruned, cacheHits, hashesCompared, cachedPairs, the
-// repeat-probe counters, and the ingest rebuild/pair counts) are
-// deterministic for a given scale/seed and comparable across commits.
-type benchReport struct {
-	Schema      int               `json:"schema"`
-	Scale       int               `json:"scale"`
-	Seed        int64             `json:"seed"`
-	Workers     int               `json:"workers"`
-	TotalMillis float64           `json:"totalMillis"`
-	Experiments []benchExperiment `json:"experiments"`
-	Cache       *benchCache       `json:"cache,omitempty"`
-	RepeatProbe *benchRepeat      `json:"repeatProbe,omitempty"`
-	Ingest      *benchIngest      `json:"ingest,omitempty"`
-}
-
-// benchSchema is the current benchReport schema version. Bump it whenever
-// the report shape changes; cmd/benchdiff fails CI on a mismatch against
-// the checked-in baseline.
-const benchSchema = 3
-
-// benchRepeat is the repeat-probe trajectory: the per-probe cost of
-// re-probing one threshold on a warm knowledge cache — the Fig 2.1 loop's
-// steady state, which the persistent candidate index exists to make nearly
-// free. FirstMillis is the cold probe (sketch-backed evidence plus the
-// index build); WarmMillis is the mean of the later probes. The hash and
-// cache-hit counters describe the final warm probe and are deterministic.
-type benchRepeat struct {
-	Dataset        string  `json:"dataset"`
-	Rows           int     `json:"rows"`
-	Threshold      float64 `json:"threshold"`
-	Repeats        int     `json:"repeats"`
-	FirstMillis    float64 `json:"firstMillis"`
-	WarmMillis     float64 `json:"warmMillis"`
-	WarmCacheHits  int     `json:"warmCacheHits"`
-	WarmHashes     int64   `json:"warmHashes"`
-	WarmCandidates int     `json:"warmCandidates"`
-}
-
-// benchIngest is the live-ingest trajectory: a session built over a prefix
-// of the dataset is grown to full size in fixed batches with a probe after
-// each batch (the streaming loop's shape). AppendMillis and RowsPerSec are
-// the perf trajectory (sketching plus amortized index rebuilds);
-// IndexRebuilds and FinalPairs are deterministic for a given scale/seed —
-// a rebuild-count change means the amortization policy moved.
-type benchIngest struct {
-	Dataset       string  `json:"dataset"`
-	Rows          int     `json:"rows"`
-	BaseRows      int     `json:"baseRows"`
-	Batches       int     `json:"batches"`
-	AppendMillis  float64 `json:"appendMillis"`
-	RowsPerSec    float64 `json:"rowsPerSec"`
-	IndexRebuilds int64   `json:"indexRebuilds"`
-	FinalPairs    int     `json:"finalPairs"`
-}
-
-type benchExperiment struct {
-	ID     string  `json:"id"`
-	Paper  string  `json:"paper"`
-	Millis float64 `json:"millis"`
-}
-
-type benchCache struct {
-	Dataset      string       `json:"dataset"`
-	Rows         int          `json:"rows"`
-	SketchMillis float64      `json:"sketchMillis"`
-	Probes       []benchProbe `json:"probes"`
-	CachedPairs  int          `json:"cachedPairs"`
-}
-
-type benchProbe struct {
-	Threshold      float64 `json:"threshold"`
-	Millis         float64 `json:"millis"`
-	Pairs          int     `json:"pairs"`
-	Candidates     int     `json:"candidates"`
-	Pruned         int     `json:"pruned"`
-	CacheHits      int     `json:"cacheHits"`
-	HashesCompared int64   `json:"hashesCompared"`
-}
 
 func main() {
 	var (
@@ -121,14 +30,14 @@ func main() {
 		scale   = flag.Int("scale", 0, "cap dataset sizes (0 = default scale)")
 		seed    = flag.Int64("seed", 1, "generator seed")
 		workers = flag.Int("workers", 0, "probe-engine worker count (0 = all cores)")
-		jsonOut = flag.Bool("json", false, "emit one machine-readable JSON report on stdout (suppresses table/figure text)")
 	)
 	flag.Parse()
 	opt := experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers}
 
-	runOne := func(e experiments.Experiment, out io.Writer) time.Duration {
+	runOne := func(e experiments.Experiment) time.Duration {
+		fmt.Printf("==== %s — %s ====\n", e.ID, e.Paper)
 		start := time.Now()
-		if err := e.Run(out, opt); err != nil {
+		if err := e.Run(os.Stdout, opt); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
@@ -140,38 +49,9 @@ func main() {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-6s %s\n", e.ID, e.Paper)
 		}
-	case *jsonOut:
-		selected := experiments.All()
-		if *exp != "" {
-			e, err := experiments.ByID(*exp)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			selected = []experiments.Experiment{e}
-		}
-		report := benchReport{Schema: benchSchema, Scale: *scale, Seed: *seed, Workers: *workers}
-		total := time.Now()
-		for _, e := range selected {
-			d := runOne(e, io.Discard)
-			report.Experiments = append(report.Experiments, benchExperiment{
-				ID: e.ID, Paper: e.Paper, Millis: millis(d),
-			})
-		}
-		report.Cache = cacheWorkload(opt)
-		report.RepeatProbe = repeatProbeWorkload(opt)
-		report.Ingest = ingestWorkload(opt)
-		report.TotalMillis = millis(time.Since(total))
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "plasmabench:", err)
-			os.Exit(1)
-		}
 	case *all:
 		for _, e := range experiments.All() {
-			fmt.Printf("==== %s — %s ====\n", e.ID, e.Paper)
-			d := runOne(e, os.Stdout)
+			d := runOne(e)
 			fmt.Printf("---- %s done in %v ----\n\n", e.ID, d.Round(time.Millisecond))
 		}
 	case *exp != "":
@@ -180,151 +60,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fmt.Printf("==== %s — %s ====\n", e.ID, e.Paper)
-		runOne(e, os.Stdout)
+		runOne(e)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// cacheWorkload probes a fixed descending threshold ladder on one shared
-// knowledge cache — the Fig 2.10 shape — and reports the cache statistics.
-// The counters are deterministic for a given scale/seed; wall times are
-// the perf trajectory.
-func cacheWorkload(opt experiments.Options) *benchCache {
-	rows := 400
-	if opt.Scale > 0 && opt.Scale < rows {
-		rows = opt.Scale
-	}
-	ds, err := dataset.NewCorpusScaled("twitter", rows, opt.Seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plasmabench: cache workload:", err)
-		return nil
-	}
-	sess := core.NewSession(ds, opt.Params(), opt.Seed)
-	out := &benchCache{
-		Dataset:      ds.Name,
-		Rows:         ds.N(),
-		SketchMillis: millis(sess.SketchTime()),
-	}
-	for _, t := range []float64{0.9, 0.8, 0.7, 0.8} { // repeat 0.8: pure cache hits
-		res, err := sess.Probe(t)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plasmabench: cache workload:", err)
-			return nil
-		}
-		out.Probes = append(out.Probes, benchProbe{
-			Threshold:      t,
-			Millis:         millis(res.ProcessTime),
-			Pairs:          len(res.Pairs),
-			Candidates:     res.Candidates,
-			Pruned:         res.Pruned,
-			CacheHits:      res.CacheHits,
-			HashesCompared: res.HashesCompared,
-		})
-	}
-	out.CachedPairs = sess.CachedPairs()
-	return out
-}
-
-// repeatProbeWorkload probes one threshold repeatedly on a warm knowledge
-// cache — the second-and-later probes of the Fig 2.1 interactive loop. The
-// first probe pays for evidence gathering and the one-time candidate-index
-// build; the repeats measure the amortized steady state the persistent
-// index and pooled probe scratch were built for.
-func repeatProbeWorkload(opt experiments.Options) *benchRepeat {
-	const (
-		threshold = 0.8
-		repeats   = 8
-	)
-	rows := 400
-	if opt.Scale > 0 && opt.Scale < rows {
-		rows = opt.Scale
-	}
-	ds, err := dataset.NewCorpusScaled("twitter", rows, opt.Seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plasmabench: repeat-probe workload:", err)
-		return nil
-	}
-	sess := core.NewSession(ds, opt.Params(), opt.Seed)
-	first, err := sess.Probe(threshold)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plasmabench: repeat-probe workload:", err)
-		return nil
-	}
-	out := &benchRepeat{
-		Dataset:     ds.Name,
-		Rows:        ds.N(),
-		Threshold:   threshold,
-		Repeats:     repeats,
-		FirstMillis: millis(first.ProcessTime),
-	}
-	var warm time.Duration
-	for i := 0; i < repeats; i++ {
-		res, err := sess.Probe(threshold)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plasmabench: repeat-probe workload:", err)
-			return nil
-		}
-		warm += res.ProcessTime
-		out.WarmCacheHits = res.CacheHits
-		out.WarmHashes = res.HashesCompared
-		out.WarmCandidates = res.Candidates
-	}
-	out.WarmMillis = millis(warm) / repeats
-	return out
-}
-
-// ingestWorkload grows a session from a quarter of the dataset to full size
-// in fixed batches, probing after every batch so the candidate index has to
-// keep up — the interactive streaming loop POST /rows was built for. The
-// reported append time is what AppendRows itself charged (sketching new
-// rows), while rebuild work lands inside the probes and is visible through
-// the rebuild counter.
-func ingestWorkload(opt experiments.Options) *benchIngest {
-	const batch = 16
-	rows := 400
-	if opt.Scale > 0 && opt.Scale < rows {
-		rows = opt.Scale
-	}
-	ds, err := dataset.NewCorpusScaled("twitter", rows, opt.Seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plasmabench: ingest workload:", err)
-		return nil
-	}
-	base := max(ds.N()/4, 1)
-	prefix := &vec.Dataset{Name: ds.Name, Dim: ds.Dim, Measure: ds.Measure, Rows: ds.Rows[:base:base]}
-	sess := core.NewSession(prefix, opt.Params(), opt.Seed)
-	out := &benchIngest{Dataset: ds.Name, Rows: ds.N(), BaseRows: base}
-	var appendTime time.Duration
-	for at := base; at < ds.N(); {
-		hi := min(at+batch, ds.N())
-		d, err := sess.AppendRows(ds.Rows[at:hi])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plasmabench: ingest workload:", err)
-			return nil
-		}
-		appendTime += d
-		at = hi
-		out.Batches++
-		if _, err := sess.Probe(0.8); err != nil {
-			fmt.Fprintln(os.Stderr, "plasmabench: ingest workload:", err)
-			return nil
-		}
-	}
-	res, err := sess.Probe(0.9)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "plasmabench: ingest workload:", err)
-		return nil
-	}
-	out.AppendMillis = millis(appendTime)
-	if appendTime > 0 {
-		out.RowsPerSec = float64(ds.N()-base) / appendTime.Seconds()
-	}
-	out.IndexRebuilds = sess.Cache.IndexRebuilds()
-	out.FinalPairs = len(res.Pairs)
-	return out
 }

@@ -1,7 +1,6 @@
-// Command plasmalint runs the repo's custom static-analysis suite: six
-// analyzers that enforce invariants this codebase has already shipped a
-// bugfix for (see internal/lint), including interprocedural lock-order
-// checking over a type-driven call graph. It is stdlib-only and resolves
+// Command plasmalint runs the repo's custom static-analysis suite: four
+// per-package analyzers that enforce invariants this codebase has already
+// shipped a bugfix for (see internal/lint). It is stdlib-only and resolves
 // imports through `go list -export`, so it needs no tooling beyond the
 // toolchain.
 //

@@ -67,10 +67,14 @@
 // The determinism and trust-boundary rules above are not prose-only:
 // cmd/plasmalint (engine in internal/lint, run as "make lint", ci tier
 // 1b) statically enforces the bug classes this repo has shipped fixes
-// for — map-iteration order leaking into results, mixed atomic/plain
-// field access, decoders preallocating from untrusted lengths, error
-// responses bypassing the JSON envelope, and lock-hierarchy inversions.
-// See the "Invariants and lint" section of docs/ARCHITECTURE.md.
+// for and that the code's structure does not rule out — map-iteration
+// order leaking into results, function-style atomics (which allow mixed
+// atomic/plain access), decoders preallocating from untrusted lengths, and
+// error responses bypassing the JSON envelope. Where structure can carry
+// the invariant it does: plasmad's JSON handlers return values and never
+// hold a ResponseWriter, one helper owns the goroutine behind a detached
+// probe, and the append-lock order follows the import graph. See the
+// "Invariants and lint" section of docs/ARCHITECTURE.md.
 package plasmahd
 
 // Version identifies this reproduction.

@@ -131,7 +131,9 @@ type Cache struct {
 
 	// appendMu serializes AppendRows calls with each other and with
 	// EncodeSnapshot, so a snapshot's row count can never lag pairs written
-	// by a probe that already saw the appended rows.
+	// by a probe that already saw the appended rows. Lock order: innermost,
+	// after core.Session.appendMu — bayeslsh cannot import core, and nothing
+	// called while this is held may reach back into it.
 	appendMu sync.Mutex
 
 	// Pairs memoizes evidence for every candidate pair ever evaluated.

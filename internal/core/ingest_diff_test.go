@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -259,6 +260,19 @@ func TestConcurrentAppendProbeCue(t *testing.T) {
 			s.CumulativeAPSS([]float64{0.6, 0.8})
 			s.KNNGraph(3)
 			s.KNNThresholdEquivalent(3)
+		}
+	}()
+	// Snapshotter: the one path that takes both append locks (the session's,
+	// then the cache's) while appends and probes run. A lock taken in the
+	// other order anywhere deadlocks this test; nothing static checks it.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 6; i++ {
+			if err := s.Snapshot(io.Discard); err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
+			}
 		}
 	}()
 	wg.Wait()

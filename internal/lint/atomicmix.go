@@ -3,119 +3,48 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
 	"strings"
 )
 
-// Atomicmix flags struct fields that are accessed through sync/atomic
-// functions in one place and with plain reads/writes in another. Mixed
-// access is a data race the race detector only reports when the schedule
-// cooperates — PR 5 found exactly this latent race in SRP.gaussRow, where
-// a lazily filled cache slot was written under atomic.CompareAndSwap on one
-// path and read bare on another. The typed atomics (atomic.Int64,
-// atomic.Pointer) are immune by construction; this analyzer polices the
-// function-style API (atomic.AddInt64(&s.f, …)) that leaves the field
-// open to bare access.
-//
-// Intentional exceptions (e.g. a constructor initializing the field before
-// the value is published) carry //lint:atomicmix-ok <reason>.
+// NewAtomicmix flags every call to a function-style sync/atomic operation
+// (atomic.AddInt64(&s.n, 1) and friends). A variable accessed that way is
+// still an ordinary int64 that any other line can read or write bare — a
+// data race the race detector only reports when the schedule cooperates,
+// which is how PR 5 found SRP.gaussRow writing a cache slot under
+// atomic.CompareAndSwap on one path and reading it bare on another. The
+// typed atomics (atomic.Int64, atomic.Pointer[T]) have no bare access to
+// mix with, so the tree uses only those.
 func NewAtomicmix() *Analyzer {
 	return &Analyzer{
 		Name: "atomicmix",
-		Doc:  "fields accessed both atomically and non-atomically",
+		Doc:  "function-style sync/atomic calls (typed atomics only)",
 		Run:  runAtomicmix,
 	}
 }
 
-// atomicTarget is one field observed under a sync/atomic call.
-type atomicTarget struct {
-	firstUse token.Position // an atomic access site, for the message
-}
-
 func runAtomicmix(p *Package) []Finding {
-	// Pass 1: fields passed by address to sync/atomic functions, plus the
-	// source spans of those arguments (exempt from pass 2).
-	targets := make(map[types.Object]*atomicTarget)
-	type span struct{ pos, end token.Pos }
-	var exempt []span
+	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			pkg, name, ok := calleePkgFunc(p.Info, call)
-			if !ok || pkg != "sync/atomic" || !isAtomicOp(name) {
-				return true
+			if pkg, name, ok := calleePkgFunc(p.Info, call); ok && pkg == "sync/atomic" && isAtomicOp(name) {
+				out = append(out, Finding{
+					Pos:      p.Fset.Position(call.Pos()),
+					Analyzer: "atomicmix",
+					Message: fmt.Sprintf("function-style atomic.%s leaves its operand open to non-atomic access — use a typed atomic (atomic.Int64, atomic.Pointer) or annotate //lint:atomicmix-ok <reason>",
+						name),
+				})
 			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := un.X.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				field, _ := fieldOf(p.Info, sel)
-				if field == nil {
-					continue
-				}
-				if _, seen := targets[field]; !seen {
-					targets[field] = &atomicTarget{firstUse: p.Fset.Position(un.Pos())}
-				}
-				exempt = append(exempt, span{un.Pos(), un.End()})
-			}
-			return true
-		})
-	}
-	if len(targets) == 0 {
-		return nil
-	}
-	inExempt := func(pos token.Pos) bool {
-		for _, s := range exempt {
-			if pos >= s.pos && pos < s.end {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Pass 2: every other access to those fields is a bare access.
-	var out []Finding
-	for _, file := range p.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || inExempt(sel.Pos()) {
-				return true
-			}
-			field, owner := fieldOf(p.Info, sel)
-			if field == nil {
-				return true
-			}
-			t, hit := targets[field]
-			if !hit {
-				return true
-			}
-			ownerName := "?"
-			if owner != nil {
-				ownerName = owner.Obj().Name()
-			}
-			out = append(out, Finding{
-				Pos:      p.Fset.Position(sel.Pos()),
-				Analyzer: "atomicmix",
-				Message: fmt.Sprintf("non-atomic access to %s.%s, which is accessed with sync/atomic at %s:%d — use the atomic API everywhere or annotate //lint:atomicmix-ok <reason>",
-					ownerName, field.Name(), t.firstUse.Filename, t.firstUse.Line),
-			})
 			return true
 		})
 	}
 	return out
 }
 
-// isAtomicOp reports whether name is a sync/atomic access function (as
-// opposed to a type constructor or helper).
+// isAtomicOp reports whether name is a sync/atomic access function.
 func isAtomicOp(name string) bool {
 	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap", "Or", "And"} {
 		if strings.HasPrefix(name, prefix) {

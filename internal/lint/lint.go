@@ -1,22 +1,25 @@
 // Package lint is plasmalint's engine: a stdlib-only static-analysis
 // framework (go/ast + go/types, export-data imports via the go tool) with
-// project-specific analyzers that encode invariants this codebase has
-// already shipped a bugfix for. Each analyzer exists because reviewer
-// memory failed once:
+// four project-specific analyzers, each looking at one package at a time
+// and each encoding an invariant this codebase has already shipped a
+// bugfix for, where nothing in the code's structure enforces it:
 //
 //   - mapiter:   PR 7 — CumulativeAPSS accumulated floats in Go-map
 //     iteration order, so curve points drifted by an ulp run to run.
 //   - atomicmix: PR 5 — SRP.gaussRow mixed atomic and plain access to the
-//     same field, a data race the race detector only catches when the
-//     schedule cooperates.
+//     same field; the fix was typed atomics, so function-style sync/atomic
+//     calls are flagged outright.
 //   - prealloc:  PR 4 — snapshot decoders preallocated slices from
 //     untrusted length fields, so a ~100-byte forged body could OOM the
 //     daemon.
 //   - httperr:   PR 6 — error paths that bypassed the JSON envelope were
-//     invisible to the stats and metrics counters.
-//   - lockorder: the documented hierarchy (Session.appendMu →
-//     Cache.appendMu) is only prose; an inversion is a deadlock waiting for
-//     load.
+//     invisible to the stats and metrics counters. Route handlers now
+//     return values and cannot; this polices the few functions that still
+//     hold a ResponseWriter.
+//
+// Invariants the structure does enforce have no analyzer: the append-lock
+// order (bayeslsh cannot import core) and the request-handling goroutine
+// (server.detach is the only one). docs/ARCHITECTURE.md has the audit.
 //
 // A finding prints as "file:line: [analyzer] message". A site that is
 // deliberate carries a "//lint:<analyzer>-ok <reason>" comment on the same
@@ -46,19 +49,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
 }
 
-// Analyzer is one invariant checker. Exactly one of Run and RunModule is
-// set: Run sees one type-checked package at a time; RunModule sees the
-// whole package set plus the call graph (the interprocedural analyzers —
-// lockorder, goleak — need a property of a callee to be visible at a call
-// site in another package).
+// Analyzer is one invariant checker over one type-checked package.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Run reports raw findings; annotation suppression is the framework's
 	// job (see Lint), so analyzers stay oblivious to the escape hatch.
 	Run func(p *Package) []Finding
-	// RunModule is the module-scoped variant, invoked once per lint run.
-	RunModule func(m *Module) []Finding
 }
 
 // Package is one type-checked package: what analyzers consume.
@@ -126,16 +123,7 @@ func splitAnnotations(text string) []string {
 	}
 }
 
-// Lint runs the analyzers over one package and returns findings that
-// survive annotation suppression, sorted by position. It is the
-// single-package convenience wrapper over LintModule; the golden-fixture
-// tests use it, the driver lints the whole module at once.
-func Lint(p *Package, analyzers []*Analyzer) []Finding {
-	return LintModule(NewModule([]*Package{p}), analyzers)
-}
-
-// LintModule runs the analyzers over the whole package set — per-package
-// analyzers on each package, module analyzers once — and returns findings
+// Lint runs every analyzer over every package and returns the findings
 // that survive annotation suppression, sorted by position. An annotation
 // suppresses a finding of its analyzer on the same line or the line
 // directly below (i.e. the comment sits on the flagged line or immediately
@@ -147,10 +135,10 @@ func Lint(p *Package, analyzers []*Analyzer) []Finding {
 // their annotations are neither honoured nor reported stale — generated
 // code is the generator's problem, not the tree's. Packages under
 // testdata never reach here at all (the go tool refuses to list them).
-func LintModule(m *Module, analyzers []*Analyzer) []Finding {
+func Lint(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	annots := make(map[string][]*annotation)
 	generated := make(map[string]bool)
-	for _, p := range m.Pkgs {
+	for _, p := range pkgs {
 		for _, f := range p.Files {
 			if ast.IsGenerated(f) {
 				generated[p.Fset.Position(f.Pos()).Filename] = true
@@ -175,12 +163,8 @@ func LintModule(m *Module, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, az := range analyzers {
 		var raw []Finding
-		if az.RunModule != nil {
-			raw = az.RunModule(m)
-		} else {
-			for _, p := range m.Pkgs {
-				raw = append(raw, az.Run(p)...)
-			}
+		for _, p := range pkgs {
+			raw = append(raw, az.Run(p)...)
 		}
 		for _, f := range raw {
 			if generated[f.Pos.Filename] {
@@ -269,29 +253,6 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkg, name string, ok b
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true
-}
-
-// fieldOf resolves a selector expression to the struct field it selects
-// along with the defining struct's named type, or nil.
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) (field *types.Var, owner *types.Named) {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil, nil
-	}
-	v, ok := s.Obj().(*types.Var)
-	if !ok {
-		return nil, nil
-	}
-	t := s.Recv()
-	for {
-		if p, ok := t.Underlying().(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	named, _ := t.(*types.Named)
-	return v, named
 }
 
 // rootIdent walks to the leftmost identifier of a selector/index chain:

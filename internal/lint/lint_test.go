@@ -94,7 +94,7 @@ func runGolden(t *testing.T, az *Analyzer, fixture string) {
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
-	findings := Lint(pkg, []*Analyzer{az})
+	findings := Lint([]*Package{pkg}, []*Analyzer{az})
 	wants := collectWants(t, dir)
 	for _, f := range findings {
 		matched := false
@@ -140,26 +140,6 @@ func TestHTTPErrGolden(t *testing.T) {
 	}), "httperr")
 }
 
-// TestLockorderGolden covers the direct inversions, the seeded two-hop one
-// (twoHop → hopOne → hopTwo) that only the call graph can see, reported with
-// its witness chain down to the Lock() site, and a chain entry nothing locks.
-func TestLockorderGolden(t *testing.T) {
-	runGolden(t, NewLockorder(LockorderConfig{Chains: []LockChain{
-		{
-			{Pkg: "src/lockorder", Type: "Server", Field: "stateMu"},
-			{Pkg: "src/lockorder", Type: "Manager", Field: "mu"},
-		},
-		{
-			{Pkg: "src/lockorder", Type: "Retired", Field: "oldMu"},
-			{Pkg: "src/lockorder", Type: "Retired", Field: "newMu"},
-		},
-	}}), "lockorder")
-}
-
-func TestGoleakGolden(t *testing.T) {
-	runGolden(t, NewGoleak(GoleakConfig{Packages: []string{"src/goleak"}}), "goleak")
-}
-
 // TestAnnotationHygiene pins the framework rules around the escape hatch:
 // a reasonless annotation and a stale annotation are findings themselves.
 func TestAnnotationHygiene(t *testing.T) {
@@ -191,7 +171,7 @@ func stale(xs []int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Lint(pkg, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{dir}})})
+	findings := Lint([]*Package{pkg}, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{dir}})})
 	if len(findings) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(findings), findings)
 	}
@@ -233,7 +213,7 @@ func decodeRows(n uint32) []float64 {
 	return out
 }
 `)
-	findings := Lint(pkg, []*Analyzer{NewPrealloc(PreallocConfig{Files: []string{"decode.go"}})})
+	findings := Lint([]*Package{pkg}, []*Analyzer{NewPrealloc(PreallocConfig{Files: []string{"decode.go"}})})
 	if len(findings) != 0 {
 		t.Errorf("annotation above multi-line make did not suppress: %v", findings)
 	}
@@ -263,12 +243,12 @@ func accumulate(m map[string]float64, n int) float64 {
 		}
 	}
 	bare := loadSnippet(t, "decode.go", body(""))
-	if got := Lint(bare, azs(bare)); len(got) != 2 {
+	if got := Lint([]*Package{bare}, azs(bare)); len(got) != 2 {
 		t.Fatalf("unannotated twin: %d findings, want 2 (mapiter + prealloc): %v", len(got), got)
 	}
 	annotated := loadSnippet(t, "decode.go",
 		body("\t//lint:mapiter-ok order-independent sum //lint:prealloc-ok n is a bounded fixture size\n"))
-	if got := Lint(annotated, azs(annotated)); len(got) != 0 {
+	if got := Lint([]*Package{annotated}, azs(annotated)); len(got) != 0 {
 		t.Errorf("two annotations on one line did not suppress both analyzers: %v", got)
 	}
 }
@@ -296,7 +276,7 @@ func clean(xs []int) {
 	}
 }
 `)
-	findings := Lint(pkg, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{pkg.ImportPath}})})
+	findings := Lint([]*Package{pkg}, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{pkg.ImportPath}})})
 	if len(findings) != 0 {
 		t.Errorf("generated file produced findings: %v", findings)
 	}
@@ -307,7 +287,7 @@ func clean(xs []int) {
 // TestLoaderSingleCheck asserts the load-once contract: every package is
 // parsed and type-checked exactly once no matter how many times it is
 // requested or how many analyzers consume it — the analyzers share one
-// types.Info/AST through the Module.
+// types.Info/AST per package.
 func TestLoaderSingleCheck(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"internal/core/a.go":   "package core\n\nfunc A() int { return 1 }\n",
@@ -336,7 +316,7 @@ func TestLoaderSingleCheck(t *testing.T) {
 			}
 		}
 	}
-	LintModule(NewModule(pkgs), DefaultAnalyzers())
+	Lint(pkgs, DefaultAnalyzers())
 	if got := loader.Checks(); got != len(paths) {
 		t.Errorf("loader ran %d parse+type-check passes for %d packages; loads are not shared", got, len(paths))
 	}
@@ -413,7 +393,6 @@ import "sync/atomic"
 type stats struct{ n int64 }
 
 func (s *stats) bump() { atomic.AddInt64(&s.n, 1) }
-func (s *stats) read() int64 { return s.n }
 `,
 		"internal/core/snapshot.go": `package core
 
@@ -429,39 +408,6 @@ func handle(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "nope", http.StatusNotFound)
 }
 `,
-		"internal/bayeslsh/cache.go": `package bayeslsh
-
-import "sync"
-
-type Cache struct{ appendMu sync.Mutex }
-
-type sink interface{ Grown() }
-
-func (c *Cache) Append(s sink) {
-	c.appendMu.Lock()
-	s.Grown()
-	c.appendMu.Unlock()
-}
-`,
-		"internal/core/session.go": `package core
-
-import "sync"
-
-type Session struct{ appendMu sync.Mutex }
-
-func (s *Session) Grown() {
-	s.appendMu.Lock()
-	s.appendMu.Unlock()
-}
-`,
-		"internal/server/spawn.go": `package server
-
-func tick() {}
-
-func kick() {
-	go tick()
-}
-`,
 	})
 	cmd := exec.Command(plasmalintBin(t), "./...")
 	cmd.Dir = dir
@@ -474,7 +420,7 @@ func kick() {
 		t.Fatalf("exit = %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
 	}
 
-	lineRe := regexp.MustCompile(`^[^:\s]+\.go:\d+: \[(mapiter|atomicmix|prealloc|httperr|lockorder|goleak)\] .+$`)
+	lineRe := regexp.MustCompile(`^[^:\s]+\.go:\d+: \[(mapiter|atomicmix|prealloc|httperr)\] .+$`)
 	seen := map[string]bool{}
 	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
 	for _, line := range lines {
@@ -485,7 +431,7 @@ func kick() {
 		}
 		seen[m[1]] = true
 	}
-	for _, az := range []string{"mapiter", "atomicmix", "prealloc", "httperr", "lockorder", "goleak"} {
+	for _, az := range []string{"mapiter", "atomicmix", "prealloc", "httperr"} {
 		if !seen[az] {
 			t.Errorf("no finding from %s in output:\n%s", az, &stdout)
 		}
@@ -509,20 +455,6 @@ func keys(m map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-`,
-		// The configured lock chain, taken in order: core is loaded, so a
-		// Session.appendMu nothing locked would be a stale-chain finding.
-		"internal/core/session.go": `package core
-
-import "sync"
-
-type Session struct{ appendMu sync.Mutex }
-
-func (s *Session) Append(grow func()) {
-	s.appendMu.Lock()
-	grow()
-	s.appendMu.Unlock()
 }
 `,
 	})

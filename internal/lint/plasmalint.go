@@ -34,31 +34,21 @@ var (
 	// envelopeFuncs implement the JSON error envelope and may touch the
 	// ResponseWriter directly.
 	envelopeFuncs = []string{"writeJSON", "writeError"}
-	lockChains    = []LockChain{
-		{
-			{Pkg: "plasmahd/internal/core", Type: "Session", Field: "appendMu"},
-			{Pkg: "plasmahd/internal/bayeslsh", Type: "Cache", Field: "appendMu"},
-		},
-	}
-	// goleakPkgs are where an orphaned goroutine outlives SIGTERM.
-	goleakPkgs = []string{"plasmahd/internal/server", "plasmahd/internal/blob"}
 )
 
-// DefaultAnalyzers returns the production analyzer suite — all six.
+// DefaultAnalyzers returns the production analyzer suite — all four.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewMapiter(MapiterConfig{Packages: determinismPkgs}),
 		NewAtomicmix(),
 		NewPrealloc(PreallocConfig{Files: decodeFiles}),
 		NewHTTPErr(HTTPErrConfig{Packages: serverPkgs, AllowFuncs: envelopeFuncs}),
-		NewLockorder(LockorderConfig{Chains: lockChains}),
-		NewGoleak(GoleakConfig{Packages: goleakPkgs}),
 	}
 }
 
 // Main is the plasmalint driver: load every package matching the patterns
-// (default ./...) exactly once, run the suite over the shared module, and
-// print findings as "file:line: [analyzer] message". Exit status: 0 clean,
+// (default ./...) exactly once, run the suite over them, and print
+// findings as "file:line: [analyzer] message". Exit status: 0 clean,
 // 1 findings, 2 usage or load failure.
 func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plasmalint", flag.ContinueOnError)
@@ -115,9 +105,7 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	m := NewModule(pkgs)
-
-	all := LintModule(m, analyzers)
+	all := Lint(pkgs, analyzers)
 	for _, f := range all {
 		f.Pos.Filename = relPath(dir, f.Pos.Filename)
 		fmt.Fprintln(stdout, f.String())

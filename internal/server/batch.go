@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // maxBatchThresholds caps one batch request; mirrors the sweep target cap.
@@ -40,96 +39,53 @@ type batchProbeResponse struct {
 // to issuing the same probes one by one — while still sharing each probe's
 // evidence with every later one. Per-threshold failures land in that
 // threshold's slot; the batch itself still returns 200 with the rest.
-func (s *Server) handleBatchProbe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatchProbe(r *http.Request) (int, any, error) {
 	var req batchProbeRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
 	if len(req.Thresholds) == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "thresholds must not be empty")
-		return
+		return 0, nil, badRequest("thresholds must not be empty")
 	}
 	if len(req.Thresholds) > maxBatchThresholds {
-		s.writeError(w, http.StatusBadRequest, "bad_request",
-			"at most %d thresholds per batch, got %d", maxBatchThresholds, len(req.Thresholds))
-		return
+		return 0, nil, badRequest("at most %d thresholds per batch, got %d", maxBatchThresholds, len(req.Thresholds))
 	}
 	for _, t := range req.Thresholds {
-		if t < -1 || t > 1 {
-			s.writeError(w, http.StatusBadRequest, "bad_request", "thresholds must be in [-1, 1], got %v", t)
-			return
+		if !validThreshold(t) {
+			return 0, nil, badRequest("thresholds must be in [-1, 1], got %v", t)
 		}
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	// Same detachment as handleProbe: the batch keeps the session busy
-	// until it finishes even if this request times out first, and a panic
-	// in the detached goroutine must become an error, not a process crash.
-	ch := make(chan batchProbeResponse, 1)
-	go func() {
-		defer release()
-		resp := batchProbeResponse{SessionID: ms.ID, Results: make([]batchProbeResult, 0, len(req.Thresholds))}
-		defer func() {
-			if rec := recover(); rec != nil {
-				// Thresholds not reached land as errors so the envelope
-				// always carries one slot per requested threshold.
-				for i := len(resp.Results); i < len(req.Thresholds); i++ {
-					resp.Results = append(resp.Results, batchProbeResult{
-						probeResponse: probeResponse{SessionID: ms.ID, Threshold: req.Thresholds[i]},
-						Error:         &errorBody{Code: "internal", Message: fmt.Sprintf("probe panicked: %v", rec)},
-					})
-					resp.Failed++
-				}
-				ch <- resp
-			}
-		}()
-		for _, t := range req.Thresholds {
-			res, coalesced, err := ms.Probe(t, req.Workers, &s.mgr.stats)
-			if err != nil {
-				resp.Results = append(resp.Results, batchProbeResult{
-					probeResponse: probeResponse{SessionID: ms.ID, Threshold: t},
-					Error:         &errorBody{Code: "internal", Message: fmt.Sprintf("probe failed: %v", err)},
-				})
+	resp, err := detach(r, release, fmt.Sprintf("batch of %d probes", len(req.Thresholds)), func() (batchProbeResponse, error) {
+		resp := batchProbeResponse{SessionID: ms.ID, Results: make([]batchProbeResult, len(req.Thresholds))}
+		for i, t := range req.Thresholds {
+			resp.Results[i] = s.batchItem(ms, t, &req)
+			if resp.Results[i].Error != nil {
 				resp.Failed++
-				continue
 			}
-			item := batchProbeResult{probeResponse: probeResponse{
-				SessionID:      ms.ID,
-				Threshold:      t,
-				PairCount:      len(res.Pairs),
-				Candidates:     res.Candidates,
-				Pruned:         res.Pruned,
-				CacheHits:      res.CacheHits,
-				HashesCompared: res.HashesCompared,
-				ProcessMillis:  float64(res.ProcessTime) / float64(time.Millisecond),
-				Coalesced:      coalesced,
-			}}
-			if req.IncludePairs {
-				pairs := res.Pairs
-				if req.MaxPairs > 0 && len(pairs) > req.MaxPairs {
-					pairs = pairs[:req.MaxPairs]
-				}
-				item.Pairs = make([]pairJSON, len(pairs))
-				for i, p := range pairs {
-					item.Pairs[i] = pairJSON{I: p.I, J: p.J, Est: p.Est}
-				}
-			}
-			resp.Results = append(resp.Results, item)
 		}
-		ch <- resp
-	}()
-	select {
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusServiceUnavailable, "timeout",
-			"batch of %d probes still running; its evidence will land in the session cache", len(req.Thresholds))
-		return
-	case resp := <-ch:
-		s.probeBatches.Inc()
-		if resp.Failed > 0 {
-			s.mgr.stats.Errors.Add(int64(resp.Failed))
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		return resp, nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
+	s.probeBatches.Inc()
+	s.mgr.stats.Errors.Add(int64(resp.Failed))
+	return http.StatusOK, resp, nil
+}
+
+// batchItem runs one threshold of a batch. A failure costs only this slot,
+// a panicking probe included: ManagedSession.Probe reports it as an error.
+func (s *Server) batchItem(ms *ManagedSession, t float64, req *batchProbeRequest) batchProbeResult {
+	res, coalesced, err := ms.Probe(t, req.Workers, &s.mgr.stats)
+	if err != nil {
+		return batchProbeResult{
+			probeResponse: probeResponse{SessionID: ms.ID, Threshold: t},
+			Error:         &errorBody{Code: "internal", Message: fmt.Sprintf("probe failed: %v", err)},
+		}
+	}
+	return batchProbeResult{probeResponse: probeResponseOf(ms.ID, t, res, coalesced, req.IncludePairs, req.MaxPairs)}
 }

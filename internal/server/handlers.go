@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -32,23 +33,23 @@ type Route struct {
 // Routes returns the server's endpoint table.
 func (s *Server) Routes() []Route {
 	return []Route{
-		{"GET", "/healthz", "liveness check", s.handleHealthz},
+		{"GET", "/healthz", "liveness check", s.json(s.handleHealthz)},
 		{"GET", "/metrics", "Prometheus text exposition of the metrics registry", s.handleMetrics},
-		{"GET", "/v1/stats", "manager and process statistics", s.handleStats},
-		{"GET", "/v1/datasets", "built-in dataset generators by kind", s.handleDatasets},
-		{"POST", "/v1/sessions", "create a session from a named generator or uploaded data", s.handleCreateSession},
-		{"GET", "/v1/sessions", "list resident sessions", s.handleListSessions},
-		{"GET", "/v1/sessions/{id}", "one session's summary", s.handleGetSession},
-		{"DELETE", "/v1/sessions/{id}", "delete a session", s.handleDeleteSession},
-		{"POST", "/v1/sessions/{id}/rows", "append rows to the session's dataset, sketched into the live cache", s.handleAppendRows},
-		{"POST", "/v1/sessions/{id}/probe", "run (or join) a probe at a threshold", s.handleProbe},
-		{"POST", "/v1/sessions/{id}/probes", "run a batch of probes at several thresholds in one round trip", s.handleBatchProbe},
+		{"GET", "/v1/stats", "manager and process statistics", s.json(s.handleStats)},
+		{"GET", "/v1/datasets", "built-in dataset generators by kind", s.json(s.handleDatasets)},
+		{"POST", "/v1/sessions", "create a session from a named generator or uploaded data", s.json(s.handleCreateSession)},
+		{"GET", "/v1/sessions", "list resident sessions", s.json(s.handleListSessions)},
+		{"GET", "/v1/sessions/{id}", "one session's summary", s.json(s.handleGetSession)},
+		{"DELETE", "/v1/sessions/{id}", "delete a session", s.json(s.handleDeleteSession)},
+		{"POST", "/v1/sessions/{id}/rows", "append rows to the session's dataset, sketched into the live cache", s.json(s.handleAppendRows)},
+		{"POST", "/v1/sessions/{id}/probe", "run (or join) a probe at a threshold", s.json(s.handleProbe)},
+		{"POST", "/v1/sessions/{id}/probes", "run a batch of probes at several thresholds in one round trip", s.json(s.handleBatchProbe)},
 		{"POST", "/v1/sessions/{id}/snapshot", "serialize the session's knowledge cache to a binary snapshot", s.handleSnapshot},
-		{"POST", "/v1/sessions/restore", "recreate a session from an uploaded binary snapshot", s.handleRestore},
-		{"GET", "/v1/sessions/{id}/curve", "cumulative APSS curve over a threshold grid, with knee", s.handleCurve},
-		{"GET", "/v1/sessions/{id}/graph", "threshold graph summary with degree/density profile", s.handleGraph},
-		{"GET", "/v1/sessions/{id}/cues", "visual cues: triangle histogram and density profile", s.handleCues},
-		{"POST", "/v1/sessions/{id}/sweep", "incremental probe with extrapolated snapshots", s.handleSweep},
+		{"POST", "/v1/sessions/restore", "recreate a session from an uploaded binary snapshot", s.json(s.handleRestore)},
+		{"GET", "/v1/sessions/{id}/curve", "cumulative APSS curve over a threshold grid, with knee", s.json(s.handleCurve)},
+		{"GET", "/v1/sessions/{id}/graph", "threshold graph summary with degree/density profile", s.json(s.handleGraph)},
+		{"GET", "/v1/sessions/{id}/cues", "visual cues: triangle histogram and density profile", s.json(s.handleCues)},
+		{"POST", "/v1/sessions/{id}/sweep", "incremental probe with extrapolated snapshots", s.json(s.handleSweep)},
 	}
 }
 
@@ -87,78 +88,182 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 	s.writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// decodeJSON strictly decodes a request body into v and writes the error
-// envelope itself on failure: 413 when the body blew past the configured
-// cap (the middleware's MaxBytesReader), 400 for malformed JSON, unknown
-// fields, or trailing garbage after the JSON value.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// endpoint is the shape of every JSON route handler: it reads the request
+// and returns the response as values. It never holds a ResponseWriter, so it
+// cannot bypass the envelope or the error counter behind it. status and body
+// are ignored when err is non-nil. Only /metrics (text exposition) and
+// .../snapshot (binary stream with a holdback) keep http.HandlerFunc.
+type endpoint func(r *http.Request) (status int, body any, err error)
+
+// json mounts an endpoint on the envelope.
+func (s *Server) json(fn endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		status, body, err := fn(r)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		s.writeJSON(w, status, body)
+	}
+}
+
+// apiError is a failure that knows its HTTP status and envelope code. Any
+// other error an endpoint returns is a 500 "internal".
+type apiError struct {
+	status    int
+	code, msg string
+}
+
+func (e *apiError) Error() string { return e.msg }
+
+func apiErr(status int, code, format string, args ...any) *apiError {
+	return &apiError{status, code, fmt.Sprintf(format, args...)}
+}
+
+func badRequest(format string, args ...any) *apiError {
+	return apiErr(http.StatusBadRequest, "bad_request", format, args...)
+}
+
+func notFound(id string) *apiError {
+	return apiErr(http.StatusNotFound, "not_found", "no session %q", id)
+}
+
+// fail writes err as the error envelope.
+func (s *Server) fail(w http.ResponseWriter, err error) {
+	var ae *apiError
+	if !errors.As(err, &ae) {
+		ae = apiErr(http.StatusInternalServerError, "internal", "%v", err)
+	}
+	s.writeError(w, ae.status, ae.code, "%s", ae.msg)
+}
+
+// decodeJSON strictly decodes a request body into v: 413 when the body blew
+// past the configured cap (the middleware's MaxBytesReader), 400 for
+// malformed JSON, unknown fields, or trailing garbage after the JSON value.
+func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			return apiErr(http.StatusRequestEntityTooLarge, "too_large",
 				"request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			s.writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: %v", err)
 		}
-		return false
+		return badRequest("invalid JSON body: %v", err)
 	}
 	// One JSON value is the whole body; trailing garbage is an error, not
 	// silently ignored input.
 	var trailing json.RawMessage
 	if err := dec.Decode(&trailing); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "trailing data after JSON body")
-		return false
+		return badRequest("trailing data after JSON body")
 	}
-	return true
+	return nil
 }
 
-// threshold parses the t query parameter into [-1, 1].
-func (s *Server) threshold(w http.ResponseWriter, r *http.Request) (float64, bool) {
-	raw := r.URL.Query().Get("t")
-	if raw == "" {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "missing required query parameter t")
-		return 0, false
-	}
-	t, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(t) || t < -1 || t > 1 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "t must be a number in [-1, 1], got %q", raw)
-		return 0, false
-	}
-	return t, true
+// validThreshold reports whether t is a similarity threshold: in [-1, 1],
+// which NaN is not.
+func validThreshold(t float64) bool { return t >= -1 && t <= 1 }
+
+// query reads URL query parameters with a sticky error, in the style of
+// wire.Codec: read every parameter, then check err once. After a failure
+// later reads are skipped and the first error stands. A present-but-
+// unparseable value is always an error — never a silent fallback to the
+// default, which would make `?steps=abc` quietly run with steps=14 while a
+// malformed `t` gets a 400.
+type query struct {
+	vals url.Values
+	err  error
 }
 
-// queryInt parses an optional integer query parameter, using def when the
-// parameter is absent. A present-but-unparseable (or overflowing) value is
-// a 400, written here — never a silent fallback to the default, which would
-// make `?steps=abc` quietly run with steps=14 while a malformed `t` gets a
-// 400.
-func (s *Server) queryInt(w http.ResponseWriter, r *http.Request, key string, def int) (int, bool) {
-	raw := r.URL.Query().Get(key)
+func queryOf(r *http.Request) *query { return &query{vals: r.URL.Query()} }
+
+// raw returns the parameter's text, "" when it is absent or a read failed.
+func (q *query) raw(key string) string {
+	if q.err != nil {
+		return ""
+	}
+	return q.vals.Get(key)
+}
+
+// int reads an optional integer parameter; def when absent.
+func (q *query) int(key string, def int) int {
+	raw := q.raw(key)
 	if raw == "" {
-		return def, true
+		return def
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "%s must be an integer, got %q", key, raw)
-		return 0, false
+		q.err = badRequest("%s must be an integer, got %q", key, raw)
+		return 0
 	}
-	return v, true
+	return v
 }
 
-// queryFloat is queryInt for finite floats.
-func (s *Server) queryFloat(w http.ResponseWriter, r *http.Request, key string, def float64) (float64, bool) {
-	raw := r.URL.Query().Get(key)
+// float reads an optional finite float parameter; def when absent.
+func (q *query) float(key string, def float64) float64 {
+	raw := q.raw(key)
 	if raw == "" {
-		return def, true
+		return def
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "%s must be a finite number, got %q", key, raw)
-		return 0, false
+		q.err = badRequest("%s must be a finite number, got %q", key, raw)
+		return 0
 	}
-	return v, true
+	return v
+}
+
+// threshold reads the required t parameter, a number in [-1, 1].
+func (q *query) threshold() float64 {
+	if q.err != nil {
+		return 0
+	}
+	raw := q.vals.Get("t")
+	if raw == "" {
+		q.err = badRequest("missing required query parameter t")
+		return 0
+	}
+	t, err := strconv.ParseFloat(raw, 64)
+	if err != nil || !validThreshold(t) {
+		q.err = badRequest("t must be a number in [-1, 1], got %q", raw)
+		return 0
+	}
+	return t
+}
+
+// detach runs fn on its own goroutine and waits for it or for the request's
+// deadline, whichever comes first. On the deadline the caller gets a 503
+// "timeout" at once while fn runs on: a probe keeps its session busy
+// (eviction-exempt) until it finishes and its evidence still lands in the
+// cache, so release runs when fn returns, not when the request does. The
+// recovery middleware cannot reach this goroutine, so a panic in fn becomes
+// an error naming what, not a process crash for every tenant. This is the
+// only go statement in request handling: the goroutine lives exactly as
+// long as fn, and its one send to the buffered channel never blocks.
+func detach[T any](r *http.Request, release func(), what string, fn func() (T, error)) (T, error) {
+	type outcome struct {
+		v   T
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		defer release()
+		defer func() {
+			if rec := recover(); rec != nil {
+				ch <- outcome{err: fmt.Errorf("%s panicked: %v", what, rec)}
+			}
+		}()
+		v, err := fn()
+		ch <- outcome{v, err}
+	}()
+	select {
+	case <-r.Context().Done():
+		var zero T
+		return zero, apiErr(http.StatusServiceUnavailable, "timeout",
+			"%s still running; its evidence will land in the session cache", what)
+	case out := <-ch:
+		return out.v, out.err
+	}
 }
 
 // ---- wire types ----
@@ -207,6 +312,31 @@ func (pj *paramsJSON) apply(p bayeslsh.Params) bayeslsh.Params {
 type sparseRow struct {
 	Indices []int32   `json:"indices"`
 	Values  []float64 `json:"values,omitempty"`
+}
+
+// vec validates row ri of an upload against the dimension and returns it
+// as a sparse vector: one value per index (omitted values mean all-ones),
+// indices strictly increasing in [0, dim).
+func (row sparseRow) vec(ri, dim int) (vec.Sparse, error) {
+	vals := row.Values
+	if vals == nil {
+		vals = make([]float64, len(row.Indices))
+		for i := range vals {
+			vals[i] = 1
+		}
+	}
+	if len(vals) != len(row.Indices) {
+		return vec.Sparse{}, fmt.Errorf("sparse row %d: %d indices but %d values", ri, len(row.Indices), len(vals))
+	}
+	for i, ix := range row.Indices {
+		if ix < 0 || int(ix) >= dim {
+			return vec.Sparse{}, fmt.Errorf("sparse row %d: index %d out of range [0, %d)", ri, ix, dim)
+		}
+		if i > 0 && row.Indices[i-1] >= ix {
+			return vec.Sparse{}, fmt.Errorf("sparse row %d: indices must be strictly increasing", ri)
+		}
+	}
+	return vec.Sparse{Indices: row.Indices, Values: vals}, nil
 }
 
 // sparseUpload is an uploaded sparse dataset.
@@ -374,8 +504,8 @@ type statsResponse struct {
 
 // ---- handlers ----
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *Server) handleHealthz(r *http.Request) (int, any, error) {
+	return http.StatusOK, map[string]string{"status": "ok"}, nil
 }
 
 // handleMetrics serves the Prometheus text exposition. The whole scrape is
@@ -392,27 +522,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, statsResponse{
+func (s *Server) handleStats(r *http.Request) (int, any, error) {
+	return http.StatusOK, statsResponse{
 		StatsSnapshot: s.mgr.Snapshot(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
-	})
+	}, nil
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"sources": dataset.Sources()})
+func (s *Server) handleDatasets(r *http.Request) (int, any, error) {
+	return http.StatusOK, map[string]any{"sources": dataset.Sources()}, nil
 }
 
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
 	var req createSessionRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
 	ds, spec, err := s.resolveDataset(&req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
-		return
+		return 0, nil, badRequest("%v", err)
 	}
 	params := req.Params.apply(bayeslsh.DefaultParams())
 	if s.cfg.Workers > 0 && (req.Params == nil || req.Params.Workers == nil) {
@@ -420,10 +549,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	ms, err := s.mgr.Create(spec, ds, params, req.Seed)
 	if err != nil { // ErrCapacity: the only way an admission fails
-		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
-		return
+		return 0, nil, apiErr(http.StatusServiceUnavailable, "capacity", "%v", err)
 	}
-	s.writeJSON(w, http.StatusCreated, sessionInfoOf(ms))
+	return http.StatusCreated, sessionInfoOf(ms), nil
 }
 
 // resolveDataset turns a create request into a dataset: exactly one of the
@@ -479,56 +607,41 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, datase
 	}
 	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure}
 	for ri, row := range up.Rows {
-		vals := row.Values
-		if vals == nil {
-			vals = make([]float64, len(row.Indices))
-			for i := range vals {
-				vals[i] = 1
-			}
+		v, err := row.vec(ri, up.Dim)
+		if err != nil {
+			return nil, dataset.Spec{}, err
 		}
-		if len(vals) != len(row.Indices) {
-			return nil, dataset.Spec{}, fmt.Errorf("sparse row %d: %d indices but %d values", ri, len(row.Indices), len(vals))
-		}
-		for i, ix := range row.Indices {
-			if ix < 0 || int(ix) >= up.Dim {
-				return nil, dataset.Spec{}, fmt.Errorf("sparse row %d: index %d out of range [0, %d)", ri, ix, up.Dim)
-			}
-			if i > 0 && row.Indices[i-1] >= ix {
-				return nil, dataset.Spec{}, fmt.Errorf("sparse row %d: indices must be strictly increasing", ri)
-			}
-		}
-		ds.Rows = append(ds.Rows, vec.Sparse{Indices: row.Indices, Values: vals})
+		ds.Rows = append(ds.Rows, v)
 	}
 	ds.NormalizeRows()
 	return ds, dataset.Spec{}, nil
 }
 
-func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleListSessions(r *http.Request) (int, any, error) {
 	list := s.mgr.List()
 	infos := make([]sessionInfo, len(list))
 	for i, ms := range list {
 		infos[i] = sessionInfoOf(ms)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
+	return http.StatusOK, map[string]any{"sessions": infos}, nil
 }
 
-func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+func (s *Server) handleGetSession(r *http.Request) (int, any, error) {
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer release()
-	s.writeJSON(w, http.StatusOK, sessionInfoOf(ms))
+	return http.StatusOK, sessionInfoOf(ms), nil
 }
 
-func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDeleteSession(r *http.Request) (int, any, error) {
 	id := r.PathValue("id")
 	// Resident or spilled: the blob goes too, so it cannot resurrect.
 	if err := s.mgr.Delete(id); err != nil {
-		s.writeError(w, http.StatusNotFound, "not_found", "no session %q", id)
-		return
+		return 0, nil, notFound(id)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	return http.StatusOK, map[string]string{"deleted": id}, nil
 }
 
 // maxAppendRows caps one append call; larger ingests batch across calls,
@@ -542,66 +655,40 @@ const maxAppendRows = 65536
 // the grown session. Appended rows get the same per-row normalization as
 // the create path, so a grown session is bitwise-equivalent to one created
 // from the full data up front.
-func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 	var req appendRowsRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
 	if (req.Dense != nil) == (req.Sparse != nil) {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "exactly one of dense or sparse must be set")
-		return
+		return 0, nil, badRequest("exactly one of dense or sparse must be set")
 	}
 	count := len(req.Dense) + len(req.Sparse)
 	if count == 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "no rows to append")
-		return
+		return 0, nil, badRequest("no rows to append")
 	}
 	if count > maxAppendRows {
-		s.writeError(w, http.StatusBadRequest, "bad_request",
-			"at most %d rows per append call, got %d", maxAppendRows, count)
-		return
+		return 0, nil, badRequest("at most %d rows per append call, got %d", maxAppendRows, count)
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer release()
 	dim := ms.Session.Dataset().Dim
 	rows := make([]vec.Sparse, 0, count)
 	for ri, drow := range req.Dense {
 		if len(drow) > dim {
-			s.writeError(w, http.StatusBadRequest, "bad_request",
-				"dense row %d has %d entries, session dimension is %d", ri, len(drow), dim)
-			return
+			return 0, nil, badRequest("dense row %d has %d entries, session dimension is %d", ri, len(drow), dim)
 		}
 		rows = append(rows, vec.FromDense(drow))
 	}
 	for ri, srow := range req.Sparse {
-		vals := srow.Values
-		if vals == nil {
-			vals = make([]float64, len(srow.Indices))
-			for i := range vals {
-				vals[i] = 1
-			}
+		v, err := srow.vec(ri, dim)
+		if err != nil {
+			return 0, nil, badRequest("%v", err)
 		}
-		if len(vals) != len(srow.Indices) {
-			s.writeError(w, http.StatusBadRequest, "bad_request",
-				"sparse row %d: %d indices but %d values", ri, len(srow.Indices), len(vals))
-			return
-		}
-		for i, ix := range srow.Indices {
-			if ix < 0 || int(ix) >= dim {
-				s.writeError(w, http.StatusBadRequest, "bad_request",
-					"sparse row %d: index %d out of range [0, %d)", ri, ix, dim)
-				return
-			}
-			if i > 0 && srow.Indices[i-1] >= ix {
-				s.writeError(w, http.StatusBadRequest, "bad_request",
-					"sparse row %d: indices must be strictly increasing", ri)
-				return
-			}
-		}
-		rows = append(rows, vec.Sparse{Indices: srow.Indices, Values: vals})
+		rows = append(rows, v)
 	}
 	// Same per-row normalization as the create path (vec.NormalizeRows is
 	// row-local), so split ingests stay bitwise-identical to full uploads.
@@ -610,110 +697,81 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := ms.Session.AppendRows(rows)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal", "append failed: %v", err)
-		return
+		return 0, nil, fmt.Errorf("append failed: %w", err)
 	}
 	s.rowsAppended.Add(int64(count))
-	s.writeJSON(w, http.StatusOK, appendRowsResponse{
+	return http.StatusOK, appendRowsResponse{
 		SessionID:    ms.ID,
 		Appended:     count,
 		Rows:         ms.Session.Dataset().N(),
 		AppendEpoch:  ms.Session.AppendEpoch(),
 		SketchMillis: float64(d) / float64(time.Millisecond),
-	})
+	}, nil
 }
 
-func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleProbe(r *http.Request) (int, any, error) {
 	var req probeRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
-	if req.Threshold < -1 || req.Threshold > 1 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "threshold must be in [-1, 1], got %v", req.Threshold)
-		return
+	if !validThreshold(req.Threshold) {
+		return 0, nil, badRequest("threshold must be in [-1, 1], got %v", req.Threshold)
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	// The probe keeps the session busy (eviction-exempt) until it finishes,
-	// even if this request times out first and the run continues detached.
-	type outcome struct {
-		res       *bayeslsh.Result
-		coalesced bool
-		err       error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer release()
-		// This goroutine outlives the request handler on timeout, so the
-		// recovery middleware cannot cover it: a panic here must become an
-		// error, not a process crash for every tenant.
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- outcome{err: fmt.Errorf("probe panicked: %v", rec)}
-			}
-		}()
+	resp, err := detach(r, release, fmt.Sprintf("probe at t=%v", req.Threshold), func() (probeResponse, error) {
 		res, coalesced, err := ms.Probe(req.Threshold, req.Workers, &s.mgr.stats)
-		ch <- outcome{res, coalesced, err}
-	}()
-	select {
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusServiceUnavailable, "timeout",
-			"probe at t=%v still running; its evidence will land in the session cache", req.Threshold)
-		return
-	case out := <-ch:
-		if out.err != nil {
-			s.writeError(w, http.StatusInternalServerError, "internal", "probe failed: %v", out.err)
-			return
+		if err != nil {
+			return probeResponse{}, fmt.Errorf("probe failed: %w", err)
 		}
-		resp := probeResponse{
-			SessionID:      ms.ID,
-			Threshold:      req.Threshold,
-			PairCount:      len(out.res.Pairs),
-			Candidates:     out.res.Candidates,
-			Pruned:         out.res.Pruned,
-			CacheHits:      out.res.CacheHits,
-			HashesCompared: out.res.HashesCompared,
-			ProcessMillis:  float64(out.res.ProcessTime) / float64(time.Millisecond),
-			Coalesced:      out.coalesced,
-		}
-		if req.IncludePairs {
-			pairs := out.res.Pairs
-			if req.MaxPairs > 0 && len(pairs) > req.MaxPairs {
-				pairs = pairs[:req.MaxPairs]
-			}
-			resp.Pairs = make([]pairJSON, len(pairs))
-			for i, p := range pairs {
-				resp.Pairs[i] = pairJSON{I: p.I, J: p.J, Est: p.Est}
-			}
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	}
+		return probeResponseOf(ms.ID, req.Threshold, res, coalesced, req.IncludePairs, req.MaxPairs), nil
+	})
+	return http.StatusOK, resp, err
 }
 
-func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
+// probeResponseOf renders one probe result; the batch endpoint embeds the
+// same rendering, so a batch item is a single-probe response.
+func probeResponseOf(id string, t float64, res *bayeslsh.Result, coalesced, includePairs bool, maxPairs int) probeResponse {
+	resp := probeResponse{
+		SessionID:      id,
+		Threshold:      t,
+		PairCount:      len(res.Pairs),
+		Candidates:     res.Candidates,
+		Pruned:         res.Pruned,
+		CacheHits:      res.CacheHits,
+		HashesCompared: res.HashesCompared,
+		ProcessMillis:  float64(res.ProcessTime) / float64(time.Millisecond),
+		Coalesced:      coalesced,
+	}
+	if includePairs {
+		pairs := res.Pairs
+		if maxPairs > 0 && len(pairs) > maxPairs {
+			pairs = pairs[:maxPairs]
+		}
+		resp.Pairs = make([]pairJSON, len(pairs))
+		for i, p := range pairs {
+			resp.Pairs[i] = pairJSON{I: p.I, J: p.J, Est: p.Est}
+		}
+	}
+	return resp
+}
+
+func (s *Server) handleCurve(r *http.Request) (int, any, error) {
 	// Parse before acquire: an invalid request must not busy-mark the
 	// session (or revive a spilled one) just to be told it is malformed.
-	lo, ok := s.queryFloat(w, r, "lo", 0.3)
-	if !ok {
-		return
-	}
-	hi, ok := s.queryFloat(w, r, "hi", 0.95)
-	if !ok {
-		return
-	}
-	steps, ok := s.queryInt(w, r, "steps", 14)
-	if !ok {
-		return
+	q := queryOf(r)
+	lo, hi, steps := q.float("lo", 0.3), q.float("hi", 0.95), q.int("steps", 14)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	if steps < 1 || steps > 10000 || hi < lo {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "want lo <= hi and 1 <= steps <= 10000")
-		return
+		return 0, nil, badRequest("want lo <= hi and 1 <= steps <= 10000")
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer release()
 	// ThresholdGrid clamps steps to 2 when lo < hi, so a degenerate steps=1
@@ -725,21 +783,18 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	for i, p := range pts {
 		resp.Points[i] = curvePointJSON{Threshold: p.Threshold, Estimate: p.Estimate, ErrBar: p.ErrBar}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp, nil
 }
 
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.threshold(w, r)
-	if !ok {
-		return
+func (s *Server) handleGraph(r *http.Request) (int, any, error) {
+	q := queryOf(r)
+	t, top := q.threshold(), q.int("top", 50)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
-	top, ok := s.queryInt(w, r, "top", 50)
-	if !ok {
-		return
-	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer release()
 	// The session's memoized cue layer serves every field: the threshold
@@ -768,29 +823,21 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.DegreeHistogram = hist
 	resp.DensityProfile = topK(cs.DensityProfile(), top)
-	s.writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp, nil
 }
 
-func (s *Server) handleCues(w http.ResponseWriter, r *http.Request) {
-	t, ok := s.threshold(w, r)
-	if !ok {
-		return
-	}
-	bins, ok := s.queryInt(w, r, "bins", 8)
-	if !ok {
-		return
-	}
-	top, ok := s.queryInt(w, r, "top", 50)
-	if !ok {
-		return
+func (s *Server) handleCues(r *http.Request) (int, any, error) {
+	q := queryOf(r)
+	t, bins, top := q.threshold(), q.int("bins", 8), q.int("top", 50)
+	if q.err != nil {
+		return 0, nil, q.err
 	}
 	if bins < 1 || bins > 1000 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "bins must be in [1, 1000]")
-		return
+		return 0, nil, badRequest("bins must be in [1, 1000]")
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	defer release()
 	// The memoized cue layer materializes the threshold graph and its
@@ -817,91 +864,67 @@ func (s *Server) handleCues(w http.ResponseWriter, r *http.Request) {
 		bins = 1
 	}
 	h := stats.NewHistogram(xs, bins, 0, hi+1)
-	resp := cuesResponse{
+	return http.StatusOK, cuesResponse{
 		SessionID:         ms.ID,
 		Threshold:         t,
 		Triangles:         cs.Triangles(),
 		TriangleHistogram: histogramJSON{Lo: h.Lo, Hi: h.Hi, Counts: h.Counts},
 		DensityProfile:    topK(cs.DensityProfile(), top),
 		CurveAt:           ms.Session.CurveAt(t).Estimate,
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	}, nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(r *http.Request) (int, any, error) {
 	var req sweepRequest
-	if !s.decodeJSON(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return 0, nil, err
 	}
-	if req.Threshold < -1 || req.Threshold > 1 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "threshold must be in [-1, 1], got %v", req.Threshold)
-		return
+	if !validThreshold(req.Threshold) {
+		return 0, nil, badRequest("threshold must be in [-1, 1], got %v", req.Threshold)
 	}
 	// Each snapshot scans the pair cache once per target, so both knobs are
 	// capped like curve's steps and cues' bins.
 	if len(req.Targets) > 256 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "at most 256 targets, got %d", len(req.Targets))
-		return
+		return 0, nil, badRequest("at most 256 targets, got %d", len(req.Targets))
 	}
 	// Every target is a similarity: values outside [-1, 1] can never match
 	// any pair, so an out-of-range target is a client error, mirroring the
 	// threshold check above.
 	for _, tgt := range req.Targets {
-		if tgt < -1 || tgt > 1 {
-			s.writeError(w, http.StatusBadRequest, "bad_request", "targets must be in [-1, 1], got %v", tgt)
-			return
+		if !validThreshold(tgt) {
+			return 0, nil, badRequest("targets must be in [-1, 1], got %v", tgt)
 		}
 	}
 	if req.Snapshots > 1000 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "at most 1000 snapshots, got %d", req.Snapshots)
-		return
+		return 0, nil, badRequest("at most 1000 snapshots, got %d", req.Snapshots)
 	}
 	if len(req.Targets) == 0 {
 		req.Targets = []float64{req.Threshold}
 	}
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
-		return
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
 	}
-	type outcome struct {
-		snaps []core.IncrementalSnapshot
-		err   error
-	}
-	ch := make(chan outcome, 1)
-	//lint:goleak-ok deliberately detached: bounded one-shot send to a buffered channel; the sweep must finish (and release the session) even after the request times out
-	go func() {
-		defer release()
-		// Same detachment as handleProbe: recover here, where the recovery
-		// middleware cannot reach.
-		defer func() {
-			if rec := recover(); rec != nil {
-				ch <- outcome{err: fmt.Errorf("sweep panicked: %v", rec)}
-			}
-		}()
+	snaps, err := detach(r, release, fmt.Sprintf("sweep at t=%v", req.Threshold), func() ([]core.IncrementalSnapshot, error) {
 		snaps, err := ms.Session.ProbeIncremental(req.Threshold, req.Targets, req.Snapshots)
 		s.mgr.stats.Probes.Add(1)
-		ch <- outcome{snaps, err}
-	}()
-	select {
-	case <-r.Context().Done():
-		s.writeError(w, http.StatusServiceUnavailable, "timeout",
-			"sweep at t=%v still running; its evidence will land in the session cache", req.Threshold)
-		return
-	case out := <-ch:
-		if out.err != nil {
-			s.writeError(w, http.StatusInternalServerError, "internal", "sweep failed: %v", out.err)
-			return
+		if err != nil {
+			return nil, fmt.Errorf("sweep failed: %w", err)
 		}
-		resp := sweepResponse{SessionID: ms.ID, Threshold: req.Threshold}
-		for _, snap := range out.snaps {
-			sj := snapshotJSON{PercentProcessed: snap.PercentProcessed, Estimates: make(map[string]float64, len(snap.Estimates))}
-			for t2, est := range snap.Estimates {
-				sj.Estimates[strconv.FormatFloat(t2, 'g', -1, 64)] = est
-			}
-			resp.Snapshots = append(resp.Snapshots, sj)
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		return snaps, nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
+	resp := sweepResponse{SessionID: ms.ID, Threshold: req.Threshold}
+	for _, snap := range snaps {
+		sj := snapshotJSON{PercentProcessed: snap.PercentProcessed, Estimates: make(map[string]float64, len(snap.Estimates))}
+		for t2, est := range snap.Estimates {
+			sj.Estimates[strconv.FormatFloat(t2, 'g', -1, 64)] = est
+		}
+		resp.Snapshots = append(resp.Snapshots, sj)
+	}
+	return http.StatusOK, resp, nil
 }
 
 // handleSnapshot serializes a session. By default the binary snapshot is
@@ -910,8 +933,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // (requires a blob store, i.e. -state-dir) the snapshot is written to the
 // store instead and a JSON summary is returned.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	ms, release, ok := s.acquire(w, r)
-	if !ok {
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	defer release()
@@ -924,7 +948,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		n, err := s.mgr.Persist(ms)
 		if errors.Is(err, ErrNotFound) {
 			// Deleted while this request held it: nothing was written.
-			s.writeError(w, http.StatusNotFound, "not_found", "no session %q", ms.ID)
+			s.fail(w, notFound(ms.ID))
 			return
 		}
 		if err != nil {
@@ -1038,25 +1062,22 @@ func (t *maxBytesTracker) Read(p []byte) (int, error) {
 // the typed reason, never admitted as a silently-wrong cache. The body is
 // decoded as a stream — RestoreSession never needs the whole upload in
 // memory, and snapshots run to the (default 1 GiB) restore body cap.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRestore(r *http.Request) (int, any, error) {
 	body := &maxBytesTracker{r: r.Body}
 	sess, err := core.RestoreSession(body, nil)
 	s.mgr.snapBytesIn.Add(body.n)
 	if err != nil {
 		if body.tooBig != nil {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			return 0, nil, apiErr(http.StatusRequestEntityTooLarge, "too_large",
 				"snapshot exceeds the %d-byte limit", body.tooBig.Limit)
-			return
 		}
-		s.writeError(w, http.StatusBadRequest, "bad_snapshot", "%v", err)
-		return
+		return 0, nil, apiErr(http.StatusBadRequest, "bad_snapshot", "%v", err)
 	}
 	ms := &ManagedSession{Spec: sess.Spec, Session: sess, Created: time.Now()}
 	if err := s.mgr.AdmitNew(ms); err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
-		return
+		return 0, nil, apiErr(http.StatusServiceUnavailable, "capacity", "%v", err)
 	}
-	s.writeJSON(w, http.StatusCreated, sessionInfoOf(ms))
+	return http.StatusCreated, sessionInfoOf(ms), nil
 }
 
 // topK truncates a profile to its first k entries (it is already sorted

@@ -158,6 +158,36 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 			t.Errorf("%s: code %q", name, env.Error.Code)
 		}
 	}
+	// One validator serves both sparse upload paths: the same bad row, at the
+	// same position, is refused with the same message by create and append.
+	good := map[string]any{"indices": []int32{0, 2}}
+	for _, tc := range []struct {
+		name string
+		row  map[string]any
+		want string
+	}{
+		{"index past dim", map[string]any{"indices": []int32{1, 8}}, "sparse row 1: index 8 out of range [0, 8)"},
+		{"negative index", map[string]any{"indices": []int32{-1}}, "sparse row 1: index -1 out of range [0, 8)"},
+		{"repeated index", map[string]any{"indices": []int32{2, 2}}, "sparse row 1: indices must be strictly increasing"},
+		{"decreasing", map[string]any{"indices": []int32{3, 1}, "values": []float64{1, 1}}, "sparse row 1: indices must be strictly increasing"},
+		{"too few values", map[string]any{"indices": []int32{0, 1}, "values": []float64{1}}, "sparse row 1: 2 indices but 1 values"},
+		{"values without indices", map[string]any{"indices": []int32{}, "values": []float64{1}}, "sparse row 1: 0 indices but 1 values"},
+	} {
+		rows := []map[string]any{good, tc.row}
+		for path, req := range map[string]struct {
+			url  string
+			body map[string]any
+		}{
+			"create": {ts.URL + "/v1/sessions", map[string]any{"sparse": map[string]any{"dim": 8, "rows": rows}}},
+			"append": {url, map[string]any{"sparse": rows}},
+		} {
+			var env errorEnvelope
+			st := call(t, "POST", req.url, req.body, &env)
+			if st != http.StatusBadRequest || env.Error.Code != "bad_request" || env.Error.Message != tc.want {
+				t.Errorf("%s via %s: status %d, error %+v, want 400 bad_request %q", tc.name, path, st, env.Error, tc.want)
+			}
+		}
+	}
 	var env errorEnvelope
 	if st := call(t, "POST", ts.URL+"/v1/sessions/nope/rows",
 		map[string]any{"dense": [][]float64{{1}}}, &env); st != http.StatusNotFound {

@@ -244,6 +244,9 @@ func (ms *ManagedSession) LastUsed() time.Time { return time.Unix(0, ms.lastUsed
 // threshold could only redo identical hash comparisons. coalesced reports
 // whether this call joined an existing run. A per-call worker override only
 // applies to the run this call starts (joiners inherit the owner's pool).
+// A run that panics is reported as an error, to its joiners too: the flight
+// leaves the table on every way out, or each later probe at t would join a
+// dead flight and wait forever.
 func (ms *ManagedSession) Probe(t float64, workers int, stats *Stats) (res *bayeslsh.Result, coalesced bool, err error) {
 	ms.flightMu.Lock()
 	if f, ok := ms.flight[t]; ok {
@@ -260,16 +263,21 @@ func (ms *ManagedSession) Probe(t float64, workers int, stats *Stats) (res *baye
 	}
 	ms.flight[t] = f
 	ms.flightMu.Unlock()
+	defer func() {
+		if rec := recover(); rec != nil {
+			f.err = fmt.Errorf("probe panicked: %v", rec)
+			res, err = nil, f.err
+		}
+		ms.flightMu.Lock()
+		delete(ms.flight, t)
+		ms.flightMu.Unlock()
+		close(f.done)
+	}()
 
 	f.res, f.err = ms.Session.ProbeWorkers(t, workers)
 	if stats != nil {
 		stats.Probes.Add(1)
 	}
-
-	ms.flightMu.Lock()
-	delete(ms.flight, t)
-	ms.flightMu.Unlock()
-	close(f.done)
 	return f.res, false, f.err
 }
 

@@ -99,21 +99,19 @@ func (s *Server) OwnerNode(id string) string { return s.resolver.owner(id) }
 
 // acquire is the "where stored" half of session resolution: {id} resolves
 // to a busy-marked session, resident or transparently revived from the
-// blob store (Manager.Acquire). On failure it writes the error envelope:
-// 404 for an ID neither place knows, 503 for a spilled session that cannot
-// come back while every resident one is busy. The routing layer (serveOwned)
-// has already decided that this node serves the request, so local memory
-// and the shared blob store are the only places left to look.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) (*ManagedSession, func(), bool) {
+// blob store (Manager.Acquire). It fails with a 404 for an ID neither place
+// knows and a 503 for a spilled session that cannot come back while every
+// resident one is busy. The routing layer (serveOwned) has already decided
+// that this node serves the request, so local memory and the shared blob
+// store are the only places left to look.
+func (s *Server) acquire(r *http.Request) (*ManagedSession, func(), error) {
 	id := r.PathValue("id")
 	ms, release, err := s.mgr.Acquire(id)
 	if errors.Is(err, ErrCapacity) {
-		s.writeError(w, http.StatusServiceUnavailable, "capacity", "%v", err)
-		return nil, nil, false
+		return nil, nil, apiErr(http.StatusServiceUnavailable, "capacity", "%v", err)
 	}
 	if err != nil {
-		s.writeError(w, http.StatusNotFound, "not_found", "no session %q", id)
-		return nil, nil, false
+		return nil, nil, notFound(id)
 	}
-	return ms, release, true
+	return ms, release, nil
 }

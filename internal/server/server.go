@@ -271,7 +271,8 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	s.logf("plasmad listening on %s", ln.Addr())
 	errc := make(chan error, 1)
-	//lint:goleak-ok bounded: hsrv.Serve returns once ctx cancellation triggers hsrv.Shutdown below, and the buffered send never blocks
+	// Bounded: hsrv.Serve returns once ctx cancellation triggers
+	// hsrv.Shutdown below, and the buffered send never blocks.
 	go func() { errc <- s.hsrv.Serve(ln) }()
 	select {
 	case <-ctx.Done():
