@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat serve smoke-server smoke-cluster ci
+.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve serve smoke-server smoke-cluster ci
 
 # fuzz time per target for the bounded CI pass (override for longer local runs).
 FUZZTIME ?= 15s
@@ -55,7 +55,9 @@ lint:
 # seed corpora in testdata/fuzz and the golden streams in testdata/golden:
 # the three snapshot decoders (cache, session, spec — the warm-start and
 # restore-upload trust boundary) and the live-ingest request parser (wire
-# trust boundary).
+# trust boundary). The cache and session corpora include `schedule-bomb`, a
+# CRC-valid 601-byte cache (and its session-wrapped form) whose params ask
+# for a 3·10⁷-cell schedule — Params.Validate must refuse it at once.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
@@ -73,6 +75,13 @@ bench-workers:
 # candidate index + pooled scratch): wall time and allocs/op.
 bench-repeat:
 	$(GO) test -run xxx -bench 'BenchmarkRepeatProbe$$' -benchmem .
+
+# bench-curve isolates curve derivation: a 14-point curve (GET /curve's
+# default) and a single point (what a cold /cues adds) over a synthetic store
+# of 100 k pairs in the measured explore-dense shape (90 evidence states, 3 %
+# verified). Time must not scale with pairs × points, allocs not with pairs.
+bench-curve:
+	$(GO) test -run xxx -bench 'BenchmarkCurve(14|At)$$' -benchmem ./internal/core
 
 # serve runs the probe daemon on the default address (ADDR to override).
 serve:

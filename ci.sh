@@ -32,6 +32,10 @@
 # testdata/golden/.
 # Tier 6 (full, optional via CI_FULL=1): the complete test suite including
 # the seconds-long experiment sweeps.
+# Not tiers — timing is read by a person, not gated: the single-layer
+# `go test -bench` entries `make bench-workers` (probe worker pool),
+# `make bench-repeat` (warm repeat probe) and `make bench-curve` (curve
+# derivation over 100 k cached pairs), and the full `go run ./bench`.
 set -eu
 
 echo "== tier 1: vet + build + short tests =="

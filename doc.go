@@ -39,12 +39,13 @@
 // that overlaps a deeper probe may inherit extra evidence a serial
 // schedule would not have had, which can only tighten its estimates.
 //
-// Session-level sweeps fan out with the same worker setting: the
-// cumulative APSS curve and incremental snapshots aggregate the pair
-// store stripe-by-stripe in parallel. The uncached baseline arms of
-// KnowledgeCachingWorkload and RunInteractiveScenario deliberately stay
-// sequential on identical engine settings so their timing columns compare
-// like for like with the cached arm.
+// The cumulative APSS curve and the incremental snapshots do not fan out:
+// bayeslsh.Cache.MassAbove counts the cached pairs per distinct evidence
+// state in one integer pass and pays the Beta tail once per state, so
+// equal stores give bit-equal curves for any worker count. The uncached
+// baseline arms of KnowledgeCachingWorkload and RunInteractiveScenario
+// deliberately stay sequential on identical engine settings so their
+// timing columns compare like for like with the cached arm.
 //
 // # Serving
 //

@@ -68,6 +68,52 @@ func DefaultParams() Params {
 
 func (p Params) schedulePoints() int { return (p.MaxHashes + p.Step - 1) / p.Step }
 
+// scheduleCells is the number of evidence states (n, m ≤ n) on the hash
+// schedule n = Step, 2·Step, …, MaxHashes: Σ(n+1), the size of the
+// concentration table NewCache and DecodeSnapshot build and the bound on the
+// distinct states MassAbove tallies. All points but the last are multiples
+// of Step.
+func (p Params) scheduleCells() int64 {
+	full := int64(p.schedulePoints() - 1)
+	return int64(p.Step)*full*(full+1)/2 + full + int64(p.MaxHashes) + 1
+}
+
+// maxScheduleCells is the largest schedule a cache is built for. A cell of
+// the concentration table costs ≈ 1 µs, so the ceiling is ≈ 0.3 s of
+// construction; the defaults are 1 160 cells. The last schedule point alone
+// is MaxHashes+1 cells, so this caps MaxHashes as well.
+const maxScheduleCells = 1 << 18
+
+// Validate reports the first parameter the engine cannot run with. Params
+// arrive from outside the program twice — a create request and a snapshot
+// stream — and both go through here before a cache is built from them.
+func (p Params) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"Epsilon", p.Epsilon}, {"Delta", p.Delta}, {"Gamma", p.Gamma}} {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
+			return fmt.Errorf("%s %v out of range [0, 1]", f.name, f.v)
+		}
+	}
+	if p.MaxHashes < 1 || p.MaxHashes > maxScheduleCells {
+		return fmt.Errorf("MaxHashes %d out of range [1, %d]", p.MaxHashes, maxScheduleCells)
+	}
+	if p.Step < 1 || p.Step > p.MaxHashes {
+		return fmt.Errorf("Step %d out of range [1, MaxHashes %d]", p.Step, p.MaxHashes)
+	}
+	if cells := p.scheduleCells(); cells > maxScheduleCells {
+		return fmt.Errorf("MaxHashes %d with Step %d is a schedule of %d evidence states, at most %d", p.MaxHashes, p.Step, cells, maxScheduleCells)
+	}
+	return nil
+}
+
+// onSchedule reports whether n is a hash count evalCandidate can leave a
+// pair at: a positive multiple of Step, or the final point MaxHashes.
+func (p Params) onSchedule(n int32) bool {
+	return n > 0 && int(n) <= p.MaxHashes && (int(n)%p.Step == 0 || int(n) == p.MaxHashes)
+}
+
 // PairState is the memoized evidence about one candidate pair: m of n hashes
 // matched. Done pairs have a concentrated (or exhausted) estimate; pairs
 // pruned at a higher threshold stay resumable. In Lite mode, Done pairs
@@ -358,6 +404,73 @@ func (c *Cache) ProbAbove(ps PairState, t float64) float64 {
 		return 0
 	}
 	return stats.NewBetaPosterior(int(ps.M), int(ps.N)).Tail(c.simToCollision(t))
+}
+
+// MassAbove returns, per threshold, the expected number of cached pairs with
+// similarity at least t and the variance of that number — Σ p and Σ p(1−p)
+// with p = ProbAbove — over the pairs that lie within the first rows rows.
+// It is the cumulative APSS curve, counted and then summed: p depends only
+// on (M, N) for an unverified pair and on Exact ≥ t for a verified one, and
+// a store holds few distinct states however many pairs it caches, so one
+// integer-only pass under the stripe read locks tallies pairs per state and
+// the Beta tail is paid once per distinct state and threshold. Counts do not
+// depend on visit order and the cells are summed in ascending (N, M) order,
+// so equal stores give bit-equal results for any worker count, map order or
+// insertion history. Thresholds may come unsorted and repeat.
+func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64) {
+	sorted := append([]float64(nil), thresholds...)
+	sort.Float64s(sorted)
+	// cleared is how many of the sorted thresholds x reaches (x >= t).
+	cleared := func(x float64) int {
+		return sort.Search(len(sorted), func(i int) bool { return !(x >= sorted[i]) })
+	}
+	// exact[b] counts verified pairs that clear exactly b thresholds;
+	// cells[n][m] counts unverified pairs at m matches of n hashes.
+	exact := make([]int64, len(sorted)+1)
+	cells := make(map[int32][]int64)
+	c.Pairs.Range(func(key uint64, ps PairState) bool {
+		if _, j := UnpackKey(key); int(j) >= rows {
+			return true
+		}
+		if ps.HasExact {
+			exact[cleared(float64(ps.Exact))]++
+		} else if ps.N > 0 && uint32(ps.M) <= uint32(ps.N) {
+			row := cells[ps.N]
+			if row == nil {
+				row = make([]int64, ps.N+1)
+				cells[ps.N] = row
+			}
+			row[ps.M]++
+		}
+		return true
+	})
+	for b := len(sorted) - 1; b >= 0; b-- {
+		exact[b] += exact[b+1] // now: pairs that clear at least b
+	}
+
+	ns := make([]int32, 0, len(cells))
+	for n := range cells {
+		ns = append(ns, n)
+	}
+	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+	est, varsum = make([]float64, len(thresholds)), make([]float64, len(thresholds))
+	for _, n := range ns {
+		for m, count := range cells[n] {
+			if count == 0 {
+				continue
+			}
+			state := PairState{M: int32(m), N: n}
+			for k, t := range thresholds {
+				p := c.ProbAbove(state, t)
+				est[k] += float64(count) * p
+				varsum[k] += float64(count) * p * (1 - p)
+			}
+		}
+	}
+	for k, t := range thresholds {
+		est[k] += float64(exact[cleared(t)]) // Exact >= t clears all t does
+	}
+	return est, varsum
 }
 
 // buildConcRow computes the Eq 2.2 stopping decisions for schedule point k

@@ -105,29 +105,15 @@ func (s *PairStore) Range(f func(key uint64, ps PairState) bool) {
 	}
 }
 
-// Shards returns the stripe count, the parallelism grain for RangeShard.
-func (s *PairStore) Shards() int { return pairStoreShards }
-
-// RangeShard calls f for every pair of one stripe under its read lock; fan
-// out shard indices across workers for parallel aggregation over the cache.
-func (s *PairStore) RangeShard(shard int, f func(key uint64, ps PairState)) {
-	sh := &s.shards[shard]
-	sh.mu.RLock()
-	for k, ps := range sh.m {
-		f(k, ps)
-	}
-	sh.mu.RUnlock()
-}
-
-// pairEntry is one memoized pair outside the store: what a sorted visit
-// yields and what a snapshot carries.
+// pairEntry is one memoized pair outside the store: what a snapshot carries.
 type pairEntry struct {
 	key uint64
 	ps  PairState
 }
 
 // sortedShard copies one stripe's entries out under its read lock and
-// returns them in ascending key order.
+// returns them in ascending key order, which is what makes snapshot bytes a
+// function of the store's contents and not of Go's map iteration order.
 func (s *PairStore) sortedShard(shard int) []pairEntry {
 	sh := &s.shards[shard]
 	sh.mu.RLock()
@@ -138,15 +124,4 @@ func (s *PairStore) sortedShard(shard int) []pairEntry {
 	sh.mu.RUnlock()
 	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
 	return entries
-}
-
-// RangeShardSorted is RangeShard in ascending key order, visiting a sorted
-// copy of the shard. Use it where the visit order feeds float accumulation —
-// Go's random map order would make the last ulp of such sums vary run to
-// run, and curve evaluation must be bit-reproducible (the differential
-// ingest harness compares it exactly).
-func (s *PairStore) RangeShardSorted(shard int, f func(key uint64, ps PairState)) {
-	for _, e := range s.sortedShard(shard) {
-		f(e.key, e.ps)
-	}
 }

@@ -68,9 +68,8 @@ const (
 
 	// Generous ceilings that a real cache never exceeds but a corrupt length
 	// field easily does, so a walk fails before acting on it.
-	maxSnapRows      = 1 << 28
-	maxSnapMaxHashes = 1 << 20
-	maxSnapShards    = 1 << 16
+	maxSnapRows   = 1 << 28
+	maxSnapShards = 1 << 16
 )
 
 // flagBit returns bit when set holds, for packing bools into a wire byte.
@@ -114,11 +113,8 @@ func (im *cacheImage) walk(c *wire.Codec, load func(shard int) []pairEntry, stor
 	im.rows.n = c.Count(im.rows.n, maxSnapRows, "row count")
 	im.dim = int(c.U32(uint32(im.dim)))
 	im.sketchTime = time.Duration(c.I64(int64(im.sketchTime)))
-	if p.MaxHashes < 1 || p.MaxHashes > maxSnapMaxHashes {
-		c.Fail("MaxHashes %d out of range", p.MaxHashes)
-	}
-	if p.Step < 1 || p.Step > p.MaxHashes {
-		c.Fail("Step %d out of range for MaxHashes %d", p.Step, p.MaxHashes)
+	if err := p.Validate(); err != nil {
+		c.Fail("%v", err)
 	}
 	if im.measure != vec.CosineSim && im.measure != vec.JaccardSim {
 		c.Fail("unknown measure %d", int(im.measure))
@@ -184,8 +180,8 @@ func (im *cacheImage) walkPair(c *wire.Codec, e pairEntry) pairEntry {
 	ps.Exact = c.F32(ps.Exact)
 	if i, j := UnpackKey(e.key); i < 0 || j <= i || int(j) >= im.rows.n {
 		c.Fail("pair key (%d,%d) out of range for %d rows", i, j, im.rows.n)
-	} else if ps.M < 0 || ps.N < ps.M || int(ps.N) > im.params.MaxHashes {
-		c.Fail("pair (%d,%d): evidence %d/%d out of range", i, j, ps.M, ps.N)
+	} else if ps.M < 0 || ps.N < ps.M || !im.params.onSchedule(ps.N) {
+		c.Fail("pair (%d,%d): evidence %d/%d out of range or off the hash schedule", i, j, ps.M, ps.N)
 	}
 	return e
 }
@@ -208,7 +204,7 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 		rows:       c.rows(),
 		dim:        c.dim,
 		sketchTime: c.SketchTime,
-		shards:     c.Pairs.Shards(),
+		shards:     pairStoreShards,
 	}
 	wc := wire.NewEncoder(w, snapErrors)
 	im.walk(wc, c.Pairs.sortedShard, func(pairEntry) {})
@@ -240,7 +236,7 @@ func DecodeSnapshot(r io.Reader) (*Cache, error) {
 		Pairs:      pairs,
 		SketchTime: im.sketchTime,
 		pruneMax:   make(map[float64][]int32),
-		//lint:prealloc-ok schedulePoints ≤ MaxHashes/Step+1 and the walk validated MaxHashes ≤ maxSnapMaxHashes
+		//lint:prealloc-ok schedulePoints ≤ MaxHashes and the walk's Params.Validate bounded MaxHashes by maxScheduleCells
 		conc: make([][]bool, im.params.schedulePoints()),
 	}
 	for k := range c.conc {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"plasmahd/internal/vec"
 	"plasmahd/internal/wire"
@@ -210,11 +211,10 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	})
 }
 
-// forgeSnapshotHead writes a well-formed cache snapshot header — default
-// params, the given measure and declared row count — followed by the given
+// forgeSnapshotHead writes a well-formed cache snapshot header — the given
+// params, measure and declared row count — followed by the given
 // sketch-kind byte, through the same wire primitives the real walk uses.
-func forgeSnapshotHead(c *wire.Codec, measure vec.Measure, rows uint32, kind uint8) {
-	p := DefaultParams()
+func forgeSnapshotHead(c *wire.Codec, p Params, measure vec.Measure, rows uint32, kind uint8) {
 	c.Header(cacheSnapMagic, CacheSnapshotVersion)
 	c.F64(p.Epsilon)
 	c.F64(p.Delta)
@@ -249,7 +249,7 @@ func TestSnapshotHugeDeclaredCounts(t *testing.T) {
 		c := wire.NewEncoder(&buf, snapErrors)
 		// Declared rows: in-bounds but absurd. The stream ends after the
 		// kind byte: none of the declared rows exist.
-		forgeSnapshotHead(c, tc.measure, maxSnapRows, tc.kind)
+		forgeSnapshotHead(c, DefaultParams(), tc.measure, maxSnapRows, tc.kind)
 		if c.Err() != nil {
 			t.Fatal(c.Err())
 		}
@@ -271,7 +271,7 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 	encode := func(measure vec.Measure, kind uint8, sigLens []int) []byte {
 		var buf bytes.Buffer
 		c := wire.NewEncoder(&buf, snapErrors)
-		forgeSnapshotHead(c, measure, uint32(len(sigLens)), kind)
+		forgeSnapshotHead(c, p, measure, uint32(len(sigLens)), kind)
 		for _, ln := range sigLens {
 			c.U32(uint32(ln))
 			for k := 0; k < ln; k++ {
@@ -315,6 +315,100 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 	// are refused for their sketch block, not for the forging itself.
 	if _, err := DecodeSnapshot(bytes.NewReader(encode(vec.CosineSim, sketchKindSRP, []int{words, words}))); err != nil {
 		t.Fatalf("well-formed forged snapshot: %v", err)
+	}
+}
+
+// scheduleBombSnapshot forges the CRC-valid snapshot of an empty cache whose
+// params ask for the given schedule: 601 bytes whatever they are.
+func scheduleBombSnapshot(t testing.TB, maxHashes, step int) []byte {
+	t.Helper()
+	p := DefaultParams()
+	p.MaxHashes, p.Step = maxHashes, step
+	var buf bytes.Buffer
+	c := wire.NewEncoder(&buf, snapErrors)
+	forgeSnapshotHead(c, p, vec.CosineSim, 0, sketchKindSRP)
+	c.U32(pairStoreShards)
+	for sh := 0; sh < pairStoreShards; sh++ {
+		c.U32(0) // no pair entries
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotRejectsScheduleBomb pins that decoded params are validated
+// before the concentration table is built from them: MaxHashes 8192 at
+// Step 1 is a table of 3·10⁷ cells (35 s here) behind 601 bytes, and the
+// old per-field ceilings admitted 5·10¹¹.
+func TestSnapshotRejectsScheduleBomb(t *testing.T) {
+	bomb := scheduleBombSnapshot(t, 8192, 1)
+	if len(bomb) != 601 {
+		t.Errorf("forged stream is %d bytes, want the 601 of an empty cache", len(bomb))
+	}
+	start := time.Now()
+	_, err := DecodeSnapshot(bytes.NewReader(bomb))
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("rejection took %v", d)
+	}
+	// The same forgery within the ceiling decodes.
+	if _, err := DecodeSnapshot(bytes.NewReader(scheduleBombSnapshot(t, 256, 1))); err != nil {
+		t.Fatalf("in-range forged snapshot: %v", err)
+	}
+}
+
+// TestSnapshotRejectsOffScheduleEvidence pins that a pair state is only
+// accepted at a hash count evalCandidate can write — a positive multiple of
+// Step or MaxHashes itself — in both directions of the walk. That is what
+// bounds the distinct states MassAbove tallies by the validated schedule.
+func TestSnapshotRejectsOffScheduleEvidence(t *testing.T) {
+	ds := snapDataset(12)
+	p := DefaultParams()
+	p.MaxHashes = 250 // a final schedule point that is not a multiple of Step
+	for _, tc := range []struct {
+		n  int32
+		ok bool
+	}{{32, true}, {224, true}, {250, true}, {0, false}, {33, false}, {249, false}, {256, false}} {
+		c := NewCache(ds, p, 1)
+		c.Pairs.Update(PairKey(0, 1), PairState{M: 0, N: tc.n})
+		var buf bytes.Buffer
+		err := c.EncodeSnapshot(&buf)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("N=%d: encode: %v", tc.n, err)
+			} else if _, err := DecodeSnapshot(&buf); err != nil {
+				t.Errorf("N=%d: decode: %v", tc.n, err)
+			}
+		} else if !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("N=%d: encode err = %v, want ErrSnapshotCorrupt", tc.n, err)
+		}
+	}
+
+	// Decoding: a CRC-valid two-row stream whose one pair sits at 5 of 33.
+	var buf bytes.Buffer
+	c := wire.NewEncoder(&buf, snapErrors)
+	forgeSnapshotHead(c, DefaultParams(), vec.CosineSim, 2, sketchKindSRP)
+	for row := 0; row < 2; row++ {
+		c.U32(4)
+		for w := 0; w < 4; w++ {
+			c.U64(0)
+		}
+	}
+	c.U32(1) // shards
+	c.U32(1) // one pair entry
+	c.U64(PairKey(0, 1))
+	c.U32(5)  // M
+	c.U32(33) // N
+	c.U8(0)
+	c.F32(0)
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSnapshot(&buf); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("off-schedule pair decoded: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 

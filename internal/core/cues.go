@@ -10,12 +10,14 @@ import (
 
 // CueSet bundles the threshold-graph-derived visual cues of §2.2.3 at one
 // threshold: the materialized graph itself plus its triangle incidences,
-// density profile, and component count, each computed at most once. A
-// CueSet is immutable from the caller's perspective and safe for concurrent
-// use; the slices it returns are shared, so treat them as read-only.
+// density profile, component count, and the curve estimate beside them,
+// each computed at most once. A CueSet is immutable from the caller's
+// perspective and safe for concurrent use; the slices it returns are
+// shared, so treat them as read-only.
 type CueSet struct {
 	Threshold float64
 
+	s *Session
 	g *graph.Graph
 
 	triOnce sync.Once
@@ -26,6 +28,9 @@ type CueSet struct {
 
 	compOnce   sync.Once
 	components int
+
+	curveOnce sync.Once
+	curveEst  float64
 }
 
 // Graph returns the materialized threshold graph.
@@ -64,6 +69,14 @@ func (cs *CueSet) DensityProfile() []int {
 func (cs *CueSet) Components() int {
 	cs.compOnce.Do(func() { _, cs.components = cs.g.ConnectedComponents() })
 	return cs.components
+}
+
+// CurveEstimate returns the cumulative-APSS estimate at the threshold — the
+// session's CurveAt(Threshold).Estimate — computed on first use, so a
+// memoized cue read does not scan the pair store.
+func (cs *CueSet) CurveEstimate() float64 {
+	cs.curveOnce.Do(func() { cs.curveEst = cs.s.CurveAt(cs.Threshold).Estimate })
+	return cs.curveEst
 }
 
 // cueCacheSize bounds the session's memoized CueSets. The Fig 2.1 loop
@@ -128,7 +141,7 @@ func (s *Session) CueSet(t float64) *CueSet {
 	}
 	s.cueMu.Unlock()
 	e.once.Do(func() {
-		e.cs = &CueSet{Threshold: t, g: s.buildThresholdGraph(t, ds.N())}
+		e.cs = &CueSet{Threshold: t, s: s, g: s.buildThresholdGraph(t, ds.N())}
 	})
 	return e.cs
 }

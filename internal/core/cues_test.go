@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"plasmahd/internal/bayeslsh"
 )
 
 // TestCueSetMemoized pins the memoization contract: repeated same-threshold
@@ -143,5 +145,61 @@ func TestCueSetConcurrent(t *testing.T) {
 	}
 	if len(distinct) > 3 {
 		t.Errorf("%d distinct CueSets for one threshold under concurrency", len(distinct))
+	}
+}
+
+// TestCueSetCurveEstimate pins the memoized curve estimate: it is the
+// session's CurveAt at the cue threshold, concurrent readers share one
+// evaluation, and a probe or an append — anything that changes the cue key
+// — yields a CueSet with a fresh value.
+func TestCueSetCurveEstimate(t *testing.T) {
+	full := ingestCosineDS(60)
+	s := NewSession(ingestPrefix(full, 40), bayeslsh.DefaultParams(), 5)
+	probeSeq(t, s, []float64{0.9})
+
+	cs := s.CueSet(0.6)
+	var wg sync.WaitGroup
+	got := make([]float64, 8)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = cs.CurveEstimate()
+		}(g)
+	}
+	wg.Wait()
+	want := s.CurveAt(0.6).Estimate
+	if want == 0 {
+		t.Fatal("scenario broke: no mass at 0.6 after a probe at 0.9")
+	}
+	for g, est := range got {
+		if est != want {
+			t.Errorf("reader %d: CurveEstimate = %v, CurveAt(0.6).Estimate = %v", g, est, want)
+		}
+	}
+
+	// A deeper probe moves the estimate; the stale CueSet keeps its
+	// memoized value and the new key gets the new one.
+	probeSeq(t, s, []float64{0.5})
+	if cs.CurveEstimate() != want {
+		t.Error("a CueSet's estimate must not change once computed")
+	}
+	afterProbe := s.CueSet(0.6)
+	if afterProbe == cs || afterProbe.CurveEstimate() != s.CurveAt(0.6).Estimate || afterProbe.CurveEstimate() == want {
+		t.Errorf("after a probe: estimate %v (before %v), CurveAt %v", afterProbe.CurveEstimate(), want, s.CurveAt(0.6).Estimate)
+	}
+
+	// An append followed by a probe over the grown data does the same.
+	if _, err := s.AppendRows(full.Rows[40:]); err != nil {
+		t.Fatal(err)
+	}
+	afterAppend := s.CueSet(0.6)
+	if afterAppend == afterProbe {
+		t.Fatal("an append must invalidate the CueSet")
+	}
+	probeSeq(t, s, []float64{0.5})
+	grown := s.CueSet(0.6)
+	if grown.CurveEstimate() != s.CurveAt(0.6).Estimate || grown.CurveEstimate() <= afterProbe.CurveEstimate() {
+		t.Errorf("after append+probe: estimate %v (before %v), CurveAt %v", grown.CurveEstimate(), afterProbe.CurveEstimate(), s.CurveAt(0.6).Estimate)
 	}
 }

@@ -129,10 +129,12 @@ func TestSessionIngestEquivalence(t *testing.T) {
 
 					wantCue, gotCue := scratch.CueSet(0.7), grown.CueSet(0.7)
 					if wantCue.Triangles() != gotCue.Triangles() ||
-						wantCue.Components() != gotCue.Components() {
-						t.Fatalf("cues differ: %d/%d triangles, %d/%d components",
+						wantCue.Components() != gotCue.Components() ||
+						wantCue.CurveEstimate() != gotCue.CurveEstimate() {
+						t.Fatalf("cues differ: %d/%d triangles, %d/%d components, curve estimate %v/%v",
 							wantCue.Triangles(), gotCue.Triangles(),
-							wantCue.Components(), gotCue.Components())
+							wantCue.Components(), gotCue.Components(),
+							wantCue.CurveEstimate(), gotCue.CurveEstimate())
 					}
 					wp, gp := wantCue.DensityProfile(), gotCue.DensityProfile()
 					if len(wp) != len(gp) {
@@ -141,6 +143,27 @@ func TestSessionIngestEquivalence(t *testing.T) {
 					for k := range wp {
 						if wp[k] != gp[k] {
 							t.Fatalf("density profile entry %d: %d vs %d", k, wp[k], gp[k])
+						}
+					}
+
+					// A sweep reads the same counted curve mid-probe, through
+					// its row-prefix form; both sessions take the extra probe.
+					wantSweep, err := scratch.ProbeIncremental(0.4, grid, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotSweep, err := grown.ProbeIncremental(0.4, grid, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(wantSweep) == 0 || len(wantSweep) != len(gotSweep) {
+						t.Fatalf("sweep snapshots: %d vs %d", len(wantSweep), len(gotSweep))
+					}
+					for i := range wantSweep {
+						for t2, est := range wantSweep[i].Estimates {
+							if got := gotSweep[i].Estimates[t2]; got != est {
+								t.Fatalf("sweep snapshot %d t2=%v: %v vs %v", i, t2, est, got)
+							}
 						}
 					}
 

@@ -17,7 +17,6 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/graph"
-	"plasmahd/internal/par"
 	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
@@ -187,40 +186,14 @@ type CurvePoint struct {
 // from the memoized pair posteriors — the §2.1 visualization. Uncertainty
 // is tight above probed thresholds (concentrated pairs) and grows below
 // them (pruned pairs carry partial evidence), reproducing the Fig 2.3/2.4
-// error-bar asymmetry.
+// error-bar asymmetry. The whole grid costs one counting pass over the pair
+// store (Cache.MassAbove), and sessions with equal stores return bit-equal
+// curves.
 func (s *Session) CumulativeAPSS(grid []float64) []CurvePoint {
+	est, varsum := s.Cache.MassAbove(grid, s.Cache.Rows())
 	points := make([]CurvePoint, len(grid))
 	for k, t := range grid {
-		points[k].Threshold = t
-	}
-	// Fan out over the pair store's stripes; partial sums are kept per
-	// stripe and reduced in stripe order, and each stripe is visited in key
-	// order, so the float accumulation order depends on neither the worker
-	// count nor Go's random map iteration — curve points are bit-identical
-	// across runs and across grown-vs-scratch sessions with equal stores.
-	type partial struct{ est, varsum []float64 }
-	store := s.Cache.Pairs
-	partials := make([]partial, store.Shards())
-	par.For(store.Shards(), s.Cache.Params.WorkerCount(), 1, func(sh int) {
-		est := make([]float64, len(grid))
-		varsum := make([]float64, len(grid))
-		store.RangeShardSorted(sh, func(_ uint64, ps bayeslsh.PairState) {
-			for k, t := range grid {
-				p := s.Cache.ProbAbove(ps, t)
-				est[k] += p
-				varsum[k] += p * (1 - p)
-			}
-		})
-		partials[sh] = partial{est, varsum}
-	})
-	for _, pt := range partials {
-		for k := range grid {
-			points[k].Estimate += pt.est[k]
-			points[k].ErrBar += pt.varsum[k]
-		}
-	}
-	for k := range points {
-		points[k].ErrBar = math.Sqrt(points[k].ErrBar)
+		points[k] = CurvePoint{Threshold: t, Estimate: est[k], ErrBar: math.Sqrt(varsum[k])}
 	}
 	return points
 }
@@ -421,29 +394,11 @@ func (s *Session) ProbeIncremental(t1 float64, targets []float64, snapshots int)
 			Estimates:        make(map[float64]float64, len(targets)),
 		}
 		scale := float64(total) * float64(total-1) / (float64(rows) * float64(rows-1))
-		// One pass over the cache accumulates every target at once,
-		// fanned out over the pair store's stripes like CumulativeAPSS.
-		store := s.Cache.Pairs
-		partials := make([][]float64, store.Shards())
-		par.For(store.Shards(), s.Cache.Params.WorkerCount(), 1, func(sh int) {
-			sums := make([]float64, len(targets))
-			store.RangeShard(sh, func(key uint64, ps bayeslsh.PairState) {
-				_, j := bayeslsh.UnpackKey(key)
-				if int(j) >= rows {
-					return
-				}
-				for k, t2 := range targets {
-					sums[k] += s.Cache.ProbAbove(ps, t2)
-				}
-			})
-			partials[sh] = sums
-		})
+		// The probe has decided every pair within the first rows rows; the
+		// batch it is in may already have written pairs beyond them.
+		est, _ := s.Cache.MassAbove(targets, rows)
 		for k, t2 := range targets {
-			var sum float64
-			for _, sums := range partials {
-				sum += sums[k]
-			}
-			snap.Estimates[t2] = sum * scale
+			snap.Estimates[t2] = est[k] * scale
 		}
 		out = append(out, snap)
 	}

@@ -539,13 +539,18 @@ func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
 	if err := decodeJSON(r, &req); err != nil {
 		return 0, nil, err
 	}
+	// Validate before loading: a rejected request should not pay for (or
+	// generate) its dataset first.
+	params := req.Params.apply(bayeslsh.DefaultParams())
+	if err := params.Validate(); err != nil {
+		return 0, nil, badRequest("params: %v", err)
+	}
+	if s.cfg.Workers > 0 && (req.Params == nil || req.Params.Workers == nil) {
+		params.Workers = s.cfg.Workers
+	}
 	ds, spec, err := s.resolveDataset(&req)
 	if err != nil {
 		return 0, nil, badRequest("%v", err)
-	}
-	params := req.Params.apply(bayeslsh.DefaultParams())
-	if s.cfg.Workers > 0 && (req.Params == nil || req.Params.Workers == nil) {
-		params.Workers = s.cfg.Workers
 	}
 	ms, err := s.mgr.Create(spec, ds, params, req.Seed)
 	if err != nil { // ErrCapacity: the only way an admission fails
@@ -843,8 +848,8 @@ func (s *Server) handleCues(r *http.Request) (int, any, error) {
 	// The memoized cue layer materializes the threshold graph and its
 	// triangle incidences at most once per cache state: the incidences give
 	// both the count (each triangle is incident on 3 vertices) and the
-	// Fig 2.5b histogram, the cores give the Fig 2.5c profile. Only CurveAt
-	// scans the pair cache again, for the estimate.
+	// Fig 2.5b histogram, the cores give the Fig 2.5c profile, and the curve
+	// estimate is memoized beside them, so a repeated read scans nothing.
 	cs := ms.Session.CueSet(t)
 	per := cs.TrianglesPerVertex()
 	xs := make([]float64, len(per))
@@ -870,7 +875,7 @@ func (s *Server) handleCues(r *http.Request) (int, any, error) {
 		Triangles:         cs.Triangles(),
 		TriangleHistogram: histogramJSON{Lo: h.Lo, Hi: h.Hi, Counts: h.Counts},
 		DensityProfile:    topK(cs.DensityProfile(), top),
-		CurveAt:           ms.Session.CurveAt(t).Estimate,
+		CurveAt:           cs.CurveEstimate(),
 	}, nil
 }
 
@@ -882,8 +887,9 @@ func (s *Server) handleSweep(r *http.Request) (int, any, error) {
 	if !validThreshold(req.Threshold) {
 		return 0, nil, badRequest("threshold must be in [-1, 1], got %v", req.Threshold)
 	}
-	// Each snapshot scans the pair cache once per target, so both knobs are
-	// capped like curve's steps and cues' bins.
+	// Each snapshot is one counting pass over the pair cache plus a Beta
+	// tail per distinct evidence state and target, so both knobs are capped
+	// like curve's steps and cues' bins.
 	if len(req.Targets) > 256 {
 		return 0, nil, badRequest("at most 256 targets, got %d", len(req.Targets))
 	}

@@ -199,6 +199,62 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 	}
 }
 
+// TestCreateParamsValidationHTTP: engine parameters are checked before a
+// cache is built from them. Each body used to be a recovered panic (500), a
+// session that could never be snapshotted (maxHashes 0), or an admission
+// held for seconds building a quadratic schedule (maxHashes 4096, step 1);
+// each is now a prompt 400 naming the field, and nothing is admitted.
+func TestCreateParamsValidationHTTP(t *testing.T) {
+	_, ts := newTestServer(t, 4)
+	for _, tc := range []struct {
+		params map[string]any
+		field  string
+	}{
+		{map[string]any{"step": 0}, "Step"},
+		{map[string]any{"step": -1}, "Step"},
+		{map[string]any{"step": 512}, "Step"},
+		{map[string]any{"maxHashes": 0}, "MaxHashes"},
+		{map[string]any{"maxHashes": -5}, "MaxHashes"},
+		{map[string]any{"maxHashes": 4096, "step": 1}, "schedule"},
+		{map[string]any{"epsilon": -0.1}, "Epsilon"},
+		{map[string]any{"delta": 2}, "Delta"},
+		{map[string]any{"gamma": 1.5}, "Gamma"},
+	} {
+		body := map[string]any{"dense": ingestRows(0, 2), "params": tc.params}
+		var env errorEnvelope
+		start := time.Now()
+		st := call(t, "POST", ts.URL+"/v1/sessions", body, &env)
+		if st != http.StatusBadRequest || env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, tc.field) {
+			t.Errorf("params %v: status %d, error %+v, want 400 bad_request naming %s", tc.params, st, env.Error, tc.field)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("params %v: refused after %v", tc.params, d)
+		}
+	}
+	var list struct {
+		Sessions []sessionInfo `json:"sessions"`
+	}
+	if st := call(t, "GET", ts.URL+"/v1/sessions", nil, &list); st != 200 || len(list.Sessions) != 0 {
+		t.Errorf("refused creates left %d sessions (status %d)", len(list.Sessions), st)
+	}
+	// In-range overrides still create, and the session can be snapshotted.
+	var info sessionInfo
+	if st := call(t, "POST", ts.URL+"/v1/sessions", map[string]any{
+		"dense":  ingestRows(0, 4),
+		"params": map[string]any{"maxHashes": 100, "step": 30, "epsilon": 0, "gamma": 1},
+	}, &info); st != http.StatusCreated {
+		t.Fatalf("in-range params: status %d", st)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions/"+info.ID+"/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("snapshot of a session with overridden params: status %d", resp.StatusCode)
+	}
+}
+
 // TestAppendRowsSurvivesPersistence: a grown session's snapshot embeds the
 // grown dataset, so persist -> warm start on a fresh daemon reproduces the
 // grown session (rows, probes, and results intact).
