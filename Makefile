@@ -71,10 +71,12 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench 'BenchmarkSearchWorkers[0-9]+$$' -benchmem ./internal/bayeslsh
 
-# bench-repeat isolates the warm-cache repeat-probe cost (persistent
-# candidate index + pooled scratch): wall time and allocs/op.
+# bench-repeat isolates the warm-cache probe cost (stored evidence tested
+# first, persistent candidate index, pooled scratch): the closed-cache repeat
+# probe, whose hashes/op must read 0, and the 0.8/0.7/0.6/0.8 ladder after a
+# cold 0.9. Wall time, allocs/op and hashes/op.
 bench-repeat:
-	$(GO) test -run xxx -bench 'BenchmarkRepeatProbe$$' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|Ladder)$$' -benchmem .
 
 # bench-curve isolates curve derivation: a 14-point curve (GET /curve's
 # default) and a single point (what a cold /cues adds) over a synthetic store

@@ -35,9 +35,13 @@
 // store are monotone — when two probes race on the same pair, the state
 // carrying more evidence (exact > done > more hashes) wins — so
 // concurrency can only deepen the knowledge cache, never corrupt or
-// regress it. Cross-probe determinism is the one thing given up: a probe
-// that overlaps a deeper probe may inherit extra evidence a serial
-// schedule would not have had, which can only tighten its estimates.
+// regress it. It also cannot change where the cache ends up: a probe
+// tests each pair's stored evidence against its own prune bound before it
+// compares a hash, so after any probes — any order, repeated, overlapping
+// — the cache holds exactly what one cold probe at the lowest threshold
+// would have left, and a repeat or higher probe compares nothing. Only a
+// probe's own pair list may differ from a serial schedule's: pairs a
+// deeper overlapping probe has already finished can appear in it early.
 //
 // The cumulative APSS curve and the incremental snapshots do not fan out:
 // bayeslsh.Cache.MassAbove counts the cached pairs per distinct evidence

@@ -4,8 +4,13 @@
 // probability prunes unpromising pairs early (Eq 2.1) and stops hashing once
 // the similarity estimate is concentrated (Eq 2.2). Unlike the original
 // algorithm, every candidate's final (matches, hashes) state is memoized in
-// a knowledge cache so later probes at other thresholds resume incremental
-// comparison instead of starting over — the paper's crucial enhancement.
+// a knowledge cache, and a later probe tests that stored evidence against
+// its own prune bound before it compares anything: a pair the cache can
+// already decide costs no hashes, and only a pair that survives the new
+// bound resumes incremental comparison — the paper's crucial enhancement.
+// The store is therefore a function of the lowest threshold probed: after
+// any probe sequence, in any order, serial or concurrent, every pair holds
+// the state one cold probe at that threshold would have left.
 package bayeslsh
 
 import (
@@ -96,6 +101,9 @@ func (p Params) Validate() error {
 			return fmt.Errorf("%s %v out of range [0, 1]", f.name, f.v)
 		}
 	}
+	if math.IsNaN(p.MaxDFFrac) || math.IsInf(p.MaxDFFrac, 0) {
+		return fmt.Errorf("MaxDFFrac %v is not finite", p.MaxDFFrac)
+	}
 	if p.MaxHashes < 1 || p.MaxHashes > maxScheduleCells {
 		return fmt.Errorf("MaxHashes %d out of range [1, %d]", p.MaxHashes, maxScheduleCells)
 	}
@@ -115,9 +123,12 @@ func (p Params) onSchedule(n int32) bool {
 }
 
 // PairState is the memoized evidence about one candidate pair: m of n hashes
-// matched. Done pairs have a concentrated (or exhausted) estimate; pairs
-// pruned at a higher threshold stay resumable. In Lite mode, Done pairs
-// additionally carry the exactly computed similarity.
+// matched. Done pairs have a concentrated (or exhausted) estimate and are
+// never compared again. A pair that is not Done was pruned at N hashes by
+// the lowest threshold probed so far: any probe whose bound at N still
+// covers M decides it from this state alone, and only a probe below that
+// resumes hashing from N. In Lite mode, Done pairs additionally carry the
+// exactly computed similarity.
 type PairState struct {
 	M, N     int32
 	Done     bool
@@ -194,11 +205,17 @@ type Cache struct {
 	SketchTime time.Duration
 
 	// conc[k] marks (m at schedule point k) combinations whose posterior is
-	// concentrated within Delta (threshold-independent decision table).
-	// Precomputed in NewCache so probe workers share it read-only.
-	conc [][]bool
+	// concentrated within Delta, and est[k][m] is the MAP similarity estimate
+	// of that state (threshold-independent tables). pointOf[n] is the schedule
+	// point hash count n sits at, -1 off the schedule: the per-pair paths
+	// (stored-evidence test, Estimate) find k without dividing. Precomputed by
+	// buildTables so probe workers share them read-only.
+	conc    [][]bool
+	est     [][]float64
+	pointOf []int32
 	// pruneMax caches, per threshold, the largest m at each schedule point
-	// for which Eq 2.1 still prunes; pruneMu guards it across probes.
+	// for which Eq 2.1 still prunes; pruneMu guards it across probes. It
+	// holds at most maxPruneBounds thresholds.
 	pruneMu  sync.Mutex
 	pruneMax map[float64][]int32
 
@@ -261,7 +278,6 @@ func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
 		Seed:     seed,
 		Pairs:    NewPairStore(),
 		pruneMax: make(map[float64][]int32),
-		conc:     make([][]bool, p.schedulePoints()),
 	}
 	start := time.Now()
 	workers := p.WorkerCount()
@@ -278,9 +294,7 @@ func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
 			c.srpSigs[i] = c.srp.Sketch(ds.Rows[i])
 		})
 	}
-	for k := range c.conc {
-		c.conc[k] = c.buildConcRow(k)
-	}
+	c.buildTables()
 	c.SketchTime = time.Since(start)
 	return c
 }
@@ -379,13 +393,18 @@ func (c *Cache) collisionToSim(p float64) float64 {
 }
 
 // Estimate returns the similarity estimate for a pair state: the exact
-// value for Lite-verified pairs, the MAP estimate otherwise.
+// value for Lite-verified pairs, the MAP estimate otherwise — read from the
+// est table for a state on the hash schedule, which holds the same formula's
+// value, and computed for the off-schedule states only a direct Update makes.
 func (c *Cache) Estimate(ps PairState) float64 {
 	if ps.HasExact {
 		return float64(ps.Exact)
 	}
 	if ps.N == 0 {
 		return 0
+	}
+	if k := c.point(ps.N); k >= 0 && uint32(ps.M) <= uint32(ps.N) {
+		return c.est[k][ps.M]
 	}
 	return c.collisionToSim(stats.NewBetaPosterior(int(ps.M), int(ps.N)).MAP())
 }
@@ -425,9 +444,11 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 		return sort.Search(len(sorted), func(i int) bool { return !(x >= sorted[i]) })
 	}
 	// exact[b] counts verified pairs that clear exactly b thresholds;
-	// cells[n][m] counts unverified pairs at m matches of n hashes.
+	// cells[n][m] counts unverified pairs at m matches of n hashes. A probe
+	// leaves n ≤ MaxHashes, so cells is indexed by n and grows only for the
+	// deeper states a direct Update makes.
 	exact := make([]int64, len(sorted)+1)
-	cells := make(map[int32][]int64)
+	cells := make([][]int64, c.Params.MaxHashes+1)
 	c.Pairs.Range(func(key uint64, ps PairState) bool {
 		if _, j := UnpackKey(key); int(j) >= rows {
 			return true
@@ -435,12 +456,13 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 		if ps.HasExact {
 			exact[cleared(float64(ps.Exact))]++
 		} else if ps.N > 0 && uint32(ps.M) <= uint32(ps.N) {
-			row := cells[ps.N]
-			if row == nil {
-				row = make([]int64, ps.N+1)
-				cells[ps.N] = row
+			if int(ps.N) >= len(cells) {
+				cells = append(cells, make([][]int64, int(ps.N)+1-len(cells))...)
 			}
-			row[ps.M]++
+			if cells[ps.N] == nil {
+				cells[ps.N] = make([]int64, ps.N+1)
+			}
+			cells[ps.N][ps.M]++
 		}
 		return true
 	})
@@ -448,18 +470,13 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 		exact[b] += exact[b+1] // now: pairs that clear at least b
 	}
 
-	ns := make([]int32, 0, len(cells))
-	for n := range cells {
-		ns = append(ns, n)
-	}
-	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
 	est, varsum = make([]float64, len(thresholds)), make([]float64, len(thresholds))
-	for _, n := range ns {
-		for m, count := range cells[n] {
+	for n, row := range cells {
+		for m, count := range row {
 			if count == 0 {
 				continue
 			}
-			state := PairState{M: int32(m), N: n}
+			state := PairState{M: int32(m), N: int32(n)}
 			for k, t := range thresholds {
 				p := c.ProbAbove(state, t)
 				est[k] += float64(count) * p
@@ -473,23 +490,43 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 	return est, varsum
 }
 
-// buildConcRow computes the Eq 2.2 stopping decisions for schedule point k
-// (n = (k+1)*Step): row[m] is true when the posterior after m of n matches
-// is concentrated within Delta.
-func (c *Cache) buildConcRow(k int) []bool {
-	n := (k + 1) * c.Params.Step
-	if n > c.Params.MaxHashes {
-		n = c.Params.MaxHashes
+// buildTables computes the threshold-independent tables for every state on
+// the hash schedule: at point k (n = (k+1)*Step, capped at MaxHashes) and m
+// matches, est[k][m] is the MAP similarity estimate and conc[k][m] the Eq 2.2
+// stopping decision — true when the posterior is concentrated within Delta
+// of that estimate. Params must have passed Validate, which bounds the cells.
+func (c *Cache) buildTables() {
+	c.conc = make([][]bool, c.Params.schedulePoints())
+	c.est = make([][]float64, len(c.conc))
+	c.pointOf = make([]int32, c.Params.MaxHashes+1)
+	for n := range c.pointOf {
+		c.pointOf[n] = -1
 	}
-	row := make([]bool, n+1)
-	for mm := 0; mm <= n; mm++ {
-		post := stats.NewBetaPosterior(mm, n)
-		sHat := c.collisionToSim(post.MAP())
-		lo := c.simToCollision(sHat - c.Params.Delta)
-		hi := c.simToCollision(sHat + c.Params.Delta)
-		row[mm] = post.CDF(hi)-post.CDF(lo) > 1-c.Params.Gamma
+	for k := range c.conc {
+		n := (k + 1) * c.Params.Step
+		if n > c.Params.MaxHashes {
+			n = c.Params.MaxHashes
+		}
+		c.pointOf[n] = int32(k)
+		c.conc[k], c.est[k] = make([]bool, n+1), make([]float64, n+1)
+		for mm := 0; mm <= n; mm++ {
+			post := stats.NewBetaPosterior(mm, n)
+			sHat := c.collisionToSim(post.MAP())
+			lo := c.simToCollision(sHat - c.Params.Delta)
+			hi := c.simToCollision(sHat + c.Params.Delta)
+			c.est[k][mm] = sHat
+			c.conc[k][mm] = post.CDF(hi)-post.CDF(lo) > 1-c.Params.Gamma
+		}
 	}
-	return row
+}
+
+// point returns the index of the schedule point hash count n sits at — the
+// row of conc, est and the prune bounds — or -1 when n is off the schedule.
+func (c *Cache) point(n int32) int {
+	if uint32(n) >= uint32(len(c.pointOf)) {
+		return -1
+	}
+	return int(c.pointOf[n])
 }
 
 // concentrated reports whether the Eq 2.2 stopping rule fires at schedule
@@ -502,9 +539,15 @@ func (c *Cache) concentrated(k, m int) bool {
 	return row[m]
 }
 
+// maxPruneBounds caps pruneMax: thresholds are client-supplied float64s, so
+// without a cap the map grows with requests. 256 is the batch endpoint's
+// limit on thresholds per request.
+const maxPruneBounds = 256
+
 // pruneBound returns, for each schedule point, the largest match count m for
 // which P(S >= t | m, n) < epsilon, so the comparison loop prunes with a
-// single integer compare.
+// single integer compare. A bound vector is a pure function of t and takes
+// well under a millisecond to build, so a full memo is simply cleared.
 func (c *Cache) pruneBound(t float64) []int32 {
 	c.pruneMu.Lock()
 	defer c.pruneMu.Unlock()
@@ -531,6 +574,9 @@ func (c *Cache) pruneBound(t float64) []int32 {
 		}
 		bound[k] = int32(lo)
 	}
+	if len(c.pruneMax) >= maxPruneBounds {
+		clear(c.pruneMax)
+	}
 	c.pruneMax[t] = bound
 	return bound
 }
@@ -543,12 +589,18 @@ type Pair struct {
 
 // Result summarizes one all-pairs probe.
 type Result struct {
-	Threshold      float64
-	Pairs          []Pair
-	Candidates     int   // candidate pairs examined this probe
-	Pruned         int   // candidates dropped by Eq 2.1
-	CacheHits      int   // candidates answered wholly from the cache
-	HashesCompared int64 // incremental hash comparisons performed
+	Threshold float64
+	Pairs     []Pair
+	// Candidates counts the candidate pairs that compared at least one hash
+	// this probe, Pruned those of them Eq 2.1 then dropped, and
+	// HashesCompared the comparisons they cost. CacheHits counts the pairs
+	// answered wholly from the cache — Done, or prunable at this threshold
+	// from their stored (N, M) — so Candidates + CacheHits is the number of
+	// candidates generated.
+	Candidates     int
+	Pruned         int
+	CacheHits      int
+	HashesCompared int64
 	ProcessTime    time.Duration
 }
 
@@ -563,7 +615,6 @@ type candidate struct{ j, i int32 }
 // candOutcome is the evaluation result of one candidate, computed by a
 // worker and merged into the Result on the search goroutine.
 type candOutcome struct {
-	state    PairState
 	hashes   int64
 	cacheHit bool
 	pruned   bool
@@ -571,18 +622,21 @@ type candOutcome struct {
 	est      float64
 }
 
-// evalCandidate resumes the incremental hash comparison for one candidate
-// pair against the prune bound of threshold t, writes the extended state
-// back to the pair store, and reports what happened. It is a pure function
-// of the pair's stored state plus the immutable sketches and decision
-// tables, so evaluating candidates in any order or on any number of workers
-// yields identical outcomes.
+// evalCandidate decides one candidate pair at threshold t. The stored
+// evidence is tested first: a Done pair, or one whose (N, M) the prune bound
+// of t still covers, is answered from the cache — no hashes, no write. (Tail
+// is monotone in t, so a pair pruned at t₀ is prunable at every t ≥ t₀.)
+// Any other pair resumes the incremental hash comparison from N, and the
+// extended state is written back to the pair store. The outcome is a pure
+// function of the pair's stored state plus the immutable sketches and
+// decision tables, so evaluating candidates in any order or on any number
+// of workers yields identical outcomes.
 func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float64, bound []int32) candOutcome {
 	p := c.Params
 	key := PairKey(cd.j, cd.i)
 	ps, _ := c.Pairs.Get(key)
 	var out candOutcome
-	if ps.Done {
+	if k := c.point(ps.N); ps.Done || (k >= 0 && ps.M <= bound[k]) {
 		out.cacheHit = true
 	} else {
 		for !ps.Done {
@@ -615,7 +669,6 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float6
 		}
 		c.Pairs.Update(key, ps)
 	}
-	out.state = ps
 	if ps.Done {
 		if est := c.Estimate(ps); est >= t {
 			out.emit, out.est = true, est

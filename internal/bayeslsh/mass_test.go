@@ -178,6 +178,11 @@ func TestParamsValidate(t *testing.T) {
 		{set(func(p *Params) { p.Epsilon = math.NaN() }), "Epsilon"},
 		{set(func(p *Params) { p.Delta = math.Inf(1) }), "Delta"},
 		{set(func(p *Params) { p.Gamma = 1.5 }), "Gamma"},
+		{set(func(p *Params) { p.MaxDFFrac = math.NaN() }), "MaxDFFrac"},
+		{set(func(p *Params) { p.MaxDFFrac = math.Inf(1) }), "MaxDFFrac"},
+		{set(func(p *Params) { p.MaxDFFrac = math.Inf(-1) }), "MaxDFFrac"},
+		{set(func(p *Params) { p.MaxDFFrac = 0 }), ""},
+		{set(func(p *Params) { p.MaxDFFrac = 7 }), ""},
 		{set(func(p *Params) { p.Epsilon, p.Delta, p.Gamma = 0, 1, 0 }), ""},
 		{set(func(p *Params) { p.MaxHashes, p.Step = 1, 1 }), ""},
 		{set(func(p *Params) { p.MaxHashes, p.Step = 250, 32 }), ""},

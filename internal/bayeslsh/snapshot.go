@@ -236,11 +236,7 @@ func DecodeSnapshot(r io.Reader) (*Cache, error) {
 		Pairs:      pairs,
 		SketchTime: im.sketchTime,
 		pruneMax:   make(map[float64][]int32),
-		//lint:prealloc-ok schedulePoints ≤ MaxHashes and the walk's Params.Validate bounded MaxHashes by maxScheduleCells
-		conc: make([][]bool, im.params.schedulePoints()),
 	}
-	for k := range c.conc {
-		c.conc[k] = c.buildConcRow(k)
-	}
+	c.buildTables()
 	return c, nil
 }

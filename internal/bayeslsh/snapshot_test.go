@@ -3,6 +3,7 @@ package bayeslsh
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -324,6 +325,13 @@ func scheduleBombSnapshot(t testing.TB, maxHashes, step int) []byte {
 	t.Helper()
 	p := DefaultParams()
 	p.MaxHashes, p.Step = maxHashes, step
+	return emptySnapshot(t, p)
+}
+
+// emptySnapshot forges the CRC-valid snapshot of an empty cosine cache with
+// the given params, valid or not.
+func emptySnapshot(t testing.TB, p Params) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	c := wire.NewEncoder(&buf, snapErrors)
 	forgeSnapshotHead(c, p, vec.CosineSim, 0, sketchKindSRP)
@@ -357,6 +365,22 @@ func TestSnapshotRejectsScheduleBomb(t *testing.T) {
 	// The same forgery within the ceiling decodes.
 	if _, err := DecodeSnapshot(bytes.NewReader(scheduleBombSnapshot(t, 256, 1))); err != nil {
 		t.Fatalf("in-range forged snapshot: %v", err)
+	}
+}
+
+// TestSnapshotRejectsNonFiniteMaxDFFrac pins that the one float parameter
+// with no range of its own still cannot carry NaN or ±Inf across the snapshot
+// boundary: resolveMaxDF would convert NaN·n to an implementation-defined int.
+func TestSnapshotRejectsNonFiniteMaxDFFrac(t *testing.T) {
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := DefaultParams()
+		p.MaxDFFrac = frac
+		if _, err := DecodeSnapshot(bytes.NewReader(emptySnapshot(t, p))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("MaxDFFrac %v: err = %v, want ErrSnapshotCorrupt", frac, err)
+		}
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(emptySnapshot(t, DefaultParams()))); err != nil {
+		t.Fatalf("forged snapshot with default params: %v", err)
 	}
 }
 

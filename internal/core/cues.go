@@ -86,13 +86,14 @@ const cueCacheSize = 8
 
 // cueKey identifies one cached CueSet. pairs, probes, and rows fingerprint
 // the session's state at build time: a probe that grows the pair store
-// changes pairs, a probe that only deepens existing evidence (every probe
-// after the first generates the same candidate set, so the store stops
-// growing) still bumps probes, and an append that adds rows — even one that
-// has not yet produced a single new pair — changes rows, so the graph's
+// changes pairs, a probe below every earlier one deepens existing evidence
+// without growing the store (every probe after the first generates the same
+// candidate set) and bumps probes, and an append that adds rows — even one
+// that has not yet produced a single new pair — changes rows, so the graph's
 // vertex count can never go stale. (Without rows, an append followed by a
 // cue read would serve the pre-append graph: same pairs, same probe count,
-// wrong vertex set.)
+// wrong vertex set.) A repeat or higher probe changes no evidence but bumps
+// probes all the same: the key errs towards one rebuild, never a stale graph.
 type cueKey struct {
 	t      float64
 	pairs  int

@@ -29,10 +29,11 @@ import (
 // the curve/cue readers may run while probes are in flight, and AppendRows
 // may land between or during probes (appends are serialized; each probe
 // captures one dataset view at its start, so it sees either the pre- or
-// post-append state, never a torn one). Determinism is per probe: a single
-// probe returns identical results for any worker count, while overlapping
-// probes may leave the cache with more evidence than a serial schedule
-// would — never less.
+// post-append state, never a torn one). A single probe returns identical
+// results for any worker count, and overlapping probes leave the cache in
+// the state a serial schedule would: what one cold probe at the lowest
+// threshold leaves. Only a probe's own pair list may gain from a deeper
+// probe running beside it — pairs that one finished can appear early.
 type Session struct {
 	// ds is the current dataset view; appends publish a grown view
 	// atomically (rows are shared with the old view, never mutated).

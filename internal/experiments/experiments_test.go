@@ -55,15 +55,24 @@ func TestEveryExperimentSmoke(t *testing.T) {
 // TestAllExperimentsRunAtSmallScale runs every experiment with looser
 // dataset caps, asserting each produces output without error. Statistical
 // assertions live in the per-package tests; this guards the harness wiring.
+// The two experiments whose cost is a baseline that explodes with scale —
+// E3.7's Bron–Kerbosch clique enumeration and E4.3's LCM closed-itemset
+// miner, 45 of the package's 48 s at scale 150 — run at the largest scale
+// that keeps them under two seconds: all the test asserts is that they print.
 func TestAllExperimentsRunAtSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment sweep is seconds-long")
 	}
+	scaleOf := map[string]int{"E3.7": 100, "E4.3": 60}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			scale := 150
+			if s, ok := scaleOf[e.ID]; ok {
+				scale = s
+			}
 			var buf bytes.Buffer
-			if err := e.Run(&buf, Options{Scale: 150, Seed: 1}); err != nil {
+			if err := e.Run(&buf, Options{Scale: scale, Seed: 1}); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			if buf.Len() == 0 {
