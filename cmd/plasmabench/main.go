@@ -6,11 +6,12 @@
 //	plasmabench -exp E2.7            # one experiment at default scale
 //	plasmabench -all -scale 200      # everything, capped datasets
 //
-// Scale caps per-dataset row counts; 0 runs the default reproduction scale
-// recorded in EXPERIMENTS.md (minutes, not hours). Output is plain text:
-// aligned tables for the paper's tables, TSV/ASCII series for its figures.
-// It prints experiments; performance is measured by the repository's
-// benchmark, `go run ./bench`.
+// Scale caps per-dataset row counts; 0 runs each experiment's default
+// reproduction scale (minutes, not hours), set where its registered function
+// in internal/experiments loads its data; -list prints the registry. Output
+// is plain text: aligned tables for the paper's tables, TSV/ASCII series for
+// its figures. It prints experiments; performance is measured by the
+// repository's benchmark, `go run ./bench`.
 package main
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/graph"
+	"plasmahd/internal/stats"
 )
 
 // CueSet bundles the threshold-graph-derived visual cues of §2.2.3 at one
@@ -51,6 +52,27 @@ func (cs *CueSet) Triangles() int64 {
 		incidences += c
 	}
 	return incidences / 3
+}
+
+// TriangleHistogram bins the triangle incidences per vertex into at most
+// bins buckets over [0, max+1) — the Fig 2.5b vertex-cover histogram. Since
+// triangles track clusterability (§2.2.3), a heavy right tail signals
+// clusterable data. A graph with no triangles has a single meaningful bucket
+// [0, 1), so it gets exactly that one: the requested bin count would report
+// every vertex in bucket 0 followed by phantom empty buckets, a shape that
+// lies about the data's spread.
+func (cs *CueSet) TriangleHistogram(bins int) *stats.Histogram {
+	per := cs.TrianglesPerVertex()
+	xs := make([]float64, len(per))
+	var hi float64
+	for i, c := range per {
+		xs[i] = float64(c)
+		hi = max(hi, xs[i])
+	}
+	if hi == 0 {
+		bins = 1
+	}
+	return stats.NewHistogram(xs, bins, 0, hi+1)
 }
 
 // DensityProfile returns the vertex core numbers sorted descending (the

@@ -74,9 +74,7 @@ func normalizeForSnapshot(s *Session) {
 	s.appendEpoch.Store(0)
 	s.Cache.SketchTime = 0
 	s.mu.Lock()
-	for i := range s.probes {
-		s.probes[i].Result.ProcessTime = 0
-	}
+	s.history.total = 0
 	s.mu.Unlock()
 }
 

@@ -9,7 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,8 +56,8 @@ type Session struct {
 	// byte-identically to the session it was saved from.
 	appendEpoch atomic.Int64
 
-	mu     sync.Mutex // guards probes
-	probes []ProbeRecord
+	mu      sync.Mutex // guards history
+	history probeHistory
 
 	// cueMu guards the memoized CueSet LRU (see CueSet in cues.go).
 	cueMu    sync.Mutex
@@ -116,10 +116,25 @@ func (s *Session) CueCacheStats() (hits, misses int64) {
 	return s.cueHits.Load(), s.cueMisses.Load()
 }
 
-// ProbeRecord is one executed probe.
-type ProbeRecord struct {
-	Threshold float64
-	Result    *bayeslsh.Result
+// probeHistory is all a session keeps of its probes beyond the evidence
+// they leave in the knowledge cache: how many completed (repeats included),
+// the distinct thresholds they ran at, and their summed processing time. A
+// probe's pair list belongs to its caller; nothing after the probe reads it.
+type probeHistory struct {
+	count      int
+	thresholds []float64 // ascending, distinct
+	total      time.Duration
+}
+
+// add records one completed probe. A new threshold is inserted into a fresh
+// array, so a copy of the history taken under the session lock stays valid
+// after the lock is released.
+func (h *probeHistory) add(t float64, d time.Duration) {
+	h.count++
+	h.total += d
+	if i, found := slices.BinarySearch(h.thresholds, t); !found {
+		h.thresholds = slices.Insert(slices.Clip(h.thresholds), i, t)
+	}
 }
 
 // NewSession sketches the dataset (the one-time start-up cost of Fig 2.9)
@@ -154,24 +169,16 @@ func (s *Session) probe(t float64, progress bayeslsh.ProgressFunc, workers int) 
 		return nil, err
 	}
 	s.mu.Lock()
-	s.probes = append(s.probes, ProbeRecord{Threshold: t, Result: res})
+	s.history.add(t, res.ProcessTime)
 	s.mu.Unlock()
 	return res, nil
 }
 
-// ProbeCount returns the number of completed probes.
+// ProbeCount returns the number of completed probes, repeats included.
 func (s *Session) ProbeCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.probes)
-}
-
-// ProbeRecords returns a snapshot of the completed probes, safe to read
-// while further probes are in flight.
-func (s *Session) ProbeRecords() []ProbeRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]ProbeRecord(nil), s.probes...)
+	return s.history.count
 }
 
 // CurvePoint is one point of the cumulative APSS graph: the expected number
@@ -212,17 +219,8 @@ func (s *Session) CachedPairs() int { return s.Cache.Pairs.Len() }
 // Thresholds returns the distinct probed thresholds in ascending order.
 func (s *Session) Thresholds() []float64 {
 	s.mu.Lock()
-	seen := make(map[float64]bool, len(s.probes))
-	for _, p := range s.probes {
-		seen[p.Threshold] = true
-	}
-	s.mu.Unlock()
-	ts := make([]float64, 0, len(seen))
-	for t := range seen {
-		ts = append(ts, t)
-	}
-	sort.Float64s(ts)
-	return ts
+	defer s.mu.Unlock()
+	return append(make([]float64, 0, len(s.history.thresholds)), s.history.thresholds...)
 }
 
 // ThresholdGrid returns an inclusive uniform grid over [lo, hi]. Both
@@ -292,20 +290,9 @@ func (s *Session) TriangleCount(t float64) int64 {
 }
 
 // TriangleHistogram returns the triangle vertex-cover histogram at
-// threshold t (Fig 2.5b): how many triangles are incident on each vertex,
-// binned. Since triangles track clusterability (§2.2.3), a heavy right tail
-// signals clusterable data.
+// threshold t (Fig 2.5b); see CueSet.TriangleHistogram.
 func (s *Session) TriangleHistogram(t float64, bins int) *stats.Histogram {
-	per := s.CueSet(t).TrianglesPerVertex()
-	xs := make([]float64, len(per))
-	var hi float64
-	for i, c := range per {
-		xs[i] = float64(c)
-		if xs[i] > hi {
-			hi = xs[i]
-		}
-	}
-	return stats.NewHistogram(xs, bins, 0, hi+1)
+	return s.CueSet(t).TriangleHistogram(bins)
 }
 
 // DensityProfile returns the cohesive-subgraph density plot at threshold t
@@ -323,11 +310,7 @@ func (s *Session) SketchTime() time.Duration { return s.Cache.SketchTime }
 func (s *Session) ProcessTime() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var t time.Duration
-	for _, p := range s.probes {
-		t += p.Result.ProcessTime
-	}
-	return t
+	return s.history.total
 }
 
 // CommunityClarity scores how clearly a threshold graph reveals planted

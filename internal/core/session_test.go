@@ -111,8 +111,14 @@ func TestThresholdGraphAndCues(t *testing.T) {
 		t.Error("wine at 0.8 should have triangles")
 	}
 	h := s.TriangleHistogram(0.8, 10)
-	if h.Total() != ds.N() {
-		t.Errorf("histogram total %d want %d", h.Total(), ds.N())
+	if h.Total() != ds.N() || len(h.Counts) != 10 {
+		t.Errorf("histogram total %d in %d bins, want %d in 10", h.Total(), len(h.Counts), ds.N())
+	}
+	// No estimate reaches 1.5, so that graph has no triangles: its histogram
+	// is the single meaningful bucket [0, 1), not ten with nine phantoms.
+	if h := s.TriangleHistogram(1.5, 10); len(h.Counts) != 1 || h.Lo != 0 || h.Hi != 1 || h.Total() != ds.N() {
+		t.Errorf("no-triangle histogram = {lo:%v hi:%v counts:%v}, want all %d vertices in [0,1)",
+			h.Lo, h.Hi, h.Counts, ds.N())
 	}
 	prof := s.DensityProfile(0.8)
 	if len(prof) != ds.N() {

@@ -21,11 +21,11 @@ import (
 // nothing but the decode. The stream is versioned and checksummed:
 //
 //	magic   "PLHDSESS"                      (8 bytes)
-//	version uint16                          (currently 2)
+//	version uint16                          (currently 3)
 //	payload dataset.Spec (binary codec), optionally the dataset itself
 //	        (for sessions over uploaded data that no spec can rebuild,
 //	        and for grown sessions whose appended rows no spec covers),
-//	        the append epoch, the probe records, and the bayeslsh cache
+//	        the append epoch, the probe history, and the bayeslsh cache
 //	        snapshot
 //	crc     uint32 (Castagnoli) over magic+version+payload
 //
@@ -33,7 +33,10 @@ import (
 // widened the embed rule: a session that has absorbed appends embeds its
 // dataset even when it has a spec, because the spec only reproduces the
 // original rows. A warm restart of a grown session is byte-identical: its
-// re-snapshot reproduces the saved bytes exactly.
+// re-snapshot reproduces the saved bytes exactly. Version 3 shrank the probe
+// history from one record per probe, pair list included, to the probe count,
+// the distinct probed thresholds and the summed processing time, so a
+// snapshot's size no longer grows with the number of probes served.
 //
 // sessionImage.walk is the one description of the payload ahead of the
 // cache stream: internal/wire drives it in both directions, so its checks
@@ -45,7 +48,7 @@ import (
 var sessSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
 
 // SessionSnapshotVersion is the current session snapshot format version.
-const SessionSnapshotVersion uint16 = 2
+const SessionSnapshotVersion uint16 = 3
 
 // Typed session-snapshot failures.
 var (
@@ -120,12 +123,12 @@ func datasetHash(ds *vec.Dataset) uint64 {
 // sessionImage is what a session snapshot records ahead of the cache
 // stream: filled from the session when encoding, by the walk when decoding.
 type sessionImage struct {
-	spec   []byte // dataset.Spec binary codec; empty for a zero spec
-	embed  bool
-	data   *vec.Dataset // walked only when embed
-	hash   uint64
-	epoch  int64
-	probes []ProbeRecord
+	spec    []byte // dataset.Spec binary codec; empty for a zero spec
+	embed   bool
+	data    *vec.Dataset // walked only when embed
+	hash    uint64
+	epoch   int64
+	history probeHistory
 }
 
 // walk is the session snapshot layout up to the embedded cache stream.
@@ -141,8 +144,7 @@ func (im *sessionImage) walk(c *wire.Codec) {
 	}
 	im.hash = c.U64(im.hash)
 	im.epoch = int64(c.U32(uint32(im.epoch)))
-	n := c.Count(len(im.probes), snapMaxRows, "probe count")
-	im.probes = wire.Slice(c, im.probes, n, func(pr ProbeRecord) ProbeRecord { return walkProbe(c, pr) })
+	im.history.walk(c)
 }
 
 // walkDataset walks a dataset verbatim (post-normalization), for sessions
@@ -172,33 +174,27 @@ func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 	})
 }
 
-// walkProbe walks one probe record.
-func walkProbe(c *wire.Codec, pr ProbeRecord) ProbeRecord {
-	var res bayeslsh.Result
-	if pr.Result != nil {
-		res = *pr.Result
+// walk walks the probe history: the probe count, the distinct thresholds
+// (strictly increasing, which also rules out NaN, and no more of them than
+// probes), then the processing-time total.
+func (h *probeHistory) walk(c *wire.Codec) {
+	h.count = int(c.I64(int64(h.count)))
+	n := c.Count(len(h.thresholds), min(h.count, snapMaxRows), "distinct threshold count")
+	h.thresholds = wire.Slice(c, h.thresholds, n, c.F64)
+	prev := math.Inf(-1)
+	for _, t := range h.thresholds {
+		if !(t > prev) {
+			c.Fail("probed thresholds not strictly increasing")
+			break
+		}
+		prev = t
 	}
-	pr.Threshold = c.F64(pr.Threshold)
-	res.Threshold = c.F64(res.Threshold)
-	n := c.Count(len(res.Pairs), snapMaxRows, "probe pair count")
-	res.Pairs = wire.Slice(c, res.Pairs, n, func(p bayeslsh.Pair) bayeslsh.Pair {
-		p.I = int32(c.U32(uint32(p.I)))
-		p.J = int32(c.U32(uint32(p.J)))
-		p.Est = c.F64(p.Est)
-		return p
-	})
-	res.Candidates = int(c.I64(int64(res.Candidates)))
-	res.Pruned = int(c.I64(int64(res.Pruned)))
-	res.CacheHits = int(c.I64(int64(res.CacheHits)))
-	res.HashesCompared = c.I64(res.HashesCompared)
-	res.ProcessTime = time.Duration(c.I64(int64(res.ProcessTime)))
-	pr.Result = &res
-	return pr
+	h.total = time.Duration(c.I64(int64(h.total)))
 }
 
 // Snapshot serializes the session — dataset spec (or the data itself when
-// no spec exists or appends have outgrown it), the append epoch, probe
-// records, and the full knowledge cache — to w. It is safe to call while
+// no spec exists or appends have outgrown it), the append epoch, the probe
+// history, and the full knowledge cache — to w. It is safe to call while
 // probes or appends are in flight: appends are held off for the duration
 // (appendMu, same order as AppendRows takes it), so the dataset view, the
 // epoch, and the cache rows are captured consistently; probes contribute a
@@ -214,12 +210,14 @@ func (s *Session) Snapshot(w io.Writer) error {
 	// so do grown sessions: replaying the spec would reproduce only the
 	// original rows, never the appended ones.
 	im := sessionImage{
-		embed:  s.Spec.IsZero() || s.appendEpoch.Load() > 0,
-		data:   &ds,
-		hash:   datasetHash(&ds),
-		epoch:  s.appendEpoch.Load(),
-		probes: s.ProbeRecords(),
+		embed: s.Spec.IsZero() || s.appendEpoch.Load() > 0,
+		data:  &ds,
+		hash:  datasetHash(&ds),
+		epoch: s.appendEpoch.Load(),
 	}
+	s.mu.Lock()
+	im.history = s.history // add never writes into an array it has shared
+	s.mu.Unlock()
 	if !s.Spec.IsZero() {
 		var err error
 		if im.spec, err = s.Spec.MarshalBinary(); err != nil {
@@ -310,7 +308,7 @@ func RestoreSession(r io.Reader, ds *vec.Dataset) (*Session, error) {
 		}
 	}
 
-	s := &Session{Cache: cache, Spec: spec, probes: im.probes}
+	s := &Session{Cache: cache, Spec: spec, history: im.history}
 	s.ds.Store(ds)
 	s.appendEpoch.Store(im.epoch)
 	return s, nil

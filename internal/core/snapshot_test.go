@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
@@ -57,11 +60,13 @@ func equalResults(t *testing.T, label string, a, b []*bayeslsh.Result) {
 // probe -> snapshot -> restore -> probe must be byte-identical to the same
 // probe sequence in one uninterrupted session, for any worker count, and
 // regardless of whether the dataset is re-supplied or rehydrated from the
-// embedded spec.
+// embedded spec. The probe history comes back as it was saved: the count
+// includes repeats, the thresholds are sorted and distinct, and the
+// processing time is the sum over the probes.
 func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 	forceParallel(t)
 	spec := dataset.Spec{Kind: "table", Name: "wine", Seed: 1}
-	firstHalf := []float64{0.85, 0.7}
+	firstHalf := []float64{0.85, 0.7, 0.85}
 	secondHalf := []float64{0.9, 0.6, 0.7}
 
 	for _, workers := range []int{1, 3, 8} {
@@ -84,7 +89,14 @@ func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 		}
 		s := NewSession(ds, params, 42)
 		s.Spec = spec
-		probeSeq(t, s, firstHalf)
+		var total time.Duration
+		for _, res := range probeSeq(t, s, firstHalf) {
+			total += res.ProcessTime
+		}
+		if s.ProbeCount() != len(firstHalf) || !slices.Equal(s.Thresholds(), []float64{0.7, 0.85}) || s.ProcessTime() != total {
+			t.Fatalf("history: %d probes at %v taking %v, want %d at [0.7 0.85] taking %v",
+				s.ProbeCount(), s.Thresholds(), s.ProcessTime(), len(firstHalf), total)
+		}
 		var buf bytes.Buffer
 		if err := s.Snapshot(&buf); err != nil {
 			t.Fatal(err)
@@ -101,8 +113,11 @@ func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d %s: %v", workers, mode, err)
 			}
-			if restored.ProbeCount() != len(firstHalf) {
-				t.Fatalf("restored %d probe records, want %d", restored.ProbeCount(), len(firstHalf))
+			if restored.ProbeCount() != s.ProbeCount() || !slices.Equal(restored.Thresholds(), s.Thresholds()) ||
+				restored.ProcessTime() != s.ProcessTime() {
+				t.Fatalf("restored history: %d probes at %v taking %v, want %d at %v taking %v",
+					restored.ProbeCount(), restored.Thresholds(), restored.ProcessTime(),
+					s.ProbeCount(), s.Thresholds(), s.ProcessTime())
 			}
 			if restored.CachedPairs() != s.CachedPairs() {
 				t.Fatalf("restored %d cached pairs, want %d", restored.CachedPairs(), s.CachedPairs())
@@ -112,6 +127,102 @@ func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 			}
 			got := probeSeq(t, restored, secondHalf)
 			equalResults(t, mode, want, got)
+		}
+	}
+}
+
+// TestProbeHistoryDoesNotGrowSnapshot: a session keeps its evidence, not its
+// answers. Once a ladder has been probed, probing it again adds nothing to
+// the knowledge cache, and the snapshot must not grow either — no probe's
+// pair list is stored.
+func TestProbeHistoryDoesNotGrowSnapshot(t *testing.T) {
+	s, _ := wineSession(t)
+	ladder := []float64{0.9, 0.8, 0.7, 0.6, 0.5}
+	snapLen := func() int {
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	probeSeq(t, s, ladder)
+	before := snapLen()
+	for range 20 {
+		probeSeq(t, s, ladder)
+	}
+	if after := snapLen(); after != before {
+		t.Fatalf("snapshot grew from %d to %d bytes over 100 repeat probes", before, after)
+	}
+	if s.ProbeCount() != 21*len(ladder) || len(s.Thresholds()) != len(ladder) {
+		t.Fatalf("history: %d probes at %v", s.ProbeCount(), s.Thresholds())
+	}
+}
+
+// TestProbeHistoryWalkChecks: the probe-history checks run in both
+// directions. A session whose history breaks them cannot be saved, and a
+// stream whose history breaks them is refused, with ErrSessionSnapshotCorrupt
+// either way.
+func TestProbeHistoryWalkChecks(t *testing.T) {
+	s := uploadedJaccard()
+	probeSeq(t, s, []float64{0.8})
+	// forge is a snapshot of s with the probe history write puts on the wire.
+	forge := func(write func(c *wire.Codec)) []byte {
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, sessErrors)
+		ds := *s.Dataset()
+		c.Header(sessSnapMagic, SessionSnapshotVersion)
+		c.Blob(nil, snapMaxStringLen) // no spec
+		c.U8(1)                       // embedded dataset
+		walkDataset(c, &ds)
+		c.U64(datasetHash(&ds))
+		c.U32(0) // append epoch
+		write(c)
+		if err := s.Cache.EncodeSnapshot(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	history := func(count int64, total time.Duration, thresholds ...float64) func(c *wire.Codec) {
+		return func(c *wire.Codec) {
+			c.I64(count)
+			c.U32(uint32(len(thresholds)))
+			for _, th := range thresholds {
+				c.F64(th)
+			}
+			c.I64(int64(total))
+		}
+	}
+
+	restored, err := RestoreSession(bytes.NewReader(forge(history(3, 5, 0.7, 0.8))), nil)
+	if err != nil {
+		t.Fatalf("well-formed history refused: %v", err)
+	}
+	if restored.ProbeCount() != 3 || !slices.Equal(restored.Thresholds(), []float64{0.7, 0.8}) || restored.ProcessTime() != 5 {
+		t.Fatalf("restored history: %d probes at %v taking %v", restored.ProbeCount(), restored.Thresholds(), restored.ProcessTime())
+	}
+	for name, write := range map[string]func(c *wire.Codec){
+		"descending":                  history(2, 0, 0.8, 0.7),
+		"repeated":                    history(2, 0, 0.8, 0.8),
+		"NaN":                         history(1, 0, math.NaN()),
+		"more thresholds than probes": history(1, 0, 0.7, 0.8),
+		"negative probe count":        history(-1, 0),
+	} {
+		if _, err := RestoreSession(bytes.NewReader(forge(write)), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+			t.Errorf("decode %s: err = %v, want ErrSessionSnapshotCorrupt", name, err)
+		}
+	}
+	for name, h := range map[string]probeHistory{
+		"descending":                  {count: 2, thresholds: []float64{0.8, 0.7}},
+		"NaN":                         {count: 1, thresholds: []float64{math.NaN()}},
+		"more thresholds than probes": {count: 1, thresholds: []float64{0.7, 0.8}},
+	} {
+		s := uploadedJaccard()
+		s.history = h
+		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+			t.Errorf("encode %s: err = %v, want ErrSessionSnapshotCorrupt", name, err)
 		}
 	}
 }
@@ -371,7 +482,7 @@ func TestSpecBinaryRoundTrip(t *testing.T) {
 
 // TestRestoreSessionHugeDeclaredCounts feeds RestoreSession tiny streams
 // whose in-bounds count fields declare enormous payloads (dataset rows,
-// probe records). The decode must die on the truncation, not preallocate
+// probed thresholds). The decode must die on the truncation, not preallocate
 // gigabytes from the declared counts — POST /v1/sessions/restore accepts
 // attacker-built snapshots.
 func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
@@ -403,7 +514,8 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 			c.U8(0)            // no embedded dataset
 			c.U64(0)           // dataset hash
 			c.U32(0)           // append epoch
-			c.U32(snapMaxRows) // declared probe count; the stream ends here
+			c.I64(1 << 40)     // probe count
+			c.U32(snapMaxRows) // declared threshold count; the stream ends here
 		})
 		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
 			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
@@ -436,11 +548,20 @@ func TestSessionSnapshotGolden(t *testing.T) {
 		Sums: map[string]string{
 			"session-v2-embedded.snap": "258ed3c26d4d11c500b87021a3be390ea6c776544b805d3bf4f851b565a571df",
 			"session-v2-spec.snap":     "7d9899e803b237bc0c2bcb0b5ddeba76d79952d045b93bc62676ed61f78cc690",
+			"session-v3-embedded.snap": "07b21a3c7329348a9980a283421ebb34f291613412ff9e71085c7c72caa145a3",
+			"session-v3-spec.snap":     "11af575dd21a0fd9e64b3de31dc96ad477987954bfc0bb081917fc8257adbde7",
 		},
 		Recode:     recodeSession,
 		ErrVersion: ErrSessionSnapshotVersion,
 	})
-	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v2-embedded.snap")["session-v2-embedded.snap"]), nil)
+	// There is no decode path for v2 streams: they are refused as a version,
+	// never half-read.
+	for name, data := range wiretest.Files(t, "session-v2-*") {
+		if _, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) {
+			t.Errorf("%s: err = %v, want ErrSessionSnapshotVersion", name, err)
+		}
+	}
+	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v3-embedded.snap")["session-v3-embedded.snap"]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

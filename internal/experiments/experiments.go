@@ -2,8 +2,9 @@
 // evaluation. Each experiment is a function writing paper-style rows/series
 // to an io.Writer; cmd/plasmabench exposes them by id (E2.1 … E5.2) and the
 // repository-root benchmarks measure them. The scale parameter caps dataset
-// sizes (0 = the default reproduction scale documented in EXPERIMENTS.md);
-// shapes are scale-invariant, absolute numbers are not.
+// sizes (0 = each experiment's default reproduction scale, set where its
+// registered function loads its data; `plasmabench -list` prints the
+// registry); shapes are scale-invariant, absolute numbers are not.
 package experiments
 
 import (

@@ -17,7 +17,6 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/core"
 	"plasmahd/internal/dataset"
-	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
 
@@ -851,24 +850,7 @@ func (s *Server) handleCues(r *http.Request) (int, any, error) {
 	// Fig 2.5b histogram, the cores give the Fig 2.5c profile, and the curve
 	// estimate is memoized beside them, so a repeated read scans nothing.
 	cs := ms.Session.CueSet(t)
-	per := cs.TrianglesPerVertex()
-	xs := make([]float64, len(per))
-	var hi float64
-	for i, c := range per {
-		xs[i] = float64(c)
-		if xs[i] > hi {
-			hi = xs[i]
-		}
-	}
-	// A graph with no triangles (hi == 0, e.g. no pairs cleared the
-	// threshold) has a single meaningful bucket [0, 1). Without the clamp
-	// the response would report the requested bin count with every vertex
-	// in bucket 0 and bins-1 phantom empty buckets after it — a histogram
-	// shape that lies about the data's spread.
-	if hi == 0 {
-		bins = 1
-	}
-	h := stats.NewHistogram(xs, bins, 0, hi+1)
+	h := cs.TriangleHistogram(bins)
 	return http.StatusOK, cuesResponse{
 		SessionID:         ms.ID,
 		Threshold:         t,

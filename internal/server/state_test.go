@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plasmahd/internal/core"
 )
 
 // newStateServer returns a daemon with persistence on, rooted at dir.
@@ -267,6 +271,34 @@ func TestCorruptStateFileSkippedOnBoot(t *testing.T) {
 	}
 }
 
+// TestOldVersionStateFileSkippedOnBoot is the upgrade path across a session
+// snapshot version bump: a state dir holding a blob the running version no
+// longer reads boots, restores nothing, logs the refusal, and answers 404
+// for the session — the handling of any unreadable blob.
+func TestOldVersionStateFileSkippedOnBoot(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", "session-v2-spec.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "s1.snap"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logBuf syncBuffer
+	srv := New(Config{Capacity: 4, RequestTimeout: 30 * time.Second, StateDir: dir, Logger: log.New(&logBuf, "", 0)})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	if n, err := srv.LoadState(); n != 0 || err != nil || srv.Manager().Len() != 0 {
+		t.Fatalf("LoadState = %d, %v with %d resident, want 0 sessions and no error", n, err, srv.Manager().Len())
+	}
+	if logs := logBuf.String(); !strings.Contains(logs, "revive s1 failed") || !strings.Contains(logs, core.ErrSessionSnapshotVersion.Error()) {
+		t.Errorf("the refusal is not logged; log:\n%s", logs)
+	}
+	if st := call(t, "GET", ts.URL+"/v1/sessions/s1", nil, nil); st != http.StatusNotFound {
+		t.Fatalf("old-version session acquired: status %d", st)
+	}
+}
+
 // TestBodyCap413: a body over the configured cap gets the 413 envelope with
 // the too_large code — it must not be read to completion or crash the
 // daemon.
@@ -291,7 +323,8 @@ func TestBodyCap413(t *testing.T) {
 	// is still a cap. The decoder streams, so the cap trips when a
 	// well-formed prefix keeps it reading: magic, version, then a declared
 	// spec blob longer than the whole cap.
-	snapBody := append([]byte("PLHDSESS\x02\x00"), 0x60, 0xEA, 0x00, 0x00) // blob length 60000
+	snapBody := binary.LittleEndian.AppendUint16([]byte("PLHDSESS"), core.SessionSnapshotVersion)
+	snapBody = append(snapBody, 0x60, 0xEA, 0x00, 0x00) // blob length 60000
 	snapBody = append(snapBody, big...)
 	st, out = rawPost(t, ts.URL+"/v1/sessions/restore", "application/octet-stream", snapBody)
 	if st != http.StatusRequestEntityTooLarge || !strings.Contains(string(out), "too_large") {

@@ -59,6 +59,12 @@ req() {
     esac
 }
 
+# field JSON NAME — the raw text of a top-level array or scalar field.
+field() {
+    printf '%s\n' "$1" | sed -n -e "s/.*\"$2\":\(\[[^]]*\]\).*/\1/p" -e t \
+        -e "s/.*\"$2\":\([^,}]*\).*/\1/p"
+}
+
 reqerr() {
     # reqerr NAME EXPECTED_CODE CURL_ARGS... — expects the error envelope
     name=$1; want=$2; shift 2
@@ -130,19 +136,31 @@ req restore '"cachedPairs"' -X POST --data-binary "@$workdir/s1.snap" \
 reqerr badsnap bad_snapshot -X POST --data-binary 'junk' \
     "$base/v1/sessions/restore"
 req persist '"key"' -X POST "$base/v1/sessions/s1/snapshot?persist=1"
+saved=$(curl -sS --fail --max-time 30 "$base/v1/sessions/s1") || {
+    echo "smoke-server: session read before shutdown failed"; exit 1; }
 
 stop "$workdir/plasmad.log"
 echo "smoke-server: first daemon down, rebooting on the same state dir"
 
-# Warm start: the same state dir must bring s1 back with its cache.
+# Warm start: the same state dir must bring s1 back with its cache and its
+# probe history exactly as they were before the shutdown.
 start "$workdir/plasmad2.log"
 req warmsession '"id":"s1"' "$base/v1/sessions/s1"
 warm=$(curl -sS --max-time 30 "$base/v1/sessions/s1")
 case "$warm" in
     *'"cachedPairs":0'*) echo "smoke-server: warm start lost the cache: $warm"; exit 1 ;;
-    *'"probes":3'*) echo "smoke-server: warm cache intact" ;; # 1 single + 2 batched
+    *'"probes":3'*) ;; # 1 single + 2 batched
     *) echo "smoke-server: unexpected warm session: $warm"; exit 1 ;;
 esac
+for f in probes cachedPairs thresholds processMillis; do
+    was=$(field "$saved" "$f"); now=$(field "$warm" "$f")
+    if [ -z "$was" ] || [ "$was" != "$now" ]; then
+        echo "smoke-server: warm start changed $f: '$was' -> '$now'"; exit 1
+    fi
+done
+[ "$(field "$warm" thresholds)" = "[0.4,0.5,0.7]" ] || {
+    echo "smoke-server: unexpected warm thresholds: $warm"; exit 1; }
+echo "smoke-server: warm cache and probe history intact"
 req warmstats '"sessionsRestored"' "$base/v1/stats"
 req warmprobe '"cacheHits"' -X POST "$base/v1/sessions/s1/probe" \
     -d '{"threshold":0.5}'
