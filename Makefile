@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve serve smoke-server smoke-cluster ci
+.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve bench-snapshot serve smoke-server smoke-cluster ci
 
 # fuzz time per target for the bounded CI pass (override for longer local runs).
 FUZZTIME ?= 15s
@@ -71,10 +71,11 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench 'BenchmarkSearchWorkers[0-9]+$$' -benchmem ./internal/bayeslsh
 
-# bench-repeat isolates the warm-cache probe cost (stored evidence tested
-# first, persistent candidate index, pooled scratch): the closed-cache repeat
-# probe, whose hashes/op must read 0, and the 0.8/0.7/0.6/0.8 ladder after a
-# cold 0.9. Wall time, allocs/op and hashes/op.
+# bench-repeat isolates the warm-cache probe cost (each row's stored evidence
+# read under one run lock and tested first, persistent candidate index,
+# pooled scratch): the closed-cache repeat probe, whose hashes/op must read
+# 0, and the 0.8/0.7/0.6/0.8 ladder after a cold 0.9. Wall time, allocs/op
+# and hashes/op.
 bench-repeat:
 	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|Ladder)$$' -benchmem .
 
@@ -84,6 +85,14 @@ bench-repeat:
 # verified). Time must not scale with pairs × points, allocs not with pairs.
 bench-curve:
 	$(GO) test -run xxx -bench 'BenchmarkCurve(14|At)$$' -benchmem ./internal/core
+
+# bench-snapshot isolates the cache snapshot codec on the explore-dense shape
+# after the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode regroups the
+# pair store's per-row runs into the wire's shard layout, decode regroups the
+# shards back into runs — what every spill, persist, revive and restore pays
+# in the engine. MB/s of snapshot bytes and allocs/op.
+bench-snapshot:
+	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
 
 # serve runs the probe daemon on the default address (ADDR to override).
 serve:

@@ -34,8 +34,9 @@
 # the seconds-long experiment sweeps.
 # Not tiers — timing is read by a person, not gated: the single-layer
 # `go test -bench` entries `make bench-workers` (probe worker pool),
-# `make bench-repeat` (warm repeat probe) and `make bench-curve` (curve
-# derivation over 100 k cached pairs), and the full `go run ./bench`.
+# `make bench-repeat` (warm repeat probe), `make bench-curve` (curve
+# derivation over 100 k cached pairs) and `make bench-snapshot` (cache
+# snapshot encode and decode), and the full `go run ./bench`.
 set -eu
 
 echo "== tier 1: vet + build + short tests =="

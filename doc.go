@@ -31,7 +31,9 @@
 // What is safe to share: a bayeslsh.Cache (and therefore a core.Session)
 // may serve concurrent probes. The dataset sketches and decision tables
 // are immutable after construction, and the memoized pair states live in
-// a PairStore striped across independently locked shards. Writes to the
+// a PairStore that files each pair under its larger row, in a per-row run
+// behind one lock: a probe worker owns whole rows and reads and writes a
+// row's evidence under one lock per row, not per pair. Writes to the
 // store are monotone — when two probes race on the same pair, the state
 // carrying more evidence (exact > done > more hashes) wins — so
 // concurrency can only deepen the knowledge cache, never corrupt or

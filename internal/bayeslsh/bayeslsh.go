@@ -152,9 +152,10 @@ func UnpackKey(k uint64) (int32, int32) {
 // Cache is PLASMA-HD's knowledge cache (§2.2.1): the dataset sketches plus
 // the memoized per-pair hash-comparison states accumulated across probes.
 //
-// A Cache is safe for concurrent probes: the pair table is a striped
-// PairStore with monotone writes, the concentration table is precomputed at
-// construction, and the per-threshold prune bounds are built under a lock.
+// A Cache is safe for concurrent probes: the pair table is a PairStore of
+// per-row runs, each behind its own lock, with monotone writes; the
+// concentration table is precomputed at construction, and the per-threshold
+// prune bounds are built under a lock.
 // The sketch table grows append-only under rowsMu (live ingest); each probe
 // captures an immutable row view at its start, so in-flight probes see
 // either the pre-append or post-append state, never a torn one.
@@ -193,10 +194,12 @@ type Cache struct {
 	// called while this is held may reach back into it.
 	appendMu sync.Mutex
 
-	// Pairs memoizes evidence for every candidate pair ever evaluated.
-	// Pair identity is stable under appends (keys are row-id pairs and rows
-	// are append-only), so accumulated evidence stays valid as the dataset
-	// grows.
+	// Pairs memoizes evidence for every candidate pair ever evaluated,
+	// filed under the pair's larger row: the row whose candidates a probe
+	// evaluates together, reading and writing that row's run under one lock
+	// each. Pair identity is stable under appends (keys are row-id pairs and
+	// rows are append-only), so accumulated evidence stays valid as the
+	// dataset grows, and appended rows only add runs.
 	Pairs *PairStore
 
 	// SketchTime is the start-up cost of building the initial sketches
@@ -362,12 +365,12 @@ func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// matches counts agreeing hash positions among the first n for pair (i, j).
-func (v rowView) matches(i, j int32, n int) int {
+// matches counts agreeing hash positions in [lo, hi) for pair (i, j).
+func (v rowView) matches(i, j int32, lo, hi int) int {
 	if v.minSigs != nil {
-		return lsh.MatchesU32(v.minSigs[i], v.minSigs[j], n)
+		return lsh.MatchesRangeU32(v.minSigs[i], v.minSigs[j], lo, hi)
 	}
-	return lsh.MatchesPacked(v.srpSigs[i], v.srpSigs[j], n)
+	return lsh.MatchesRangePacked(v.srpSigs[i], v.srpSigs[j], lo, hi)
 }
 
 // simToCollision maps a similarity threshold into per-hash collision space.
@@ -431,11 +434,11 @@ func (c *Cache) ProbAbove(ps PairState, t float64) float64 {
 // It is the cumulative APSS curve, counted and then summed: p depends only
 // on (M, N) for an unverified pair and on Exact ≥ t for a verified one, and
 // a store holds few distinct states however many pairs it caches, so one
-// integer-only pass under the stripe read locks tallies pairs per state and
-// the Beta tail is paid once per distinct state and threshold. Counts do not
-// depend on visit order and the cells are summed in ascending (N, M) order,
-// so equal stores give bit-equal results for any worker count, map order or
-// insertion history. Thresholds may come unsorted and repeat.
+// integer-only pass over the runs of the first rows rows tallies pairs per
+// state and the Beta tail is paid once per distinct state and threshold.
+// Counts do not depend on visit order and the cells are summed in ascending
+// (N, M) order, so equal stores give bit-equal results for any worker count
+// or insertion history. Thresholds may come unsorted and repeat.
 func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64) {
 	sorted := append([]float64(nil), thresholds...)
 	sort.Float64s(sorted)
@@ -451,7 +454,7 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 	cells := make([][]int64, c.Params.MaxHashes+1)
 	c.Pairs.Range(func(key uint64, ps PairState) bool {
 		if _, j := UnpackKey(key); int(j) >= rows {
-			return true
+			return false // Range visits by larger row: the rest lie beyond too
 		}
 		if ps.HasExact {
 			exact[cleared(float64(ps.Exact))]++
@@ -612,9 +615,12 @@ type ProgressFunc func(rowsProcessed, totalRows, pairsAbove int)
 // candidate is one (j, i) pair (j < i) produced by the candidate index.
 type candidate struct{ j, i int32 }
 
-// candOutcome is the evaluation result of one candidate, computed by a
-// worker and merged into the Result on the search goroutine.
+// candOutcome is the evaluation of one candidate: ps holds the pair's stored
+// state when it is read and the state to store once it is evaluated. It is
+// computed by the worker that owns the candidate's row and merged into the
+// Result on the search goroutine.
 type candOutcome struct {
+	ps       PairState
 	hashes   int64
 	cacheHit bool
 	pruned   bool
@@ -622,20 +628,20 @@ type candOutcome struct {
 	est      float64
 }
 
-// evalCandidate decides one candidate pair at threshold t. The stored
-// evidence is tested first: a Done pair, or one whose (N, M) the prune bound
-// of t still covers, is answered from the cache — no hashes, no write. (Tail
-// is monotone in t, so a pair pruned at t₀ is prunable at every t ≥ t₀.)
-// Any other pair resumes the incremental hash comparison from N, and the
-// extended state is written back to the pair store. The outcome is a pure
-// function of the pair's stored state plus the immutable sketches and
-// decision tables, so evaluating candidates in any order or on any number
-// of workers yields identical outcomes.
-func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float64, bound []int32) candOutcome {
+// evalCandidate decides one candidate pair at threshold t from its stored
+// state, out.ps. The stored evidence is tested first: a Done pair, or one
+// whose (N, M) the prune bound of t still covers, is answered from the cache
+// — no hashes, nothing to store. (Tail is monotone in t, so a pair pruned at
+// t₀ is prunable at every t ≥ t₀.) Any other pair resumes the incremental
+// hash comparison from N, counting only the hashes past N, and leaves the
+// extended state in out.ps to be stored. The outcome is a pure function of
+// the stored state plus the immutable sketches and decision tables, so
+// evaluating candidates in any order or on any number of workers yields
+// identical outcomes.
+func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *candOutcome, t float64, bound []int32) {
 	p := c.Params
-	key := PairKey(cd.j, cd.i)
-	ps, _ := c.Pairs.Get(key)
-	var out candOutcome
+	ps := out.ps
+	*out = candOutcome{}
 	if k := c.point(ps.N); ps.Done || (k >= 0 && ps.M <= bound[k]) {
 		out.cacheHit = true
 	} else {
@@ -651,7 +657,7 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float6
 			if n > p.MaxHashes {
 				n = p.MaxHashes
 			}
-			ps.M = int32(v.matches(cd.j, cd.i, n))
+			ps.M += int32(v.matches(cd.j, cd.i, int(ps.N), n))
 			out.hashes += int64(n - int(ps.N))
 			ps.N = int32(n)
 			if ps.M <= bound[k] {
@@ -667,22 +673,41 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, t float6
 			ps.Exact = float32(ds.Similarity(int(cd.j), int(cd.i)))
 			ps.HasExact = true
 		}
-		c.Pairs.Update(key, ps)
 	}
+	out.ps = ps
 	if ps.Done {
 		if est := c.Estimate(ps); est >= t {
 			out.emit, out.est = true, est
 		}
 	}
-	return out
 }
 
-// evalBatch evaluates cands[idx] into outs[idx] on the given number of
-// workers. Since each outcome lands at its candidate's index, the result is
-// independent of scheduling.
-func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, cands []candidate, outs []candOutcome, t float64, bound []int32, workers int) {
-	par.For(len(cands), workers, 64, func(idx int) {
-		outs[idx] = c.evalCandidate(ds, v, cands[idx], t, bound)
+// evalBatch evaluates a batch of whole rows on the given number of workers:
+// marks[r] ends row r's candidates in cands, and outs[idx] receives the
+// outcome of cands[idx]. Each worker owns a row — its candidates, their
+// outcomes and the row's run in the pair store — so it reads the row's
+// stored states under one read lock, evaluates them, and stores what changed
+// under one write lock. Since each outcome lands at its candidate's index,
+// the result is independent of scheduling.
+func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
+	par.For(len(marks), workers, 1, func(r int) {
+		lo, hi := 0, marks[r].end
+		if r > 0 {
+			lo = marks[r-1].end
+		}
+		if lo == hi {
+			return
+		}
+		run, rowCands, rowOuts := runs[marks[r].row], cands[lo:hi], outs[lo:hi]
+		run.readRow(rowCands, rowOuts)
+		stored := false
+		for x := range rowCands {
+			c.evalCandidate(ds, v, rowCands[x], &rowOuts[x], t, bound)
+			stored = stored || !rowOuts[x].cacheHit
+		}
+		if stored {
+			c.Pairs.writeRow(run, rowCands, rowOuts)
+		}
 	})
 }
 
@@ -723,19 +748,22 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 		workers = c.Params.WorkerCount()
 	}
 	idx := c.candidateIndex(ds)
+	runs := c.Pairs.runs(ds.N())
 	sc := c.getScratch(ds.N())
 	defer c.putScratch(sc)
 
 	// Candidates are buffered with per-row boundaries and flushed in
-	// batches: evaluate in parallel, then merge sequentially so counters,
-	// emitted pairs, and progress calls are in generation order.
-	batchSize := 1024 * workers
+	// batches of whole rows: evaluate in parallel, a row per worker at a
+	// time, then merge sequentially so counters, emitted pairs, and progress
+	// calls are in generation order. A batch holds enough rows to keep every
+	// worker busy however many candidates one row has.
+	batchSize, batchRows := 1024*workers, 4*workers
 	flush := func() {
 		if cap(sc.outs) < len(sc.cands) {
 			sc.outs = make([]candOutcome, len(sc.cands))
 		}
 		outs := sc.outs[:len(sc.cands)]
-		c.evalBatch(ds, v, sc.cands, outs, t, bound, workers)
+		c.evalBatch(ds, v, runs, sc.cands, sc.marks, outs, t, bound, workers)
 		done := 0
 		for _, mk := range sc.marks {
 			for ; done < mk.end; done++ {
@@ -763,7 +791,7 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	for i := 0; i < ds.N(); i++ {
 		sc.cands = idx.appendRow(int32(i), ds.Rows[i].Indices, sc, sc.cands)
 		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands)})
-		if len(sc.cands) >= batchSize {
+		if len(sc.cands) >= batchSize && len(sc.marks) >= batchRows {
 			flush()
 		}
 	}

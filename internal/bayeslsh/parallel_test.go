@@ -126,7 +126,7 @@ func TestSearchProgressParallel(t *testing.T) {
 
 // TestConcurrentSearchSharedCache hammers one knowledge cache with
 // overlapping probes at interleaved thresholds — the concurrent-session
-// scenario the striped PairStore exists for. Run under -race this is the
+// scenario the PairStore's per-row locks exist for. Run under -race this is the
 // engine-level data-race check; the assertions pin the monotone-evidence
 // invariants.
 func TestConcurrentSearchSharedCache(t *testing.T) {

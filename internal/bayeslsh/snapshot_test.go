@@ -335,8 +335,8 @@ func emptySnapshot(t testing.TB, p Params) []byte {
 	var buf bytes.Buffer
 	c := wire.NewEncoder(&buf, snapErrors)
 	forgeSnapshotHead(c, p, vec.CosineSim, 0, sketchKindSRP)
-	c.U32(pairStoreShards)
-	for sh := 0; sh < pairStoreShards; sh++ {
+	c.U32(snapshotShards)
+	for sh := 0; sh < snapshotShards; sh++ {
 		c.U32(0) // no pair entries
 	}
 	if err := c.Finish(); err != nil {

@@ -37,7 +37,7 @@ func TestConcurrentProbesSharedCache(t *testing.T) {
 			}
 		}(th)
 	}
-	// Readers exercise the striped iteration paths mid-probe.
+	// Readers exercise the per-row iteration paths mid-probe.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {

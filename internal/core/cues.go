@@ -174,17 +174,19 @@ func (s *Session) CueSet(t float64) *CueSet {
 // for the interactive cue loop of Fig 2.1. Pairs carry their MAP estimates;
 // pairs never examined contribute no edge.
 // The vertex count is pinned by the caller (the cue key's rows field), so a
-// concurrent append cannot shift the graph under a coalesced build; pairs a
-// concurrent post-append probe may already have written beyond that count
-// are filtered out, keeping the graph consistent with its own vertex set.
+// concurrent append cannot shift the graph under a coalesced build; the
+// scan stops at the first pair a concurrent post-append probe may already
+// have written beyond that count (the store visits pairs by larger row),
+// keeping the graph consistent with its own vertex set.
 func (s *Session) buildThresholdGraph(t float64, n int) *graph.Graph {
 	var edges [][2]int32
 	s.Cache.Pairs.Range(func(key uint64, ps bayeslsh.PairState) bool {
+		i, j := bayeslsh.UnpackKey(key)
+		if int(j) >= n {
+			return false
+		}
 		if s.Cache.Estimate(ps) >= t {
-			i, j := bayeslsh.UnpackKey(key)
-			if int(j) < n {
-				edges = append(edges, [2]int32{i, j})
-			}
+			edges = append(edges, [2]int32{i, j})
 		}
 		return true
 	})

@@ -73,7 +73,7 @@ func BenchmarkCurveAt(b *testing.B) {
 
 // TestCurveAllocsIndependentOfPairs pins that evaluating a curve point
 // allocates by the number of distinct evidence states, never by the number
-// of cached pairs — per-stripe copies of the store must not come back.
+// of cached pairs — per-row copies of the store must not come back.
 func TestCurveAllocsIndependentOfPairs(t *testing.T) {
 	small, large := syntheticStoreSession(10_000), syntheticStoreSession(100_000)
 	allocs := func(s *Session) float64 {

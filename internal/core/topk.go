@@ -23,12 +23,13 @@ func (s *Session) KNNGraph(k int) *graph.Graph {
 	n := s.Dataset().N()
 	neigh := make([][]scored, n)
 	s.Cache.Pairs.Range(func(key uint64, ps bayeslsh.PairState) bool {
-		est := s.Cache.Estimate(ps)
 		i, j := bayeslsh.UnpackKey(key)
 		if int(j) >= n {
-			// Written by a concurrent probe that already saw appended rows.
-			return true
+			// Written by a concurrent probe that already saw appended
+			// rows; the store visits by larger row, so all the rest are.
+			return false
 		}
+		est := s.Cache.Estimate(ps)
 		neigh[i] = append(neigh[i], scored{j, est})
 		neigh[j] = append(neigh[j], scored{i, est})
 		return true
@@ -63,11 +64,11 @@ func (s *Session) KNNThresholdEquivalent(k int) []float64 {
 	weakest := make([]float64, 0, n)
 	kth := make([][]float64, n)
 	s.Cache.Pairs.Range(func(key uint64, ps bayeslsh.PairState) bool {
-		est := s.Cache.Estimate(ps)
 		i, j := bayeslsh.UnpackKey(key)
 		if int(j) >= n {
-			return true
+			return false
 		}
+		est := s.Cache.Estimate(ps)
 		kth[i] = append(kth[i], est)
 		kth[j] = append(kth[j], est)
 		return true

@@ -19,7 +19,7 @@ import (
 // packages. A loop is not flagged when the order dependence is repaired
 // afterwards: appending into a slice that is passed to sort.*/slices.Sort*
 // later in the enclosing function is the sanctioned collect-then-sort
-// idiom (PairStore.sortedShard). Deliberate order-free sites carry
+// idiom (lam.TrainClassifier's class list). Deliberate order-free sites carry
 // //lint:mapiter-ok <reason>.
 type MapiterConfig struct {
 	// Packages are import-path patterns (prefix or suffix match) the

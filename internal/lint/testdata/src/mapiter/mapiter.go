@@ -19,7 +19,7 @@ func appendInMapOrder(m map[string]int) []string {
 }
 
 // collectThenSort is the sanctioned collect-then-sort idiom
-// (PairStore.sortedShard): order is repaired after the loop.
+// (lam.TrainClassifier's class list): order is repaired after the loop.
 func collectThenSort(m map[string]int) []string {
 	var keys []string
 	for k := range m {

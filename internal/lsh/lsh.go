@@ -61,12 +61,20 @@ func (m *MinHasher) Sketch(v vec.Sparse) []uint32 {
 
 // MatchesU32 counts equal positions among the first n entries of two
 // signatures.
-func MatchesU32(a, b []uint32, n int) int {
-	if n > len(a) {
-		n = len(a)
+func MatchesU32(a, b []uint32, n int) int { return MatchesRangeU32(a, b, 0, n) }
+
+// MatchesRangeU32 counts equal positions in [lo, hi) of two signatures, hi
+// clamped to the signature length. Counting a prefix in steps — [0, n₁),
+// [n₁, n₂), … — sums to the count of the whole prefix, so an incremental
+// comparison scans each position once.
+func MatchesRangeU32(a, b []uint32, lo, hi int) int {
+	hi = min(hi, len(a))
+	if lo >= hi {
+		return 0
 	}
+	a, b = a[lo:hi], b[lo:hi]
 	m := 0
-	for i := 0; i < n; i++ {
+	for i := range a {
 		if a[i] == b[i] {
 			m++
 		}
@@ -153,18 +161,29 @@ func (s *SRP) Sketch(v vec.Sparse) []uint64 {
 
 // MatchesPacked counts agreeing bits among the first n positions of two
 // bit-packed signatures.
-func MatchesPacked(a, b []uint64, n int) int {
-	matches := 0
-	full := n / 64
-	for w := 0; w < full; w++ {
-		matches += 64 - bits.OnesCount64(a[w]^b[w])
+func MatchesPacked(a, b []uint64, n int) int { return MatchesRangePacked(a, b, 0, n) }
+
+// MatchesRangePacked counts agreeing bits in positions [lo, hi) of two
+// bit-packed signatures (bit p is bit p%64 of word p/64), hi clamped to the
+// signature length. Either end may fall inside a word — a Step of 32 against
+// 64-bit words, a MaxHashes that is not a multiple of 64 — so the first and
+// last words are masked; the words between are compared whole.
+func MatchesRangePacked(a, b []uint64, lo, hi int) int {
+	hi = min(hi, 64*len(a))
+	if lo >= hi {
+		return 0
 	}
-	if rem := n % 64; rem > 0 && full < len(a) {
-		mask := uint64(1)<<uint(rem) - 1
-		diff := (a[full] ^ b[full]) & mask
-		matches += rem - bits.OnesCount64(diff)
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << uint(lo&63)
+	hiMask := ^uint64(0) >> uint(63-(hi-1)&63)
+	if first == last {
+		return hi - lo - bits.OnesCount64((a[first]^b[first])&loMask&hiMask)
 	}
-	return matches
+	m := hi - lo - bits.OnesCount64((a[first]^b[first])&loMask) - bits.OnesCount64((a[last]^b[last])&hiMask)
+	for w := first + 1; w < last; w++ {
+		m -= bits.OnesCount64(a[w] ^ b[w])
+	}
+	return m
 }
 
 // CosineToCollision maps a cosine similarity to the SRP per-bit collision

@@ -175,6 +175,62 @@ func TestMatchesU32Prefix(t *testing.T) {
 	}
 }
 
+// TestMatchesRangeSumsToPrefix pins the incremental comparison: on every
+// hash schedule (Step · k, capped at MaxHashes) the count over [0, lo) plus
+// the count over [lo, hi) is the prefix count at hi, and that count is the
+// position-by-position one — for word-aligned and mid-word ends, and for a
+// MaxHashes that is not a multiple of 64.
+func TestMatchesRangeSumsToPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, sch := range []struct{ maxHashes, step int }{{256, 32}, {256, 64}, {200, 32}, {100, 7}, {65, 1}, {64, 64}} {
+		words := (sch.maxHashes + 63) / 64
+		pa, pb := make([]uint64, words), make([]uint64, words)
+		for w := range pa {
+			pa[w] = rng.Uint64()
+			pb[w] = pa[w] ^ rng.Uint64()&rng.Uint64() // ≈ 75 % agreement
+		}
+		ua, ub := make([]uint32, sch.maxHashes), make([]uint32, sch.maxHashes)
+		for i := range ua {
+			ua[i], ub[i] = uint32(rng.Intn(3)), uint32(rng.Intn(3))
+		}
+		points := []int{0}
+		for n := sch.step; ; n += sch.step {
+			points = append(points, min(n, sch.maxHashes))
+			if n >= sch.maxHashes {
+				break
+			}
+		}
+		for _, hi := range points {
+			wantP, wantU := 0, 0
+			for p := 0; p < hi; p++ {
+				if (pa[p/64]>>(p%64))&1 == (pb[p/64]>>(p%64))&1 {
+					wantP++
+				}
+				if ua[p] == ub[p] {
+					wantU++
+				}
+			}
+			if got := MatchesPacked(pa, pb, hi); got != wantP {
+				t.Fatalf("%+v: packed prefix %d = %d, want %d", sch, hi, got, wantP)
+			}
+			if got := MatchesU32(ua, ub, hi); got != wantU {
+				t.Fatalf("%+v: u32 prefix %d = %d, want %d", sch, hi, got, wantU)
+			}
+			for _, lo := range points {
+				if lo > hi {
+					break
+				}
+				if got := MatchesPacked(pa, pb, lo) + MatchesRangePacked(pa, pb, lo, hi); got != wantP {
+					t.Errorf("%+v: packed [0,%d)+[%d,%d) = %d, want %d", sch, lo, lo, hi, got, wantP)
+				}
+				if got := MatchesU32(ua, ub, lo) + MatchesRangeU32(ua, ub, lo, hi); got != wantU {
+					t.Errorf("%+v: u32 [0,%d)+[%d,%d) = %d, want %d", sch, lo, lo, hi, got, wantU)
+				}
+			}
+		}
+	}
+}
+
 func TestCosineCollisionRoundTrip(t *testing.T) {
 	for _, s := range []float64{-1, -0.5, 0, 0.3, 0.7, 0.95, 1} {
 		p := CosineToCollision(s)
