@@ -56,8 +56,10 @@ lint:
 # the three snapshot decoders (cache, session, spec — the warm-start and
 # restore-upload trust boundary) and the live-ingest request parser (wire
 # trust boundary). The cache and session corpora include `schedule-bomb`, a
-# CRC-valid 601-byte cache (and its session-wrapped form) whose params ask
-# for a 3·10⁷-cell schedule — Params.Validate must refuse it at once.
+# CRC-valid 85-byte empty cache (and its session-wrapped form) whose params
+# ask for a 3·10⁷-cell schedule — Params.Validate must refuse it at once;
+# core's TestScheduleBombSeedsReachValidate keeps both seeds at the current
+# format versions.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
@@ -87,10 +89,11 @@ bench-curve:
 	$(GO) test -run xxx -bench 'BenchmarkCurve(14|At)$$' -benchmem ./internal/core
 
 # bench-snapshot isolates the cache snapshot codec on the explore-dense shape
-# after the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode regroups the
-# pair store's per-row runs into the wire's shard layout, decode regroups the
-# shards back into runs — what every spill, persist, revive and restore pays
-# in the engine. MB/s of snapshot bytes and allocs/op.
+# after the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode copies each
+# row's run out under its read lock and writes it as it sits, decode fills
+# each run from its records — what every spill, persist, revive and restore
+# pays in the engine. ns/op and allocs/op; MB/s is of snapshot bytes, so it
+# is comparable only across runs of one format version.
 bench-snapshot:
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
 

@@ -128,9 +128,13 @@ func TestMassAboveOrderFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var entries []pairEntry
+	type entry struct {
+		key uint64
+		ps  PairState
+	}
+	var entries []entry
 	probed.Pairs.Range(func(key uint64, ps PairState) bool {
-		entries = append(entries, pairEntry{key, ps})
+		entries = append(entries, entry{key, ps})
 		return true
 	})
 	forward, backward := NewPairStore(), NewPairStore()

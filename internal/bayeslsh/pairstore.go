@@ -151,18 +151,20 @@ func (s *PairStore) Range(f func(key uint64, ps PairState) bool) {
 	}
 }
 
-// entries copies every memoized pair out in Range order, and returns the
-// number of rows they lie within.
-func (s *PairStore) entries() ([]pairEntry, int) {
-	dir := s.loaded()
-	out := make([]pairEntry, 0, s.Len())
-	for i, r := range dir {
-		r.visit(int32(i), func(key uint64, ps PairState) bool {
-			out = append(out, pairEntry{key, ps})
-			return true
-		})
+// appendRun appends row i's run to dst as records, copied under the run's
+// read lock.
+func (s *PairStore) appendRun(dst []pairRec, i int) []pairRec {
+	d := s.loaded()
+	if i >= len(d) {
+		return dst
 	}
-	return out, len(dir)
+	r := d[i]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for k, j := range r.js {
+		dst = append(dst, pairRec{j, r.st[k]})
+	}
+	return dst
 }
 
 // visit calls f for each pair of the run (larger row i) under its read lock.

@@ -1,15 +1,11 @@
 package bayeslsh
 
 import (
-	"bytes"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"plasmahd/internal/vec"
-	"plasmahd/internal/wire"
 )
 
 // checkRangeOrder asserts the Range contract on s: pairs come in ascending
@@ -132,65 +128,5 @@ func TestProbeRacesDirectoryGrowth(t *testing.T) {
 				t.Fatalf("t=%v pair %d: %+v after the race, %+v fresh", th, k, got.Pairs[k], want.Pairs[k])
 			}
 		}
-	}
-}
-
-// TestSnapshotDuplicateKeyKeepsDeepest decodes CRC-valid streams that carry
-// one key twice, in the same shard and in two, in both orders: the decoded
-// store holds the pair once, at its deepest state — what the same entries
-// written through Update leave.
-func TestSnapshotDuplicateKeyKeepsDeepest(t *testing.T) {
-	shallow := PairState{M: 20, N: 32}
-	deep := PairState{M: 50, N: 64, Done: true, HasExact: true, Exact: 0.75}
-	other := PairState{M: 3, N: 32}
-	key, otherKey := PairKey(0, 2), PairKey(1, 2)
-	for _, tc := range []struct {
-		name   string
-		shards [][]pairEntry
-	}{
-		{"same shard, deep last", [][]pairEntry{{{key, shallow}, {otherKey, other}, {key, deep}}}},
-		{"same shard, deep first", [][]pairEntry{{{key, deep}, {key, shallow}, {otherKey, other}}}},
-		{"two shards, deep last", [][]pairEntry{{{key, shallow}}, {{otherKey, other}, {key, deep}}}},
-		{"two shards, deep first", [][]pairEntry{{{key, deep}, {otherKey, other}}, {{key, shallow}}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			c := wire.NewEncoder(&buf, snapErrors)
-			forgeSnapshotHead(c, DefaultParams(), vec.CosineSim, 3, sketchKindSRP)
-			for row := 0; row < 3; row++ {
-				c.U32(4)
-				for w := 0; w < 4; w++ {
-					c.U64(uint64(row))
-				}
-			}
-			c.U32(uint32(len(tc.shards)))
-			for _, entries := range tc.shards {
-				c.U32(uint32(len(entries)))
-				for _, e := range entries {
-					c.U64(e.key)
-					c.U32(uint32(e.ps.M))
-					c.U32(uint32(e.ps.N))
-					c.U8(flagBit(e.ps.Done, pairFlagDone) | flagBit(e.ps.HasExact, pairFlagHasExact))
-					c.F32(e.ps.Exact)
-				}
-			}
-			if err := c.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			dec, err := DecodeSnapshot(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec.Pairs.Len() != 2 {
-				t.Errorf("Len = %d, want 2 distinct pairs", dec.Pairs.Len())
-			}
-			if ps, ok := dec.Pairs.Get(key); !ok || ps != deep {
-				t.Errorf("duplicated key decoded to %+v (present %v), want the deepest %+v", ps, ok, deep)
-			}
-			if ps, _ := dec.Pairs.Get(otherKey); ps != other {
-				t.Errorf("neighbouring key decoded to %+v, want %+v", ps, other)
-			}
-			checkRangeOrder(t, tc.name, dec.Pairs)
-		})
 	}
 }

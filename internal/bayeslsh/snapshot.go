@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"slices"
 	"time"
 
 	"plasmahd/internal/vec"
@@ -16,23 +15,26 @@ import (
 // stream:
 //
 //	magic   "PLHDKCSN"                       (8 bytes)
-//	version uint16                           (currently 2)
+//	version uint16                           (currently 3)
 //	payload params, seed, measure, N, dim, sketch time, sketches,
-//	        pairs in 128 shards (entries sorted by key within a shard)
+//	        then the pair store as it sits: one run per row i in [0, N)
 //	crc     uint32 (Castagnoli) over magic+version+payload
 //
 // Version 2 (live ingest) added the feature-space dimension after the row
 // count, so a restored cache can rebuild its SRP sketcher and keep accepting
-// appended rows.
+// appended rows. Version 3 writes the pair store's own layout: row i's run
+// is a count of at most i, then one record per pair (j, i) with j strictly
+// ascending below i, so a record's position names its larger row and the
+// packed key leaves the wire.
 //
 // cacheImage.walk is the one description of the payload: internal/wire
 // drives it in both directions, so every range and structure check in it
 // guards the encoder as well as the decoder. All integers are little-endian
 // fixed width. Encoding is deterministic: the same cache state always
-// produces the same bytes, because pair entries are written in sorted key
-// order within each shard. The shards are a wire layout only — they are the
-// lock stripes of an earlier pair store — so encode regroups the store's
-// per-row runs into them and decode regroups them back into runs. A
+// produces the same bytes, because runs are written in row order and each
+// in ascending j. The walk enforces that order and refuses flag bits it does
+// not know, so a stream that decodes is exactly the bytes its cache encodes
+// to: a pair carried twice or out of order does not decode at all. A
 // corrupted or truncated snapshot fails loudly instead of producing a
 // silently-wrong cache.
 
@@ -40,7 +42,7 @@ import (
 var cacheSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'K', 'C', 'S', 'N'}
 
 // CacheSnapshotVersion is the current cache snapshot format version.
-const CacheSnapshotVersion uint16 = 2
+const CacheSnapshotVersion uint16 = 3
 
 // Typed snapshot decode failures; all are wrapped with context, match with
 // errors.Is.
@@ -72,52 +74,19 @@ const (
 	pairFlagDone     = 1 << 0
 	pairFlagHasExact = 1 << 1
 
-	// Generous ceilings that a real cache never exceeds but a corrupt length
+	// A generous ceiling that a real cache never exceeds but a corrupt length
 	// field easily does, so a walk fails before acting on it.
-	maxSnapRows   = 1 << 28
-	maxSnapShards = 1 << 16
+	maxSnapRows = 1 << 28
 
-	// snapshotShards is the number of shards an encoded pair section has.
-	snapshotShards = 128
+	pairFlagsKnown = pairFlagDone | pairFlagHasExact
 )
 
-// snapshotShard is the shard of the v2 layout an entry is written in: a
-// Fibonacci multiply of the packed key, so keys that differ only in low bits
-// spread.
-func snapshotShard(e pairEntry) int { return int((e.key * 0x9e3779b97f4a7c15) >> (64 - 7)) }
-
-// pairEntry is one memoized pair outside the store: what a snapshot carries.
-type pairEntry struct {
-	key uint64
-	ps  PairState
+// pairRec is one record of row i's run: the smaller row j of pair (j, i)
+// and its state.
+type pairRec struct {
+	j  int32
+	ps PairState
 }
-
-// countingSort stably distributes src into dst by bucket(e) in [0, buckets)
-// and returns dst with ends[b], the end of bucket b's span. It is the one
-// sort the snapshot codec needs: two passes turn the store's (larger row,
-// smaller row) order into the wire's (shard, key) order and back, in linear
-// time.
-func countingSort(src, dst []pairEntry, buckets int, bucket func(pairEntry) int) ([]pairEntry, []int) {
-	//lint:prealloc-ok buckets is a row count the walk has read a signature for per row, or the shard constant
-	ends := make([]int, buckets)
-	for _, e := range src {
-		ends[bucket(e)]++
-	}
-	at := 0
-	for b, n := range ends {
-		ends[b], at = at, at+n // now: start of bucket b
-	}
-	dst = slices.Grow(dst[:0], len(src))[:len(src)]
-	for _, e := range src {
-		b := bucket(e)
-		dst[ends[b]] = e
-		ends[b]++ // ends at the bucket's end once every entry is placed
-	}
-	return dst, ends
-}
-
-func smallerRow(e pairEntry) int { j, _ := UnpackKey(e.key); return int(j) }
-func largerRow(e pairEntry) int  { _, i := UnpackKey(e.key); return int(i) }
 
 // flagBit returns bit when set holds, for packing bools into a wire byte.
 func flagBit(set bool, bit uint8) uint8 {
@@ -128,7 +97,7 @@ func flagBit(set bool, bit uint8) uint8 {
 }
 
 // cacheImage is what a snapshot records of a cache ahead of the pair
-// entries: a private copy when encoding, the decoded fields when decoding.
+// records: a private copy when encoding, the decoded fields when decoding.
 type cacheImage struct {
 	params     Params
 	seed       int64
@@ -136,18 +105,17 @@ type cacheImage struct {
 	rows       rowView
 	dim        int
 	sketchTime time.Duration
-	shards     int
 	// rec is walkPair's record buffer: the codec's reader and writer are
 	// interfaces, so a buffer on walkPair's stack would escape, once a pair.
 	rec [pairRecordBytes]byte
 }
 
 // walk is the cache snapshot layout: header, signature block, then the pair
-// store shard by shard. Moving entries between a shard and the stream is
-// the only direction-specific work, so the entry points supply it: load
-// yields the entries to walk for a shard (none when decoding) and store
-// receives each entry that walked clean.
-func (im *cacheImage) walk(c *wire.Codec, load func(shard int) []pairEntry, store func(pairEntry)) {
+// store run by run. Moving a run between the store and the stream is the
+// only direction-specific work, so the entry points supply it: load yields
+// row i's records to walk (none when decoding) and store receives each
+// row's records once they walked clean.
+func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func(i int, run []pairRec)) {
 	c.Header(cacheSnapMagic, CacheSnapshotVersion)
 	p := &im.params
 	p.Epsilon = c.F64(p.Epsilon)
@@ -156,7 +124,11 @@ func (im *cacheImage) walk(c *wire.Codec, load func(shard int) []pairEntry, stor
 	p.MaxHashes = int(c.U32(uint32(p.MaxHashes)))
 	p.Step = int(c.U32(uint32(p.Step)))
 	p.MaxDFFrac = c.F64(p.MaxDFFrac)
-	p.Lite = c.U8(flagBit(p.Lite, 1)) != 0
+	if lite := c.U8(flagBit(p.Lite, 1)); lite > 1 {
+		c.Fail("lite byte %d is not 0 or 1", lite)
+	} else {
+		p.Lite = lite == 1
+	}
 	p.Workers = int(int32(c.U32(uint32(p.Workers))))
 	im.seed = c.I64(im.seed)
 	im.measure = vec.Measure(c.U8(uint8(im.measure)))
@@ -191,19 +163,10 @@ func (im *cacheImage) walk(c *wire.Codec, load func(shard int) []pairEntry, stor
 		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, im.rows.n, (p.MaxHashes+63)/64, c.U64)
 	}
 
-	im.shards = c.Count(im.shards, maxSnapShards, "shard count")
-	if im.shards < 1 {
-		c.Fail("shard count %d out of range", im.shards)
-	}
-	pair := func(e pairEntry) {
-		if e = im.walkPair(c, e); c.Err() == nil {
-			store(e)
+	for i := 0; i < im.rows.n && c.Err() == nil; i++ {
+		if run := im.walkRun(c, i, load(i)); c.Err() == nil {
+			store(i, run)
 		}
-	}
-	for sh := 0; sh < im.shards && c.Err() == nil; sh++ {
-		entries := load(sh)
-		count := c.Count(len(entries), maxSnapRows, "shard entry count")
-		wire.Each(c, entries, count, pair)
 	}
 }
 
@@ -218,43 +181,60 @@ func walkSigs[T any](c *wire.Codec, sigs [][]T, n, width int, word func(T) T) []
 	})
 }
 
-// pairRecordBytes is the width of one pair entry on the wire: key u64, M
-// u32, N u32, flags u8, exact f32.
-const pairRecordBytes = 21
+// walkRun walks row i's run: its length, at most i, then its records, whose
+// smaller rows ascend strictly below i and whose evidence sits on the hash
+// schedule.
+func (im *cacheImage) walkRun(c *wire.Codec, i int, run []pairRec) []pairRec {
+	n := c.Count(len(run), i, "run length")
+	prev := int32(-1)
+	return wire.Slice(c, run, n, func(r pairRec) pairRec {
+		r = im.walkPair(c, r)
+		if ps := r.ps; r.j <= prev || int(r.j) >= i {
+			c.Fail("row %d: pair row %d after %d, want strictly ascending below %d", i, r.j, prev, i)
+		} else if ps.M < 0 || ps.N < ps.M || !im.params.onSchedule(ps.N) {
+			c.Fail("pair (%d,%d): evidence %d/%d out of range or off the hash schedule", r.j, i, ps.M, ps.N)
+		}
+		prev = r.j
+		return r
+	})
+}
 
-// walkPair walks one pair entry as a single fixed-width record — the same
+// pairRecordBytes is the width of one pair record on the wire: j u32, M
+// u32, N u32, flags u8, exact f32.
+const pairRecordBytes = 17
+
+// walkPair walks one pair record as a single fixed-width record — the same
 // bytes as walking its five fields one by one, at a fifth of the codec
 // calls, which is most of what a snapshot of many pairs costs to walk.
-func (im *cacheImage) walkPair(c *wire.Codec, e pairEntry) pairEntry {
-	ps, rec := &e.ps, im.rec[:]
-	binary.LittleEndian.PutUint64(rec[0:], e.key)
-	binary.LittleEndian.PutUint32(rec[8:], uint32(ps.M))
-	binary.LittleEndian.PutUint32(rec[12:], uint32(ps.N))
-	rec[16] = flagBit(ps.Done, pairFlagDone) | flagBit(ps.HasExact, pairFlagHasExact)
-	binary.LittleEndian.PutUint32(rec[17:], math.Float32bits(ps.Exact))
+func (im *cacheImage) walkPair(c *wire.Codec, r pairRec) pairRec {
+	ps, rec := &r.ps, im.rec[:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(r.j))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(ps.M))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(ps.N))
+	rec[12] = flagBit(ps.Done, pairFlagDone) | flagBit(ps.HasExact, pairFlagHasExact)
+	binary.LittleEndian.PutUint32(rec[13:], math.Float32bits(ps.Exact))
 	c.Bytes(rec)
-	e.key = binary.LittleEndian.Uint64(rec[0:])
-	ps.M = int32(binary.LittleEndian.Uint32(rec[8:]))
-	ps.N = int32(binary.LittleEndian.Uint32(rec[12:]))
-	ps.Done = rec[16]&pairFlagDone != 0
-	ps.HasExact = rec[16]&pairFlagHasExact != 0
-	ps.Exact = math.Float32frombits(binary.LittleEndian.Uint32(rec[17:]))
-	if i, j := UnpackKey(e.key); i < 0 || j <= i || int(j) >= im.rows.n {
-		c.Fail("pair key (%d,%d) out of range for %d rows", i, j, im.rows.n)
-	} else if ps.M < 0 || ps.N < ps.M || !im.params.onSchedule(ps.N) {
-		c.Fail("pair (%d,%d): evidence %d/%d out of range or off the hash schedule", i, j, ps.M, ps.N)
+	r.j = int32(binary.LittleEndian.Uint32(rec[0:]))
+	ps.M = int32(binary.LittleEndian.Uint32(rec[4:]))
+	ps.N = int32(binary.LittleEndian.Uint32(rec[8:]))
+	ps.Done = rec[12]&pairFlagDone != 0
+	ps.HasExact = rec[12]&pairFlagHasExact != 0
+	ps.Exact = math.Float32frombits(binary.LittleEndian.Uint32(rec[13:]))
+	if rec[12]&^pairFlagsKnown != 0 {
+		c.Fail("pair flags %#x carry unknown bits", rec[12])
 	}
-	return e
+	return r
 }
 
 // EncodeSnapshot serializes the cache — params, seed, sketches, and the
-// pair store in the v2 shard layout — to w in the versioned binary snapshot
-// format. It is safe to call while probes or appends are in flight: the row
-// view is captured atomically, appends are held off for the duration (so no
-// probe can write pairs beyond the encoded row count), and each row's run is
-// copied under its read lock — the snapshot sees a consistent monotone
-// prefix of the cache's evidence. Encoding is deterministic for a quiescent
-// cache.
+// pair store run by run — to w in the versioned binary snapshot format. It
+// is safe to call while probes or appends are in flight: the row view is
+// captured atomically, appends are held off for the duration (so no probe
+// can write pairs beyond the encoded row count, and the runs past it are
+// empty), and each row's run is copied under its read lock, which is
+// released before the copy is written — the snapshot sees a consistent
+// monotone prefix of the cache's evidence, and a slow writer never holds up
+// a probe. Encoding is deterministic for a quiescent cache.
 func (c *Cache) EncodeSnapshot(w io.Writer) error {
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
@@ -265,21 +245,14 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 		rows:       c.rows(),
 		dim:        c.dim,
 		sketchTime: c.SketchTime,
-		shards:     snapshotShards,
 	}
-	// Runs visit in (larger row, smaller row) order; stable by the smaller
-	// row that is ascending key order, then stable by shard.
-	byRow, rows := c.Pairs.entries()
-	byKey, _ := countingSort(byRow, nil, rows, smallerRow)
-	wireOrder, ends := countingSort(byKey, byRow, snapshotShards, snapshotShard)
-	shard := func(sh int) []pairEntry {
-		if sh == 0 {
-			return wireOrder[:ends[0]]
-		}
-		return wireOrder[ends[sh-1]:ends[sh]]
+	var scratch []pairRec
+	load := func(i int) []pairRec {
+		scratch = c.Pairs.appendRun(scratch[:0], i)
+		return scratch
 	}
 	wc := wire.NewEncoder(w, snapErrors)
-	im.walk(wc, shard, func(pairEntry) {})
+	im.walk(wc, load, func(int, []pairRec) {})
 	return wc.Finish()
 }
 
@@ -290,15 +263,18 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 // byte-identical probe results to the cache it was encoded from.
 func DecodeSnapshot(r io.Reader) (*Cache, error) {
 	var im cacheImage
-	var walked []pairEntry
+	pairs := NewPairStore()
 	wc := wire.NewDecoder(r, snapErrors)
-	im.walk(wc, func(int) []pairEntry { return nil }, func(e pairEntry) {
-		if len(walked) == cap(walked) {
-			// Double: append grows a large slice by a quarter at a time,
-			// allocating five times the final size on the way.
-			walked = slices.Grow(walked, len(walked)+1)
+	im.walk(wc, func(int) []pairRec { return nil }, func(i int, run []pairRec) {
+		if len(run) == 0 {
+			return
 		}
-		walked = append(walked, e)
+		pr := pairs.runs(i + 1)[i]
+		pr.js, pr.st = make([]int32, len(run)), make([]PairState, len(run))
+		for k, rec := range run {
+			pr.js[k], pr.st[k] = rec.j, rec.ps
+		}
+		pairs.count.Add(int64(len(run)))
 	})
 	if err := wc.Finish(); err != nil {
 		return nil, err
@@ -312,44 +288,10 @@ func DecodeSnapshot(r io.Reader) (*Cache, error) {
 		srpSigs:    im.rows.srpSigs,
 		dim:        im.dim,
 		Seed:       im.seed,
-		Pairs:      pairStoreOf(im.rows.n, walked),
+		Pairs:      pairs,
 		SketchTime: im.sketchTime,
 		pruneMax:   make(map[float64][]int32),
 	}
 	c.buildTables()
 	return c, nil
-}
-
-// pairStoreOf builds the store of rows rows holding the walked entries, in
-// any order and every key below rows: stable by the smaller row then by the
-// larger is (larger, smaller) order, one run after another. A key the walk
-// carried twice keeps its deepest state, later entries winning ties, as a
-// sequence of Updates would.
-func pairStoreOf(rows int, walked []pairEntry) *PairStore {
-	bySmaller, _ := countingSort(walked, nil, rows, smallerRow)
-	sorted, _ := countingSort(bySmaller, walked, rows, largerRow)
-	unique := sorted[:0]
-	for _, e := range sorted {
-		if last := len(unique) - 1; last >= 0 && unique[last].key == e.key {
-			if evidence(e.ps) >= evidence(unique[last].ps) {
-				unique[last].ps = e.ps
-			}
-			continue
-		}
-		unique = append(unique, e)
-	}
-	s := NewPairStore()
-	dir := s.runs(rows)
-	js, st := make([]int32, len(unique)), make([]PairState, len(unique))
-	for lo := 0; lo < len(unique); {
-		i := largerRow(unique[lo])
-		hi := lo
-		for ; hi < len(unique) && largerRow(unique[hi]) == i; hi++ {
-			js[hi], st[hi] = int32(smallerRow(unique[hi])), unique[hi].ps
-		}
-		dir[i].js, dir[i].st = js[lo:hi:hi], st[lo:hi:hi]
-		lo = hi
-	}
-	s.count.Store(int64(len(unique)))
-	return s
 }

@@ -38,8 +38,8 @@ func denseLadderSnapshot(b *testing.B) (*Cache, []byte) {
 	return c, buf.Bytes()
 }
 
-// BenchmarkEncodeSnapshot encodes the explore-dense-shaped cache: the pair
-// store's runs regrouped into the wire's shard layout, then written
+// BenchmarkEncodeSnapshot encodes the explore-dense-shaped cache: each
+// row's run copied out under its read lock and written as it sits
 // (`make bench-snapshot`; MB/s is of snapshot bytes).
 func BenchmarkEncodeSnapshot(b *testing.B) {
 	c, snap := denseLadderSnapshot(b)
@@ -56,9 +56,9 @@ func BenchmarkEncodeSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeSnapshot decodes the same snapshot: the walk, then the
-// pairs regrouped into per-row runs, then the decision tables — what a
-// restore or a revive pays in the engine.
+// BenchmarkDecodeSnapshot decodes the same snapshot: the walk, filling each
+// row's run from its records, then the decision tables — what a restore or
+// a revive pays in the engine.
 func BenchmarkDecodeSnapshot(b *testing.B) {
 	_, snap := denseLadderSnapshot(b)
 	b.SetBytes(int64(len(snap)))

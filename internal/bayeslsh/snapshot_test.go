@@ -2,7 +2,9 @@ package bayeslsh
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 	"time"
@@ -212,6 +214,79 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	})
 }
 
+// TestSnapshotRejectsNonCanonical feeds the decoder CRC-valid streams the
+// encoder can never write: a lite byte or pair flags outside what the walk
+// writes, and runs whose smaller rows repeat, descend or reach their own
+// row, that declare more pairs than their row has below it, or that end
+// early. Each must fail with ErrSnapshotCorrupt, so every stream that
+// decodes re-encodes to itself byte for byte.
+func TestSnapshotRejectsNonCanonical(t *testing.T) {
+	// forge writes a three-row cosine snapshot whose pair section is runs.
+	forge := func(runs func(c *wire.Codec)) []byte {
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, snapErrors)
+		forgeSnapshotHead(c, DefaultParams(), vec.CosineSim, 3, sketchKindSRP)
+		for row := 0; row < 3; row++ {
+			c.U32(4)
+			for w := 0; w < 4; w++ {
+				c.U64(uint64(row))
+			}
+		}
+		runs(c)
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rec := func(c *wire.Codec, j uint32, flags uint8) {
+		c.U32(j)
+		c.U32(20) // M
+		c.U32(32) // N, on the default schedule
+		c.U8(flags)
+		c.F32(0)
+	}
+	run := func(c *wire.Codec, js ...uint32) {
+		c.U32(uint32(len(js)))
+		for _, j := range js {
+			rec(c, j, pairFlagDone)
+		}
+	}
+	valid := forge(func(c *wire.Codec) { run(c); run(c, 0); run(c, 0, 1) })
+	dec, err := DecodeSnapshot(bytes.NewReader(valid))
+	if err != nil {
+		t.Fatalf("well-formed forged snapshot: %v", err)
+	}
+	var out bytes.Buffer
+	if err := dec.EncodeSnapshot(&out); err != nil || !bytes.Equal(out.Bytes(), valid) {
+		t.Fatalf("well-formed forged snapshot re-encodes to different bytes (err %v)", err)
+	}
+
+	// lite2 is the valid stream with its lite byte, after the header and the
+	// ε, δ, γ, maxHashes, step and maxDFFrac fields, set to 2.
+	lite2 := bytes.Clone(valid)
+	lite2[10+3*8+2*4+8] = 2
+	binary.LittleEndian.PutUint32(lite2[len(lite2)-4:],
+		crc32.Checksum(lite2[:len(lite2)-4], crc32.MakeTable(crc32.Castagnoli)))
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"lite byte 2", lite2},
+		{"unknown flag bit", forge(func(c *wire.Codec) { run(c); c.U32(1); rec(c, 0, pairFlagDone|0x04); run(c, 0, 1) })},
+		{"repeated j", forge(func(c *wire.Codec) { run(c); run(c, 0); run(c, 0, 0) })},
+		{"descending j", forge(func(c *wire.Codec) { run(c); run(c, 0); run(c, 1, 0) })},
+		{"j not below its row", forge(func(c *wire.Codec) { run(c); run(c, 1); run(c, 0, 1) })},
+		{"run longer than its row", forge(func(c *wire.Codec) { run(c); run(c, 0); run(c, 0, 1, 2) })},
+		{"truncated run", forge(func(c *wire.Codec) { run(c); run(c, 0); c.U32(2); rec(c, 0, pairFlagDone) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if dec, err := DecodeSnapshot(bytes.NewReader(tc.data)); !errors.Is(err, ErrSnapshotCorrupt) || dec != nil {
+				t.Fatalf("err = %v (cache %v), want ErrSnapshotCorrupt and no cache", err, dec != nil)
+			}
+		})
+	}
+}
+
 // forgeSnapshotHead writes a well-formed cache snapshot header — the given
 // params, measure and declared row count — followed by the given
 // sketch-kind byte, through the same wire primitives the real walk uses.
@@ -283,8 +358,9 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 				}
 			}
 		}
-		c.U32(1) // shards
-		c.U32(0) // no pair entries
+		for range sigLens {
+			c.U32(0) // an empty run
+		}
 		if err := c.Finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +396,7 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 }
 
 // scheduleBombSnapshot forges the CRC-valid snapshot of an empty cache whose
-// params ask for the given schedule: 601 bytes whatever they are.
+// params ask for the given schedule: 85 bytes whatever they are.
 func scheduleBombSnapshot(t testing.TB, maxHashes, step int) []byte {
 	t.Helper()
 	p := DefaultParams()
@@ -334,11 +410,7 @@ func emptySnapshot(t testing.TB, p Params) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	c := wire.NewEncoder(&buf, snapErrors)
-	forgeSnapshotHead(c, p, vec.CosineSim, 0, sketchKindSRP)
-	c.U32(snapshotShards)
-	for sh := 0; sh < snapshotShards; sh++ {
-		c.U32(0) // no pair entries
-	}
+	forgeSnapshotHead(c, p, vec.CosineSim, 0, sketchKindSRP) // no rows, so no runs
 	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +419,12 @@ func emptySnapshot(t testing.TB, p Params) []byte {
 
 // TestSnapshotRejectsScheduleBomb pins that decoded params are validated
 // before the concentration table is built from them: MaxHashes 8192 at
-// Step 1 is a table of 3·10⁷ cells (35 s here) behind 601 bytes, and the
-// old per-field ceilings admitted 5·10¹¹.
+// Step 1 is a table of 3·10⁷ cells (35 s on a 2-CPU box) behind 85 bytes,
+// and the old per-field ceilings admitted 5·10¹¹.
 func TestSnapshotRejectsScheduleBomb(t *testing.T) {
 	bomb := scheduleBombSnapshot(t, 8192, 1)
-	if len(bomb) != 601 {
-		t.Errorf("forged stream is %d bytes, want the 601 of an empty cache", len(bomb))
+	if len(bomb) != 85 {
+		t.Errorf("forged stream is %d bytes, want the 85 of an empty cache", len(bomb))
 	}
 	start := time.Now()
 	_, err := DecodeSnapshot(bytes.NewReader(bomb))
@@ -421,9 +493,9 @@ func TestSnapshotRejectsOffScheduleEvidence(t *testing.T) {
 			c.U64(0)
 		}
 	}
-	c.U32(1) // shards
-	c.U32(1) // one pair entry
-	c.U64(PairKey(0, 1))
+	c.U32(0)  // row 0's run is empty
+	c.U32(1)  // row 1's run holds pair (0, 1)
+	c.U32(0)  // j
 	c.U32(5)  // M
 	c.U32(33) // N
 	c.U8(0)
@@ -447,6 +519,8 @@ func TestSnapshotGolden(t *testing.T) {
 		Sums: map[string]string{
 			"cache-v2-minhash.snap": "2541a52dabbe90b585b630e43c04594bc7c1ec4dae0eaf97db426b4533b77064",
 			"cache-v2-srp.snap":     "4a5e280ee4335fb81c3e6c78d887600cb1f502a0fd8b8effdd4ea8d2dfae69f1",
+			"cache-v3-minhash.snap": "430082af240bfe668c36cb12833df77d1dc7079857a29829cc3771c6912e8bcd",
+			"cache-v3-srp.snap":     "b2b9c403712e933cd8bfdbc0eec56942187478b965273f2892522449c62862e0",
 		},
 		Recode: func(data []byte) ([]byte, error) {
 			c, err := DecodeSnapshot(bytes.NewReader(data))
@@ -462,4 +536,15 @@ func TestSnapshotGolden(t *testing.T) {
 		},
 		ErrVersion: ErrSnapshotVersion,
 	})
+	// There is no decode path for v2 streams: they are refused as a version,
+	// never half-read.
+	v2 := wiretest.Files(t, "cache-v2-*")
+	if len(v2) != 2 {
+		t.Fatalf("%d cache-v2 goldens, want 2", len(v2))
+	}
+	for name, data := range v2 {
+		if c, err := DecodeSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotVersion) || c != nil {
+			t.Errorf("%s: err = %v (cache %v), want ErrSnapshotVersion and no cache", name, err, c != nil)
+		}
+	}
 }

@@ -21,7 +21,7 @@ import (
 // nothing but the decode. The stream is versioned and checksummed:
 //
 //	magic   "PLHDSESS"                      (8 bytes)
-//	version uint16                          (currently 3)
+//	version uint16                          (currently 4)
 //	payload dataset.Spec (binary codec), optionally the dataset itself
 //	        (for sessions over uploaded data that no spec can rebuild,
 //	        and for grown sessions whose appended rows no spec covers),
@@ -36,7 +36,8 @@ import (
 // re-snapshot reproduces the saved bytes exactly. Version 3 shrank the probe
 // history from one record per probe, pair list included, to the probe count,
 // the distinct probed thresholds and the summed processing time, so a
-// snapshot's size no longer grows with the number of probes served.
+// snapshot's size no longer grows with the number of probes served. Version
+// 4 changed no field of its own: it embeds cache snapshot version 3.
 //
 // sessionImage.walk is the one description of the payload ahead of the
 // cache stream: internal/wire drives it in both directions, so its checks
@@ -48,7 +49,7 @@ import (
 var sessSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
 
 // SessionSnapshotVersion is the current session snapshot format version.
-const SessionSnapshotVersion uint16 = 3
+const SessionSnapshotVersion uint16 = 4
 
 // Typed session-snapshot failures.
 var (

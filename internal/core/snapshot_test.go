@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -550,24 +552,63 @@ func TestSessionSnapshotGolden(t *testing.T) {
 			"session-v2-spec.snap":     "7d9899e803b237bc0c2bcb0b5ddeba76d79952d045b93bc62676ed61f78cc690",
 			"session-v3-embedded.snap": "07b21a3c7329348a9980a283421ebb34f291613412ff9e71085c7c72caa145a3",
 			"session-v3-spec.snap":     "11af575dd21a0fd9e64b3de31dc96ad477987954bfc0bb081917fc8257adbde7",
+			"session-v4-embedded.snap": "ffaf14c43b1554fe6bd257cde4060c265129dcfda8008c358fd26b55355a9ee3",
+			"session-v4-spec.snap":     "ca5861fd643997a8539c52dade5f134083e478360ba144114009a1cfb29f39f1",
 		},
 		Recode:     recodeSession,
 		ErrVersion: ErrSessionSnapshotVersion,
 	})
-	// There is no decode path for v2 streams: they are refused as a version,
-	// never half-read.
-	for name, data := range wiretest.Files(t, "session-v2-*") {
-		if _, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) {
-			t.Errorf("%s: err = %v, want ErrSessionSnapshotVersion", name, err)
+	// There is no decode path for v2 or v3 streams: they are refused as a
+	// version, never half-read.
+	for _, glob := range []string{"session-v2-*", "session-v3-*"} {
+		for name, data := range wiretest.Files(t, glob) {
+			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) || s != nil {
+				t.Errorf("%s: err = %v (session %v), want ErrSessionSnapshotVersion and no session", name, err, s != nil)
+			}
 		}
 	}
-	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v3-embedded.snap")["session-v3-embedded.snap"]), nil)
+	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v4-embedded.snap")["session-v4-embedded.snap"]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.AppendEpoch() == 0 || !s.Spec.IsZero() || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
 		t.Errorf("embedded golden: epoch %d, spec %+v, %d pairs, %d probes — want a grown spec-less probed session",
 			s.AppendEpoch(), s.Spec, s.CachedPairs(), s.ProbeCount())
+	}
+}
+
+// TestScheduleBombSeedsReachValidate reads the checked-in schedule-bomb fuzz
+// seeds — the cache stream and its session-wrapped form — and requires the
+// refusal they exist for: Params.Validate naming the schedule. A format
+// version bump that left them behind would turn both into header-only
+// version rejects, and the fuzz corpus would stop exercising the check
+// without a failure anywhere.
+func TestScheduleBombSeedsReachValidate(t *testing.T) {
+	for _, tc := range []struct {
+		path    string
+		restore func(r io.Reader) error
+	}{
+		{"../bayeslsh/testdata/fuzz/FuzzDecodeSnapshot/schedule-bomb",
+			func(r io.Reader) error { _, err := bayeslsh.DecodeSnapshot(r); return err }},
+		{"testdata/fuzz/FuzzRestoreSession/schedule-bomb",
+			func(r io.Reader) error { _, err := RestoreSession(r, nil); return err }},
+	} {
+		raw, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A seed file is the corpus header line, then []byte("…") in Go syntax.
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		lit, ok := strings.CutPrefix(value, "[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		data, err := strconv.Unquote(lit)
+		if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+			t.Fatalf("%s is not a one-value fuzz seed: %v", tc.path, err)
+		}
+		err = tc.restore(strings.NewReader(data))
+		if !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "schedule") {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt from Params.Validate naming the schedule", tc.path, err)
+		}
 	}
 }
 

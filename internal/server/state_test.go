@@ -274,28 +274,33 @@ func TestCorruptStateFileSkippedOnBoot(t *testing.T) {
 // TestOldVersionStateFileSkippedOnBoot is the upgrade path across a session
 // snapshot version bump: a state dir holding a blob the running version no
 // longer reads boots, restores nothing, logs the refusal, and answers 404
-// for the session — the handling of any unreadable blob.
+// for the session — the handling of any unreadable blob. Both earlier
+// versions are fed: v2 (per-probe pair lists) and v3 (cache snapshot v2).
 func TestOldVersionStateFileSkippedOnBoot(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", "session-v2-spec.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "s1.snap"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var logBuf syncBuffer
-	srv := New(Config{Capacity: 4, RequestTimeout: 30 * time.Second, StateDir: dir, Logger: log.New(&logBuf, "", 0)})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	if n, err := srv.LoadState(); n != 0 || err != nil || srv.Manager().Len() != 0 {
-		t.Fatalf("LoadState = %d, %v with %d resident, want 0 sessions and no error", n, err, srv.Manager().Len())
-	}
-	if logs := logBuf.String(); !strings.Contains(logs, "revive s1 failed") || !strings.Contains(logs, core.ErrSessionSnapshotVersion.Error()) {
-		t.Errorf("the refusal is not logged; log:\n%s", logs)
-	}
-	if st := call(t, "GET", ts.URL+"/v1/sessions/s1", nil, nil); st != http.StatusNotFound {
-		t.Fatalf("old-version session acquired: status %d", st)
+	for _, golden := range []string{"session-v2-spec.snap", "session-v3-spec.snap"} {
+		t.Run(golden, func(t *testing.T) {
+			old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "s1.snap"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logBuf syncBuffer
+			srv := New(Config{Capacity: 4, RequestTimeout: 30 * time.Second, StateDir: dir, Logger: log.New(&logBuf, "", 0)})
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			if n, err := srv.LoadState(); n != 0 || err != nil || srv.Manager().Len() != 0 {
+				t.Fatalf("LoadState = %d, %v with %d resident, want 0 sessions and no error", n, err, srv.Manager().Len())
+			}
+			if logs := logBuf.String(); !strings.Contains(logs, "revive s1 failed") || !strings.Contains(logs, core.ErrSessionSnapshotVersion.Error()) {
+				t.Errorf("the refusal is not logged; log:\n%s", logs)
+			}
+			if st := call(t, "GET", ts.URL+"/v1/sessions/s1", nil, nil); st != http.StatusNotFound {
+				t.Fatalf("old-version session acquired: status %d", st)
+			}
+		})
 	}
 }
 
