@@ -9,8 +9,8 @@
 // Scale caps per-dataset row counts; 0 runs each experiment's default
 // reproduction scale (minutes, not hours), set where its registered function
 // in internal/experiments loads its data; -list prints the registry. Output
-// is plain text: aligned tables for the paper's tables, TSV/ASCII series for
-// its figures. It prints experiments; performance is measured by the
+// is plain text: aligned tables for the paper's tables, tables and ASCII
+// charts for its figures. It prints experiments; performance is measured by the
 // repository's benchmark, `go run ./bench`.
 package main
 

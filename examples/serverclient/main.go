@@ -108,14 +108,12 @@ func main() {
 	fmt.Printf("cues at the knee: %d triangles, top core numbers %v\n",
 		cues.Triangles, cues.DensityProfile)
 
-	var stats struct {
-		Probes          int64 `json:"probes"`
-		ProbesCoalesced int64 `json:"probesCoalesced"`
-		Requests        int64 `json:"requests"`
-	}
+	// /v1/stats is every unlabeled metric family, keyed by its /metrics name.
+	var stats map[string]float64
 	get(base+"/v1/stats", &stats)
-	fmt.Printf("server stats: %d probes (%d coalesced) across %d requests\n",
-		stats.Probes, stats.ProbesCoalesced, stats.Requests)
+	fmt.Printf("server stats: %g probes (%g coalesced) across %g requests\n",
+		stats["plasmad_probes_total"], stats["plasmad_probes_coalesced_total"],
+		stats["plasmad_http_requests_started_total"])
 }
 
 var client = &http.Client{Timeout: 60 * time.Second}

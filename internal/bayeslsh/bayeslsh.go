@@ -863,23 +863,3 @@ func RecallPrecision(got []Pair, truth []Pair) (recall, precision float64) {
 	}
 	return recall, precision
 }
-
-// EstimateVariance returns the posterior variance of a pair's similarity
-// estimate (propagated through the collision map by the delta method).
-// Exactly verified pairs have zero variance.
-func (c *Cache) EstimateVariance(ps PairState) float64 {
-	if ps.HasExact {
-		return 0
-	}
-	if ps.N == 0 {
-		return 0.25
-	}
-	post := stats.NewBetaPosterior(int(ps.M), int(ps.N))
-	v := post.Variance()
-	if c.Measure == vec.JaccardSim {
-		return v
-	}
-	// ds/dp of cos(pi(1-p)) is pi*sin(pi(1-p)).
-	d := math.Pi * math.Sin(math.Pi*(1-post.MAP()))
-	return v * d * d
-}

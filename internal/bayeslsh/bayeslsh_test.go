@@ -233,12 +233,6 @@ func TestProbAboveAndEstimate(t *testing.T) {
 	if c.ProbAbove(PairState{}, 0.5) != 0 {
 		t.Error("zero-evidence tail should be 0")
 	}
-	if v := c.EstimateVariance(PairState{M: 128, N: 256}); v <= 0 {
-		t.Errorf("variance %v must be positive", v)
-	}
-	if v := c.EstimateVariance(PairState{}); v != 0.25 {
-		t.Errorf("prior variance %v", v)
-	}
 }
 
 func TestRecallPrecisionEdge(t *testing.T) {

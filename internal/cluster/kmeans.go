@@ -7,7 +7,7 @@
 // deterministic for a given seed, so every experiment that stratifies or
 // colors by cluster is reproducible run to run. The Result bundle exposes
 // the per-point assignment, the centroids, the within-cluster inertia, and
-// the Sizes/Members views the samplers and renderers consume. Rows are
+// the Members view the samplers and renderers consume. Rows are
 // plain []float64 slices in the original (typically z-normed) attribute
 // space — callers normalize before clustering, as §3.5 does.
 package cluster
@@ -22,15 +22,6 @@ type Result struct {
 	Assign    []int
 	Centroids [][]float64
 	Inertia   float64 // sum of squared distances to assigned centroids
-}
-
-// Sizes returns the number of points per cluster.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, len(r.Centroids))
-	for _, a := range r.Assign {
-		sizes[a]++
-	}
-	return sizes
 }
 
 // Members returns the point indices of each cluster.

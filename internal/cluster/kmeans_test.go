@@ -39,7 +39,10 @@ func TestKMeansRecoversSeparatedBlobs(t *testing.T) {
 	if len(mapping) != 3 {
 		t.Fatalf("blobs merged: %v", mapping)
 	}
-	sizes := res.Sizes()
+	sizes := make([]int, len(res.Centroids))
+	for _, a := range res.Assign {
+		sizes[a]++
+	}
 	for ci, s := range sizes {
 		if s != 40 {
 			t.Errorf("cluster %d size %d want 40", ci, s)

@@ -58,11 +58,6 @@ func CorpusNames() []string {
 	return names
 }
 
-// NewCorpus generates the named corpus at its stand-in size.
-func NewCorpus(name string, seed int64) (*vec.Dataset, error) {
-	return NewCorpusScaled(name, 0, seed)
-}
-
 // NewCorpusScaled generates the named corpus capped at maxDocs rows
 // (0 = spec size).
 func NewCorpusScaled(name string, maxDocs int, seed int64) (*vec.Dataset, error) {

@@ -146,7 +146,7 @@ func TestNewCorpus(t *testing.T) {
 			t.Error("rcv1 must use cosine")
 		}
 	}
-	if _, err := NewCorpus("nope", 1); err == nil {
+	if _, err := NewCorpusScaled("nope", 0, 1); err == nil {
 		t.Error("unknown corpus should error")
 	}
 }
@@ -200,7 +200,7 @@ func TestNewTransactions(t *testing.T) {
 			t.Errorf("%s: zero size", name)
 		}
 	}
-	if _, err := NewTransactions("nope", 1); err == nil {
+	if _, err := NewTransactionsScaled("nope", 0, 1); err == nil {
 		t.Error("unknown transactional set should error")
 	}
 }
@@ -242,7 +242,7 @@ func TestNewWebGraph(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewWebGraph("nope", 1); err == nil {
+	if _, err := NewWebGraphScaled("nope", 0, 1); err == nil {
 		t.Error("unknown graph should error")
 	}
 }

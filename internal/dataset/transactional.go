@@ -62,12 +62,8 @@ func (t *Transactions) Size() int {
 	return s
 }
 
-// NewTransactions generates the named transactional dataset.
-func NewTransactions(name string, seed int64) (*Transactions, error) {
-	return NewTransactionsScaled(name, 0, seed)
-}
-
-// NewTransactionsScaled caps the row count at maxTrans (0 = spec size).
+// NewTransactionsScaled generates the named transactional dataset, capping
+// the row count at maxTrans (0 = spec size).
 func NewTransactionsScaled(name string, maxTrans int, seed int64) (*Transactions, error) {
 	spec, ok := transSpecs[name]
 	if !ok {
@@ -190,13 +186,9 @@ func GraphNames() []string {
 	return names
 }
 
-// NewWebGraph generates the named web-graph stand-in as adjacency-list
-// transactions (row v = sorted out-neighbours of v).
-func NewWebGraph(name string, seed int64) (*Transactions, error) {
-	return NewWebGraphScaled(name, 0, seed)
-}
-
-// NewWebGraphScaled caps the vertex count at maxVertices (0 = spec size).
+// NewWebGraphScaled generates the named web-graph stand-in as adjacency-list
+// transactions (row v = sorted out-neighbours of v), capping the vertex
+// count at maxVertices (0 = spec size).
 func NewWebGraphScaled(name string, maxVertices int, seed int64) (*Transactions, error) {
 	spec, ok := graphSpecs[name]
 	if !ok {

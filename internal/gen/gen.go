@@ -1,9 +1,8 @@
 // Package gen implements the graph generation models chapter 3 compares
 // densifying real-data graphs against — Erdős–Rényi, preferential
-// attachment, and random geometric — plus an LFR-style planted-community
-// benchmark used for the §2.3.4 interaction experiments. Every generator
-// takes a target edge count, the only model criterion the graph-growth
-// method requires ("the ability to control approximate edge count").
+// attachment, and random geometric. Every generator takes a target edge
+// count, the only model criterion the graph-growth method requires ("the
+// ability to control approximate edge count").
 package gen
 
 import (
@@ -191,29 +190,4 @@ func Generate(model Model, n, m int, seed int64) *graph.Graph {
 		return f(n, m, seed)
 	}
 	return ErdosRenyi(n, m, seed)
-}
-
-// PlantedPartition generates an LFR-style benchmark: k equal communities
-// with intra-community edge probability pin and inter probability pout,
-// plus the ground-truth community label per vertex. It stands in for the
-// LFR binary generator of §2.3.4.
-func PlantedPartition(n, k int, pin, pout float64, seed int64) (*graph.Graph, []int) {
-	rng := rand.New(rand.NewSource(seed))
-	labels := make([]int, n)
-	for v := range labels {
-		labels[v] = v % k
-	}
-	var edges [][2]int32
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			p := pout
-			if labels[u] == labels[v] {
-				p = pin
-			}
-			if rng.Float64() < p {
-				edges = append(edges, [2]int32{int32(u), int32(v)})
-			}
-		}
-	}
-	return graph.FromEdges(n, edges), labels
 }

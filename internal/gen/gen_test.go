@@ -59,30 +59,6 @@ func TestGenerateDispatch(t *testing.T) {
 	}
 }
 
-func TestPlantedPartition(t *testing.T) {
-	g, labels := PlantedPartition(60, 3, 0.8, 0.02, 5)
-	if g.N() != 60 || len(labels) != 60 {
-		t.Fatal("shape")
-	}
-	// Count intra vs inter edges.
-	intra, inter := 0, 0
-	for u := 0; u < g.N(); u++ {
-		for _, w := range g.Neighbors(u) {
-			if int(w) < u {
-				continue
-			}
-			if labels[u] == labels[w] {
-				intra++
-			} else {
-				inter++
-			}
-		}
-	}
-	if intra <= inter*3 {
-		t.Errorf("community structure too weak: intra %d inter %d", intra, inter)
-	}
-}
-
 func TestGeneratorsDeterministicProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := ErdosRenyi(40, 100, seed)

@@ -163,12 +163,6 @@ func TestClusteringCoefficient(t *testing.T) {
 	if cc := path5().ClusteringCoefficient(); cc != 0 {
 		t.Errorf("path clustering = %v", cc)
 	}
-	if gc := k4().GlobalClustering(); gc != 1 {
-		t.Errorf("K4 transitivity = %v", gc)
-	}
-	if gc := path5().GlobalClustering(); gc != 0 {
-		t.Errorf("path transitivity = %v", gc)
-	}
 }
 
 func TestDiameter(t *testing.T) {

@@ -102,16 +102,3 @@ func (g *Graph) ClusteringCoefficient() float64 {
 	}
 	return sum / float64(g.N())
 }
-
-// GlobalClustering returns 3*triangles / #wedges (transitivity).
-func (g *Graph) GlobalClustering() float64 {
-	var wedges int64
-	for v := 0; v < g.N(); v++ {
-		d := int64(g.Degree(v))
-		wedges += d * (d - 1) / 2
-	}
-	if wedges == 0 {
-		return 0
-	}
-	return 3 * float64(g.Triangles()) / float64(wedges)
-}

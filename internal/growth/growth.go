@@ -109,18 +109,6 @@ func GraphAtEdges(pairs []PairSim, n, m int) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// ThresholdAtEdges returns the similarity of the m-th most similar pair —
-// the threshold that would generate that density.
-func ThresholdAtEdges(pairs []PairSim, m int) float64 {
-	if m <= 0 || len(pairs) == 0 {
-		return math.Inf(1)
-	}
-	if m > len(pairs) {
-		m = len(pairs)
-	}
-	return pairs[m-1].S
-}
-
 // Method selects one of the three §3.3 sampling methods.
 type Method int
 

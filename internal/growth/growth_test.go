@@ -69,20 +69,16 @@ func TestGraphAtEdgesAndThreshold(t *testing.T) {
 	if g.M() != 50 {
 		t.Errorf("M=%d want 50", g.M())
 	}
-	// The 50 most similar pairs all have sim >= threshold at 50 edges.
-	th := ThresholdAtEdges(pairs, 50)
+	// The graph at 50 edges is the 50 most similar pairs.
 	for k := 0; k < 50; k++ {
-		if pairs[k].S < th {
-			t.Fatal("edge below threshold included")
+		if !g.HasEdge(int(pairs[k].I), int(pairs[k].J)) {
+			t.Fatalf("pair %d (%d, %d) missing from the graph", k, pairs[k].I, pairs[k].J)
 		}
 	}
 	// Overflow clamps.
 	g = GraphAtEdges(pairs, 30, 1<<20)
 	if g.M() != len(pairs) {
 		t.Errorf("clamped M=%d", g.M())
-	}
-	if !math.IsInf(ThresholdAtEdges(pairs, 0), 1) {
-		t.Error("zero edges threshold should be +inf")
 	}
 }
 

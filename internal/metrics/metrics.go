@@ -6,16 +6,17 @@
 // tests can pin the exposition.
 //
 // The design inverts the usual client-library shape: instead of a global
-// default registry, every Registry is explicit, and the server's existing
-// stats block holds *Counter handles registered here — the JSON stats view
-// and the /metrics exposition read the same atomics, so they can never
-// disagree.
+// default registry, every Registry is explicit, and the server's stats
+// block holds *Counter handles registered here. JSON renders the same
+// families a second way — every unlabeled family keyed by name — so the
+// JSON stats view and the /metrics exposition can never disagree.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,15 +64,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -127,14 +119,14 @@ type series struct {
 // exposition format. All methods are safe for concurrent use; registration
 // normally happens once at startup, collection on every scrape.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu sync.Mutex
+	// families is in name order. Registration replaces the slice and never
+	// modifies one in place, so a reader may keep the slice it was given.
+	families []*family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // register adds (or finds) a family, panicking on a name registered twice
 // with a different shape — metric names are code-level constants, so a
@@ -150,14 +142,18 @@ func (r *Registry) register(name, help string, k kind, labels []string) *family 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
+	i, ok := slices.BinarySearchFunc(r.families, name, func(f *family, name string) int {
+		return strings.Compare(f.name, name)
+	})
+	if ok {
+		f := r.families[i]
 		if f.kind != k || strings.Join(f.labels, ",") != strings.Join(labels, ",") {
 			panic(fmt.Sprintf("metrics: %s re-registered with a different shape", name))
 		}
 		return f
 	}
 	f := &family{name: name, help: help, kind: k, labels: labels, series: make(map[string]*series)}
-	r.families[name] = f
+	r.families = slices.Insert(slices.Clip(r.families), i, f) // a copy: readers may hold the old slice
 	return f
 }
 
@@ -298,22 +294,60 @@ func (f *family) childHist(values []string, bounds []float64) *series {
 	return se
 }
 
+// sortedFamilies returns the families in name order. The slice is never
+// modified, so callers read values (and run gauge callbacks) without
+// holding the registry lock.
+func (r *Registry) sortedFamilies() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.families
+}
+
 // WritePrometheus renders every family in the text exposition format,
 // deterministically: families in name order, series in label-value order.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(a, b int) bool { return fams[a].name < fams[b].name })
-	for _, f := range fams {
+	for _, f := range r.sortedFamilies() {
 		if err := f.write(w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// JSON renders every unlabeled family — each a single counter or gauge — as
+// one JSON object keyed by family name, in name order. It walks the same
+// families as WritePrometheus, so the two views cannot disagree; labeled
+// families are exposition-only. A NaN or infinite gauge renders as null.
+func (r *Registry) JSON() []byte {
+	fams := r.sortedFamilies()
+	b := append(make([]byte, 0, 48*len(fams)), '{')
+	for _, f := range fams {
+		f.mu.Lock()
+		se := f.series[""] // labeled series never have the empty key
+		f.mu.Unlock()
+		if se == nil {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, f.name...) // validName: nothing to escape
+		b = append(b, '"', ':')
+		switch {
+		case se.counterFn != nil:
+			b = strconv.AppendInt(b, se.counterFn(), 10)
+		case se.counter != nil:
+			b = strconv.AppendInt(b, se.counter.Load(), 10)
+		default:
+			if v := se.gaugeFn(); math.IsNaN(v) || math.IsInf(v, 0) {
+				b = append(b, "null"...)
+			} else {
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			}
+		}
+	}
+	return append(b, '}')
 }
 
 func (f *family) write(w io.Writer) error {

@@ -252,21 +252,3 @@ func NormalizeColumns(data [][]float64) {
 		}
 	}
 }
-
-// Bezier samples a quadratic Bézier curve through p0 with control p1 to p2
-// at steps+1 points — the §5.1.1 smooth bending of lines through the
-// assistant coordinate.
-func Bezier(p0, p1, p2 [2]float64, steps int) [][2]float64 {
-	if steps < 1 {
-		steps = 8
-	}
-	out := make([][2]float64, 0, steps+1)
-	for s := 0; s <= steps; s++ {
-		t := float64(s) / float64(steps)
-		u := 1 - t
-		x := u*u*p0[0] + 2*u*t*p1[0] + t*t*p2[0]
-		y := u*u*p0[1] + 2*u*t*p1[1] + t*t*p2[1]
-		out = append(out, [2]float64{x, y})
-	}
-	return out
-}

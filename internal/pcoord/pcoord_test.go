@@ -278,20 +278,6 @@ func TestNormalizeColumns(t *testing.T) {
 	NormalizeColumns(nil)
 }
 
-func TestBezier(t *testing.T) {
-	pts := Bezier([2]float64{0, 0}, [2]float64{0.5, 1}, [2]float64{1, 0}, 10)
-	if len(pts) != 11 {
-		t.Fatalf("%d points", len(pts))
-	}
-	if pts[0] != [2]float64{0, 0} || pts[10] != [2]float64{1, 0} {
-		t.Error("endpoints")
-	}
-	// Midpoint of a quadratic Bézier = (p0 + 2c + p2)/4.
-	if got := pts[5][1]; got != 0.5 {
-		t.Errorf("midpoint y %v want 0.5", got)
-	}
-}
-
 func TestRenderSVG(t *testing.T) {
 	tab, err := dataset.NewTableScaled("winepc", 60, 1)
 	if err != nil {

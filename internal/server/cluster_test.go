@@ -438,12 +438,11 @@ func TestSpillFailureVisible(t *testing.T) {
 	probePairs(t, ts.URL, first, 0.8) // give the victim evidence worth mourning
 	createToy(t, ts.URL)              // capacity 1: evicts and tries to spill the first
 
-	snap := srv.mgr.Snapshot()
-	if snap.SpillFailures != 1 {
-		t.Fatalf("spillFailures = %d, want 1", snap.SpillFailures)
+	if n := srv.mgr.stats.SpillFailures.Load(); n != 1 {
+		t.Fatalf("spill failures = %d, want 1", n)
 	}
-	if snap.SessionsSpilled != 0 {
-		t.Fatalf("sessionsSpilled = %d, want 0 (the spill failed)", snap.SessionsSpilled)
+	if n := srv.mgr.stats.SessionsSpilled.Load(); n != 0 {
+		t.Fatalf("sessions spilled = %d, want 0 (the spill failed)", n)
 	}
 	logged := buf.String()
 	if !strings.Contains(logged, "spill "+first+" failed") || !strings.Contains(logged, "cached pairs lost") {

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -34,7 +33,7 @@ func (s *Server) Routes() []Route {
 	return []Route{
 		{"GET", "/healthz", "liveness check", s.json(s.handleHealthz)},
 		{"GET", "/metrics", "Prometheus text exposition of the metrics registry", s.handleMetrics},
-		{"GET", "/v1/stats", "manager and process statistics", s.json(s.handleStats)},
+		{"GET", "/v1/stats", "JSON view of the metrics registry's unlabeled families", s.handleStats},
 		{"GET", "/v1/datasets", "built-in dataset generators by kind", s.json(s.handleDatasets)},
 		{"POST", "/v1/sessions", "create a session from a named generator or uploaded data", s.json(s.handleCreateSession)},
 		{"GET", "/v1/sessions", "list resident sessions", s.json(s.handleListSessions)},
@@ -90,7 +89,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 // endpoint is the shape of every JSON route handler: it reads the request
 // and returns the response as values. It never holds a ResponseWriter, so it
 // cannot bypass the envelope or the error counter behind it. status and body
-// are ignored when err is non-nil. Only /metrics (text exposition) and
+// are ignored when err is non-nil. Only the two registry views, /metrics and
+// /v1/stats (rendered by the registry, with no error to report), and
 // .../snapshot (binary stream with a holdback) keep http.HandlerFunc.
 type endpoint func(r *http.Request) (status int, body any, err error)
 
@@ -495,12 +495,6 @@ type sweepResponse struct {
 	Snapshots []snapshotJSON `json:"snapshots"`
 }
 
-type statsResponse struct {
-	StatsSnapshot
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Goroutines    int     `json:"goroutines"`
-}
-
 // ---- handlers ----
 
 func (s *Server) handleHealthz(r *http.Request) (int, any, error) {
@@ -521,12 +515,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-func (s *Server) handleStats(r *http.Request) (int, any, error) {
-	return http.StatusOK, statsResponse{
-		StatsSnapshot: s.mgr.Snapshot(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-	}, nil
+// handleStats serves the JSON view of the registry: every unlabeled family
+// of /metrics, keyed by name. The registry renders the object itself, so
+// it is written as is rather than re-encoded through the envelope.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(s.mgr.Registry().JSON(), '\n'))
 }
 
 func (s *Server) handleDatasets(r *http.Request) (int, any, error) {

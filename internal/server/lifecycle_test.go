@@ -362,8 +362,9 @@ func TestLifecycleChurn(t *testing.T) {
 func TestLifecycleTransitions(t *testing.T) {
 	type counts struct{ evicted, spilled, restored, deleted, spillFailures int64 }
 	read := func(m *Manager) counts {
-		s := m.Snapshot()
-		return counts{s.SessionsEvicted, s.SessionsSpilled, s.SessionsRestored, s.SessionsDeleted, s.SpillFailures}
+		s := m.stats
+		return counts{s.SessionsEvicted.Load(), s.SessionsSpilled.Load(), s.SessionsRestored.Load(),
+			s.SessionsDeleted.Load(), s.SpillFailures.Load()}
 	}
 	// Target states. "moving" is a handoff spill held inside Put (so its
 	// spill is counted after the operation starts): the operation must wait

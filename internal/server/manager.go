@@ -80,8 +80,8 @@ func (m *Manager) mintID() string {
 
 // NewManager returns an empty manager admitting up to capacity resident
 // sessions (minimum 1). The manager owns the process's metrics registry:
-// its counter block is registered there at construction, so the JSON stats
-// view and the Prometheus exposition read the same atomics.
+// its counter block is registered there at construction, and both stats
+// surfaces render that registry.
 func NewManager(capacity int) *Manager {
 	if capacity < 1 {
 		capacity = 1
@@ -148,8 +148,8 @@ func (m *Manager) CueCacheStats() (hits, misses int64) {
 }
 
 // Stats is the manager's counter block: handles into the metrics registry,
-// read without locks by GET /v1/stats and /metrics while requests are in
-// flight.
+// through which the code increments them. GET /v1/stats and /metrics read
+// the registry, never this block.
 type Stats struct {
 	SessionsCreated  *metrics.Counter
 	SessionsEvicted  *metrics.Counter
@@ -161,45 +161,6 @@ type Stats struct {
 	ProbesCoalesced  *metrics.Counter
 	Requests         *metrics.Counter
 	Errors           *metrics.Counter
-}
-
-// StatsSnapshot is the JSON form of the counter block.
-type StatsSnapshot struct {
-	Sessions         int   `json:"sessions"`
-	Capacity         int   `json:"capacity"`
-	SessionsCreated  int64 `json:"sessionsCreated"`
-	SessionsEvicted  int64 `json:"sessionsEvicted"`
-	SessionsDeleted  int64 `json:"sessionsDeleted"`
-	SessionsSpilled  int64 `json:"sessionsSpilled"`
-	SpillFailures    int64 `json:"spillFailures"`
-	SessionsRestored int64 `json:"sessionsRestored"`
-	Probes           int64 `json:"probes"`
-	ProbesCoalesced  int64 `json:"probesCoalesced"`
-	Requests         int64 `json:"requests"`
-	Errors           int64 `json:"errors"`
-	CueCacheHits     int64 `json:"cueCacheHits"`
-	CueCacheMisses   int64 `json:"cueCacheMisses"`
-}
-
-// Snapshot reads the counters.
-func (m *Manager) Snapshot() StatsSnapshot {
-	cueHits, cueMisses := m.CueCacheStats()
-	return StatsSnapshot{
-		CueCacheHits:     cueHits,
-		CueCacheMisses:   cueMisses,
-		Sessions:         m.Len(),
-		Capacity:         m.capacity,
-		SessionsCreated:  m.stats.SessionsCreated.Load(),
-		SessionsEvicted:  m.stats.SessionsEvicted.Load(),
-		SessionsDeleted:  m.stats.SessionsDeleted.Load(),
-		SessionsSpilled:  m.stats.SessionsSpilled.Load(),
-		SpillFailures:    m.stats.SpillFailures.Load(),
-		SessionsRestored: m.stats.SessionsRestored.Load(),
-		Probes:           m.stats.Probes.Load(),
-		ProbesCoalesced:  m.stats.ProbesCoalesced.Load(),
-		Requests:         m.stats.Requests.Load(),
-		Errors:           m.stats.Errors.Load(),
-	}
 }
 
 // ManagedSession wraps one core.Session with the bookkeeping the server

@@ -68,7 +68,11 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			if route == "" {
 				route = "unmatched"
 			}
-			s.httpRequests.With(route, r.Method, sw.codeClass()).Inc()
+			method := r.Method
+			if !s.routeMethods[method] {
+				method = "other"
+			}
+			s.httpRequests.With(route, method, sw.codeClass()).Inc()
 			s.httpLatency.With(route).Observe(time.Since(start).Seconds())
 		}()
 		defer func() {

@@ -119,20 +119,100 @@ func TestMetricsEndpointCoversTheDaemon(t *testing.T) {
 			t.Errorf("%s = %v, unexpected", series, v)
 		}
 	}
+}
 
-	// The JSON stats block is a view over the same registry: the two
-	// surfaces can never disagree on a quiescent daemon.
-	var stats statsResponse
-	if st := call(t, "GET", ts.URL+"/v1/stats", nil, &stats); st != 200 {
-		t.Fatalf("stats: %d", st)
+// unlabeledSamples returns every label-free sample of an exposition by
+// series name: exactly the unlabeled families, since every histogram here
+// is labeled.
+func unlabeledSamples(t *testing.T, exposition string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSuffix(exposition, "\n"), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[name] = v
 	}
-	exp2 := scrapeMetrics(t, ts.URL)
-	if v := metricValue(exp2, "plasmad_probes_total"); v != float64(stats.Probes) {
-		t.Errorf("probes: /metrics=%v /v1/stats=%d", v, stats.Probes)
+	return out
+}
+
+// statsMatchScrape checks that GET /v1/stats on a quiescent node is the
+// unlabeled half of the /metrics scrape taken right after it: the same key
+// set and the same values, except for what the two requests themselves
+// move. The scrape counts one more request started; the stats request is
+// in flight while it renders (/metrics is exempt from inflight tracking);
+// uptime and goroutines are live readings.
+func statsMatchScrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	var stats map[string]float64
+	if st := call(t, "GET", base+"/v1/stats", nil, &stats); st != 200 {
+		t.Fatalf("stats: status %d", st)
 	}
-	if v := metricValue(exp2, "plasmad_cue_cache_hits_total"); v != float64(stats.CueCacheHits) {
-		t.Errorf("cue hits: /metrics=%v /v1/stats=%d", v, stats.CueCacheHits)
+	scraped := unlabeledSamples(t, scrapeMetrics(t, base))
+	for name, want := range scraped {
+		got, ok := stats[name]
+		switch {
+		case !ok:
+			t.Errorf("/v1/stats is missing %s", name)
+		case name == "plasmad_http_requests_started_total":
+			if got+1 != want {
+				t.Errorf("%s: stats %v, scrape %v; want the scrape one higher", name, got, want)
+			}
+		case name == "plasmad_inflight_requests":
+			if got != want+1 {
+				t.Errorf("%s: stats %v, scrape %v; want the stats request in flight", name, got, want)
+			}
+		case name == "plasmad_uptime_seconds" || name == "plasmad_goroutines":
+		case got != want:
+			t.Errorf("%s: stats %v, scrape %v", name, got, want)
+		}
 	}
+	for name := range stats {
+		if _, ok := scraped[name]; !ok {
+			t.Errorf("/v1/stats has %s, which /metrics does not", name)
+		}
+	}
+	return stats
+}
+
+// TestStatsIsTheRegistry: /v1/stats renders the registry, so every
+// unlabeled family of /metrics appears in it by name, on a single node and
+// on a cluster node, and a newly registered counter shows up with no other
+// change.
+func TestStatsIsTheRegistry(t *testing.T) {
+	srv, ts := newTestServer(t, 4)
+	id := createToy(t, ts.URL)
+	probeAt(t, ts.URL, id, 0.5)
+	if st := call(t, "GET", ts.URL+"/v1/sessions/"+id+"/cues?t=0.5", nil, nil); st != 200 {
+		t.Fatalf("cues: status %d", st)
+	}
+	stats := statsMatchScrape(t, ts.URL)
+	if stats["plasmad_probes_total"] != 1 || stats["plasmad_sessions_resident"] != 1 ||
+		stats["plasmad_uptime_seconds"] <= 0 || stats["plasmad_goroutines"] <= 0 {
+		t.Errorf("unexpected single-node stats %v", stats)
+	}
+
+	widgets := srv.mgr.Registry().Counter("plasmad_test_widgets_total", "Widgets, registered by a test.")
+	widgets.Add(7)
+	if stats = statsMatchScrape(t, ts.URL); stats["plasmad_test_widgets_total"] != 7 {
+		t.Errorf("a newly registered counter is missing from /v1/stats: %v", stats)
+	}
+
+	nodes := newCluster(t, t.TempDir(), 4, "a", "b", "c")
+	owner := nodes["a"]
+	cid := createToy(t, owner.URL())
+	via := otherNode(nodes, "a")
+	probeAt(t, via.URL(), cid, 0.5) // proxied to the owner
+	stats = statsMatchScrape(t, via.URL())
+	if stats["plasmad_cluster_proxied_total"] != 1 || stats["plasmad_cluster_nodes"] != 3 {
+		t.Errorf("unexpected cluster-node stats %v", stats)
+	}
+	statsMatchScrape(t, owner.URL())
 }
 
 func TestMetricsDeterministicExposition(t *testing.T) {
@@ -535,6 +615,46 @@ func TestUnmatchedRouteCounted(t *testing.T) {
 	var env2 errorEnvelope
 	if err := json.NewDecoder(resp2.Body).Decode(&env2); err != nil || env2.Error.Code != "method_not_allowed" {
 		t.Fatalf("405 envelope = %+v err=%v", env2, err)
+	}
+}
+
+// TestUnknownMethodsShareOneSeries: the catch-all accepts any token as a
+// method, so a method no route serves is labeled "other" — 50 distinct
+// unknown methods add one request-counter series, not 50, and each request
+// still gets its JSON envelope.
+func TestUnknownMethodsShareOneSeries(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	series := func() int {
+		return strings.Count(scrapeMetrics(t, ts.URL), "\nplasmad_http_requests_total{")
+	}
+	series() // the first scrape is counted after it renders
+	before := series()
+	for i := range 50 {
+		path, want, code := "/v1/stats", http.StatusMethodNotAllowed, "method_not_allowed"
+		if i%2 == 1 {
+			path, want, code = "/no/such/route", http.StatusNotFound, "not_found"
+		}
+		req, err := http.NewRequest(fmt.Sprintf("M%d", i), ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != want || err != nil || env.Error.Code != code {
+			t.Fatalf("M%d %s: status %d envelope %+v err %v", i, path, resp.StatusCode, env, err)
+		}
+	}
+	exp := scrapeMetrics(t, ts.URL)
+	if after := strings.Count(exp, "\nplasmad_http_requests_total{"); after != before+1 {
+		t.Fatalf("50 unknown methods added %d request series, want 1", after-before)
+	}
+	if v := metricValue(exp, `plasmad_http_requests_total{route="unmatched",method="other",code="4xx"}`); v != 50 {
+		t.Fatalf(`method="other" series = %v, want 50`, v)
 	}
 }
 

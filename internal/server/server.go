@@ -96,8 +96,10 @@ type Server struct {
 	// HTTP-layer metrics, registered into the manager's registry. The
 	// request counter and latency histogram are labeled by route pattern
 	// (never the raw path — bounded cardinality), the counter additionally
-	// by method and status class.
+	// by method and status class. A method no route serves is labeled
+	// "other": the catch-all accepts any token as a method.
 	httpRequests *metrics.CounterVec   // route, method, code class
+	routeMethods map[string]bool       // methods of the route table
 	httpLatency  *metrics.HistogramVec // route
 	rateLimited  *metrics.CounterVec   // scope: session | inflight
 	probeBatches *metrics.Counter
@@ -143,10 +145,11 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:   cfg,
-		mgr:   NewManager(cfg.Capacity),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
+		cfg:          cfg,
+		mgr:          NewManager(cfg.Capacity),
+		mux:          http.NewServeMux(),
+		start:        time.Now(),
+		routeMethods: make(map[string]bool),
 	}
 	s.mgr.logf = s.logf
 	rv, err := newResolver(cfg.NodeID, cfg.Peers)
@@ -194,6 +197,7 @@ func New(cfg Config) *Server {
 	}
 	for _, rt := range s.Routes() {
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, s.instrument(rt))
+		s.routeMethods[rt.Method] = true
 	}
 	// Requests matching no route get the JSON 404 envelope (and count as
 	// errors) like every other failure — the mux's default text/plain 404

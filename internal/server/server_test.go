@@ -137,11 +137,12 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("list: session should have recorded probes and cached pairs, got %+v", list.Sessions[0])
 	}
 
-	var stats statsResponse
+	var stats map[string]float64
 	if st := call(t, "GET", ts.URL+"/v1/stats", nil, &stats); st != 200 {
 		t.Fatalf("stats: status %d", st)
 	}
-	if stats.Sessions != 1 || stats.Probes < 2 || stats.Requests == 0 {
+	if stats["plasmad_sessions_resident"] != 1 || stats["plasmad_probes_total"] < 2 ||
+		stats["plasmad_http_requests_started_total"] == 0 {
 		t.Fatalf("stats: unexpected %+v", stats)
 	}
 
@@ -276,7 +277,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 			t.Fatalf("session %s should have survived eviction, got %d", id, st)
 		}
 	}
-	if n := srv.Manager().Snapshot().SessionsEvicted; n != 1 {
+	if n := srv.Manager().stats.SessionsEvicted.Load(); n != 1 {
 		t.Fatalf("want 1 eviction in stats, got %d", n)
 	}
 }

@@ -109,12 +109,12 @@ func TestRestartCycleWarmStart(t *testing.T) {
 	if info.CachedPairs == 0 || info.Probes != 1 {
 		t.Fatalf("warm cache lost: %+v", info)
 	}
-	var stats statsResponse
+	var stats map[string]float64
 	if st := call(t, "GET", ts2.URL+"/v1/stats", nil, &stats); st != 200 {
 		t.Fatalf("stats: status %d", st)
 	}
-	if stats.SessionsRestored < 1 {
-		t.Fatalf("stats do not show the warm cache: %+v", stats.StatsSnapshot)
+	if stats["plasmad_sessions_restored_total"] < 1 {
+		t.Fatalf("stats do not show the warm cache: %+v", stats)
 	}
 
 	// Restart determinism end to end: the next probe must match the
@@ -204,10 +204,10 @@ func TestEvictionSpillsAndRevives(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, id1+".snap")); err != nil {
 		t.Fatalf("evicted session was not spilled: %v", err)
 	}
-	var stats statsResponse
+	var stats map[string]float64
 	call(t, "GET", ts.URL+"/v1/stats", nil, &stats)
-	if stats.SessionsSpilled < 1 {
-		t.Fatalf("spill not counted: %+v", stats.StatsSnapshot)
+	if stats["plasmad_sessions_spilled_total"] < 1 {
+		t.Fatalf("spill not counted: %+v", stats)
 	}
 
 	// Touching the spilled session revives it (evicting another victim).
@@ -227,8 +227,8 @@ func TestEvictionSpillsAndRevives(t *testing.T) {
 	sameProbe(t, "revived vs never-evicted", refAgain, again)
 
 	call(t, "GET", ts.URL+"/v1/stats", nil, &stats)
-	if stats.SessionsRestored < 1 {
-		t.Fatalf("revival not counted: %+v", stats.StatsSnapshot)
+	if stats["plasmad_sessions_restored_total"] < 1 {
+		t.Fatalf("revival not counted: %+v", stats)
 	}
 }
 

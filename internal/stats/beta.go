@@ -123,38 +123,3 @@ func (d Beta) Variance() float64 {
 	s := d.Alpha + d.BetaP
 	return d.Alpha * d.BetaP / (s * s * (s + 1))
 }
-
-// ConcentratedWithin reports the posterior probability mass inside
-// [center-delta, center+delta], the quantity thresholded by BayesLSH Eq 2.2.
-func (d Beta) ConcentratedWithin(center, delta float64) float64 {
-	lo := center - delta
-	hi := center + delta
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return d.CDF(hi) - d.CDF(lo)
-}
-
-// BetaQuantile inverts the Beta CDF by bisection. It is used for the error
-// bars on the cumulative APSS curve.
-func BetaQuantile(d Beta, p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if d.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

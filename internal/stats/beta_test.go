@@ -93,7 +93,7 @@ func TestBetaPosteriorConcentrates(t *testing.T) {
 	prev := 0.0
 	for _, n := range []int{10, 50, 200, 1000} {
 		d := NewBetaPosterior(n*3/4, n)
-		c := d.ConcentratedWithin(0.75, 0.05)
+		c := d.CDF(0.8) - d.CDF(0.7) // mass within 0.05 of the truth
 		if c < prev-1e-9 {
 			t.Errorf("concentration not improving: n=%d got %v prev %v", n, c, prev)
 		}
@@ -101,14 +101,6 @@ func TestBetaPosteriorConcentrates(t *testing.T) {
 	}
 	if prev < 0.99 {
 		t.Errorf("posterior at n=1000 insufficiently concentrated: %v", prev)
-	}
-}
-
-func TestBetaQuantileInverts(t *testing.T) {
-	d := NewBetaPosterior(42, 100)
-	for _, p := range []float64{0.05, 0.25, 0.5, 0.9, 0.99} {
-		x := BetaQuantile(d, p)
-		approx(t, d.CDF(x), p, 1e-9, "quantile inversion")
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -33,43 +30,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the minimum and maximum of xs. It panics on empty input.
-func MinMax(xs []float64) (lo, hi float64) {
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of xs by linear interpolation of
-// the sorted sample. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
-}
 
 // Histogram is a fixed-width binning of a sample, used for the similarity
 // distributions of Fig 3.18 and the triangle vertex-cover histogram of
@@ -119,25 +79,6 @@ func (h *Histogram) Total() int {
 		t += c
 	}
 	return t
-}
-
-// MeanRelativeError returns mean(|pred-actual| / |actual|), the Table 3.2
-// error metric (applied there to log triangle counts). Terms with actual==0
-// are skipped.
-func MeanRelativeError(pred, actual []float64) float64 {
-	var s float64
-	n := 0
-	for i := range pred {
-		if actual[i] == 0 {
-			continue
-		}
-		s += math.Abs(pred[i]-actual[i]) / math.Abs(actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
 }
 
 // RelativeErrors returns the per-point relative errors used to compute the

@@ -1,14 +1,12 @@
 // Package viz renders experiment output as aligned text tables and ASCII
-// charts. It stands in for the paper's gnuplot/matplotlib figures: every
-// "figure" experiment emits its series both as a TSV block (replottable
-// with any plotting tool) and as a quick terminal chart, so a reproduction
-// run is inspectable without leaving the shell.
+// charts. It stands in for the paper's gnuplot/matplotlib figures: a
+// "figure" experiment prints its series as a table and a quick terminal
+// chart, so a reproduction run is inspectable without leaving the shell.
 //
-// The surface is four functions: Table writes an aligned text table, TSV
-// writes the same rows as a titled tab-separated block, Chart draws one or
-// more y-series over a shared x-axis as a fixed-height ASCII plot (series
-// are labelled by map key, log-ish ranges are handled by the caller), and
-// F formats a float compactly for table cells. Everything writes to an
+// The surface is three functions: Table writes an aligned text table,
+// Chart draws one or more y-series over a shared x-axis as a fixed-height
+// ASCII plot (series are labelled by map key, log-ish ranges are handled
+// by the caller), and F formats a float compactly for table cells. Everything writes to an
 // io.Writer, so CLIs, experiments, and tests share the renderers.
 package viz
 
@@ -47,16 +45,6 @@ func Table(w io.Writer, headers []string, rows [][]string) {
 	line(sep)
 	for _, r := range rows {
 		line(r)
-	}
-}
-
-// TSV writes a tab-separated block with a leading # title, the replottable
-// form of a figure's series.
-func TSV(w io.Writer, title string, headers []string, rows [][]string) {
-	fmt.Fprintf(w, "# %s\n", title)
-	fmt.Fprintln(w, strings.Join(headers, "\t"))
-	for _, r := range rows {
-		fmt.Fprintln(w, strings.Join(r, "\t"))
 	}
 }
 

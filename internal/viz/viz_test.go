@@ -20,15 +20,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestTSV(t *testing.T) {
-	var b bytes.Buffer
-	TSV(&b, "fig", []string{"x", "y"}, [][]string{{"1", "2"}})
-	out := b.String()
-	if !strings.HasPrefix(out, "# fig\n") || !strings.Contains(out, "1\t2") {
-		t.Fatalf("tsv output:\n%s", out)
-	}
-}
-
 func TestChart(t *testing.T) {
 	var b bytes.Buffer
 	xs := []float64{0, 1, 2, 3}

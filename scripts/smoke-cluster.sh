@@ -150,6 +150,8 @@ proxied=$(curl -sS --fail --max-time 30 "http://127.0.0.1:$pb/metrics" \
 [ -n "$proxied" ] && [ "$proxied" -gt 0 ] || {
     echo "smoke-cluster: node b shows no proxied requests"; exit 1; }
 echo "smoke-cluster: node b proxied $proxied request(s)"
+# /v1/stats renders the same registry, so it shows the same count.
+req stats-on-b "\"plasmad_cluster_proxied_total\":$proxied" "http://127.0.0.1:$pb/v1/stats"
 
 # Kill the owner of $sid gracefully: its shutdown save spills the session
 # to the shared blob store, where any survivor can revive it.

@@ -85,7 +85,7 @@ req probe '"pairCount"' -X POST "$base/v1/sessions/s1/probe" \
     -d '{"threshold":0.5}'
 req curve '"knee"' "$base/v1/sessions/s1/curve?lo=0.3&hi=0.9&steps=7"
 req cues '"triangles"' "$base/v1/sessions/s1/cues?t=0.5"
-req stats '"probes":' "$base/v1/stats"
+req stats '"plasmad_probes_total":' "$base/v1/stats"
 req batch '"failed":0' -X POST "$base/v1/sessions/s1/probes" \
     -d '{"thresholds":[0.4,0.7]}'
 
@@ -100,6 +100,9 @@ req appendprobe '"pairCount"' -X POST "$base/v1/sessions/s2/probe" \
 req appendcues '"triangles"' "$base/v1/sessions/s2/cues?t=0.5"
 reqerr appendbad bad_request -X POST "$base/v1/sessions/s2/rows" \
     -d '{"dense":[],"sparse":[]}'
+# /v1/stats renders every unlabeled family of the registry, so the ingest
+# counter shows up there too.
+req appendstats '"plasmad_rows_appended_total":2' "$base/v1/stats"
 
 # /metrics: the counters driven above must be non-zero and every line must
 # be a well-formed Prometheus text-exposition line (comment or sample).
@@ -161,7 +164,7 @@ done
 [ "$(field "$warm" thresholds)" = "[0.4,0.5,0.7]" ] || {
     echo "smoke-server: unexpected warm thresholds: $warm"; exit 1; }
 echo "smoke-server: warm cache and probe history intact"
-req warmstats '"sessionsRestored"' "$base/v1/stats"
+req warmstats '"plasmad_sessions_restored_total"' "$base/v1/stats"
 req warmprobe '"cacheHits"' -X POST "$base/v1/sessions/s1/probe" \
     -d '{"threshold":0.5}'
 
