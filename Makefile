@@ -73,13 +73,15 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench 'BenchmarkSearchWorkers[0-9]+$$' -benchmem ./internal/bayeslsh
 
-# bench-repeat isolates the warm-cache probe cost (each row's stored evidence
-# read under one run lock and tested first, persistent candidate index,
-# pooled scratch): the closed-cache repeat probe, whose hashes/op must read
-# 0, and the 0.8/0.7/0.6/0.8 ladder after a cold 0.9. Wall time, allocs/op
-# and hashes/op.
+# bench-repeat isolates the warm-cache probe cost (each row's candidates
+# walked from its stored run instead of generated, its evidence read under
+# one run lock and tested first, pooled scratch): the closed-cache repeat
+# probe on the twitter stand-in and on the onboard-long shape (2 500 rows,
+# 1.25 M dimensions), whose hashes/op must read 0 and rows-walked/op every
+# row with candidates, and the 0.8/0.7/0.6/0.8 ladder after a cold 0.9.
+# Wall time, allocs/op and hashes/op.
 bench-repeat:
-	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|Ladder)$$' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|RepeatProbeLong|Ladder)$$' -benchmem .
 
 # bench-curve isolates curve derivation: a 14-point curve (GET /curve's
 # default) and a single point (what a cold /cues adds) over a synthetic store

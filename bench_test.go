@@ -1,6 +1,7 @@
 package plasmahd_test
 
-// One benchmark per reproduced table/figure (see DESIGN.md §3). Each bench
+// One benchmark per reproduced table/figure (internal/experiments registers
+// each under its ID; `go run ./cmd/plasmabench -list` names them). Each bench
 // runs the corresponding experiment harness at a reduced scale so that
 // `go test -bench=. -benchmem` finishes in minutes; cmd/plasmabench runs
 // the same code at full reproduction scale.
@@ -9,6 +10,7 @@ import (
 	"io"
 	"testing"
 
+	"plasmahd/bench/gen"
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/experiments"
@@ -46,20 +48,22 @@ func repeatCorpus(b *testing.B) (*vec.Dataset, bayeslsh.Params) {
 	return ds, p
 }
 
-func benchProbe(b *testing.B, ds *vec.Dataset, t float64, c *bayeslsh.Cache) int64 {
+func benchProbe(b *testing.B, ds *vec.Dataset, t float64, c *bayeslsh.Cache) *bayeslsh.Result {
 	res, err := bayeslsh.Search(ds, t, c, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.HashesCompared
+	return res
 }
 
 // BenchmarkRepeatProbe measures the steady-state cost of the Fig 2.1
 // interactive loop: a probe on a closed knowledge cache. The cold probe
 // outside the timed loop pays for sketch-backed evidence AND the persistent
-// candidate index build; every timed iteration, from the first, then decides
-// each candidate from its stored (N, M) — hashes/op must read 0 — and reuses
-// the index and the pooled probe scratch, so wall time and allocs/op here are
+// candidate index build, and leaves each row's run holding exactly its
+// candidates; every timed iteration, from the first, then walks those runs
+// instead of generating candidates, decides each candidate from its stored
+// (N, M) — hashes/op must read 0 — and reuses the pooled probe scratch, so
+// wall time and allocs/op here are
 // the closed-cache probe (`make bench-repeat`; the repository benchmark
 // reports the same layer as bayeslsh.hit_probe_s and bayeslsh.probe_allocs).
 func BenchmarkRepeatProbe(b *testing.B) {
@@ -70,9 +74,38 @@ func BenchmarkRepeatProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hashes += benchProbe(b, ds, 0.8, c)
+		hashes += benchProbe(b, ds, 0.8, c).HashesCompared
 	}
 	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+}
+
+// BenchmarkRepeatProbeLong is BenchmarkRepeatProbe on the benchmark's
+// onboard-long shape: 2 500 long set-valued rows over 1.25 M dimensions
+// under Jaccard, where a few candidates a row are found among ≈ 110
+// features and the warm probe's cost is finding them, not deciding them.
+// After the cold probe outside the timer every row that has candidates holds
+// exactly them in its run, so every timed probe walks those runs instead of
+// scanning the candidate index; hashes/op must read 0 and rows-walked/op is
+// Result.RowsWalked.
+func BenchmarkRepeatProbeLong(b *testing.B) {
+	d := gen.LongsetJaccard{Rows: 2500, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
+		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1)
+	ds := d.Dataset(0, len(d.Rows))
+	p := bayeslsh.DefaultParams()
+	p.Workers = 1
+	c := bayeslsh.NewCache(ds, p, 1)
+	benchProbe(b, ds, 0.6, c)
+	var hashes int64
+	var walked int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := benchProbe(b, ds, 0.6, c)
+		hashes += res.HashesCompared
+		walked += res.RowsWalked
+	}
+	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+	b.ReportMetric(float64(walked)/float64(b.N), "rows-walked/op")
 }
 
 // BenchmarkLadder measures the exploring half of the loop: after a cold 0.9
@@ -91,7 +124,7 @@ func BenchmarkLadder(b *testing.B) {
 		benchProbe(b, ds, 0.9, c)
 		b.StartTimer()
 		for _, t := range []float64{0.8, 0.7, 0.6, 0.8} {
-			hashes += benchProbe(b, ds, t, c)
+			hashes += benchProbe(b, ds, t, c).HashesCompared
 		}
 	}
 	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")

@@ -20,13 +20,15 @@
 // the dataset across the same worker pool (signatures are byte-identical
 // for any worker count). bayeslsh.Search keeps candidate generation
 // sequential — it replays a persistent CSR candidate index built once on
-// the cache's first probe — but shards candidate evaluation, the
-// hash-comparison, prune, and estimate loop, across a worker pool sized by
+// the cache's first probe, or, once a row's stored run is known to be
+// exactly its candidates under the current stop-word cap, walks that run
+// instead — but shards candidate evaluation, the hash-comparison, prune,
+// and estimate loop, across a worker pool sized by
 // bayeslsh.Params.Workers (0 = runtime.GOMAXPROCS). Outcomes are merged
-// back in generation order, so a probe returns byte-identical pair sets
-// and cost counters for any worker count; only wall time changes. Both
-// CLIs expose the knob as -workers. Repeat probes on a warm cache reuse
-// the index and a pooled probe scratch, allocating near-zero.
+// back in row order, so a probe returns byte-identical pair sets and cost
+// counters for any worker count; only wall time changes. Both CLIs expose
+// the knob as -workers. Repeat probes on a warm cache walk the runs and
+// reuse a pooled probe scratch, allocating near-zero.
 //
 // What is safe to share: a bayeslsh.Cache (and therefore a core.Session)
 // may serve concurrent probes. The dataset sketches and decision tables

@@ -14,9 +14,11 @@
 package bayeslsh
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -599,12 +601,17 @@ type Result struct {
 	// HashesCompared the comparisons they cost. CacheHits counts the pairs
 	// answered wholly from the cache — Done, or prunable at this threshold
 	// from their stored (N, M) — so Candidates + CacheHits is the number of
-	// candidates generated.
+	// candidates considered.
 	Candidates     int
 	Pruned         int
 	CacheHits      int
 	HashesCompared int64
-	ProcessTime    time.Duration
+	// RowsWalked counts the rows whose candidates were read straight from
+	// their stored run instead of generated from the candidate index. It
+	// depends on the cache's history, not only on its rows: a restored cache
+	// walks no row on its first probe.
+	RowsWalked  int
+	ProcessTime time.Duration
 }
 
 // ProgressFunc observes the probe after each processed row; pairsAbove is
@@ -618,13 +625,15 @@ type candidate struct{ j, i int32 }
 // candOutcome is the evaluation of one candidate: ps holds the pair's stored
 // state when it is read and the state to store once it is evaluated. It is
 // computed by the worker that owns the candidate's row and merged into the
-// Result on the search goroutine.
+// Result on the search goroutine; insert marks, while the row is written, a
+// pair its run does not hold yet.
 type candOutcome struct {
 	ps       PairState
 	hashes   int64
 	cacheHit bool
 	pruned   bool
 	emit     bool
+	insert   bool
 	est      float64
 }
 
@@ -685,10 +694,11 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *can
 // evalBatch evaluates a batch of whole rows on the given number of workers:
 // marks[r] ends row r's candidates in cands, and outs[idx] receives the
 // outcome of cands[idx]. Each worker owns a row — its candidates, their
-// outcomes and the row's run in the pair store — so it reads the row's
-// stored states under one read lock, evaluates them, and stores what changed
-// under one write lock. Since each outcome lands at its candidate's index,
-// the result is independent of scheduling.
+// outcomes and the row's run in the pair store — so it sorts the row's
+// candidates by j (a walked row's already are), reads their stored states
+// under one read lock, evaluates them, and stores what changed under one
+// write lock. Since each outcome lands at its candidate's index, the result
+// is independent of scheduling.
 func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
 	par.For(len(marks), workers, 1, func(r int) {
 		lo, hi := 0, marks[r].end
@@ -698,15 +708,17 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []c
 		if lo == hi {
 			return
 		}
-		run, rowCands, rowOuts := runs[marks[r].row], cands[lo:hi], outs[lo:hi]
-		run.readRow(rowCands, rowOuts)
+		mk := marks[r]
+		run, rowCands, rowOuts := runs[mk.row], cands[lo:hi], outs[lo:hi]
+		slices.SortFunc(rowCands, func(a, b candidate) int { return cmp.Compare(a.j, b.j) })
+		run.readRow(rowCands, rowOuts, mk.band)
 		stored := false
 		for x := range rowCands {
 			c.evalCandidate(ds, v, rowCands[x], &rowOuts[x], t, bound)
 			stored = stored || !rowOuts[x].cacheHit
 		}
 		if stored {
-			c.Pairs.writeRow(run, rowCands, rowOuts)
+			c.Pairs.writeRow(run, rowCands, rowOuts, mk.band)
 		}
 	})
 }
@@ -716,15 +728,18 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []c
 // after processing k rows all pairs within the first k rows have been
 // decided.
 //
-// Candidate generation reads the cache's persistent candidate index (built
-// lazily on the first probe, reused forever after — the candidate set is
-// threshold-independent) and stays sequential, but candidate evaluation —
-// the hash-comparison hot path — is sharded across Params.Workers
-// goroutines in batches, then merged back in generation order. Results are
-// byte-identical for every worker count; progress callbacks fire once per
-// row, in order, after the batch covering that row has been merged. Batch
-// buffers and dedup marks come from a per-cache pool, so repeat probes on a
-// warm cache allocate near-zero.
+// A row's candidate set is threshold-independent, and every candidate is
+// stored, so it is read in one of two ways, sequentially: a row whose run's
+// band holds the index's stop-word cap is walked — its run's pairs are its
+// candidates — and any other row is generated from the cache's persistent
+// candidate index (built lazily on the first probe), which records the
+// row's band once its run holds exactly those candidates. Candidate
+// evaluation — the hash-comparison hot path — is sharded across
+// Params.Workers goroutines in batches of whole rows, then merged back in
+// row order. Results are byte-identical for every worker count; progress
+// callbacks fire once per row, in order, after the batch covering that row
+// has been merged. Batch buffers and dedup marks come from a per-cache
+// pool, so repeat probes on a warm cache allocate near-zero.
 func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Result, error) {
 	return SearchWorkers(ds, t, c, progress, 0)
 }
@@ -754,9 +769,9 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 
 	// Candidates are buffered with per-row boundaries and flushed in
 	// batches of whole rows: evaluate in parallel, a row per worker at a
-	// time, then merge sequentially so counters, emitted pairs, and progress
-	// calls are in generation order. A batch holds enough rows to keep every
-	// worker busy however many candidates one row has.
+	// time, then merge sequentially so counters and progress calls are in
+	// row order (pairs are sorted at the end). A batch holds enough rows to
+	// keep every worker busy however many candidates one row has.
 	batchSize, batchRows := 1024*workers, 4*workers
 	flush := func() {
 		if cap(sc.outs) < len(sc.cands) {
@@ -789,18 +804,21 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	}
 
 	for i := 0; i < ds.N(); i++ {
-		sc.cands = idx.appendRow(int32(i), ds.Rows[i].Indices, sc, sc.cands)
-		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands)})
+		var b band
+		var walked bool
+		if sc.cands, b, walked = runs[i].walk(idx.maxDF, int32(i), sc.cands); walked {
+			res.RowsWalked++
+		} else {
+			sc.cands, b = idx.appendRow(int32(i), ds.Rows[i].Indices, sc, sc.cands)
+		}
+		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands), band: b})
 		if len(sc.cands) >= batchSize && len(sc.marks) >= batchRows {
 			flush()
 		}
 	}
 	flush()
-	sort.Slice(res.Pairs, func(a, b int) bool {
-		if res.Pairs[a].I != res.Pairs[b].I {
-			return res.Pairs[a].I < res.Pairs[b].I
-		}
-		return res.Pairs[a].J < res.Pairs[b].J
+	slices.SortFunc(res.Pairs, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
 	})
 	res.ProcessTime = time.Since(start)
 	return res, nil

@@ -1,6 +1,11 @@
 package bayeslsh
 
-import "plasmahd/internal/vec"
+import (
+	"math"
+	"slices"
+
+	"plasmahd/internal/vec"
+)
 
 // candIndex is the persistent candidate-generation index of a knowledge
 // cache. The original engine rebuilt an inverted index (postings map, df
@@ -8,7 +13,9 @@ import "plasmahd/internal/vec"
 // set is threshold-independent; on the repeat-probe workload of Fig 2.1 that
 // rebuild became the dominant per-probe cost once hash comparisons were
 // cached. The index is built once, lazily, on the first probe of a cache and
-// reused by every later probe.
+// reused by every later probe — for the rows it still has to generate: a row
+// whose stored run is known to be its candidate set under the probe's
+// stop-word cap (see band) is walked instead.
 //
 // Live ingest grows the index without invalidating it: each candIndex value
 // is immutable, covering exactly total() rows. The bulk of the postings live
@@ -139,15 +146,23 @@ func (ix *candIndex) extend(dim int, all []vec.Sparse, n int, frac float64) *can
 }
 
 // appendRow appends row i's candidate pairs (j, i), j < i, to cands in
-// generation order, deduplicated through the scratch epoch marks. The
-// per-feature scan replays the old incremental build exactly: only the first
-// maxDF rows of a feature were ever indexed, and a feature already carried
-// by more than maxDF earlier rows is stop-worded for row i — detectable in
-// O(1) because the merged CSR+tail postings are ascending, so the occurrence
-// at position maxDF tells whether the cap was hit before row i.
-func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands []candidate) []candidate {
+// generation order, deduplicated through the scratch epoch marks, and returns
+// the row's band. The per-feature scan replays the old incremental build
+// exactly: only the first maxDF rows of a feature were ever indexed, and a
+// feature already carried by more than maxDF earlier rows is stop-worded for
+// row i — detectable in O(1) because the merged CSR+tail postings are
+// ascending, so the occurrence at position maxDF tells whether the cap was
+// hit before row i.
+//
+// So feature f is live for row i iff c_f, its postings below i, is at most
+// maxDF, and a live feature contributes exactly those postings: the
+// candidate set depends on the cap only through which features are live. It
+// is the same for every cap in the band [max live c_f, min stop-worded c_f),
+// which costs one binary search per stop-worded feature to find.
+func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands []candidate) ([]candidate, band) {
 	sc.gen++
 	gen := sc.gen
+	b := band{hi: math.MaxInt32}
 	for _, f := range indices {
 		off, end := ix.offsets[f], ix.offsets[f+1]
 		cnt := end - off
@@ -161,11 +176,20 @@ func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands
 				atCap = t[ix.maxDF-cnt]
 			}
 			if atCap < i {
-				continue // stop-worded before row i was reached
+				// Stop-worded before row i was reached, and for every cap
+				// below c_f.
+				below, _ := slices.BinarySearch(ix.rows[off:end], i)
+				if below == int(cnt) {
+					inTail, _ := slices.BinarySearch(t, i)
+					below += inTail
+				}
+				b.hi = min(b.hi, int32(below))
+				continue
 			}
 			limit = ix.maxDF
 		}
-		for k := int32(0); k < limit; k++ {
+		k := int32(0)
+		for ; k < limit; k++ {
 			var j int32
 			if k < cnt {
 				j = ix.rows[off+k]
@@ -181,9 +205,23 @@ func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands
 			sc.seen[j] = gen
 			cands = append(cands, candidate{j: j, i: i})
 		}
+		b.lo = max(b.lo, k) // k = c_f: the scan stopped at row i or the cap
 	}
-	return cands
+	return cands, b
 }
+
+// band is the range [lo, hi) of stop-word caps under which one row generates
+// one and the same candidate set (see appendRow). The zero band holds no cap.
+type band struct{ lo, hi int32 }
+
+// has reports whether maxDF lies in the band.
+func (b band) has(maxDF int32) bool { return b.lo <= maxDF && maxDF < b.hi }
+
+// pack and unpackBand convert a band to and from the one word a run keeps it
+// in; the zero word is the zero band.
+func (b band) pack() uint64 { return uint64(uint32(b.hi))<<32 | uint64(uint32(b.lo)) }
+
+func unpackBand(w uint64) band { return band{lo: int32(uint32(w)), hi: int32(w >> 32)} }
 
 // probeScratch is the reusable per-probe working set: candidate and outcome
 // batch buffers, per-row batch boundaries, and the dedup marks. Replacing
@@ -199,9 +237,13 @@ type probeScratch struct {
 	gen   int64
 }
 
-// rowMark records the candidate-buffer boundary of one generating row, so a
-// flushed batch can replay counters and progress callbacks in row order.
-type rowMark struct{ row, end int }
+// rowMark records the candidate-buffer boundary of one row, so a flushed
+// batch can replay counters and progress callbacks in row order, and the
+// band of caps its candidates were generated or walked under.
+type rowMark struct {
+	row, end int
+	band     band
+}
 
 // candidateIndex returns a candidate index covering exactly ds's rows,
 // reusing, extending, or rebuilding the cache's published index as needed.

@@ -72,7 +72,7 @@ func TestCandIndexMatchesIncrementalBuild(t *testing.T) {
 			idx := buildCandIndex(tc.ds.Dim, tc.ds.Rows, tc.frac)
 			sc := &probeScratch{seen: make([]int64, tc.ds.N())}
 			for i := 0; i < tc.ds.N(); i++ {
-				got := idx.appendRow(int32(i), tc.ds.Rows[i].Indices, sc, nil)
+				got, _ := idx.appendRow(int32(i), tc.ds.Rows[i].Indices, sc, nil)
 				if len(got) == 0 && len(want[i]) == 0 {
 					continue
 				}

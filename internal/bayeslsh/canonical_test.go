@@ -152,21 +152,34 @@ func TestProbeHistoryInvariants(t *testing.T) {
 // probing the ladder in its own order on one shared cache, leave exactly the
 // store of one cold probe at the minimum. Racing probes may each extend the
 // same pair, but every extension is a prefix of the lowest probe's path and
-// PairStore.Update keeps the deepest. `make race` runs this with the
+// PairStore.Update keeps the deepest. Two of the goroutines probe through a
+// view of the first three quarters of the rows, whose stop-word cap differs
+// from the full view's, so runs are generated, walked and recorded under two
+// caps at once; a smaller cap generates a subset of each row's candidates,
+// so the store still ends as the full view's. `make race` runs this with the
 // detector on.
 func TestConcurrentProbesLeaveCanonicalStore(t *testing.T) {
 	forceParallel(t)
 	ladder := canonLadders[0]
 	canonConfigs(t, []int{2}, func(t *testing.T, ds *vec.Dataset, p Params) {
+		prefix := prefixOf(ds, ds.N()*3/4)
+		capOf := func(v *vec.Dataset) int32 { return resolveMaxDF(v.Dim, v.N(), int64(v.Nnz()), p.MaxDFFrac) }
+		if capOf(prefix) == capOf(ds) {
+			t.Fatalf("both views have stop-word cap %d", capOf(ds))
+		}
 		c := NewCache(ds, p, 42)
 		var wg sync.WaitGroup
 		for g := 0; g < 6; g++ {
+			view := ds
+			if g%3 == 2 {
+				view = prefix
+			}
 			order := rand.New(rand.NewSource(int64(g))).Perm(len(ladder))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for _, k := range order {
-					if _, err := Search(ds, ladder[k], c, nil); err != nil {
+					if _, err := Search(view, ladder[k], c, nil); err != nil {
 						t.Error(err)
 					}
 				}

@@ -2,7 +2,6 @@ package bayeslsh
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -11,29 +10,29 @@ import (
 // j < i, with js ascending and st[k] the state of pair (js[k], i). A pair is
 // only ever produced while a probe processes its larger row, so a probe
 // reads and writes row i's evidence under this run's one lock.
+//
+// Every candidate a probe generates is stored, so after a row's first probe
+// its run is its candidate set. band records that: it packs the band of
+// stop-word caps under which the run's js are exactly the row's candidates,
+// and is the zero band — no cap — whenever that is not known. It is set
+// under the run's lock by a probe whose candidates and run coincide, and
+// cleared by any other insert; a decoded run starts without one. A probe
+// whose cap the band holds walks the run instead of generating the row.
 type pairRun struct {
-	mu sync.RWMutex
-	js []int32
-	st []PairState
+	mu   sync.RWMutex
+	js   []int32
+	st   []PairState
+	band atomic.Uint64
 }
 
 // find returns the position of j in the ascending js and whether it is
-// there. hint is tried first: a row's candidates and its run are mostly in
-// the same ascending order, so the position after the previous hit usually
-// is j's.
+// there. hint is tried first: it is the candidate's own position, which is
+// j's whenever the run holds exactly the row's candidates.
 func find(js []int32, j int32, hint int) (int, bool) {
 	if hint < len(js) && js[hint] == j {
 		return hint, true
 	}
 	return slices.BinarySearch(js, j)
-}
-
-// Len, Less and Swap sort the run's parallel slices by j.
-func (r *pairRun) Len() int           { return len(r.js) }
-func (r *pairRun) Less(a, b int) bool { return r.js[a] < r.js[b] }
-func (r *pairRun) Swap(a, b int) {
-	r.js[a], r.js[b] = r.js[b], r.js[a]
-	r.st[a], r.st[b] = r.st[b], r.st[a]
 }
 
 // PairStore is the concurrent pair-state table of the knowledge cache. Each
@@ -118,7 +117,8 @@ func (s *PairStore) Get(k uint64) (PairState, bool) {
 
 // Update stores ps under k unless the existing state carries strictly more
 // evidence, making concurrent probes monotone: a probe that raced with a
-// deeper probe keeps the deeper result.
+// deeper probe keeps the deeper result. A new pair need not be a candidate
+// of its row, so inserting one clears the run's band.
 func (s *PairStore) Update(k uint64, ps PairState) {
 	j, i := UnpackKey(k)
 	r := s.runs(int(i) + 1)[i]
@@ -127,6 +127,7 @@ func (s *PairStore) Update(k uint64, ps PairState) {
 	if !ok {
 		r.js = slices.Insert(r.js, pos, j)
 		r.st = slices.Insert(r.st, pos, ps)
+		r.band.Store(0)
 		s.count.Add(1)
 	} else if evidence(ps) >= evidence(r.st[pos]) {
 		r.st[pos] = ps
@@ -179,51 +180,93 @@ func (r *pairRun) visit(i int32, f func(key uint64, ps PairState) bool) bool {
 	return true
 }
 
-// readRow copies the stored state of each candidate of one row into its
-// outcome under a single read lock; a pair with no state reads as zero.
-func (r *pairRun) readRow(cands []candidate, outs []candOutcome) {
+// walk appends row i's candidates to cands straight from its run when the
+// run's band holds the probe's stop-word cap maxDF: the run's js, ascending,
+// are then the candidates generation would produce. It reports the band and
+// whether it walked; a row it does not walk is left to the candidate index.
+func (r *pairRun) walk(maxDF, i int32, cands []candidate) ([]candidate, band, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	hint := 0
+	b := unpackBand(r.band.Load())
+	if !b.has(maxDF) {
+		return cands, band{}, false
+	}
+	for _, j := range r.js {
+		cands = append(cands, candidate{j: j, i: i})
+	}
+	return cands, b, true
+}
+
+// readRow copies the stored state of each candidate of one row into its
+// outcome under a single read lock; a pair with no state reads as zero.
+// cands are ascending, so while the run holds exactly the candidates,
+// candidate x is entry x and each lookup is one comparison; any other run
+// falls back to binary search. When every candidate is stored and nothing
+// else is, the run is recorded as the candidate set of the caps in b.
+func (r *pairRun) readRow(cands []candidate, outs []candOutcome, b band) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	found := 0
 	for x, cd := range cands {
-		pos, ok := find(r.js, cd.j, hint)
-		if ok {
-			outs[x].ps, hint = r.st[pos], pos+1
+		if pos, ok := find(r.js, cd.j, x); ok {
+			outs[x].ps = r.st[pos]
+			found++
 		} else {
 			outs[x].ps = PairState{}
 		}
 	}
+	if found == len(r.js) && found == len(cands) {
+		r.band.Store(b.pack())
+	}
 }
 
-// writeRow stores the states of one row's evaluated candidates under a
-// single write lock, by Update's rule: an existing pair keeps the deeper of
-// its state and the new one, and new pairs are appended and the run
-// re-sorted once. Cache hits wrote nothing and are skipped.
-func (s *PairStore) writeRow(r *pairRun, cands []candidate, outs []candOutcome) {
+// writeRow stores the states of one row's evaluated candidates, ascending in
+// j, under a single write lock, by Update's rule: an existing pair keeps the
+// deeper of its state and the new one. New pairs are merged into the run
+// from the back in one O(run) pass; since cands are ascending, so are they.
+// Cache hits wrote nothing and are skipped. After an insert the run's band
+// is b if the run now holds exactly the candidates, and cleared otherwise.
+func (s *PairStore) writeRow(r *pairRun, cands []candidate, outs []candOutcome, b band) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.js) == 0 {
-		// The row's first write: every candidate is new, so size it once.
-		r.js, r.st = slices.Grow(r.js, len(cands)), slices.Grow(r.st, len(cands))
-	}
-	old, hint := len(r.js), 0
+	added := 0
 	for x, cd := range cands {
 		oc := &outs[x]
 		if oc.cacheHit {
 			continue
 		}
-		pos, ok := find(r.js[:old], cd.j, hint)
+		pos, ok := find(r.js, cd.j, x)
+		oc.insert = !ok
 		if !ok {
-			r.js, r.st = append(r.js, cd.j), append(r.st, oc.ps)
-			continue
-		}
-		if evidence(oc.ps) >= evidence(r.st[pos]) {
+			added++
+		} else if evidence(oc.ps) >= evidence(r.st[pos]) {
 			r.st[pos] = oc.ps
 		}
-		hint = pos + 1
 	}
-	if added := len(r.js) - old; added > 0 {
-		sort.Sort(r)
-		s.count.Add(int64(added))
+	if added == 0 {
+		return
 	}
+	old := len(r.js)
+	r.js = slices.Grow(r.js, added)[:old+added]
+	r.st = slices.Grow(r.st, added)[:old+added]
+	// w is the next slot to fill from the back and p the last old entry not
+	// yet moved; once they meet, the old entries below are in place.
+	w, p := old+added-1, old-1
+	for x := len(cands) - 1; w > p; x-- {
+		if !outs[x].insert {
+			continue
+		}
+		j := cands[x].j
+		for ; p >= 0 && r.js[p] > j; p, w = p-1, w-1 {
+			r.js[w], r.st[w] = r.js[p], r.st[p]
+		}
+		r.js[w], r.st[w] = j, outs[x].ps
+		w--
+	}
+	if len(r.js) == len(cands) {
+		r.band.Store(b.pack())
+	} else {
+		r.band.Store(0)
+	}
+	s.count.Add(int64(added))
 }

@@ -3,6 +3,7 @@ package bayeslsh
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,54 @@ func TestPairStoreRangeOrder(t *testing.T) {
 	c.Pairs.Range(func(uint64, PairState) bool { visits++; return visits < 3 })
 	if visits != 3 {
 		t.Errorf("Range went on for %d visits after f returned false at 3", visits)
+	}
+}
+
+// TestWriteRowMerges pins writeRow's merge: new pairs, ascending like the
+// candidates, interleave with the run's old ones in one pass; an existing
+// pair keeps the deeper state; a cache hit writes nothing; and after an
+// insert the band is the candidates' own when the run is exactly them, and
+// cleared when the run holds another pair too.
+func TestWriteRowMerges(t *testing.T) {
+	s := NewPairStore()
+	for _, j := range []int32{2, 5, 9} {
+		s.Update(PairKey(j, 20), PairState{M: 1, N: 32})
+	}
+	r := s.loaded()[20]
+	r.band.Store(band{lo: 1, hi: 2}.pack())
+	candsOf := func(js ...int32) ([]candidate, []candOutcome) {
+		cands, outs := make([]candidate, len(js)), make([]candOutcome, len(js))
+		for x, j := range js {
+			cands[x], outs[x].ps = candidate{j: j, i: 20}, PairState{M: j, N: 64}
+		}
+		return cands, outs
+	}
+	cands, outs := candsOf(0, 1, 3, 5, 7, 9, 10, 12)
+	outs[5].cacheHit = true // 9 keeps its stored state
+	b := band{lo: 3, hi: 7}
+	s.writeRow(r, cands, outs, b)
+	want := []int32{0, 1, 2, 3, 5, 7, 9, 10, 12}
+	if !slices.Equal(r.js, want) || s.Len() != len(want) {
+		t.Fatalf("run %v (Len %d), want %v", r.js, s.Len(), want)
+	}
+	for k, j := range r.js {
+		wantPS := PairState{M: j, N: 64}
+		if j == 2 || j == 9 {
+			wantPS = PairState{M: 1, N: 32}
+		}
+		if r.st[k] != wantPS {
+			t.Errorf("pair (%d, 20): state %+v, want %+v", j, r.st[k], wantPS)
+		}
+	}
+	if got := unpackBand(r.band.Load()); got != (band{}) {
+		t.Errorf("run holds a non-candidate pair, band %+v", got)
+	}
+
+	// Every candidate, and nothing else: the band is recorded.
+	cands, outs = candsOf(append(want, 15)...)
+	s.writeRow(r, cands, outs, b)
+	if got := unpackBand(r.band.Load()); got != b {
+		t.Errorf("run is exactly the candidates, band %+v, want %+v", got, b)
 	}
 }
 

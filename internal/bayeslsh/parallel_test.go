@@ -71,7 +71,8 @@ func TestSearchWorkersDeterminism(t *testing.T) {
 					}
 				}
 				if a.Candidates != b.Candidates || a.Pruned != b.Pruned ||
-					a.CacheHits != b.CacheHits || a.HashesCompared != b.HashesCompared {
+					a.CacheHits != b.CacheHits || a.HashesCompared != b.HashesCompared ||
+					a.RowsWalked != b.RowsWalked {
 					t.Errorf("t=%v counters differ: %+v vs %+v", th, a, b)
 				}
 				truth := Exact(tc.ds, th)

@@ -6,7 +6,10 @@
 // the UCI tables, Zipfian sparse vectors with planted communities for the
 // corpora, planted frequent patterns for the transactional sets, and
 // power-law community graphs with near-biclique (link-spam-like) blocks for
-// the web graphs. DESIGN.md §2 records the mapping.
+// the web graphs. The spec tables record the mapping — tableSpecs here,
+// corpusSpecs in corpus.go, transSpecs and graphSpecs in transactional.go —
+// each keyed by the paper's dataset name and commented with the table or
+// figure that reports it.
 package dataset
 
 import (

@@ -431,6 +431,7 @@ type probeResponse struct {
 	Pruned         int        `json:"pruned"`
 	CacheHits      int        `json:"cacheHits"`
 	HashesCompared int64      `json:"hashesCompared"`
+	RowsWalked     int        `json:"rowsWalked"`
 	ProcessMillis  float64    `json:"processMillis"`
 	Coalesced      bool       `json:"coalesced"`
 	Pairs          []pairJSON `json:"pairs,omitempty"`
@@ -740,6 +741,7 @@ func probeResponseOf(id string, t float64, res *bayeslsh.Result, coalesced, incl
 		Pruned:         res.Pruned,
 		CacheHits:      res.CacheHits,
 		HashesCompared: res.HashesCompared,
+		RowsWalked:     res.RowsWalked,
 		ProcessMillis:  float64(res.ProcessTime) / float64(time.Millisecond),
 		Coalesced:      coalesced,
 	}

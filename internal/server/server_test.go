@@ -186,7 +186,10 @@ func TestConcurrentClientsShareCache(t *testing.T) {
 	// left — whichever client finished first. Every candidate is therefore
 	// decided from its stored state: the repeat compares no hashes (so the
 	// 0.65 "first run" may itself have compared none, if 0.45 won the race)
-	// and answers all of the first run's candidates as cache hits.
+	// and answers all of the first run's candidates as cache hits. Both runs
+	// stored every candidate, so each repeat walks the same rows' stored
+	// evidence instead of generating their candidates.
+	walked := -1
 	for i, th := range thresholds {
 		first := results[i]
 		var rep probeResponse
@@ -203,6 +206,10 @@ func TestConcurrentClientsShareCache(t *testing.T) {
 			t.Fatalf("repeat probe t=%v lost pairs: %d -> %d (evidence must be monotone)",
 				th, first.PairCount, rep.PairCount)
 		}
+		if rep.RowsWalked == 0 || (walked >= 0 && rep.RowsWalked != walked) {
+			t.Fatalf("repeat probe t=%v walked %d rows, the other repeat %d", th, rep.RowsWalked, walked)
+		}
+		walked = rep.RowsWalked
 	}
 }
 
