@@ -90,14 +90,18 @@ bench-repeat:
 bench-curve:
 	$(GO) test -run xxx -bench 'BenchmarkCurve(14|At)$$' -benchmem ./internal/core
 
-# bench-snapshot isolates the cache snapshot codec on the explore-dense shape
-# after the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode copies each
-# row's run out under its read lock and writes it as it sits, decode fills
-# each run from its records — what every spill, persist, revive and restore
-# pays in the engine. ns/op and allocs/op; MB/s is of snapshot bytes, so it
-# is comparable only across runs of one format version.
+# bench-snapshot isolates the snapshot codecs. In the engine, the cache
+# snapshot on the explore-dense shape after the 0.9/0.8/0.7/0.6 ladder
+# (≈ 80 k cached pairs): encode copies each row's run out under its read lock
+# and writes it as it sits, decode fills each run from its records. Then the
+# whole session snapshot on the onboard-long shape after the same ladder and
+# one 40-row append (≈ 6.5 MB, dataset embedded), both ways: what every
+# download, spill, persist, revive and restore pays. Arrays move as blocks,
+# so ns/op tracks bytes, not words. ns/op and allocs/op; MB/s is of snapshot
+# bytes, so it is comparable only across runs of one format version.
 bench-snapshot:
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
+	$(GO) test -run xxx -bench 'BenchmarkSession(Snapshot|Restore)$$' -benchmem .
 
 # serve runs the probe daemon on the default address (ADDR to override).
 serve:

@@ -7,11 +7,13 @@ package plasmahd_test
 // the same code at full reproduction scale.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
 	"plasmahd/bench/gen"
 	"plasmahd/internal/bayeslsh"
+	"plasmahd/internal/core"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/experiments"
 	"plasmahd/internal/vec"
@@ -128,6 +130,68 @@ func BenchmarkLadder(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+}
+
+// onboardSession is a session in the benchmark's onboard-long shape as it
+// leaves memory: 2 500 long Jaccard rows over 1.25 M dimensions, probed down
+// the 0.9/0.8/0.7/0.6 ladder, then grown by one 40-row append, so its
+// snapshot embeds the dataset. The session benchmarks below time its
+// snapshot both ways.
+func onboardSession(b *testing.B) *core.Session {
+	d := gen.LongsetJaccard{Rows: 2540, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
+		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1)
+	p := bayeslsh.DefaultParams()
+	p.Workers = 1
+	s := core.NewSession(d.Dataset(0, 2500), p, 1)
+	for _, t := range []float64{0.9, 0.8, 0.7, 0.6} {
+		if _, err := s.Probe(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := s.AppendRows(d.Dataset(2500, 2540).Rows); err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkSessionSnapshot times a session snapshot on the onboard-long
+// shape, the encode every download, persist and spill pays: the dataset,
+// the signatures and the pair runs move as blocks. MB/s is of snapshot
+// bytes (`make bench-snapshot`).
+func BenchmarkSessionSnapshot(b *testing.B) {
+	s := onboardSession(b)
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := s.Snapshot(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionRestore decodes BenchmarkSessionSnapshot's stream, what
+// every restore upload and revive pays: the embedded dataset, its content
+// check, the signatures and the pair runs.
+func BenchmarkSessionRestore(b *testing.B) {
+	var buf bytes.Buffer
+	if err := onboardSession(b).Snapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	snap := buf.Bytes()
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RestoreSession(bytes.NewReader(snap), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkE21_DatasetInventory(b *testing.B)   { benchExperiment(b, "E2.1") }

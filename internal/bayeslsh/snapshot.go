@@ -105,9 +105,6 @@ type cacheImage struct {
 	rows       rowView
 	dim        int
 	sketchTime time.Duration
-	// rec is walkPair's record buffer: the codec's reader and writer are
-	// interfaces, so a buffer on walkPair's stack would escape, once a pair.
-	rec [pairRecordBytes]byte
 }
 
 // walk is the cache snapshot layout: header, signature block, then the pair
@@ -158,9 +155,9 @@ func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func
 		c.Fail("sketch kind %d does not match measure %v", got, im.measure)
 	}
 	if kind == sketchKindMinhash {
-		im.rows.minSigs = walkSigs(c, im.rows.minSigs, im.rows.n, p.MaxHashes, c.U32)
+		im.rows.minSigs = walkSigs(c, im.rows.minSigs, im.rows.n, p.MaxHashes, wire.U32s)
 	} else {
-		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, im.rows.n, (p.MaxHashes+63)/64, c.U64)
+		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, im.rows.n, (p.MaxHashes+63)/64, wire.U64s)
 	}
 
 	for i := 0; i < im.rows.n && c.Err() == nil; i++ {
@@ -170,60 +167,71 @@ func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func
 	}
 }
 
-// walkSigs walks the signature block: n signatures of exactly width words.
-func walkSigs[T any](c *wire.Codec, sigs [][]T, n, width int, word func(T) T) [][]T {
+// walkSigs walks the signature block: n signatures of exactly width words,
+// each a length word and then its words as one block.
+func walkSigs[T any](c *wire.Codec, sigs [][]T, n, width int, block func(*wire.Codec, []T, int) []T) [][]T {
 	return wire.Slice(c, sigs, n, func(sig []T) []T {
 		ln := int(c.U32(uint32(len(sig))))
 		if ln != width {
 			c.Fail("signature length %d, want %d for the hash schedule", ln, width)
 		}
-		return wire.Slice(c, sig, ln, word)
+		return block(c, sig, ln)
 	})
 }
 
-// walkRun walks row i's run: its length, at most i, then its records, whose
-// smaller rows ascend strictly below i and whose evidence sits on the hash
-// schedule.
+// walkRun walks row i's run: its length, at most i, then its records as one
+// block, whose smaller rows ascend strictly below i, whose evidence sits on
+// the hash schedule and whose flags carry no unknown bit.
 func (im *cacheImage) walkRun(c *wire.Codec, i int, run []pairRec) []pairRec {
 	n := c.Count(len(run), i, "run length")
+	var flags uint8 // every record's flag bits, or-ed
+	run = wire.Fixed(c, run, n, pairRecordBytes, putPair, func(b []byte) pairRec {
+		flags |= b[12]
+		return getPair(b)
+	})
 	prev := int32(-1)
-	return wire.Slice(c, run, n, func(r pairRec) pairRec {
-		r = im.walkPair(c, r)
+	for _, r := range run {
 		if ps := r.ps; r.j <= prev || int(r.j) >= i {
 			c.Fail("row %d: pair row %d after %d, want strictly ascending below %d", i, r.j, prev, i)
+			break
 		} else if ps.M < 0 || ps.N < ps.M || !im.params.onSchedule(ps.N) {
 			c.Fail("pair (%d,%d): evidence %d/%d out of range or off the hash schedule", r.j, i, ps.M, ps.N)
+			break
 		}
 		prev = r.j
-		return r
-	})
+	}
+	if flags&^pairFlagsKnown != 0 {
+		c.Fail("row %d: pair flags %#x carry unknown bits", i, flags)
+	}
+	return run
 }
 
 // pairRecordBytes is the width of one pair record on the wire: j u32, M
 // u32, N u32, flags u8, exact f32.
 const pairRecordBytes = 17
 
-// walkPair walks one pair record as a single fixed-width record — the same
-// bytes as walking its five fields one by one, at a fifth of the codec
-// calls, which is most of what a snapshot of many pairs costs to walk.
-func (im *cacheImage) walkPair(c *wire.Codec, r pairRec) pairRec {
-	ps, rec := &r.ps, im.rec[:]
-	binary.LittleEndian.PutUint32(rec[0:], uint32(r.j))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(ps.M))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(ps.N))
-	rec[12] = flagBit(ps.Done, pairFlagDone) | flagBit(ps.HasExact, pairFlagHasExact)
-	binary.LittleEndian.PutUint32(rec[13:], math.Float32bits(ps.Exact))
-	c.Bytes(rec)
-	r.j = int32(binary.LittleEndian.Uint32(rec[0:]))
-	ps.M = int32(binary.LittleEndian.Uint32(rec[4:]))
-	ps.N = int32(binary.LittleEndian.Uint32(rec[8:]))
-	ps.Done = rec[12]&pairFlagDone != 0
-	ps.HasExact = rec[12]&pairFlagHasExact != 0
-	ps.Exact = math.Float32frombits(binary.LittleEndian.Uint32(rec[13:]))
-	if rec[12]&^pairFlagsKnown != 0 {
-		c.Fail("pair flags %#x carry unknown bits", rec[12])
+// putPair packs one pair record.
+func putPair(b []byte, r pairRec) {
+	ps := &r.ps
+	binary.LittleEndian.PutUint32(b[0:], uint32(r.j))
+	binary.LittleEndian.PutUint32(b[4:], uint32(ps.M))
+	binary.LittleEndian.PutUint32(b[8:], uint32(ps.N))
+	b[12] = flagBit(ps.Done, pairFlagDone) | flagBit(ps.HasExact, pairFlagHasExact)
+	binary.LittleEndian.PutUint32(b[13:], math.Float32bits(ps.Exact))
+}
+
+// getPair unpacks one pair record; walkRun checks its flag bits.
+func getPair(b []byte) pairRec {
+	return pairRec{
+		j: int32(binary.LittleEndian.Uint32(b[0:])),
+		ps: PairState{
+			M:        int32(binary.LittleEndian.Uint32(b[4:])),
+			N:        int32(binary.LittleEndian.Uint32(b[8:])),
+			Done:     b[12]&pairFlagDone != 0,
+			HasExact: b[12]&pairFlagHasExact != 0,
+			Exact:    math.Float32frombits(binary.LittleEndian.Uint32(b[13:])),
+		},
 	}
-	return r
 }
 
 // EncodeSnapshot serializes the cache — params, seed, sketches, and the
@@ -263,9 +271,11 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 // byte-identical probe results to the cache it was encoded from.
 func DecodeSnapshot(r io.Reader) (*Cache, error) {
 	var im cacheImage
+	var buf []pairRec // lent to each row's walk, which decodes into it
 	pairs := NewPairStore()
 	wc := wire.NewDecoder(r, snapErrors)
-	im.walk(wc, func(int) []pairRec { return nil }, func(i int, run []pairRec) {
+	im.walk(wc, func(int) []pairRec { return buf }, func(i int, run []pairRec) {
+		buf = run
 		if len(run) == 0 {
 			return
 		}

@@ -5,7 +5,7 @@
 // so any node can revive any session regardless of where it was created.
 //
 // The local state directory (Dir) is the first implementation; the
-// interface is deliberately minimal (Put/Get/Delete/List) so an S3-style
+// interface is deliberately minimal (PutFunc/Get/Delete/List) so an S3-style
 // backend can plug in behind the same four calls. New implementations are
 // validated against the conformance suite in the blobtest subpackage.
 package blob
@@ -23,16 +23,22 @@ var ErrNotFound = errors.New("blob: key not found")
 // the same backing storage.
 //
 // Implementations must guarantee:
-//   - Put is atomic: a concurrent Get (from this or another process)
+//   - PutFunc is atomic: a concurrent Get (from this or another process)
 //     observes either the previous blob or the new one in full, never a
-//     torn mix, even if the writer crashes mid-Put.
+//     torn mix, even if the writer crashes mid-put.
+//   - A put whose write func fails stores nothing: the previous blob under
+//     the key, if any, stays readable in full, and List shows no new key.
 //   - All methods are safe for concurrent use by multiple goroutines and
 //     multiple processes sharing the backing storage.
 //   - Keys must satisfy ValidKey; operations on invalid keys fail with an
 //     error rather than touching storage.
 type Store interface {
-	// Put atomically writes data under key, replacing any existing blob.
-	Put(key string, data []byte) error
+	// PutFunc atomically stores under key what write writes to the
+	// writer it is given, replacing any existing blob once write returns
+	// nil. The bytes stream to storage as they are written, so a blob never
+	// has to sit whole in memory. If write returns an error, PutFunc
+	// returns it and stores nothing.
+	PutFunc(key string, write func(io.Writer) error) error
 	// Get returns a reader over the blob stored under key, or ErrNotFound.
 	// The caller must Close the reader.
 	Get(key string) (io.ReadCloser, error)

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"os"
@@ -9,10 +10,10 @@ import (
 )
 
 // Dir is the local-directory Store: one file per key, written atomically
-// (unique temp file + rename) so a crash mid-Put leaves the previous blob
-// intact rather than a truncated one. A shared filesystem mount makes the
-// same directory a cluster-wide store — this is what the 3-node smoke
-// harness runs on.
+// (unique temp file + rename) so a crash or a failed write mid-put leaves
+// the previous blob intact rather than a truncated one. A shared filesystem
+// mount makes the same directory a cluster-wide store — this is what the
+// 3-node smoke harness runs on.
 //
 // The on-disk layout is exactly the key as the file name, which keeps it
 // byte-compatible with the state directories written by earlier plasmad
@@ -36,10 +37,11 @@ func (d *Dir) Root() string { return d.root }
 // generic Store contract knows nothing about paths).
 func (d *Dir) Path(key string) string { return filepath.Join(d.root, key) }
 
-// Put atomically writes data under key. The temp file gets a leading dot,
-// an invalid key byte, so a crash can never leave a half-written blob
-// visible to List.
-func (d *Dir) Put(key string, data []byte) error {
+// PutFunc streams what write writes into a unique temp file through a
+// buffer, then renames it over key. The temp file gets a leading dot, an
+// invalid key byte, so neither a crash nor a failed write can leave a
+// half-written blob visible to List; a failed put removes it.
+func (d *Dir) PutFunc(key string, write func(io.Writer) error) error {
 	if !ValidKey(key) {
 		return errInvalidKey(key)
 	}
@@ -47,20 +49,37 @@ func (d *Dir) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), d.Path(key)); err != nil {
-		os.Remove(tmp.Name())
+	renamed := false
+	defer func() {
+		if !renamed { // a failed write or a panic in it
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	bw := bufio.NewWriterSize(tmp, putBufferSize)
+	if err := write(bw); err != nil {
 		return err
 	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), d.Path(key)); err != nil {
+		return err
+	}
+	renamed = true
 	return nil
+}
+
+// putBufferSize is PutFunc's write buffer: small writes gather into blocks
+// this size, and larger ones go straight to the file.
+const putBufferSize = 64 << 10
+
+// Put atomically writes data under key.
+func (d *Dir) Put(key string, data []byte) error {
+	return d.PutFunc(key, func(w io.Writer) error { _, err := w.Write(data); return err })
 }
 
 // Get opens the blob under key for reading.
@@ -89,7 +108,7 @@ func (d *Dir) Delete(key string) (bool, error) {
 
 // List returns the stored keys in lexicographic order. Entries that are
 // not valid keys (directories, temp files, strays) are skipped — they can
-// never have been written by Put under a valid key.
+// never have been written by PutFunc under a valid key.
 func (d *Dir) List() ([]string, error) {
 	entries, err := os.ReadDir(d.root)
 	if err != nil {

@@ -1,6 +1,8 @@
 package blob_test
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -45,7 +47,7 @@ func TestDirLayoutCompat(t *testing.T) {
 	}
 }
 
-// TestDirIgnoresStrayTempFiles: a crash mid-Put leaves a hidden temp file;
+// TestDirIgnoresStrayTempFiles: a crash mid-put leaves a hidden temp file;
 // it must never surface as a key.
 func TestDirIgnoresStrayTempFiles(t *testing.T) {
 	root := t.TempDir()
@@ -62,5 +64,37 @@ func TestDirIgnoresStrayTempFiles(t *testing.T) {
 	keys, err := d.List()
 	if err != nil || len(keys) != 1 || keys[0] != "s1.snap" {
 		t.Fatalf("List = (%v, %v), want only s1.snap", keys, err)
+	}
+}
+
+// TestDirFailedPutLeavesNoTempFile: a put whose write fails, or panics,
+// removes its temp file, so failed spills do not pile up on disk.
+func TestDirFailedPutLeavesNoTempFile(t *testing.T) {
+	root := t.TempDir()
+	d, err := blob.NewDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := func(w io.Writer) error {
+		_, err := w.Write(make([]byte, 100_000))
+		return err
+	}
+	if err := d.PutFunc("s1.snap", func(w io.Writer) error {
+		if err := half(w); err != nil {
+			return err
+		}
+		return errors.New("encode failed")
+	}); err == nil {
+		t.Fatal("a failing write func was stored")
+	}
+	func() {
+		defer func() { _ = recover() }()
+		_ = d.PutFunc("s2.snap", func(w io.Writer) error {
+			_ = half(w)
+			panic("encoder bug")
+		})
+	}()
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Fatalf("after failed puts the directory holds %v (%v), want nothing", entries, err)
 	}
 }

@@ -160,11 +160,10 @@ func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 	if ds.Measure != vec.CosineSim && ds.Measure != vec.JaccardSim {
 		c.Fail("unknown dataset measure %d", int(ds.Measure))
 	}
-	index := func(ix int32) int32 { return int32(c.U32(uint32(ix))) }
 	ds.Rows = wire.Slice(c, ds.Rows, n, func(row vec.Sparse) vec.Sparse {
 		nnz := c.Count(len(row.Indices), ds.Dim, "row non-zero count")
-		row.Indices = wire.Slice(c, row.Indices, nnz, index)
-		row.Values = wire.Slice(c, row.Values, nnz, c.F64)
+		row.Indices = wire.I32s(c, row.Indices, nnz)
+		row.Values = wire.F64s(c, row.Values, nnz)
 		for k, ix := range row.Indices {
 			if ix < 0 || int(ix) >= ds.Dim || (k > 0 && row.Indices[k-1] >= ix) {
 				c.Fail("row indices not strictly increasing in [0,%d)", ds.Dim)
@@ -181,7 +180,7 @@ func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 func (h *probeHistory) walk(c *wire.Codec) {
 	h.count = int(c.I64(int64(h.count)))
 	n := c.Count(len(h.thresholds), min(h.count, snapMaxRows), "distinct threshold count")
-	h.thresholds = wire.Slice(c, h.thresholds, n, c.F64)
+	h.thresholds = wire.F64s(c, h.thresholds, n)
 	prev := math.Inf(-1)
 	for _, t := range h.thresholds {
 		if !(t > prev) {

@@ -415,10 +415,10 @@ func clusterPeers(nodes map[string]*clusterNode, override, addr string) map[stri
 // spill's worst day.
 type failingStore struct{}
 
-func (failingStore) Put(string, []byte) error          { return errors.New("disk on fire") }
-func (failingStore) Get(string) (io.ReadCloser, error) { return nil, blob.ErrNotFound }
-func (failingStore) Delete(string) (bool, error)       { return false, nil }
-func (failingStore) List() ([]string, error)           { return nil, nil }
+func (failingStore) PutFunc(string, func(io.Writer) error) error { return errors.New("disk on fire") }
+func (failingStore) Get(string) (io.ReadCloser, error)           { return nil, blob.ErrNotFound }
+func (failingStore) Delete(string) (bool, error)                 { return false, nil }
+func (failingStore) List() ([]string, error)                     { return nil, nil }
 
 // TestSpillFailureVisible: a failed eviction spill must be loud — counted in
 // plasmad_spill_failures_total (and the stats JSON), logged with the session

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -1020,6 +1021,24 @@ func (hw *holdbackWriter) flush() error {
 	return hw.commit()
 }
 
+// restore decodes a session snapshot from r, the one path restore uploads
+// and revives share, and counts the bytes it consumed in
+// plasmad_snapshot_bytes_in_total. The decoder reads scalars a few bytes at
+// a time, so r is read through a buffer in blocks; a maxBytesTracker sits
+// between the decoder and that buffer, so it counts exactly the bytes the
+// decoder consumed, and reports the body cap (tooBig) only when the decoder
+// itself needed bytes past it — not when the buffer merely read ahead
+// into an upload's excess.
+func (m *Manager) restore(r io.Reader) (sess *core.Session, tooBig *http.MaxBytesError, err error) {
+	t := &maxBytesTracker{r: bufio.NewReaderSize(r, restoreBufferSize)}
+	sess, err = core.RestoreSession(t, nil)
+	m.snapBytesIn.Add(t.n)
+	return sess, t.tooBig, err
+}
+
+// restoreBufferSize is the block restore reads its stream in.
+const restoreBufferSize = 32 << 10
+
 // maxBytesTracker passes reads through while remembering whether the
 // middleware's http.MaxBytesReader tripped. The snapshot decoder wraps read
 // errors into its own typed corruption errors, so without the tracker an
@@ -1047,13 +1066,11 @@ func (t *maxBytesTracker) Read(p []byte) (int, error) {
 // decoded as a stream — RestoreSession never needs the whole upload in
 // memory, and snapshots run to the (default 1 GiB) restore body cap.
 func (s *Server) handleRestore(r *http.Request) (int, any, error) {
-	body := &maxBytesTracker{r: r.Body}
-	sess, err := core.RestoreSession(body, nil)
-	s.mgr.snapBytesIn.Add(body.n)
+	sess, tooBig, err := s.mgr.restore(r.Body)
 	if err != nil {
-		if body.tooBig != nil {
+		if tooBig != nil {
 			return 0, nil, apiErr(http.StatusRequestEntityTooLarge, "too_large",
-				"snapshot exceeds the %d-byte limit", body.tooBig.Limit)
+				"snapshot exceeds the %d-byte limit", tooBig.Limit)
 		}
 		return 0, nil, apiErr(http.StatusBadRequest, "bad_snapshot", "%v", err)
 	}

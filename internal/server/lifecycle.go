@@ -1,15 +1,13 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"time"
 
 	"plasmahd/internal/blob"
-	"plasmahd/internal/core"
 )
 
 // Session lifecycle: where does session "s7" live right now?
@@ -27,27 +25,29 @@ import (
 //
 //	revive   absent → resident     Acquire misses: Get + decode, then admit
 //	spill    resident → absent     capacity eviction of the LRU idle session,
-//	                               and Unload(id, true), the cluster handoff: Put
+//	                               and Unload(id, true), the cluster handoff: put
 //	drop     resident → absent     Unload(id, false): a stale copy superseded
 //	                               by a handoff, nothing written
-//	persist  resident → resident   Persist (?persist=1, shutdown save): Put; the
+//	persist  resident → resident   Persist (?persist=1, shutdown save): put; the
 //	                               slot is moving but keeps its session, which
 //	                               stays usable
 //	delete   any → absent          Delete: session unlinked, blob removed
 //
 // Whoever needs an ID that is moving waits for the owner to settle it and
 // looks again (settledLocked); an owner never waits, so waits cannot cycle.
-// So a DELETE cannot slip between an eviction's unlink and its Put, or
-// between a persist's encode and its Put; concurrent requests for a spilled
-// session decode its blob once; and a request for an eviction victim waits
-// for the spill and revives it instead of missing. Create and AdmitNew mint
-// IDs nobody else can name yet, so they insert a resident slot directly.
-// With persistence off (store == nil) the transitions run without the I/O.
+// So a DELETE cannot slip between an eviction's unlink and its put, or into
+// a persist's put; concurrent requests for a spilled session decode its
+// blob once; and a request for an eviction victim waits for the spill and
+// revives it instead of missing. Create and AdmitNew mint IDs nobody else
+// can name yet, so they insert a resident slot directly. With persistence
+// off (store == nil) the transitions run without the I/O.
 //
-// The store contract makes Put atomic, so a crash mid-save leaves the
-// previous snapshot intact, and the codec's CRC catches anything else. Every
-// node of a cluster mounts the same store, so "spilled here" means
-// "revivable anywhere" (see cluster.go).
+// A save encodes the session straight into the store's streaming put
+// (blob.Store.PutFunc), so no whole snapshot is ever buffered. The store
+// contract makes that put atomic and a failed one a no-op, so a crash or an
+// encode failure mid-save leaves the previous snapshot intact, and the
+// codec's CRC catches anything else. Every node of a cluster mounts the
+// same store, so "spilled here" means "revivable anywhere" (see cluster.go).
 
 // slot is one session ID's entry in the manager.
 type slot struct {
@@ -324,17 +324,35 @@ func (m *Manager) Persist(ms *ManagedSession) (int, error) {
 	return n, err
 }
 
-// save encodes one session and puts it in the store.
+// save encodes one session straight into the store and returns its size.
 func (m *Manager) save(ms *ManagedSession) (int, error) {
-	var buf bytes.Buffer
-	if err := ms.Session.Snapshot(&buf); err != nil {
-		return 0, fmt.Errorf("snapshot %s: %w", ms.ID, err)
-	}
-	if err := m.store.Put(stateKey(ms.ID), buf.Bytes()); err != nil {
+	var n int64
+	err := m.store.PutFunc(stateKey(ms.ID), func(w io.Writer) error {
+		cw := &countWriter{w: w}
+		err := ms.Session.Snapshot(cw)
+		n = cw.n
+		if err != nil {
+			return fmt.Errorf("snapshot %s: %w", ms.ID, err)
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	m.snapBytesOut.Add(int64(buf.Len()))
-	return buf.Len(), nil
+	m.snapBytesOut.Add(n)
+	return int(n), nil
+}
+
+// countWriter counts the bytes written through it.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
 }
 
 // spill saves a session that is leaving memory. A failure is counted in
@@ -361,11 +379,7 @@ func (m *Manager) load(id string) (*ManagedSession, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	// The decoder reads a field at a time; buffer above the tracker so the
-	// blob is read in blocks and body.n still counts the blob's bytes.
-	body := &maxBytesTracker{r: rc}
-	sess, err := core.RestoreSession(bufio.NewReader(body), nil)
-	m.snapBytesIn.Add(body.n)
+	sess, _, err := m.restore(rc)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,17 +16,20 @@ import (
 	"time"
 
 	"plasmahd/internal/blob"
+	"plasmahd/internal/core"
 )
 
-// gatedStore is a directory blob store whose Put or Get on a chosen key can
-// be made to block until the test lets it go, so a test can hold a session
-// in the middle of its blob I/O and aim a second request at it.
+// gatedStore is a directory blob store whose PutFunc or Get on a chosen key
+// can be made to block until the test lets it go, so a test can hold a
+// session in the middle of its blob I/O and aim a second request at it. A
+// put can be held before its encode starts ("put") or at its first write,
+// with the encoder inside the snapshot ("write").
 type gatedStore struct {
 	blob.Store
 	failPut atomic.Bool
 
 	mu    sync.Mutex
-	gates map[string]*gate // "put <key>" / "get <key>": armed, consumed by the first call
+	gates map[string]*gate // "put|write|get <key>": armed, consumed by the first call
 	gets  map[string]int   // Get calls per key
 }
 
@@ -46,8 +51,8 @@ func newGatedStore(t *testing.T) *gatedStore {
 	return &gatedStore{Store: dir, gates: make(map[string]*gate), gets: make(map[string]int)}
 }
 
-// arm makes the next op ("put" or "get") on key block until the gate is
-// opened, at the latest when the test ends.
+// arm makes the next op ("put", "write" or "get") on key block until the
+// gate is opened, at the latest when the test ends.
 func (g *gatedStore) arm(t *testing.T, op, key string) *gate {
 	gt := &gate{entered: make(chan struct{}), release: make(chan struct{})}
 	t.Cleanup(gt.open)
@@ -71,12 +76,49 @@ func (g *gatedStore) pass(op, key string) {
 	}
 }
 
-func (g *gatedStore) Put(key string, data []byte) error {
+// PutFunc passes the put gate, then streams into the directory, passing
+// the write gate at the first write; with failPut set, the disk fills after
+// failAfter bytes, mid-stream.
+func (g *gatedStore) PutFunc(key string, write func(io.Writer) error) error {
 	g.pass("put", key)
-	if g.failPut.Load() {
-		return errors.New("disk on fire")
+	return g.Store.PutFunc(key, func(w io.Writer) error {
+		if g.failPut.Load() {
+			w = &fullDisk{w: w, room: failAfter}
+		}
+		return write(&gatedWriter{w: w, first: func() { g.pass("write", key) }})
+	})
+}
+
+// gatedWriter calls first before its first write.
+type gatedWriter struct {
+	w     io.Writer
+	first func()
+	once  sync.Once
+}
+
+func (gw *gatedWriter) Write(p []byte) (int, error) {
+	gw.once.Do(gw.first)
+	return gw.w.Write(p)
+}
+
+// failAfter is how many bytes a failing put streams before its disk fills:
+// past the session snapshot's header, inside its arrays.
+const failAfter = 600
+
+// fullDisk accepts room bytes, then fails every write.
+type fullDisk struct {
+	w    io.Writer
+	room int
+}
+
+func (d *fullDisk) Write(p []byte) (int, error) {
+	if len(p) > d.room {
+		n, _ := d.w.Write(p[:d.room])
+		d.room = 0
+		return n, errors.New("disk on fire")
 	}
-	return g.Store.Put(key, data)
+	d.room -= len(p)
+	return d.w.Write(p)
 }
 
 func (g *gatedStore) Get(key string) (io.ReadCloser, error) {
@@ -177,7 +219,7 @@ func await(t *testing.T, what string, ch <-chan struct{}) {
 }
 
 // TestLifecycleDeleteDuringPersist: a DELETE that lands while ?persist=1 is
-// inside Put must win — once both have answered, the store holds no blob
+// inside PutFunc must win — once both have answered, the store holds no blob
 // for the session, so it cannot resurrect on the next boot or another node.
 func TestLifecycleDeleteDuringPersist(t *testing.T) {
 	_, ts, store := newGatedServer(t, 4)
@@ -186,7 +228,7 @@ func TestLifecycleDeleteDuringPersist(t *testing.T) {
 
 	put := store.arm(t, "put", stateKey(id))
 	persist := goStatus("POST", ts.URL+"/v1/sessions/"+id+"/snapshot?persist=1")
-	await(t, "the persist to reach Put", put.entered)
+	await(t, "the persist to reach PutFunc", put.entered)
 	del := goStatus("DELETE", ts.URL+"/v1/sessions/"+id)
 	// The DELETE is now waiting for the persist — or, the defect, has
 	// already answered, so this cannot wait for it to be in flight.
@@ -255,7 +297,7 @@ func TestLifecycleSpilledReadOnce(t *testing.T) {
 
 // TestLifecycleVictimNever404: a request for an eviction victim whose spill
 // is still being written waits for it and revives the session; it never
-// sees the gap between unlink and Put.
+// sees the gap between unlink and the put.
 func TestLifecycleVictimNever404(t *testing.T) {
 	srv, ts, store := newGatedServer(t, 1)
 	id := createToy(t, ts.URL)
@@ -263,7 +305,7 @@ func TestLifecycleVictimNever404(t *testing.T) {
 
 	put := store.arm(t, "put", stateKey(id))
 	evictor := goCreateToy(ts.URL) // evicts id, blocks in its spill
-	await(t, "the eviction to reach Put", put.entered)
+	await(t, "the eviction to reach PutFunc", put.entered)
 
 	get := goStatus("GET", ts.URL+"/v1/sessions/"+id)
 	awaitInflight(t, srv, 2)
@@ -366,7 +408,7 @@ func TestLifecycleTransitions(t *testing.T) {
 		return counts{s.SessionsEvicted.Load(), s.SessionsSpilled.Load(), s.SessionsRestored.Load(),
 			s.SessionsDeleted.Load(), s.SpillFailures.Load()}
 	}
-	// Target states. "moving" is a handoff spill held inside Put (so its
+	// Target states. "moving" is a handoff spill held inside PutFunc (so its
 	// spill is counted after the operation starts): the operation must wait
 	// for it, then sees a spilled session.
 	const (
@@ -454,7 +496,7 @@ func TestLifecycleTransitions(t *testing.T) {
 					defer close(inFlight)
 					m.Unload(id, true)
 				}()
-				await(t, "the handoff to reach Put", put.entered)
+				await(t, "the handoff to reach PutFunc", put.entered)
 			}
 			store.failPut.Store(tc.failPut)
 			before := read(m)
@@ -544,3 +586,136 @@ func TestLifecycleTransitions(t *testing.T) {
 
 // errAny stands for "some error" in TestLifecycleTransitions.
 var errAny = errors.New("any error")
+
+// TestSaveFailsMidStream: a persist or spill whose disk fills partway
+// through the snapshot is counted and leaves each session intact or cleanly
+// absent. The store keeps the last good blob in full, or none; a failed
+// persist leaves the session resident; a failed eviction spill drops the
+// victim from memory, after which it revives from its last good blob, or
+// answers 404 if it never had one.
+func TestSaveFailsMidStream(t *testing.T) {
+	srv, ts, store := newGatedServer(t, 1)
+	kept := createToy(t, ts.URL)
+	probeAt(t, ts.URL, kept, 0.9)
+	if st := call(t, "POST", ts.URL+"/v1/sessions/"+kept+"/snapshot?persist=1", nil, nil); st != http.StatusOK {
+		t.Fatalf("good persist: status %d", st)
+	}
+	var good sessionInfo
+	call(t, "GET", ts.URL+"/v1/sessions/"+kept, nil, &good)
+	goodBlob := readBlob(t, store, stateKey(kept))
+	if len(goodBlob) <= failAfter {
+		t.Fatalf("snapshot is %d bytes, so a put failing after %d would not fail mid-stream", len(goodBlob), failAfter)
+	}
+	probeAt(t, ts.URL, kept, 0.5) // evidence only the failing saves would carry
+
+	store.failPut.Store(true)
+	if st := call(t, "POST", ts.URL+"/v1/sessions/"+kept+"/snapshot?persist=1", nil, nil); st != http.StatusInternalServerError {
+		t.Fatalf("persist onto a full disk: status %d, want 500", st)
+	}
+	if !holderHas(srv, kept) {
+		t.Fatal("a failed persist dropped its session from memory")
+	}
+	lost := createToy(t, ts.URL) // capacity 1: evicts kept, whose spill fails
+	createToy(t, ts.URL)         // evicts lost, which has no blob to fall back on
+	if n := srv.mgr.stats.SpillFailures.Load(); n != 2 {
+		t.Fatalf("spill failures = %d, want 2", n)
+	}
+	if exp := scrapeMetrics(t, ts.URL); !strings.Contains(exp, "plasmad_spill_failures_total 2") {
+		t.Fatal("metrics missing plasmad_spill_failures_total 2")
+	}
+	if got := readBlob(t, store, stateKey(kept)); !bytes.Equal(got, goodBlob) {
+		t.Fatalf("after failed saves the blob is %d bytes, want the last good %d in full", len(got), len(goodBlob))
+	}
+	if store.has(t, stateKey(lost)) {
+		t.Fatal("a failed spill left a blob for a session that never had one")
+	}
+	if keys, err := store.List(); err != nil || len(keys) != 1 {
+		t.Fatalf("store keys = %v (%v), want only the last good blob", keys, err)
+	}
+
+	store.failPut.Store(false)
+	if st := call(t, "GET", ts.URL+"/v1/sessions/"+lost, nil, nil); st != http.StatusNotFound {
+		t.Fatalf("session lost to a failed spill answers %d, want 404", st)
+	}
+	var revived sessionInfo
+	if st := call(t, "GET", ts.URL+"/v1/sessions/"+kept, nil, &revived); st != http.StatusOK {
+		t.Fatalf("revive from the last good blob: status %d", st)
+	}
+	if revived.Probes != good.Probes || revived.CachedPairs != good.CachedPairs ||
+		!slices.Equal(revived.Thresholds, good.Thresholds) {
+		t.Fatalf("revived %+v, want the last good save %+v", revived, good)
+	}
+}
+
+// readBlob reads the blob under key in full.
+func readBlob(t *testing.T, s blob.Store, key string) []byte {
+	t.Helper()
+	rc, err := s.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	data, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestAppendWaitsForStreamingSave: a save streams the snapshot into the
+// store while it holds the session's append lock, so an append that lands
+// mid-put waits for the put, then finishes. The blob holds the view from
+// before the append, and the session answers with the grown one.
+func TestAppendWaitsForStreamingSave(t *testing.T) {
+	srv, ts, store := newGatedServer(t, 4)
+	full := ingestRows(0, 40)
+	id := createDense(t, ts.URL, full[:25]).ID
+
+	write := store.arm(t, "write", stateKey(id))
+	persist := goStatus("POST", ts.URL+"/v1/sessions/"+id+"/snapshot?persist=1")
+	await(t, "the persist to stream into the store", write.entered)
+	body, err := json.Marshal(map[string]any{"dense": full[25:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/rows", "application/json", bytes.NewReader(body))
+		if err != nil {
+			appended <- -1
+			return
+		}
+		resp.Body.Close()
+		appended <- resp.StatusCode
+	}()
+	awaitInflight(t, srv, 2)
+	select {
+	case st := <-appended:
+		t.Fatalf("the append answered %d while the save was mid-put", st)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	write.open()
+	if st := <-persist; st != http.StatusOK {
+		t.Fatalf("persist: status %d", st)
+	}
+	select {
+	case st := <-appended:
+		if st != http.StatusOK {
+			t.Fatalf("append after the put: status %d", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the append did not finish once the put was released")
+	}
+	saved, err := core.RestoreSession(bytes.NewReader(readBlob(t, store, stateKey(id))), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := saved.Dataset().N(); n != 25 {
+		t.Fatalf("the saved blob holds %d rows, want the 25 from before the append", n)
+	}
+	var info sessionInfo
+	if st := call(t, "GET", ts.URL+"/v1/sessions/"+id, nil, &info); st != http.StatusOK || info.Rows != 40 {
+		t.Fatalf("session after the append: status %d, %d rows, want 40", st, info.Rows)
+	}
+}

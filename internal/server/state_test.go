@@ -304,6 +304,49 @@ func TestOldVersionStateFileSkippedOnBoot(t *testing.T) {
 	}
 }
 
+// TestRestoreReadsOnlyWhatItDecodes: restore reads its upload through a
+// buffer, yet plasmad_snapshot_bytes_in_total counts exactly the bytes the
+// decoder consumed, and the body cap answers 413 only when the decoder
+// itself needs bytes past it — not when the buffer reads ahead into bytes
+// after the snapshot.
+func TestRestoreReadsOnlyWhatItDecodes(t *testing.T) {
+	src := httptest.NewServer(New(Config{Capacity: 2, RequestTimeout: 30 * time.Second}).Handler())
+	defer src.Close()
+	id := createToy(t, src.URL)
+	probeAt(t, src.URL, id, 0.5)
+	st, snap := rawPost(t, src.URL+"/v1/sessions/"+id+"/snapshot", "application/octet-stream", nil)
+	if st != http.StatusOK {
+		t.Fatalf("snapshot: status %d", st)
+	}
+	junk := bytes.Repeat([]byte{0xAB}, 100<<10)
+	badSum := append([]byte{}, snap...)
+	badSum[len(badSum)-1] ^= 1
+
+	for _, tc := range []struct {
+		name     string
+		cap      int // MaxSnapshotBytes
+		body     []byte
+		status   int
+		code     string
+		consumed int // the bytes the decoder reads
+	}{
+		{"snapshot then bytes past the cap", len(snap), append(append([]byte{}, snap...), junk...), http.StatusCreated, "", len(snap)},
+		{"bad checksum at the cap, bytes past it", len(snap), append(badSum, junk...), http.StatusBadRequest, "bad_snapshot", len(snap)},
+		{"snapshot one byte over the cap", len(snap) - 1, snap, http.StatusRequestEntityTooLarge, "too_large", len(snap) - 1},
+	} {
+		srv := New(Config{Capacity: 2, RequestTimeout: 30 * time.Second, MaxBodyBytes: 1024, MaxSnapshotBytes: int64(tc.cap)})
+		ts := httptest.NewServer(srv.Handler())
+		st, out := rawPost(t, ts.URL+"/v1/sessions/restore", "application/octet-stream", tc.body)
+		if st != tc.status || !strings.Contains(string(out), tc.code) {
+			t.Errorf("%s: status %d body %s, want %d %s", tc.name, st, out, tc.status, tc.code)
+		}
+		if got := metricValue(scrapeMetrics(t, ts.URL), "plasmad_snapshot_bytes_in_total"); got != float64(tc.consumed) {
+			t.Errorf("%s: plasmad_snapshot_bytes_in_total = %v, want the %d bytes decoded", tc.name, got, tc.consumed)
+		}
+		ts.Close()
+	}
+}
+
 // TestBodyCap413: a body over the configured cap gets the 413 envelope with
 // the too_large code — it must not be read to completion or crash the
 // daemon.

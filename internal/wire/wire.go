@@ -10,6 +10,16 @@
 //
 // The first failure latches: later calls do nothing and return zero values,
 // so walks stay straight-line and check Err once at the end.
+//
+// Scalars write through and read exactly their own bytes, one call each.
+// Arrays of fixed-width elements — signatures, row indices and values, pair
+// records — move as blocks instead: Fixed packs up to PreallocCap elements
+// into the codec's scratch and issues one Write for them, or does one
+// ReadFull of their bytes and unpacks them, with one CRC update a chunk.
+// The bytes on the wire are the same either way; only the number of calls
+// that carry them changes. A block read takes no more than the chunk it
+// asks for, so a decoder still consumes exactly the bytes it decodes, and
+// nothing is allocated for a chunk's elements until its bytes have arrived.
 package wire
 
 import (
@@ -24,8 +34,12 @@ import (
 // the elements behind it have been read. Counts are untrusted (snapshots
 // arrive over the wire), so Slice grows its result by append as bytes
 // actually arrive: a fabricated count in a tiny stream can never allocate
-// more than the stream backs.
+// more than the stream backs. It is also Fixed's chunk length.
 const PreallocCap = 1 << 12
+
+// maxWidth bounds the element width Fixed walks, so a chunk's scratch is at
+// most PreallocCap·maxWidth bytes whatever a stream declares.
+const maxWidth = 32
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -46,6 +60,9 @@ type Codec struct {
 	crc  uint32
 	err  error
 	buf  [8]byte
+	// scratch holds one chunk of Fixed elements on their way to or from
+	// the stream; it only grows, up to PreallocCap·maxWidth bytes.
+	scratch []byte
 }
 
 // NewEncoder returns a Codec that writes to w.
@@ -188,14 +205,101 @@ func Slice[T any](c *Codec, s []T, n int, elem func(T) T) []T {
 	return s
 }
 
-// bytesN walks n raw bytes: one write when encoding, a Slice when decoding
-// so that the length prefix never sizes an allocation directly.
+// Fixed walks the n elements of s as blocks of width bytes each: put packs
+// an element into its block, get unpacks one. Chunks of up to PreallocCap
+// elements move in one Write or one ReadFull and one checksum update, and
+// the bytes are exactly those of walking the elements one by one.
+//
+// Encoding, len(s) must equal n, and s is returned. Decoding, the elements
+// are appended to s[:0], so a caller may lend a buffer to reuse; a nil s
+// gets a slice of capacity at most PreallocCap, made only once the first
+// chunk's bytes have arrived, and it grows by append after that. Each
+// chunk's elements are appended only after all its bytes have arrived, so a
+// fabricated count in a tiny stream costs one chunk of scratch and no
+// elements. After a failure, or for a negative n, nothing is allocated. A
+// width outside [1, maxWidth] is a programming error and panics.
+func Fixed[T any](c *Codec, s []T, n, width int, put func([]byte, T), get func([]byte) T) []T {
+	if width < 1 || width > maxWidth {
+		panic(fmt.Sprintf("wire: Fixed element width %d outside [1,%d]", width, maxWidth))
+	}
+	if c.w != nil {
+		if len(s) != n {
+			c.Fail("%d elements where %d were declared", len(s), n)
+		}
+		for done := 0; done < n && c.err == nil; {
+			k := min(n-done, PreallocCap)
+			b := c.chunk(k * width)
+			for i, v := range s[done : done+k] {
+				put(b[i*width:], v)
+			}
+			_, _ = c.Write(b) // Write latches its own error
+			done += k
+		}
+		return s
+	}
+	if c.err != nil || n < 0 {
+		return nil
+	}
+	out := s[:0]
+	for done := 0; done < n; done += PreallocCap {
+		k := min(n-done, PreallocCap)
+		b := c.chunk(k * width)
+		if _, err := io.ReadFull(c.r, b); err != nil {
+			c.err = fmt.Errorf("%w: truncated stream: %v", c.errs.Corrupt, err)
+			return out
+		}
+		c.crc = crc32.Update(c.crc, castagnoli, b)
+		if out == nil {
+			out = make([]T, 0, min(n, PreallocCap))
+		}
+		for i := range k {
+			out = append(out, get(b[i*width:]))
+		}
+	}
+	if out == nil {
+		out = []T{}
+	}
+	return out
+}
+
+// chunk returns the codec's scratch resized to nbytes, which Fixed keeps at
+// most PreallocCap·maxWidth.
+func (c *Codec) chunk(nbytes int) []byte {
+	if cap(c.scratch) < nbytes {
+		c.scratch = make([]byte, min(max(nbytes, 2*cap(c.scratch)), PreallocCap*maxWidth))
+	}
+	return c.scratch[:nbytes]
+}
+
+// U32s, U64s, I32s and F64s walk arrays of little-endian words with Fixed.
+func U32s(c *Codec, s []uint32, n int) []uint32 {
+	return Fixed(c, s, n, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+}
+
+func U64s(c *Codec, s []uint64, n int) []uint64 {
+	return Fixed(c, s, n, 8, binary.LittleEndian.PutUint64, binary.LittleEndian.Uint64)
+}
+
+func I32s(c *Codec, s []int32, n int) []int32 {
+	return Fixed(c, s, n, 4,
+		func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) },
+		func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
+}
+
+func F64s(c *Codec, s []float64, n int) []float64 {
+	return Fixed(c, s, n, 8,
+		func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) },
+		func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
+}
+
+// bytesN walks n raw bytes: one write when encoding, a Fixed block read when
+// decoding so that the length prefix never sizes an allocation directly.
 func (c *Codec) bytesN(b []byte, n int) []byte {
 	if c.w != nil {
 		c.Bytes(b)
 		return b
 	}
-	return Slice(c, nil, n, c.U8)
+	return Fixed(c, nil, n, 1, func(b []byte, v byte) { b[0] = v }, func(b []byte) byte { return b[0] })
 }
 
 // Blob walks a u32-length-prefixed byte string of at most max bytes.

@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -176,27 +178,40 @@ func TestLengthCapsBothDirections(t *testing.T) {
 	}
 }
 
+// sliceWalks are the two ways to walk an array of u32, for the tests that
+// hold both to the same contract.
+var sliceWalks = map[string]func(c *Codec, s []uint32, n int) []uint32{
+	"Slice": func(c *Codec, s []uint32, n int) []uint32 { return Slice(c, s, n, c.U32) },
+	"Fixed": U32s,
+}
+
 // TestSliceRefusesLengthMismatchOnEncode: the element count on the wire and
-// the slice walked after it cannot disagree.
+// the slice walked after it cannot disagree, and nothing is written.
 func TestSliceRefusesLengthMismatchOnEncode(t *testing.T) {
-	c := NewEncoder(&bytes.Buffer{}, testErrors)
-	Slice(c, []uint32{1, 2, 3}, 2, c.U32)
-	if !errors.Is(c.Err(), errCorrupt) {
-		t.Fatalf("err = %v, want the Corrupt sentinel", c.Err())
+	for name, walk := range sliceWalks {
+		var buf bytes.Buffer
+		c := NewEncoder(&buf, testErrors)
+		walk(c, []uint32{1, 2, 3}, 2)
+		if !errors.Is(c.Err(), errCorrupt) || buf.Len() != 0 {
+			t.Fatalf("%s: err = %v after %d bytes, want the Corrupt sentinel and none", name, c.Err(), buf.Len())
+		}
 	}
 }
 
 // TestSliceAllocatesNothingWhenItCannotDecode: walks keep going after a
-// failed check, so Slice is reached with counts nothing has vouched for — a
-// negative one included, where int is 32 bits and the count was a u32.
+// failed check, so Slice and Fixed are reached with counts nothing has
+// vouched for — a negative one included, where int is 32 bits and the count
+// was a u32.
 func TestSliceAllocatesNothingWhenItCannotDecode(t *testing.T) {
-	c := NewDecoder(bytes.NewReader(make([]byte, 64)), testErrors)
-	if xs := Slice(c, nil, -1, c.U32); xs != nil || c.Err() != nil {
-		t.Fatalf("negative count: got %v, err %v; want nil, nil", xs, c.Err())
-	}
-	c.Fail("a check upstream")
-	if xs := Slice(c, nil, 1<<20, c.U32); xs != nil {
-		t.Fatalf("after a failure: got a slice of cap %d, want nil", cap(xs))
+	for name, walk := range sliceWalks {
+		c := NewDecoder(bytes.NewReader(make([]byte, 64)), testErrors)
+		if xs := walk(c, nil, -1); xs != nil || c.Err() != nil {
+			t.Fatalf("%s: negative count: got %v, err %v; want nil, nil", name, xs, c.Err())
+		}
+		c.Fail("a check upstream")
+		if xs := walk(c, nil, 1<<20); xs != nil {
+			t.Fatalf("%s: after a failure: got a slice of cap %d, want nil", name, cap(xs))
+		}
 	}
 }
 
@@ -222,9 +237,11 @@ func TestEachWalksWithoutBuilding(t *testing.T) {
 	}
 }
 
-// TestForgedCountAllocatesOnlyTheCap is the PR 4 defence, now owned by
-// Slice: a 100-byte stream declaring 2^28 elements must fail on truncation
-// having allocated no more than the stream backs plus the prealloc cap.
+// TestForgedCountAllocatesOnlyTheCap is the forged-count defence, owned by Slice
+// and Fixed: a 100-byte stream declaring 2^28 elements must fail on
+// truncation having allocated no more than the stream backs plus the
+// prealloc cap. Fixed allocates one chunk of scratch and, since no chunk's
+// bytes arrive, no elements at all.
 func TestForgedCountAllocatesOnlyTheCap(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, testErrors)
@@ -234,20 +251,126 @@ func TestForgedCountAllocatesOnlyTheCap(t *testing.T) {
 	}
 	stream := buf.Bytes()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := NewDecoder(bytes.NewReader(stream), testErrors)
-	xs := Slice(c, nil, c.Count(0, 1<<28, "xs"), c.U64)
-	runtime.ReadMemStats(&after)
+	for _, tc := range []struct {
+		name  string
+		walk  func(c *Codec, n int) []uint64
+		bound uint64 // bytes the decode may allocate
+	}{
+		{"Slice", func(c *Codec, n int) []uint64 { return Slice(c, nil, n, c.U64) }, 2 * 8 * PreallocCap},
+		{"Fixed", func(c *Codec, n int) []uint64 { return U64s(c, nil, n) }, 8*PreallocCap + 1024},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := NewDecoder(bytes.NewReader(stream), testErrors)
+		xs := tc.walk(c, c.Count(0, 1<<28, "xs"))
+		runtime.ReadMemStats(&after)
 
-	if !errors.Is(c.Err(), errCorrupt) {
-		t.Fatalf("err = %v, want the Corrupt sentinel", c.Err())
+		if !errors.Is(c.Err(), errCorrupt) {
+			t.Fatalf("%s: err = %v, want the Corrupt sentinel", tc.name, c.Err())
+		}
+		if cap(xs) > PreallocCap {
+			t.Fatalf("%s: capacity %d exceeds the prealloc cap %d", tc.name, cap(xs), PreallocCap)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > tc.bound {
+			t.Fatalf("%s: decode of a %d-byte stream allocated %d bytes, bound %d", tc.name, len(stream), grew, tc.bound)
+		}
 	}
-	if cap(xs) > PreallocCap {
-		t.Fatalf("capacity %d exceeds the prealloc cap %d", cap(xs), PreallocCap)
+}
+
+// fixedSizes are the element counts around Fixed's chunk boundaries.
+var fixedSizes = []int{0, 1, PreallocCap - 1, PreallocCap, PreallocCap + 1, 3*PreallocCap + 5}
+
+// callCounter counts the calls that reach the stream under a codec.
+type callCounter struct {
+	w     io.Writer
+	r     io.Reader
+	calls int
+}
+
+func (cc *callCounter) Write(p []byte) (int, error) { cc.calls++; return cc.w.Write(p) }
+func (cc *callCounter) Read(p []byte) (int, error)  { cc.calls++; return cc.r.Read(p) }
+
+// TestFixedMatchesSlice: at every count around a chunk boundary, for 4- and
+// 8-byte words, Fixed writes the same bytes and the same checksum as the
+// element-by-element Slice walk, in one stream call a chunk each way, and
+// decodes what it wrote.
+func TestFixedMatchesSlice(t *testing.T) {
+	for _, n := range fixedSizes {
+		xs := make([]uint32, n)
+		ys := make([]uint64, n)
+		for i := range xs {
+			xs[i] = uint32(i)*2654435761 + 1
+			ys[i] = uint64(xs[i])<<29 ^ uint64(i)
+		}
+		chunks := (n + PreallocCap - 1) / PreallocCap
+		stream := func(walk func(c *Codec)) ([]byte, int) {
+			var buf bytes.Buffer
+			cc := &callCounter{w: &buf}
+			c := NewEncoder(cc, testErrors)
+			walk(c)
+			calls := cc.calls
+			if err := c.Finish(); err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			return buf.Bytes(), calls
+		}
+		perWord, _ := stream(func(c *Codec) { Slice(c, xs, n, c.U32); Slice(c, ys, n, c.U64) })
+		bulk, writes := stream(func(c *Codec) { U32s(c, xs, n); U64s(c, ys, n) })
+		if !bytes.Equal(bulk, perWord) {
+			t.Fatalf("n=%d: Fixed wrote %d bytes that differ from Slice's %d (checksum trailer included)", n, len(bulk), len(perWord))
+		}
+		if writes != 2*chunks {
+			t.Errorf("n=%d: %d writes, want one per chunk (%d)", n, writes, 2*chunks)
+		}
+
+		cc := &callCounter{r: bytes.NewReader(bulk)}
+		c := NewDecoder(cc, testErrors)
+		gotX, gotY := U32s(c, nil, n), U64s(c, nil, n)
+		reads := cc.calls
+		if err := c.Finish(); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
+		}
+		if !slices.Equal(gotX, xs) || !slices.Equal(gotY, ys) || gotX == nil || gotY == nil {
+			t.Fatalf("n=%d: decoded %d and %d elements that differ from what was encoded", n, len(gotX), len(gotY))
+		}
+		if reads != 2*chunks {
+			t.Errorf("n=%d: %d reads, want one per chunk (%d)", n, reads, 2*chunks)
+		}
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*8*PreallocCap {
-		t.Fatalf("decode of a %d-byte stream allocated %d bytes", len(stream), grew)
+}
+
+// TestFixedTruncatedMidChunk: a stream cut inside a chunk fails with
+// Corrupt, and the cut chunk contributes no elements.
+func TestFixedTruncatedMidChunk(t *testing.T) {
+	n := 3*PreallocCap + 5
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, testErrors)
+	U32s(enc, make([]uint32, n), n)
+	for _, cut := range []int{1, 4*PreallocCap - 2, 4*PreallocCap + 7, 4*n - 1} {
+		c := NewDecoder(bytes.NewReader(buf.Bytes()[:cut]), testErrors)
+		got := U32s(c, nil, n)
+		if !errors.Is(c.Err(), errCorrupt) {
+			t.Fatalf("cut at %d: err = %v, want the Corrupt sentinel", cut, c.Err())
+		}
+		if whole := cut / (4 * PreallocCap) * PreallocCap; len(got) != whole {
+			t.Fatalf("cut at %d: %d elements decoded, want the %d of the whole chunks", cut, len(got), whole)
+		}
+	}
+}
+
+// TestFixedWidthBound: a width outside [1, maxWidth], which would let a
+// chunk's scratch outgrow its bound, panics.
+func TestFixedWidthBound(t *testing.T) {
+	for _, width := range []int{0, maxWidth + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("width %d did not panic", width)
+				}
+			}()
+			c := NewEncoder(&bytes.Buffer{}, testErrors)
+			Fixed(c, nil, 0, width, func([]byte, byte) {}, func([]byte) byte { return 0 })
+		}()
 	}
 }
 
