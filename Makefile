@@ -90,16 +90,22 @@ bench-repeat:
 bench-curve:
 	$(GO) test -run xxx -bench 'BenchmarkCurve(14|At)$$' -benchmem ./internal/core
 
-# bench-snapshot isolates the snapshot codecs. In the engine, the cache
-# snapshot on the explore-dense shape after the 0.9/0.8/0.7/0.6 ladder
-# (≈ 80 k cached pairs): encode copies each row's run out under its read lock
-# and writes it as it sits, decode fills each run from its records. Then the
+# bench-snapshot isolates the snapshot codecs. First the block walk itself:
+# a 1 MB array of u32 and of f64 words through wire.U32s and wire.F64s, each
+# way, in MB/s, where a per-element call in the walk shows up as a drop.
+# Then, in the engine, the cache snapshot on the explore-dense shape after
+# the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode copies each row's
+# run out under its read lock and writes it as it sits, decode fills each
+# run from its records. Then the
 # whole session snapshot on the onboard-long shape after the same ladder and
 # one 40-row append (≈ 6.5 MB, dataset embedded), both ways: what every
-# download, spill, persist, revive and restore pays. Arrays move as blocks,
-# so ns/op tracks bytes, not words. ns/op and allocs/op; MB/s is of snapshot
-# bytes, so it is comparable only across runs of one format version.
+# download, spill, persist, revive and restore pays; the embedded dataset is
+# not hashed either way. Arrays move as blocks, a chunk per pack or unpack
+# call, so ns/op tracks bytes, not words. ns/op and allocs/op; MB/s is of
+# snapshot bytes, so it is comparable only across runs of one format
+# version.
 bench-snapshot:
+	$(GO) test -run xxx -bench 'Benchmark(U32s|F64s)$$' -benchmem ./internal/wire
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
 	$(GO) test -run xxx -bench 'BenchmarkSession(Snapshot|Restore)$$' -benchmem .
 

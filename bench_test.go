@@ -156,8 +156,8 @@ func onboardSession(b *testing.B) *core.Session {
 
 // BenchmarkSessionSnapshot times a session snapshot on the onboard-long
 // shape, the encode every download, persist and spill pays: the dataset,
-// the signatures and the pair runs move as blocks. MB/s is of snapshot
-// bytes (`make bench-snapshot`).
+// the signatures and the pair runs move as blocks, and the embedded dataset
+// is not hashed. MB/s is of snapshot bytes (`make bench-snapshot`).
 func BenchmarkSessionSnapshot(b *testing.B) {
 	s := onboardSession(b)
 	var buf bytes.Buffer
@@ -176,8 +176,8 @@ func BenchmarkSessionSnapshot(b *testing.B) {
 }
 
 // BenchmarkSessionRestore decodes BenchmarkSessionSnapshot's stream, what
-// every restore upload and revive pays: the embedded dataset, its content
-// check, the signatures and the pair runs.
+// every restore upload and revive pays: the embedded dataset, taken as it
+// sits with no content hash to check, the signatures and the pair runs.
 func BenchmarkSessionRestore(b *testing.B) {
 	var buf bytes.Buffer
 	if err := onboardSession(b).Snapshot(&buf); err != nil {

@@ -185,9 +185,12 @@ func walkSigs[T any](c *wire.Codec, sigs [][]T, n, width int, block func(*wire.C
 func (im *cacheImage) walkRun(c *wire.Codec, i int, run []pairRec) []pairRec {
 	n := c.Count(len(run), i, "run length")
 	var flags uint8 // every record's flag bits, or-ed
-	run = wire.Fixed(c, run, n, pairRecordBytes, putPair, func(b []byte) pairRec {
-		flags |= b[12]
-		return getPair(b)
+	run = wire.Fixed(c, run, n, pairRecordBytes, packPairs, func(dst []pairRec, src []byte) {
+		for k := range dst {
+			b := src[k*pairRecordBytes:]
+			flags |= b[12]
+			dst[k] = getPair(b)
+		}
 	})
 	prev := int32(-1)
 	for _, r := range run {
@@ -209,6 +212,13 @@ func (im *cacheImage) walkRun(c *wire.Codec, i int, run []pairRec) []pairRec {
 // pairRecordBytes is the width of one pair record on the wire: j u32, M
 // u32, N u32, flags u8, exact f32.
 const pairRecordBytes = 17
+
+// packPairs packs a chunk of pair records.
+func packPairs(dst []byte, src []pairRec) {
+	for k, r := range src {
+		putPair(dst[k*pairRecordBytes:], r)
+	}
+}
 
 // putPair packs one pair record.
 func putPair(b []byte, r pairRec) {

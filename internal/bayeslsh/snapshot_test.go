@@ -287,6 +287,45 @@ func TestSnapshotRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// TestWalkRunFlagsEveryChunk: a run moves in chunks of wire.PreallocCap
+// records, and the flag check or-s the flag bytes as each chunk is
+// unpacked. In a run of PreallocCap+1 records where only the first record
+// of the second chunk carries an unknown bit, the walk must still refuse
+// the run, as it must when the bit sits in the first chunk; the same run
+// with no such bit walks clean.
+func TestWalkRunFlagsEveryChunk(t *testing.T) {
+	n := wire.PreallocCap + 1
+	// forge writes the run with an unknown flag bit on record bad, if any.
+	forge := func(bad int) []byte {
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, snapErrors)
+		c.U32(uint32(n))
+		for j := range n {
+			c.U32(uint32(j))
+			c.U32(20) // M
+			c.U32(32) // N, on the default schedule
+			c.U8(pairFlagDone | flagBit(j == bad, 0x04))
+			c.F32(0)
+		}
+		return buf.Bytes()
+	}
+	im := cacheImage{params: DefaultParams()}
+	for _, tc := range []struct {
+		bad  int
+		want error
+	}{
+		{-1, nil},
+		{wire.PreallocCap, ErrSnapshotCorrupt},
+		{0, ErrSnapshotCorrupt},
+	} {
+		c := wire.NewDecoder(bytes.NewReader(forge(tc.bad)), snapErrors)
+		run := im.walkRun(c, n, nil)
+		if !errors.Is(c.Err(), tc.want) || (tc.want == nil && len(run) != n) {
+			t.Errorf("unknown flag bit on record %d: err = %v with %d records, want %v", tc.bad, c.Err(), len(run), tc.want)
+		}
+	}
+}
+
 // forgeSnapshotHead writes a well-formed cache snapshot header — the given
 // params, measure and declared row count — followed by the given
 // sketch-kind byte, through the same wire primitives the real walk uses.

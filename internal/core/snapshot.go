@@ -21,12 +21,12 @@ import (
 // nothing but the decode. The stream is versioned and checksummed:
 //
 //	magic   "PLHDSESS"                      (8 bytes)
-//	version uint16                          (currently 4)
-//	payload dataset.Spec (binary codec), optionally the dataset itself
+//	version uint16                          (currently 5)
+//	payload dataset.Spec (binary codec), then either the dataset itself
 //	        (for sessions over uploaded data that no spec can rebuild,
-//	        and for grown sessions whose appended rows no spec covers),
-//	        the append epoch, the probe history, and the bayeslsh cache
-//	        snapshot
+//	        and for grown sessions whose appended rows no spec covers) or
+//	        the content hash of the rows the spec regenerates, the append
+//	        epoch, the probe history, and the bayeslsh cache snapshot
 //	crc     uint32 (Castagnoli) over magic+version+payload
 //
 // Version 2 (live ingest) added the append epoch after the dataset hash and
@@ -38,18 +38,24 @@ import (
 // the distinct probed thresholds and the summed processing time, so a
 // snapshot's size no longer grows with the number of probes served. Version
 // 4 changed no field of its own: it embeds cache snapshot version 3.
+// Version 5 carries the dataset content hash only when the dataset is not
+// embedded: embedded rows are the stream's own, the checksum already covers
+// them, and whoever could forge them could forge a matching hash too. A
+// spec-backed v5 stream differs from v4 only in its version field.
 //
 // sessionImage.walk is the one description of the payload ahead of the
 // cache stream: internal/wire drives it in both directions, so its checks
 // guard Snapshot as well as RestoreSession. RestoreSession additionally
 // validates the decoded cache against the dataset it will probe (row count
-// and measure); a mismatch is a typed error, never a silently-wrong cache.
+// and measure) and, when that dataset did not come out of the stream, against
+// the content hash; a mismatch is a typed error, never a silently-wrong
+// cache.
 
 // sessSnapMagic identifies a session snapshot stream.
 var sessSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
 
 // SessionSnapshotVersion is the current session snapshot format version.
-const SessionSnapshotVersion uint16 = 4
+const SessionSnapshotVersion uint16 = 5
 
 // Typed session-snapshot failures.
 var (
@@ -70,7 +76,7 @@ var (
 // was asked to restore against — restoring it would mean probing with wrong
 // evidence, so the restore is refused.
 type SnapshotMismatchError struct {
-	Field    string // which property disagrees: "rows", "measure", "dim"
+	Field    string // which property disagrees: "rows", "measure", "dim", "content"
 	Snapshot any    // the snapshot's value
 	Dataset  any    // the dataset's value
 }
@@ -95,10 +101,13 @@ const (
 
 // datasetHash fingerprints the dataset content a cache was built from:
 // dim, measure, and every row verbatim (FNV-64a over their little-endian
-// encodings). It is stored in the snapshot and re-checked on restore, so a
-// snapshot rehydrated from a spec whose generator output has changed across
-// versions — or restored against the wrong upload of the right shape — is
-// refused instead of probing sketches that describe different vectors.
+// encodings). A snapshot that does not embed its dataset stores it, and a
+// restore checks it whenever the dataset it will probe comes from outside
+// the stream: a snapshot rehydrated from a spec whose generator output has
+// changed across versions — or restored against the wrong upload of the
+// right shape — is refused instead of probing sketches that describe
+// different vectors. Embedded rows need no hash of their own; against a
+// caller-supplied dataset they are hashed on the spot.
 func datasetHash(ds *vec.Dataset) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -127,7 +136,7 @@ type sessionImage struct {
 	spec    []byte // dataset.Spec binary codec; empty for a zero spec
 	embed   bool
 	data    *vec.Dataset // walked only when embed
-	hash    uint64
+	hash    uint64       // walked only when not embed
 	epoch   int64
 	history probeHistory
 }
@@ -142,8 +151,9 @@ func (im *sessionImage) walk(c *wire.Codec) {
 	}
 	if im.embed = c.U8(embed) == 1; im.embed {
 		walkDataset(c, im.data)
+	} else {
+		im.hash = c.U64(im.hash)
 	}
-	im.hash = c.U64(im.hash)
 	im.epoch = int64(c.U32(uint32(im.epoch)))
 	im.history.walk(c)
 }
@@ -212,8 +222,10 @@ func (s *Session) Snapshot(w io.Writer) error {
 	im := sessionImage{
 		embed: s.Spec.IsZero() || s.appendEpoch.Load() > 0,
 		data:  &ds,
-		hash:  datasetHash(&ds),
 		epoch: s.appendEpoch.Load(),
+	}
+	if !im.embed {
+		im.hash = datasetHash(&ds)
 	}
 	s.mu.Lock()
 	im.history = s.history // add never writes into an array it has shared
@@ -240,7 +252,8 @@ func (s *Session) Snapshot(w io.Writer) error {
 // rehydrated from the snapshot itself — loaded from the embedded spec, or
 // taken verbatim from the embedded data; ErrSnapshotNoDataset is returned
 // when the snapshot carries neither. Any disagreement between the snapshot
-// and the dataset (row count, similarity measure, dimension) is a
+// and the dataset (row count, similarity measure, dimension, and the content
+// hash for a dataset that did not come out of the stream) is a
 // *SnapshotMismatchError: a wrong cache is refused, never silently probed.
 //
 // A restored session is byte-identical to the one that was snapshotted:
@@ -299,12 +312,19 @@ func RestoreSession(r io.Reader, ds *vec.Dataset) (*Session, error) {
 	}
 	// Content check: a dataset of the right shape but different vectors
 	// (a registry generator that changed across versions, a different
-	// upload) would make every cached sketch and pair state wrong.
-	if got := datasetHash(ds); got != im.hash {
-		return nil, &SnapshotMismatchError{
-			Field:    "content",
-			Snapshot: fmt.Sprintf("%016x", im.hash),
-			Dataset:  fmt.Sprintf("%016x", got),
+	// upload) would make every cached sketch and pair state wrong. Rows
+	// taken from the stream are what the cache was saved with.
+	if ds != im.data {
+		want := im.hash
+		if im.embed {
+			want = datasetHash(im.data)
+		}
+		if got := datasetHash(ds); got != want {
+			return nil, &SnapshotMismatchError{
+				Field:    "content",
+				Snapshot: fmt.Sprintf("%016x", want),
+				Dataset:  fmt.Sprintf("%016x", got),
+			}
 		}
 	}
 

@@ -176,8 +176,7 @@ func TestProbeHistoryWalkChecks(t *testing.T) {
 		c.Blob(nil, snapMaxStringLen) // no spec
 		c.U8(1)                       // embedded dataset
 		walkDataset(c, &ds)
-		c.U64(datasetHash(&ds))
-		c.U32(0) // append epoch
+		c.U32(0) // append epoch; no content hash after embedded data
 		write(c)
 		if err := s.Cache.EncodeSnapshot(c); err != nil {
 			t.Fatal(err)
@@ -378,6 +377,56 @@ func TestRestoreSessionValidation(t *testing.T) {
 			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
 		}
 	})
+	t.Run("embedded content mismatch", func(t *testing.T) {
+		// A stream that embeds its rows restored against a caller-supplied
+		// dataset of the same shape: the embedded rows are hashed and
+		// compared, since the stream stores no hash of its own.
+		other, err := dataset.Load(dataset.Spec{Kind: "table", Name: "wine", Seed: 99})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(ds, bayeslsh.DefaultParams(), 42) // no spec: embeds
+		probeSeq(t, s, []float64{0.8})
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), ds); err != nil {
+			t.Fatalf("restore against the embedded rows themselves: %v", err)
+		}
+		_, err = RestoreSession(bytes.NewReader(buf.Bytes()), other)
+		var mismatch *SnapshotMismatchError
+		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
+			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
+		}
+	})
+	t.Run("forged spec hash", func(t *testing.T) {
+		// A CRC-valid spec-backed stream whose stored hash is not that of
+		// the rows its spec regenerates.
+		blob, err := spec.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, sessErrors)
+		c.Header(sessSnapMagic, SessionSnapshotVersion)
+		c.Blob(blob, snapMaxStringLen)
+		c.U8(0) // no embedded dataset
+		c.U64(datasetHash(ds) ^ 1)
+		c.U32(0) // append epoch
+		s.history.walk(c)
+		if err := s.Cache.EncodeSnapshot(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = RestoreSession(bytes.NewReader(buf.Bytes()), nil)
+		var mismatch *SnapshotMismatchError
+		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
+			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
+		}
+	})
 	t.Run("measure mismatch", func(t *testing.T) {
 		wrong := ds.Sample(make([]int, 0))
 		wrong.Rows = append(wrong.Rows, ds.Rows...)
@@ -554,20 +603,28 @@ func TestSessionSnapshotGolden(t *testing.T) {
 			"session-v3-spec.snap":     "11af575dd21a0fd9e64b3de31dc96ad477987954bfc0bb081917fc8257adbde7",
 			"session-v4-embedded.snap": "ffaf14c43b1554fe6bd257cde4060c265129dcfda8008c358fd26b55355a9ee3",
 			"session-v4-spec.snap":     "ca5861fd643997a8539c52dade5f134083e478360ba144114009a1cfb29f39f1",
+			"session-v5-embedded.snap": "fcf5630192db0fdbe4e177e7e7e7361c7bc00737b9c2eaa407a855aad511bc49",
+			"session-v5-spec.snap":     "eccc3953677cc86624048db4fe31512b03b5dba6addf7aef779a42ac553e3efe",
 		},
 		Recode:     recodeSession,
 		ErrVersion: ErrSessionSnapshotVersion,
 	})
-	// There is no decode path for v2 or v3 streams: they are refused as a
-	// version, never half-read.
-	for _, glob := range []string{"session-v2-*", "session-v3-*"} {
+	// There is no decode path for v2, v3 or v4 streams: they are refused as
+	// a version, never half-read.
+	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*"} {
 		for name, data := range wiretest.Files(t, glob) {
 			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) || s != nil {
 				t.Errorf("%s: err = %v (session %v), want ErrSessionSnapshotVersion and no session", name, err, s != nil)
 			}
 		}
 	}
-	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v4-embedded.snap")["session-v4-embedded.snap"]), nil)
+	// v5 dropped the content hash only after embedded data: the spec-backed
+	// stream is the v4 one but for its version field and checksum trailer.
+	v4, v5 := wiretest.Files(t, "session-v4-spec.snap")["session-v4-spec.snap"], wiretest.Files(t, "session-v5-spec.snap")["session-v5-spec.snap"]
+	if len(v4) != len(v5) || !bytes.Equal(v4[:8], v5[:8]) || !bytes.Equal(v4[10:len(v4)-4], v5[10:len(v5)-4]) {
+		t.Errorf("spec-backed v5 golden differs from v4 beyond its version field")
+	}
+	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v5-embedded.snap")["session-v5-embedded.snap"]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

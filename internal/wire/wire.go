@@ -16,8 +16,10 @@
 // records — move as blocks instead: Fixed packs up to PreallocCap elements
 // into the codec's scratch and issues one Write for them, or does one
 // ReadFull of their bytes and unpacks them, with one CRC update a chunk.
-// The bytes on the wire are the same either way; only the number of calls
-// that carry them changes. A block read takes no more than the chunk it
+// The format's pack and unpack callbacks take the whole chunk, so the
+// per-element loop is theirs and inlines: a chunk costs one indirect call,
+// not one per word. The bytes on the wire are the same either way; only
+// the number of calls that carry them changes. A block read takes no more than the chunk it
 // asks for, so a decoder still consumes exactly the bytes it decodes, and
 // nothing is allocated for a chunk's elements until its bytes have arrived.
 package wire
@@ -28,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // PreallocCap bounds any slice capacity taken from a decoded count before
@@ -205,20 +208,24 @@ func Slice[T any](c *Codec, s []T, n int, elem func(T) T) []T {
 	return s
 }
 
-// Fixed walks the n elements of s as blocks of width bytes each: put packs
-// an element into its block, get unpacks one. Chunks of up to PreallocCap
-// elements move in one Write or one ReadFull and one checksum update, and
-// the bytes are exactly those of walking the elements one by one.
+// Fixed walks the n elements of s as blocks of width bytes each. Chunks of
+// up to PreallocCap elements move in one Write or one ReadFull and one
+// checksum update, and the bytes are exactly those of walking the elements
+// one by one. pack fills a chunk's bytes from its elements (len(dst) is
+// width·len(src)), unpack fills a chunk's elements from its bytes (len(src)
+// is width·len(dst)): one call a chunk each way, so the loop over the
+// elements lives in the callback, where it can inline.
 //
 // Encoding, len(s) must equal n, and s is returned. Decoding, the elements
 // are appended to s[:0], so a caller may lend a buffer to reuse; a nil s
 // gets a slice of capacity at most PreallocCap, made only once the first
-// chunk's bytes have arrived, and it grows by append after that. Each
-// chunk's elements are appended only after all its bytes have arrived, so a
-// fabricated count in a tiny stream costs one chunk of scratch and no
-// elements. After a failure, or for a negative n, nothing is allocated. A
-// width outside [1, maxWidth] is a programming error and panics.
-func Fixed[T any](c *Codec, s []T, n, width int, put func([]byte, T), get func([]byte) T) []T {
+// chunk's bytes have arrived, and it grows by one chunk at a time after
+// that. Each chunk's elements are unpacked only after all its bytes have
+// arrived, so a fabricated count in a tiny stream costs one chunk of
+// scratch and no elements. After a failure, or for a negative n, nothing is
+// allocated. A width outside [1, maxWidth] is a programming error and
+// panics.
+func Fixed[T any](c *Codec, s []T, n, width int, pack func(dst []byte, src []T), unpack func(dst []T, src []byte)) []T {
 	if width < 1 || width > maxWidth {
 		panic(fmt.Sprintf("wire: Fixed element width %d outside [1,%d]", width, maxWidth))
 	}
@@ -229,9 +236,7 @@ func Fixed[T any](c *Codec, s []T, n, width int, put func([]byte, T), get func([
 		for done := 0; done < n && c.err == nil; {
 			k := min(n-done, PreallocCap)
 			b := c.chunk(k * width)
-			for i, v := range s[done : done+k] {
-				put(b[i*width:], v)
-			}
+			pack(b, s[done:done+k])
 			_, _ = c.Write(b) // Write latches its own error
 			done += k
 		}
@@ -252,9 +257,9 @@ func Fixed[T any](c *Codec, s []T, n, width int, put func([]byte, T), get func([
 		if out == nil {
 			out = make([]T, 0, min(n, PreallocCap))
 		}
-		for i := range k {
-			out = append(out, get(b[i*width:]))
-		}
+		m := len(out)
+		out = slices.Grow(out, k)[:m+k]
+		unpack(out[m:], b)
 	}
 	if out == nil {
 		out = []T{}
@@ -273,24 +278,63 @@ func (c *Codec) chunk(nbytes int) []byte {
 
 // U32s, U64s, I32s and F64s walk arrays of little-endian words with Fixed.
 func U32s(c *Codec, s []uint32, n int) []uint32 {
-	return Fixed(c, s, n, 4, binary.LittleEndian.PutUint32, binary.LittleEndian.Uint32)
+	return Fixed(c, s, n, 4,
+		func(dst []byte, src []uint32) {
+			for i, v := range src {
+				binary.LittleEndian.PutUint32(dst[4*i:], v)
+			}
+		},
+		func(dst []uint32, src []byte) {
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint32(src[4*i:])
+			}
+		})
 }
 
 func U64s(c *Codec, s []uint64, n int) []uint64 {
-	return Fixed(c, s, n, 8, binary.LittleEndian.PutUint64, binary.LittleEndian.Uint64)
+	return Fixed(c, s, n, 8,
+		func(dst []byte, src []uint64) {
+			for i, v := range src {
+				binary.LittleEndian.PutUint64(dst[8*i:], v)
+			}
+		},
+		func(dst []uint64, src []byte) {
+			for i := range dst {
+				dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+			}
+		})
 }
 
 func I32s(c *Codec, s []int32, n int) []int32 {
 	return Fixed(c, s, n, 4,
-		func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) },
-		func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
+		func(dst []byte, src []int32) {
+			for i, v := range src {
+				binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+			}
+		},
+		func(dst []int32, src []byte) {
+			for i := range dst {
+				dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+			}
+		})
 }
 
 func F64s(c *Codec, s []float64, n int) []float64 {
 	return Fixed(c, s, n, 8,
-		func(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) },
-		func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
+		func(dst []byte, src []float64) {
+			for i, v := range src {
+				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+			}
+		},
+		func(dst []float64, src []byte) {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+			}
+		})
 }
+
+// copyBytes is Fixed's pack and unpack for raw bytes.
+func copyBytes(dst, src []byte) { copy(dst, src) }
 
 // bytesN walks n raw bytes: one write when encoding, a Fixed block read when
 // decoding so that the length prefix never sizes an allocation directly.
@@ -299,7 +343,7 @@ func (c *Codec) bytesN(b []byte, n int) []byte {
 		c.Bytes(b)
 		return b
 	}
-	return Fixed(c, nil, n, 1, func(b []byte, v byte) { b[0] = v }, func(b []byte) byte { return b[0] })
+	return Fixed(c, nil, n, 1, copyBytes, copyBytes)
 }
 
 // Blob walks a u32-length-prefixed byte string of at most max bytes.

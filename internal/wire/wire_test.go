@@ -369,7 +369,7 @@ func TestFixedWidthBound(t *testing.T) {
 				}
 			}()
 			c := NewEncoder(&bytes.Buffer{}, testErrors)
-			Fixed(c, nil, 0, width, func([]byte, byte) {}, func([]byte) byte { return 0 })
+			Fixed(c, nil, 0, width, copyBytes, copyBytes)
 		}()
 	}
 }
