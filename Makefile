@@ -73,15 +73,18 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench 'BenchmarkSearchWorkers[0-9]+$$' -benchmem ./internal/bayeslsh
 
-# bench-repeat isolates the warm-cache probe cost (each row's candidates
-# walked from its stored run instead of generated, its evidence read under
-# one run lock and tested first, pooled scratch): the closed-cache repeat
-# probe on the twitter stand-in and on the onboard-long shape (2 500 rows,
-# 1.25 M dimensions), whose hashes/op must read 0 and rows-walked/op every
-# row with candidates, and the 0.8/0.7/0.6/0.8 ladder after a cold 0.9.
-# Wall time, allocs/op and hashes/op.
+# bench-repeat isolates the warm-cache probe cost: each row whose stored run
+# is its candidate set is walked, under the run's one read lock, and every
+# pair whose stored state answers the probe is decided there; only the pairs
+# that need hashes reach the workers, and the probe scratch is pooled. It
+# times the closed-cache repeat probe on the twitter stand-in, on the
+# onboard-long shape (2 500 rows, 1.25 M dimensions; rows-walked/op must be
+# every row with candidates) and on the explore-dense shape (500 rows, 2
+# workers, after the 0.9/0.8/0.7/0.6 ladder; hits/op is every cached pair),
+# each of whose hashes/op must read 0, and the 0.8/0.7/0.6/0.8 ladder after a
+# cold 0.9. Wall time, allocs/op and hashes/op.
 bench-repeat:
-	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|RepeatProbeLong|Ladder)$$' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|RepeatProbeLong|RepeatProbeDense|Ladder)$$' -benchmem .
 
 # bench-curve isolates curve derivation: a 14-point curve (GET /curve's
 # default) and a single point (what a cold /cues adds) over a synthetic store

@@ -110,6 +110,36 @@ func BenchmarkRepeatProbeLong(b *testing.B) {
 	b.ReportMetric(float64(walked)/float64(b.N), "rows-walked/op")
 }
 
+// BenchmarkRepeatProbeDense is BenchmarkRepeatProbe on the benchmark's
+// explore-dense shape: its corpus, 500 rows, 2 workers. After the
+// 0.9/0.8/0.7/0.6 ladder outside the timer every row's run holds its
+// candidates, ≈ 78 k pairs, and each pair's stored state answers a repeat
+// 0.8 probe: the walk decides every pair under its run's read lock and no
+// pair reaches the workers, so hashes/op must read 0 and hits/op is
+// Result.CacheHits.
+func BenchmarkRepeatProbeDense(b *testing.B) {
+	corpus := gen.ZipfCosine{Rows: 500, Dim: 6000, MinNnz: 30, MaxNnz: 60, ZipfS: 1.25,
+		Communities: 40, Cohesion: 0.85, BlockZipfS: 1.3}
+	ds := corpus.Generate(1).Dataset(0, corpus.Rows)
+	p := bayeslsh.DefaultParams()
+	p.Workers = 2
+	c := bayeslsh.NewCache(ds, p, 1)
+	for _, t := range []float64{0.9, 0.8, 0.7, 0.6} {
+		benchProbe(b, ds, t, c)
+	}
+	var hashes int64
+	var hits int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := benchProbe(b, ds, 0.8, c)
+		hashes += res.HashesCompared
+		hits += res.CacheHits
+	}
+	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
 // BenchmarkLadder measures the exploring half of the loop: after a cold 0.9
 // probe outside the timer, one iteration walks 0.8, 0.7, 0.6 and back up to
 // 0.8 on that cache. Each downward rung resumes only the pairs that survive

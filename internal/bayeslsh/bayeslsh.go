@@ -55,17 +55,29 @@ type Params struct {
 	Lite bool
 	// Workers sets the candidate-evaluation parallelism of Search and the
 	// fan-out width of the session-level grid sweeps. 0 or negative means
-	// runtime.GOMAXPROCS(0). Results are deterministic for any value: the
-	// same probe returns byte-identical pairs with 1 worker or 64.
+	// runtime.GOMAXPROCS(0), and a value above 256 runs 256 (maxWorkers).
+	// Results are deterministic for any value: the same probe returns
+	// byte-identical pairs with 1 worker or 64.
 	Workers int
 }
 
-// WorkerCount resolves Workers to a concrete pool size.
+// maxWorkers is the ceiling on any worker count the engine runs. Counts
+// arrive from clients (a create request's params, a probe's override), and
+// a probe batches at least 4 rows a worker and runs up to one goroutine a
+// row: an unbounded count would put every row of a session into one batch
+// and start a goroutine per row.
+const maxWorkers = 256
+
+// clampWorkers caps a positive worker count at maxWorkers.
+func clampWorkers(w int) int { return min(w, maxWorkers) }
+
+// WorkerCount resolves Workers to a concrete pool size, at most maxWorkers.
 func (p Params) WorkerCount() int {
-	if p.Workers > 0 {
-		return p.Workers
+	w := p.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return clampWorkers(w)
 }
 
 // DefaultParams returns the parameter set used throughout the experiments.
@@ -601,7 +613,9 @@ type Result struct {
 	// HashesCompared the comparisons they cost. CacheHits counts the pairs
 	// answered wholly from the cache — Done, or prunable at this threshold
 	// from their stored (N, M) — so Candidates + CacheHits is the number of
-	// candidates considered.
+	// candidates considered. A walked row's hits are answered inside the
+	// walk and a generated row's in evaluation, by the same rule, so every
+	// counter is the same whether a row was walked or generated.
 	Candidates     int
 	Pruned         int
 	CacheHits      int
@@ -637,21 +651,42 @@ type candOutcome struct {
 	est      float64
 }
 
+// answered reports whether a stored state decides its pair at a probe with
+// prune bound bound, from the cache alone: the pair is Done, or its (N, M)
+// is on the schedule and the bound still covers it. (Tail is monotone in t,
+// so a pair pruned at t₀ is prunable at every t ≥ t₀.) It is the one
+// cache-hit rule, for a walked pair and an evaluated candidate alike.
+func (c *Cache) answered(ps PairState, bound []int32) bool {
+	if ps.Done {
+		return true
+	}
+	k := c.point(ps.N)
+	return k >= 0 && ps.M <= bound[k]
+}
+
+// emits reports whether a pair in state ps is a similar pair at t — Done,
+// with an estimate of at least t — and returns that estimate.
+func (c *Cache) emits(ps PairState, t float64) (float64, bool) {
+	if !ps.Done {
+		return 0, false
+	}
+	est := c.Estimate(ps)
+	return est, est >= t
+}
+
 // evalCandidate decides one candidate pair at threshold t from its stored
-// state, out.ps. The stored evidence is tested first: a Done pair, or one
-// whose (N, M) the prune bound of t still covers, is answered from the cache
-// — no hashes, nothing to store. (Tail is monotone in t, so a pair pruned at
-// t₀ is prunable at every t ≥ t₀.) Any other pair resumes the incremental
-// hash comparison from N, counting only the hashes past N, and leaves the
-// extended state in out.ps to be stored. The outcome is a pure function of
-// the stored state plus the immutable sketches and decision tables, so
-// evaluating candidates in any order or on any number of workers yields
-// identical outcomes.
+// state, out.ps. The stored evidence is tested first: a pair the cache has
+// answered costs no hashes and stores nothing. Any other pair resumes the
+// incremental hash comparison from N, counting only the hashes past N, and
+// leaves the extended state in out.ps to be stored. The outcome is a pure
+// function of the stored state plus the immutable sketches and decision
+// tables, so evaluating candidates in any order or on any number of workers
+// yields identical outcomes.
 func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *candOutcome, t float64, bound []int32) {
 	p := c.Params
 	ps := out.ps
 	*out = candOutcome{}
-	if k := c.point(ps.N); ps.Done || (k >= 0 && ps.M <= bound[k]) {
+	if c.answered(ps, bound) {
 		out.cacheHit = true
 	} else {
 		for !ps.Done {
@@ -684,21 +719,19 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *can
 		}
 	}
 	out.ps = ps
-	if ps.Done {
-		if est := c.Estimate(ps); est >= t {
-			out.emit, out.est = true, est
-		}
-	}
+	out.est, out.emit = c.emits(ps, t)
 }
 
 // evalBatch evaluates a batch of whole rows on the given number of workers:
 // marks[r] ends row r's candidates in cands, and outs[idx] receives the
 // outcome of cands[idx]. Each worker owns a row — its candidates, their
-// outcomes and the row's run in the pair store — so it sorts the row's
-// candidates by j (a walked row's already are), reads their stored states
-// under one read lock, evaluates them, and stores what changed under one
-// write lock. Since each outcome lands at its candidate's index, the result
-// is independent of scheduling.
+// outcomes and the row's run in the pair store. A generated row's
+// candidates are sorted by j and their stored states read under one read
+// lock; a walked row's are the pairs its walk could not answer, already
+// ascending, each outcome already holding the state it was read with. The
+// worker evaluates them and stores what changed under one write lock. Since
+// each outcome lands at its candidate's index, the result is independent of
+// scheduling.
 func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
 	par.For(len(marks), workers, 1, func(r int) {
 		lo, hi := 0, marks[r].end
@@ -710,8 +743,10 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []c
 		}
 		mk := marks[r]
 		run, rowCands, rowOuts := runs[mk.row], cands[lo:hi], outs[lo:hi]
-		slices.SortFunc(rowCands, func(a, b candidate) int { return cmp.Compare(a.j, b.j) })
-		run.readRow(rowCands, rowOuts, mk.band)
+		if !mk.walked {
+			slices.SortFunc(rowCands, func(a, b candidate) int { return cmp.Compare(a.j, b.j) })
+			run.readRow(rowCands, rowOuts, mk.band)
+		}
 		stored := false
 		for x := range rowCands {
 			c.evalCandidate(ds, v, rowCands[x], &rowOuts[x], t, bound)
@@ -733,21 +768,26 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []c
 // band holds the index's stop-word cap is walked — its run's pairs are its
 // candidates — and any other row is generated from the cache's persistent
 // candidate index (built lazily on the first probe), which records the
-// row's band once its run holds exactly those candidates. Candidate
-// evaluation — the hash-comparison hot path — is sharded across
-// Params.Workers goroutines in batches of whole rows, then merged back in
-// row order. Results are byte-identical for every worker count; progress
-// callbacks fire once per row, in order, after the batch covering that row
-// has been merged. Batch buffers and dedup marks come from a per-cache
-// pool, so repeat probes on a warm cache allocate near-zero.
+// row's band once its run holds exactly those candidates. The walk also
+// decides, under the run's one read lock, every pair the cache answers, so
+// only the pairs that need hashes — a walked row's resumed pairs and a
+// generated row's candidates — reach evaluation, the hash-comparison hot
+// path, which is sharded across Params.Workers goroutines in batches of
+// whole rows, then merged back in row order: each row's walked hits first,
+// then its evaluated outcomes. Results are byte-identical for every worker
+// count; progress callbacks fire once per row, in order, after the batch
+// covering that row has been merged. Batch buffers and dedup marks come
+// from a per-cache pool, so repeat probes on a warm cache allocate
+// near-zero.
 func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Result, error) {
 	return SearchWorkers(ds, t, c, progress, 0)
 }
 
 // SearchWorkers is Search with an explicit worker-pool size for this probe
-// only, overriding Params.Workers (0 or negative = use Params). The override
-// is scheduling-only — outcomes are byte-identical for any value — so
-// concurrent probes on one cache may each bring their own pool size.
+// only, overriding Params.Workers (0 or negative = use Params; above 256,
+// 256). The override is scheduling-only — outcomes are byte-identical for
+// any value — so concurrent probes on one cache may each bring their own
+// pool size.
 func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, workers int) (*Result, error) {
 	v := c.rows()
 	if ds.N() > v.n {
@@ -762,6 +802,7 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	if workers <= 0 {
 		workers = c.Params.WorkerCount()
 	}
+	workers = clampWorkers(workers)
 	idx := c.candidateIndex(ds)
 	runs := c.Pairs.runs(ds.N())
 	sc := c.getScratch(ds.N())
@@ -771,18 +812,20 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	// batches of whole rows: evaluate in parallel, a row per worker at a
 	// time, then merge sequentially so counters and progress calls are in
 	// row order (pairs are sorted at the end). A batch holds enough rows to
-	// keep every worker busy however many candidates one row has.
+	// keep every worker busy however many candidates one row has; walked
+	// hits do not count toward it, since they need no worker.
 	batchSize, batchRows := 1024*workers, 4*workers
 	flush := func() {
-		if cap(sc.outs) < len(sc.cands) {
-			sc.outs = make([]candOutcome, len(sc.cands))
+		if len(sc.cands) > 0 {
+			c.evalBatch(ds, v, runs, sc.cands, sc.marks, sc.outs, t, bound, workers)
 		}
-		outs := sc.outs[:len(sc.cands)]
-		c.evalBatch(ds, v, runs, sc.cands, sc.marks, outs, t, bound, workers)
-		done := 0
+		done, hit := 0, 0
 		for _, mk := range sc.marks {
+			res.CacheHits += mk.hits
+			res.Pairs = append(res.Pairs, sc.hits[hit:mk.hitEnd]...)
+			hit = mk.hitEnd
 			for ; done < mk.end; done++ {
-				oc := &outs[done]
+				oc := &sc.outs[done]
 				if oc.cacheHit {
 					res.CacheHits++
 				} else {
@@ -800,18 +843,18 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 				progress(mk.row+1, ds.N(), len(res.Pairs))
 			}
 		}
-		sc.cands, sc.marks = sc.cands[:0], sc.marks[:0]
+		sc.reset()
 	}
 
 	for i := 0; i < ds.N(); i++ {
-		var b band
-		var walked bool
-		if sc.cands, b, walked = runs[i].walk(idx.maxDF, int32(i), sc.cands); walked {
+		hits, b, walked := c.walk(runs[i], int32(i), idx.maxDF, t, bound, sc)
+		if walked {
 			res.RowsWalked++
 		} else {
 			sc.cands, b = idx.appendRow(int32(i), ds.Rows[i].Indices, sc, sc.cands)
+			sc.outs = slices.Grow(sc.outs, len(sc.cands)-len(sc.outs))[:len(sc.cands)]
 		}
-		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands), band: b})
+		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands), band: b, walked: walked, hits: hits, hitEnd: len(sc.hits)})
 		if len(sc.cands) >= batchSize && len(sc.marks) >= batchRows {
 			flush()
 		}

@@ -224,25 +224,36 @@ func (b band) pack() uint64 { return uint64(uint32(b.hi))<<32 | uint64(uint32(b.
 func unpackBand(w uint64) band { return band{lo: int32(uint32(w)), hi: int32(w >> 32)} }
 
 // probeScratch is the reusable per-probe working set: candidate and outcome
-// batch buffers, per-row batch boundaries, and the dedup marks. Replacing
+// batch buffers (outs[x] is the outcome of cands[x]), the similar pairs
+// walks answered, per-row batch boundaries, and the dedup marks. Replacing
 // the old per-probe mark array (an O(N) allocation plus fill per probe) with
 // an epoch counter lets repeat probes on a warm cache run with near-zero
 // allocations: seen[j] == gen means "row j already emitted for the current
 // generating row", and bumping gen invalidates every mark at once.
 type probeScratch struct {
 	cands []candidate
-	marks []rowMark
 	outs  []candOutcome
+	hits  []Pair
+	marks []rowMark
 	seen  []int64
 	gen   int64
 }
 
-// rowMark records the candidate-buffer boundary of one row, so a flushed
-// batch can replay counters and progress callbacks in row order, and the
-// band of caps its candidates were generated or walked under.
+// reset empties the batch buffers, keeping their capacity.
+func (sc *probeScratch) reset() {
+	sc.cands, sc.outs, sc.hits, sc.marks = sc.cands[:0], sc.outs[:0], sc.hits[:0], sc.marks[:0]
+}
+
+// rowMark records one row's ends in the batch buffers — end in cands and
+// outs, hitEnd in hits — so a flushed batch can replay counters and progress
+// callbacks in row order, and the band of caps its candidates were generated
+// or walked under. A walked row carries the number of pairs its walk
+// answered in hits; its candidates are the rest.
 type rowMark struct {
-	row, end int
-	band     band
+	row, end     int
+	hits, hitEnd int
+	band         band
+	walked       bool
 }
 
 // candidateIndex returns a candidate index covering exactly ds's rows,
@@ -300,7 +311,6 @@ func (c *Cache) getScratch(n int) *probeScratch {
 // putScratch returns a working set to the pool, keeping the high-water-mark
 // buffers but dropping their contents.
 func (c *Cache) putScratch(sc *probeScratch) {
-	sc.cands = sc.cands[:0]
-	sc.marks = sc.marks[:0]
+	sc.reset()
 	c.scratchPool.Put(sc)
 }

@@ -180,21 +180,34 @@ func (r *pairRun) visit(i int32, f func(key uint64, ps PairState) bool) bool {
 	return true
 }
 
-// walk appends row i's candidates to cands straight from its run when the
-// run's band holds the probe's stop-word cap maxDF: the run's js, ascending,
-// are then the candidates generation would produce. It reports the band and
-// whether it walked; a row it does not walk is left to the candidate index.
-func (r *pairRun) walk(maxDF, i int32, cands []candidate) ([]candidate, band, bool) {
+// walk reads row i's candidates straight from its run r when the run's band
+// holds the probe's stop-word cap maxDF: the run's pairs are then the
+// candidates generation would produce. Under the run's one read lock it
+// decides each pair the cache answers at the probe's prune bound, counting
+// it and adding it to sc.hits when it emits at t, and appends every other
+// pair to sc.cands, ascending, with its outcome in sc.outs holding the
+// state it was read with. It reports the hits, the band and whether it
+// walked; a row it does not walk is left to the candidate index.
+func (c *Cache) walk(r *pairRun, i, maxDF int32, t float64, bound []int32, sc *probeScratch) (hits int, b band, walked bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	b := unpackBand(r.band.Load())
+	b = unpackBand(r.band.Load())
 	if !b.has(maxDF) {
-		return cands, band{}, false
+		return 0, band{}, false
 	}
-	for _, j := range r.js {
-		cands = append(cands, candidate{j: j, i: i})
+	for k, j := range r.js {
+		ps := r.st[k]
+		if !c.answered(ps, bound) {
+			sc.cands = append(sc.cands, candidate{j: j, i: i})
+			sc.outs = append(sc.outs, candOutcome{ps: ps})
+			continue
+		}
+		hits++
+		if est, ok := c.emits(ps, t); ok {
+			sc.hits = append(sc.hits, Pair{I: j, J: i, Est: est})
+		}
 	}
-	return cands, b, true
+	return hits, b, true
 }
 
 // readRow copies the stored state of each candidate of one row into its
@@ -226,6 +239,9 @@ func (r *pairRun) readRow(cands []candidate, outs []candOutcome, b band) {
 // from the back in one O(run) pass; since cands are ascending, so are they.
 // Cache hits wrote nothing and are skipped. After an insert the run's band
 // is b if the run now holds exactly the candidates, and cleared otherwise.
+// A walked row's candidates skip the pairs its walk answered, so their
+// positions are no hint: each is found by binary search, a cost only a pair
+// that compared hashes pays.
 func (s *PairStore) writeRow(r *pairRun, cands []candidate, outs []candOutcome, b band) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,6 +1,7 @@
 package bayeslsh
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -122,6 +123,43 @@ func TestSearchProgressParallel(t *testing.T) {
 		if serial[i] != parallel[i] {
 			t.Fatalf("row %d: %d pairs serial vs %d parallel", i+1, serial[i], parallel[i])
 		}
+	}
+}
+
+// TestClampWorkers pins the ceiling on worker counts: positive counts up to
+// maxWorkers stand, and larger ones run maxWorkers, up to the largest int.
+// MaxInt/1024 + 1 is the smallest count whose batch size, 1024 candidates a
+// worker, overflowed before the clamp.
+func TestClampWorkers(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{1, 1}, {64, 64}, {maxWorkers, maxWorkers}, {maxWorkers + 1, maxWorkers},
+		{1_000_000_000, maxWorkers}, {math.MaxInt/1024 + 1, maxWorkers}, {math.MaxInt, maxWorkers},
+	} {
+		if got := clampWorkers(tc.in); got != tc.want {
+			t.Errorf("clampWorkers(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+		if got := (Params{Workers: tc.in}).WorkerCount(); got != tc.want {
+			t.Errorf("Params{Workers: %d}.WorkerCount() = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+	if got := (Params{}).WorkerCount(); got < 1 || got > maxWorkers {
+		t.Errorf("Params{}.WorkerCount() = %d, want 1..%d", got, maxWorkers)
+	}
+}
+
+// TestHugeWorkerOverride probes with worker counts far past the ceiling — as
+// a create request's params and as a probe's override — and must answer
+// exactly as one worker does. The dataset has 16 rows, so however the count
+// is resolved no probe starts more than 16 goroutines.
+func TestHugeWorkerOverride(t *testing.T) {
+	ds := snapDataset(16)
+	thresholds := []float64{0.8, 0.6, 0.8}
+	want := probeAll(t, ds, NewCache(ds, DefaultParams(), 9), thresholds, 1)
+	for _, huge := range []int{1_000_000_000, math.MaxInt/1024 + 1, math.MaxInt} {
+		p := DefaultParams()
+		p.Workers = huge
+		sameResults(t, want, probeAll(t, ds, NewCache(ds, p, 9), thresholds, 0))
+		sameResults(t, want, probeAll(t, ds, NewCache(ds, DefaultParams(), 9), thresholds, huge))
 	}
 }
 

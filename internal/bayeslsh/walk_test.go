@@ -267,3 +267,62 @@ func TestGrownWalksMatchFromScratch(t *testing.T) {
 		})
 	}
 }
+
+// probeTrace runs one probe on the given number of workers and returns it
+// with its progress trace, a (rows processed, pairs so far) pair per row.
+func probeTrace(t *testing.T, ds *vec.Dataset, th float64, c *Cache, workers int) (*Result, [][2]int) {
+	t.Helper()
+	var trace [][2]int
+	res, err := SearchWorkers(ds, th, c, func(done, _, above int) {
+		trace = append(trace, [2]int{done, above})
+	}, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, trace
+}
+
+// TestWalkedMatchesGenerated is walked == generated, hit for hit. A decoded
+// snapshot's runs carry no band, so a copy decoded before each probe
+// generates every row from the candidate index and sends every candidate to
+// evaluation, while the cache walks its runs and answers its hits inside
+// the walk. After a 0.8 probe, the 0.8 repeat walks rows of hits only, and
+// the 0.7 and 0.6 probes walk rows that mix hits with pairs resumed from
+// their stored state. Cache and copy must agree on the pairs, every counter
+// and the progress trace, and leave stores that encode to the same bytes.
+func TestWalkedMatchesGenerated(t *testing.T) {
+	forceParallel(t)
+	for _, ds := range []*vec.Dataset{snapDataset(60), skewedSparseDS(rand.New(rand.NewSource(29)), 120, 60)} {
+		for _, w := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", ds.Name, w), func(t *testing.T) {
+				p := DefaultParams()
+				want := rowsWithCandidates(ds, p)
+				c := NewCache(ds, p, 5)
+				probeTrace(t, ds, 0.8, c, w)
+				mixed := false
+				for _, th := range []float64{0.8, 0.7, 0.6} {
+					generating, err := DecodeSnapshot(bytes.NewReader(storeBytes(t, c)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					walked, walkedTrace := probeTrace(t, ds, th, c, w)
+					generated, generatedTrace := probeTrace(t, ds, th, generating, w)
+					if walked.RowsWalked != want || generated.RowsWalked != 0 {
+						t.Fatalf("t=%v: walked %d and %d rows, want %d and 0", th, walked.RowsWalked, generated.RowsWalked, want)
+					}
+					sameResults(t, []*Result{generated}, []*Result{walked})
+					if !slices.Equal(walkedTrace, generatedTrace) {
+						t.Fatalf("t=%v: progress traces differ:\nwalked    %v\ngenerated %v", th, walkedTrace, generatedTrace)
+					}
+					if !bytes.Equal(storeBytes(t, c), storeBytes(t, generating)) {
+						t.Fatalf("t=%v: the walked store differs from the generated one", th)
+					}
+					mixed = mixed || (walked.CacheHits > 0 && walked.Candidates > 0)
+				}
+				if !mixed {
+					t.Fatal("vacuous: no walked probe both answered hits and resumed pairs")
+				}
+			})
+		}
+	}
+}
