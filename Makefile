@@ -26,15 +26,16 @@ short:
 # the blob store, the metrics registry, the one fan-out (par) and the
 # packages that go through it or are fanned out over by experiments
 # (dataset loading, graph cues, the PLAM miner and its itemset substrate),
-# and the wire codec every snapshot goes through — everything with shared
-# mutable state. The session-lifecycle tests run ten times over: their
+# the wire codec every snapshot goes through, and the sketch families (lsh:
+# SRP's lock-free direction cache, which every parallel sketch at create
+# and append goes through) — everything with shared mutable state. The session-lifecycle tests run ten times over: their
 # subject is the hand-off of a session ID between goroutines, which one
 # schedule exercises once. The experiment sweeps themselves run -short
 # under race: the full sweeps take minutes with the detector on, and the
 # short pass still smoke-runs every experiment ID through the same worker
 # pools.
 race:
-	$(GO) test -race ./internal/bayeslsh ./internal/core ./internal/server ./internal/metrics ./internal/blob/... ./internal/ring ./internal/dataset ./internal/graph ./internal/lam ./internal/itemset ./internal/wire ./internal/par
+	$(GO) test -race ./internal/bayeslsh ./internal/core ./internal/server ./internal/metrics ./internal/blob/... ./internal/ring ./internal/dataset ./internal/graph ./internal/lam ./internal/itemset ./internal/wire ./internal/par ./internal/lsh
 	$(GO) test -race -count=10 -run 'Lifecycle' ./internal/server
 	$(GO) test -race -short ./internal/experiments
 

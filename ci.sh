@@ -13,8 +13,8 @@
 # preallocation, envelope-bypassing error paths) in seconds, before the race
 # detector gets a chance. Any finding fails the tier.
 # Tier 2 (race): race-detector pass over the concurrent engine, session,
-# server, fan-out, miner and wire-codec packages, the session-lifecycle
-# tests ten times over.
+# server, sketch-family (SRP's lock-free direction cache), fan-out, miner
+# and wire-codec packages, the session-lifecycle tests ten times over.
 # Tier 3 (daemon smoke): boot plasmad on a random port, run a probe/curve/
 # cues loop over HTTP, exercise snapshot persistence and a warm restart,
 # and verify graceful shutdown. Then a 3-node cluster smoke: create via

@@ -169,9 +169,9 @@ func UnpackKey(k uint64) (int32, int32) {
 // A Cache is safe for concurrent probes: the pair table is a PairStore of
 // per-row runs, each behind its own lock, with monotone writes; the
 // concentration table is precomputed at construction, and the per-threshold
-// prune bounds are built under a lock.
-// The sketch table grows append-only under rowsMu (live ingest); each probe
-// captures an immutable row view at its start, so in-flight probes see
+// prune bounds are built under a lock. The sketch table is one immutable
+// rowView behind an atomic pointer: each growth publishes a new view once,
+// and each probe loads one view at its start, so in-flight probes see
 // either the pre-append or post-append state, never a torn one.
 type Cache struct {
 	Params  Params
@@ -181,31 +181,26 @@ type Cache struct {
 	// from the same dataset would reproduce the same signatures.
 	Seed int64
 
-	// rowsMu guards the growable row state: n, the signature tables, and
-	// nothing else. AppendRows holds it for a pointer swap only — sketching
-	// happens outside — so probes are never blocked behind sketch work.
-	rowsMu  sync.RWMutex
-	n       int
-	minSigs [][]uint32
-	srpSigs [][]uint64
+	// view is the published row state: the row count and the signatures.
+	// Once the cache is shared, only grow replaces it, under appendMu.
+	view atomic.Pointer[rowView]
 
-	// dim is the feature-space dimension the sketchers were built over;
-	// immutable after construction. Appended rows must keep their indices
-	// below it (SRP directions only exist for dims < dim).
+	// dim is the feature-space dimension rows are sketched over; immutable
+	// after construction. Rows must keep their indices below it (SRP
+	// directions only exist for dims < dim).
 	dim int
-	// mh/srp are the sketchers retained from construction so AppendRows
-	// extends the signature table with the exact hash family NewCache used.
-	// A cache restored from a snapshot recreates them lazily on the first
-	// append — signatures are pure functions of (row, seed[, dim]), so the
-	// recreated family sketches byte-identically.
-	mh  *lsh.MinHasher
-	srp *lsh.SRP
+	// sketch extends a view by a batch of rows through the cache's hash
+	// family. grow makes it on the cache's first growth, from (params,
+	// seed, dim) alone: signatures are pure functions of (row, seed[, dim]),
+	// so a cache restored from a snapshot sketches appended rows
+	// byte-identically, and one that never grows builds no sketcher.
+	sketch func(v rowView, rows []vec.Sparse, workers int) rowView
 
-	// appendMu serializes AppendRows calls with each other and with
-	// EncodeSnapshot, so a snapshot's row count can never lag pairs written
-	// by a probe that already saw the appended rows. Lock order: innermost,
-	// after core.Session.appendMu — bayeslsh cannot import core, and nothing
-	// called while this is held may reach back into it.
+	// appendMu serializes growth with itself and with EncodeSnapshot, so a
+	// snapshot's row count can never lag pairs written by a probe that
+	// already saw the appended rows, and guards sketch. Lock order:
+	// innermost, after core.Session.appendMu — bayeslsh cannot import core,
+	// and nothing called while this is held may reach back into it.
 	appendMu sync.Mutex
 
 	// Pairs memoizes evidence for every candidate pair ever evaluated,
@@ -250,35 +245,36 @@ type Cache struct {
 }
 
 // Rows returns the number of rows currently sketched into the cache.
-func (c *Cache) Rows() int {
-	c.rowsMu.RLock()
-	defer c.rowsMu.RUnlock()
-	return c.n
-}
+func (c *Cache) Rows() int { return c.view.Load().n }
 
 // Dim returns the feature-space dimension the cache sketches over.
 func (c *Cache) Dim() int { return c.dim }
 
-// rowView is an immutable snapshot of the cache's sketch table, captured
-// once per probe. Appends replace the slice headers rather than mutating
-// shared backing arrays (copy-on-write), so a view stays valid for the
-// whole probe even while AppendRows lands concurrently.
+// rowView is an immutable snapshot of the cache's sketch table: the row
+// count and one signature per row, of the measure's family. A growth
+// publishes a new view whose slices never share a backing array with the
+// old one, so a probe's view stays valid for the whole probe even while
+// rows are appended concurrently.
 type rowView struct {
 	n       int
 	minSigs [][]uint32
 	srpSigs [][]uint64
 }
 
-func (c *Cache) rows() rowView {
-	c.rowsMu.RLock()
-	defer c.rowsMu.RUnlock()
-	return rowView{n: c.n, minSigs: c.minSigs, srpSigs: c.srpSigs}
-}
-
 // sketchChunk is how many rows a sketching worker takes at a time. Each row's
 // signature is written only to its own slot, so the signatures are identical
 // for any worker count — the parallel-sketching contract.
 const sketchChunk = 16
+
+// newCache returns a cache of no rows over the given params, measure,
+// dimension, seed and pair store, with its decision tables built: what
+// NewCache grows and DecodeSnapshot fills. Params must have passed Validate.
+func newCache(p Params, m vec.Measure, dim int, seed int64, pairs *PairStore) *Cache {
+	c := &Cache{Params: p, Measure: m, dim: dim, Seed: seed, Pairs: pairs, pruneMax: make(map[float64][]int32)}
+	c.view.Store(&rowView{})
+	c.buildTables()
+	return c
+}
 
 // NewCache sketches the dataset and returns an empty knowledge cache.
 // Minhash signatures are built for Jaccard data, signed-random-projection
@@ -287,100 +283,81 @@ const sketchChunk = 16
 // signature is a pure function of (row, seed), so the signatures are
 // byte-identical for any worker count.
 func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
-	c := &Cache{
-		Params:   p,
-		Measure:  ds.Measure,
-		n:        ds.N(),
-		dim:      ds.Dim,
-		Seed:     seed,
-		Pairs:    NewPairStore(),
-		pruneMax: make(map[float64][]int32),
-	}
 	start := time.Now()
-	workers := p.WorkerCount()
-	if ds.Measure == vec.JaccardSim {
-		c.mh = lsh.NewMinHasher(p.MaxHashes, seed)
-		c.minSigs = make([][]uint32, ds.N())
-		par.For(ds.N(), workers, sketchChunk, func(i int) {
-			c.minSigs[i] = c.mh.Sketch(ds.Rows[i])
-		})
-	} else {
-		c.srp = lsh.NewSRP(p.MaxHashes, ds.Dim, seed)
-		c.srpSigs = make([][]uint64, ds.N())
-		par.For(ds.N(), workers, sketchChunk, func(i int) {
-			c.srpSigs[i] = c.srp.Sketch(ds.Rows[i])
-		})
-	}
-	c.buildTables()
+	c := newCache(p, ds.Measure, ds.Dim, seed, NewPairStore())
+	c.grow(ds.Rows) // no other goroutine can see c yet
 	c.SketchTime = time.Since(start)
 	return c
 }
 
 // AppendRows sketches a batch of new rows through the same hash family
 // NewCache used and appends them to the signature table — the incremental
-// half of live ingest. Rows must be in final form (validated indices,
-// normalized values for cosine data); callers own that contract. Appends
-// are serialized with each other, but probes keep running throughout: the
-// signature slices are replaced copy-on-write under rowsMu, so an in-flight
-// probe keeps its captured view and the rows become visible atomically.
-// Sketching is parallelized across Params.Workers and is byte-identical to
-// what NewCache over the grown dataset would have produced, which is the
-// append-equals-rebuild equivalence the ingest tests pin down.
-// It returns the sketch wall time for the batch.
+// half of live ingest. Each row must pass vec.Sparse.Check against the
+// cache's dimension, and cosine rows must be normalized; a batch with a bad
+// row is refused whole. Appends are serialized with each other, but probes
+// keep running throughout: the grown view is published in one pointer swap,
+// so an in-flight probe keeps its captured view and the rows become visible
+// atomically. Sketching is parallelized across Params.Workers and is
+// byte-identical to what NewCache over the grown dataset would have
+// produced, which is the append-equals-rebuild equivalence the ingest tests
+// pin down. It returns the sketch wall time for the batch.
 func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
-	if len(rows) == 0 {
-		return 0, nil
-	}
 	for ri, r := range rows {
-		if len(r.Values) != len(r.Indices) {
-			return 0, fmt.Errorf("bayeslsh: append row %d: %d values for %d indices", ri, len(r.Values), len(r.Indices))
-		}
-		for k, ix := range r.Indices {
-			if ix < 0 || int(ix) >= c.dim {
-				return 0, fmt.Errorf("bayeslsh: append row %d: index %d outside dimension %d", ri, ix, c.dim)
-			}
-			if k > 0 && r.Indices[k-1] >= ix {
-				return 0, fmt.Errorf("bayeslsh: append row %d: indices not strictly increasing", ri)
-			}
+		if err := r.Check(c.dim); err != nil {
+			return 0, fmt.Errorf("bayeslsh: append row %d: %w", ri, err)
 		}
 	}
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
 	start := time.Now()
-	workers := c.Params.WorkerCount()
-	if c.Measure == vec.JaccardSim {
-		if c.mh == nil {
-			c.mh = lsh.NewMinHasher(c.Params.MaxHashes, c.Seed)
-		}
-		sigs := make([][]uint32, len(rows))
-		par.For(len(rows), workers, sketchChunk, func(i int) {
-			sigs[i] = c.mh.Sketch(rows[i])
-		})
-		c.rowsMu.Lock()
-		c.minSigs = append(c.minSigs[:len(c.minSigs):len(c.minSigs)], sigs...)
-		c.n += len(rows)
-		c.rowsMu.Unlock()
-	} else {
-		if c.srp == nil {
-			if c.dim <= 0 {
-				return 0, fmt.Errorf("bayeslsh: cache carries no dimension, cannot rebuild the SRP sketcher")
-			}
-			c.srp = lsh.NewSRP(c.Params.MaxHashes, c.dim, c.Seed)
-		}
-		sigs := make([][]uint64, len(rows))
-		par.For(len(rows), workers, sketchChunk, func(i int) {
-			sigs[i] = c.srp.Sketch(rows[i])
-		})
-		c.rowsMu.Lock()
-		c.srpSigs = append(c.srpSigs[:len(c.srpSigs):len(c.srpSigs)], sigs...)
-		c.n += len(rows)
-		c.rowsMu.Unlock()
-	}
+	c.grow(rows)
 	return time.Since(start), nil
 }
 
+// grow is the one growth step: it sketches rows through the cache's hash
+// family, making the sketcher on the first growth, and publishes the grown
+// view. appendMu must be held once the cache is shared.
+func (c *Cache) grow(rows []vec.Sparse) {
+	if len(rows) == 0 {
+		return
+	}
+	if c.sketch == nil {
+		c.sketch = c.newSketch()
+	}
+	v := c.sketch(*c.view.Load(), rows, c.Params.WorkerCount())
+	v.n += len(rows)
+	c.view.Store(&v)
+}
+
+// newSketch builds the cache's hash family — minhash for Jaccard data,
+// signed random projections for cosine — as a view extender.
+func (c *Cache) newSketch() func(rowView, []vec.Sparse, int) rowView {
+	if c.Measure == vec.JaccardSim {
+		mh := lsh.NewMinHasher(c.Params.MaxHashes, c.Seed)
+		return func(v rowView, rows []vec.Sparse, workers int) rowView {
+			v.minSigs = sketchRows(v.minSigs, rows, workers, mh.Sketch)
+			return v
+		}
+	}
+	srp := lsh.NewSRP(c.Params.MaxHashes, c.dim, c.Seed)
+	return func(v rowView, rows []vec.Sparse, workers int) rowView {
+		v.srpSigs = sketchRows(v.srpSigs, rows, workers, srp.Sketch)
+		return v
+	}
+}
+
+// sketchRows returns sigs followed by the signatures of rows, sketched on
+// workers goroutines into a fresh array, so a view holding sigs keeps it
+// unchanged.
+func sketchRows[S any](sigs [][]S, rows []vec.Sparse, workers int, sketch func(vec.Sparse) []S) [][]S {
+	out := slices.Grow(sigs[:len(sigs):len(sigs)], len(rows))[:len(sigs)+len(rows)]
+	added := out[len(sigs):]
+	par.For(len(rows), workers, sketchChunk, func(i int) { added[i] = sketch(rows[i]) })
+	return out
+}
+
 // matches counts agreeing hash positions in [lo, hi) for pair (i, j).
-func (v rowView) matches(i, j int32, lo, hi int) int {
+func (v *rowView) matches(i, j int32, lo, hi int) int {
 	if v.minSigs != nil {
 		return lsh.MatchesRangeU32(v.minSigs[i], v.minSigs[j], lo, hi)
 	}
@@ -682,7 +659,7 @@ func (c *Cache) emits(ps PairState, t float64) (float64, bool) {
 // function of the stored state plus the immutable sketches and decision
 // tables, so evaluating candidates in any order or on any number of workers
 // yields identical outcomes.
-func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *candOutcome, t float64, bound []int32) {
+func (c *Cache) evalCandidate(ds *vec.Dataset, v *rowView, cd candidate, out *candOutcome, t float64, bound []int32) {
 	p := c.Params
 	ps := out.ps
 	*out = candOutcome{}
@@ -732,7 +709,7 @@ func (c *Cache) evalCandidate(ds *vec.Dataset, v rowView, cd candidate, out *can
 // worker evaluates them and stores what changed under one write lock. Since
 // each outcome lands at its candidate's index, the result is independent of
 // scheduling.
-func (c *Cache) evalBatch(ds *vec.Dataset, v rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
+func (c *Cache) evalBatch(ds *vec.Dataset, v *rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
 	par.For(len(marks), workers, 1, func(r int) {
 		lo, hi := 0, marks[r].end
 		if r > 0 {
@@ -789,7 +766,7 @@ func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Resul
 // any value — so concurrent probes on one cache may each bring their own
 // pool size.
 func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, workers int) (*Result, error) {
-	v := c.rows()
+	v := c.view.Load()
 	if ds.N() > v.n {
 		// The cache may hold sketches for *more* rows than the caller's
 		// dataset view (an append landed after the view was captured) —
@@ -810,8 +787,8 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 
 	// Candidates are buffered with per-row boundaries and flushed in
 	// batches of whole rows: evaluate in parallel, a row per worker at a
-	// time, then merge sequentially so counters and progress calls are in
-	// row order (pairs are sorted at the end). A batch holds enough rows to
+	// time, then merge sequentially so counters, pairs and progress calls
+	// are in row order (pairs are sorted by I at the end). A batch holds enough rows to
 	// keep every worker busy however many candidates one row has; walked
 	// hits do not count toward it, since they need no worker.
 	batchSize, batchRows := 1024*workers, 4*workers
@@ -822,7 +799,7 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 		done, hit := 0, 0
 		for _, mk := range sc.marks {
 			res.CacheHits += mk.hits
-			res.Pairs = append(res.Pairs, sc.hits[hit:mk.hitEnd]...)
+			sc.pairs = append(sc.pairs, sc.hits[hit:mk.hitEnd]...)
 			hit = mk.hitEnd
 			for ; done < mk.end; done++ {
 				oc := &sc.outs[done]
@@ -836,11 +813,11 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 					}
 				}
 				if oc.emit {
-					res.Pairs = append(res.Pairs, Pair{I: sc.cands[done].j, J: sc.cands[done].i, Est: oc.est})
+					sc.pairs = append(sc.pairs, Pair{I: sc.cands[done].j, J: sc.cands[done].i, Est: oc.est})
 				}
 			}
 			if progress != nil {
-				progress(mk.row+1, ds.N(), len(res.Pairs))
+				progress(mk.row+1, ds.N(), len(sc.pairs))
 			}
 		}
 		sc.reset()
@@ -860,11 +837,35 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 		}
 	}
 	flush()
-	slices.SortFunc(res.Pairs, func(a, b Pair) int {
-		return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
-	})
+	res.Pairs = sc.sortPairs(ds.N())
 	res.ProcessTime = time.Since(start)
 	return res, nil
+}
+
+// sortPairs returns the probe's pairs in (I, J) order, in a fresh slice.
+// flush emits them row by row, so J never decreases along sc.pairs, and a
+// stable counting sort on I alone yields (I, J) order in O(pairs + rows).
+func (sc *probeScratch) sortPairs(rows int) []Pair {
+	if len(sc.pairs) == 0 {
+		return nil
+	}
+	if len(sc.count) < rows+1 {
+		sc.count = make([]int, rows+1)
+	}
+	count := sc.count[:rows+1]
+	clear(count)
+	for _, p := range sc.pairs {
+		count[p.I+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	out := make([]Pair, len(sc.pairs))
+	for _, p := range sc.pairs {
+		out[count[p.I]] = p
+		count[p.I]++
+	}
+	return out
 }
 
 // Exact computes the ground-truth similar pairs by brute force; it is the

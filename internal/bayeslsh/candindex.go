@@ -225,7 +225,8 @@ func unpackBand(w uint64) band { return band{lo: int32(uint32(w)), hi: int32(w >
 
 // probeScratch is the reusable per-probe working set: candidate and outcome
 // batch buffers (outs[x] is the outcome of cands[x]), the similar pairs
-// walks answered, per-row batch boundaries, and the dedup marks. Replacing
+// walks answered, per-row batch boundaries, the dedup marks, and the probe's
+// pairs in row order with the per-row counts that sort them. Replacing
 // the old per-probe mark array (an O(N) allocation plus fill per probe) with
 // an epoch counter lets repeat probes on a warm cache run with near-zero
 // allocations: seen[j] == gen means "row j already emitted for the current
@@ -237,6 +238,8 @@ type probeScratch struct {
 	marks []rowMark
 	seen  []int64
 	gen   int64
+	pairs []Pair
+	count []int
 }
 
 // reset empties the batch buffers, keeping their capacity.
@@ -312,5 +315,6 @@ func (c *Cache) getScratch(n int) *probeScratch {
 // buffers but dropping their contents.
 func (c *Cache) putScratch(sc *probeScratch) {
 	sc.reset()
+	sc.pairs = sc.pairs[:0]
 	c.scratchPool.Put(sc)
 }

@@ -142,10 +142,10 @@ func TestParallelSketchDeterminism(t *testing.T) {
 				return NewCache(tc.ds, p, 42)
 			}
 			serial, parallel := build(1), build(8)
-			if !reflect.DeepEqual(serial.minSigs, parallel.minSigs) {
+			if !reflect.DeepEqual(serial.view.Load().minSigs, parallel.view.Load().minSigs) {
 				t.Error("minhash signatures differ between 1 and 8 sketch workers")
 			}
-			if !reflect.DeepEqual(serial.srpSigs, parallel.srpSigs) {
+			if !reflect.DeepEqual(serial.view.Load().srpSigs, parallel.view.Load().srpSigs) {
 				t.Error("SRP signatures differ between 1 and 8 sketch workers")
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plasmahd/internal/vec"
+	"plasmahd/internal/vec/vectest"
 )
 
 // splitSizes describes how the appended suffix is chopped into batches.
@@ -153,26 +154,30 @@ func TestAppendRowsInterleavedProbes(t *testing.T) {
 	}
 }
 
-// TestAppendRowsValidation: malformed rows must be rejected atomically —
-// the cache keeps its previous row count.
+// TestAppendRowsValidation: each malformed row of the shared table is
+// refused with the row check's message, and a refused batch — the bad row
+// behind a good one — leaves the published view as it was: row count and
+// signatures. Both hash families.
 func TestAppendRowsValidation(t *testing.T) {
-	full := snapDataset(20)
-	c := NewCache(prefixOf(full, 10), DefaultParams(), 1)
-	bad := []vec.Sparse{
-		{Indices: []int32{3, 1}, Values: []float64{1, 1}},  // not increasing
-		{Indices: []int32{0, 99}, Values: []float64{1, 1}}, // out of dim range
-		{Indices: []int32{0, 1}, Values: []float64{1}},     // ragged
-	}
-	for i, row := range bad {
-		if _, err := c.AppendRows([]vec.Sparse{row}); err == nil {
-			t.Errorf("bad row %d accepted", i)
+	for _, m := range []vec.Measure{vec.CosineSim, vec.JaccardSim} {
+		ds := &vec.Dataset{Name: "check", Dim: vectest.Dim, Measure: m}
+		for i := range 10 {
+			ds.Rows = append(ds.Rows, vec.Sparse{Indices: []int32{int32(i % vectest.Dim)}, Values: []float64{1}})
 		}
-	}
-	if c.Rows() != 10 {
-		t.Fatalf("failed appends changed row count to %d", c.Rows())
-	}
-	if _, err := c.AppendRows(nil); err != nil {
-		t.Fatalf("empty append must be a no-op, got %v", err)
+		c := NewCache(ds, DefaultParams(), 1)
+		before := c.view.Load()
+		for _, tc := range vectest.Malformed {
+			_, err := c.AppendRows([]vec.Sparse{vectest.Good, tc.Row})
+			if want := "bayeslsh: append row 1: " + tc.Err; err == nil || err.Error() != want {
+				t.Errorf("%v %s: err = %v, want %q", m, tc.Name, err, want)
+			}
+		}
+		if after := c.view.Load(); after != before || c.Rows() != 10 {
+			t.Fatalf("%v: failed appends changed the view: %d rows", m, c.Rows())
+		}
+		if _, err := c.AppendRows(nil); err != nil || c.view.Load() != before {
+			t.Fatalf("%v: empty append must be a no-op, got %v", m, err)
+		}
 	}
 }
 

@@ -138,7 +138,7 @@ func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func
 	if im.measure != vec.CosineSim && im.measure != vec.JaccardSim {
 		c.Fail("unknown measure %d", int(im.measure))
 	}
-	if im.dim < 1 || im.dim > maxSnapRows {
+	if im.dim < 1 || im.dim > vec.MaxDim {
 		c.Fail("dimension %d out of range", im.dim)
 	}
 
@@ -260,7 +260,7 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 		params:     c.Params,
 		seed:       c.Seed,
 		measure:    c.Measure,
-		rows:       c.rows(),
+		rows:       *c.view.Load(),
 		dim:        c.dim,
 		sketchTime: c.SketchTime,
 	}
@@ -300,18 +300,8 @@ func DecodeSnapshot(r io.Reader) (*Cache, error) {
 		return nil, err
 	}
 
-	c := &Cache{
-		Params:     im.params,
-		Measure:    im.measure,
-		n:          im.rows.n,
-		minSigs:    im.rows.minSigs,
-		srpSigs:    im.rows.srpSigs,
-		dim:        im.dim,
-		Seed:       im.seed,
-		Pairs:      pairs,
-		SketchTime: im.sketchTime,
-		pruneMax:   make(map[float64][]int32),
-	}
-	c.buildTables()
+	c := newCache(im.params, im.measure, im.dim, im.seed, pairs)
+	c.view.Store(&im.rows)
+	c.SketchTime = im.sketchTime
 	return c, nil
 }

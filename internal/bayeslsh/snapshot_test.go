@@ -330,6 +330,11 @@ func TestWalkRunFlagsEveryChunk(t *testing.T) {
 // params, measure and declared row count — followed by the given
 // sketch-kind byte, through the same wire primitives the real walk uses.
 func forgeSnapshotHead(c *wire.Codec, p Params, measure vec.Measure, rows uint32, kind uint8) {
+	forgeSnapshotHeadDim(c, p, measure, rows, 24, kind)
+}
+
+// forgeSnapshotHeadDim is forgeSnapshotHead with the given dimension.
+func forgeSnapshotHeadDim(c *wire.Codec, p Params, measure vec.Measure, rows, dim uint32, kind uint8) {
 	c.Header(cacheSnapMagic, CacheSnapshotVersion)
 	c.F64(p.Epsilon)
 	c.F64(p.Delta)
@@ -342,8 +347,8 @@ func forgeSnapshotHead(c *wire.Codec, p Params, measure vec.Measure, rows uint32
 	c.I64(7) // seed
 	c.U8(uint8(measure))
 	c.U32(rows)
-	c.U32(24) // dim
-	c.I64(0)  // sketch time
+	c.U32(dim)
+	c.I64(0) // sketch time
 	c.U8(kind)
 }
 
@@ -454,6 +459,32 @@ func emptySnapshot(t testing.TB, p Params) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestSnapshotRejectsHugeDimension: a cache stream's dimension is capped
+// at vec.MaxDim. The cap itself decodes, and a decoded cache makes no
+// sketcher, so not even a cosine cache at the cap allocates its direction
+// table until rows are appended; one past the cap is refused.
+func TestSnapshotRejectsHugeDimension(t *testing.T) {
+	forge := func(dim uint32) []byte {
+		var buf bytes.Buffer
+		c := wire.NewEncoder(&buf, snapErrors)
+		forgeSnapshotHeadDim(c, DefaultParams(), vec.CosineSim, 0, dim, sketchKindSRP)
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	c, err := DecodeSnapshot(bytes.NewReader(forge(vec.MaxDim)))
+	if err != nil {
+		t.Fatalf("dimension at the cap: %v", err)
+	}
+	if c.Dim() != vec.MaxDim || c.sketch != nil {
+		t.Fatalf("decoded cache: dim %d, sketcher built %v", c.Dim(), c.sketch != nil)
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(forge(vec.MaxDim + 1))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("dimension past the cap: err = %v, want ErrSnapshotCorrupt", err)
+	}
 }
 
 // TestSnapshotRejectsScheduleBomb pins that decoded params are validated

@@ -164,7 +164,7 @@ func (im *sessionImage) walk(c *wire.Codec) {
 // the float values and break restart determinism.
 func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 	ds.Name = c.Str(ds.Name, snapMaxStringLen)
-	ds.Dim = c.Count(ds.Dim, snapMaxRows, "dataset dimension")
+	ds.Dim = c.Count(ds.Dim, vec.MaxDim, "dataset dimension")
 	ds.Measure = vec.Measure(c.U8(uint8(ds.Measure)))
 	n := c.Count(len(ds.Rows), snapMaxRows, "dataset row count")
 	if ds.Measure != vec.CosineSim && ds.Measure != vec.JaccardSim {
@@ -174,11 +174,8 @@ func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 		nnz := c.Count(len(row.Indices), ds.Dim, "row non-zero count")
 		row.Indices = wire.I32s(c, row.Indices, nnz)
 		row.Values = wire.F64s(c, row.Values, nnz)
-		for k, ix := range row.Indices {
-			if ix < 0 || int(ix) >= ds.Dim || (k > 0 && row.Indices[k-1] >= ix) {
-				c.Fail("row indices not strictly increasing in [0,%d)", ds.Dim)
-				break
-			}
+		if err := row.Check(ds.Dim); err != nil {
+			c.Fail("dataset row: %v", err)
 		}
 		return row
 	})

@@ -17,6 +17,7 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/vec"
+	"plasmahd/internal/vec/vectest"
 	"plasmahd/internal/wire"
 	"plasmahd/internal/wire/wiretest"
 )
@@ -572,6 +573,82 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
 		}
 	})
+}
+
+// forgeEmbedded writes a session stream that embeds ds verbatim, each row
+// as its own counts say, ahead of cache's stream: nothing on the way checks
+// the rows.
+func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := wire.NewEncoder(&buf, sessErrors)
+	c.Header(sessSnapMagic, SessionSnapshotVersion)
+	c.Blob(nil, snapMaxStringLen) // no spec
+	c.U8(1)                       // embedded dataset
+	c.Str(ds.Name, snapMaxStringLen)
+	c.U32(uint32(ds.Dim))
+	c.U8(uint8(ds.Measure))
+	c.U32(uint32(len(ds.Rows)))
+	for _, row := range ds.Rows {
+		c.U32(uint32(len(row.Indices)))
+		wire.I32s(c, row.Indices, len(row.Indices))
+		wire.F64s(c, row.Values, len(row.Values))
+	}
+	c.U32(0) // append epoch
+	(&probeHistory{}).walk(c)
+	if err := cache.EncodeSnapshot(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSessionStreamRefusesMalformedRows: embedded rows pass the one row
+// check in both directions of the walk. A session holding a malformed row
+// cannot be saved, and a forged stream carrying one is refused, with
+// ErrSessionSnapshotCorrupt either way. A row's indices and values share one
+// count on the wire, so a row whose counts differ cannot be forged into a
+// stream; the encoder refuses it.
+func TestSessionStreamRefusesMalformedRows(t *testing.T) {
+	good := &vec.Dataset{Name: "rows", Dim: vectest.Dim, Measure: vec.JaccardSim, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
+	cache := bayeslsh.NewCache(good, bayeslsh.DefaultParams(), 1)
+	if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, good, cache)), nil); err != nil {
+		t.Fatalf("well-formed forged stream: %v", err)
+	}
+	for _, tc := range vectest.Malformed {
+		ds := *good
+		ds.Rows = []vec.Sparse{vectest.Good, tc.Row}
+		s := &Session{Cache: cache}
+		s.ds.Store(&ds)
+		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
+			t.Errorf("%s: encode err = %v, want ErrSessionSnapshotCorrupt", tc.Name, err)
+		}
+		if len(tc.Row.Values) != len(tc.Row.Indices) {
+			continue
+		}
+		_, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &ds, cache)), nil)
+		if !errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), tc.Err) {
+			t.Errorf("%s: decode err = %v, want ErrSessionSnapshotCorrupt naming %q", tc.Name, err, tc.Err)
+		}
+	}
+}
+
+// TestSessionStreamRefusesHugeDimension: an embedded dataset's dimension
+// is capped at vec.MaxDim, like the cache stream's.
+func TestSessionStreamRefusesHugeDimension(t *testing.T) {
+	ds := &vec.Dataset{Name: "wide", Dim: vec.MaxDim, Measure: vec.JaccardSim, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
+	cache := bayeslsh.NewCache(ds, bayeslsh.DefaultParams(), 1)
+	if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, ds, cache)), nil); err != nil {
+		t.Fatalf("dimension at the cap: %v", err)
+	}
+	wide := *ds
+	wide.Dim++
+	_, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &wide, cache)), nil)
+	if !errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), "dataset dimension") {
+		t.Fatalf("dimension past the cap: err = %v, want ErrSessionSnapshotCorrupt on the dataset dimension", err)
+	}
 }
 
 // recodeSession restores a snapshot from its own bytes and snapshots the

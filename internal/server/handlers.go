@@ -314,29 +314,20 @@ type sparseRow struct {
 	Values  []float64 `json:"values,omitempty"`
 }
 
-// vec validates row ri of an upload against the dimension and returns it
-// as a sparse vector: one value per index (omitted values mean all-ones),
-// indices strictly increasing in [0, dim).
+// vec returns row ri of an upload as a sparse vector (omitted values mean
+// all-ones) once it passes vec.Sparse.Check against the dimension.
 func (row sparseRow) vec(ri, dim int) (vec.Sparse, error) {
-	vals := row.Values
-	if vals == nil {
-		vals = make([]float64, len(row.Indices))
-		for i := range vals {
-			vals[i] = 1
+	v := vec.Sparse{Indices: row.Indices, Values: row.Values}
+	if v.Values == nil {
+		v.Values = make([]float64, len(v.Indices))
+		for i := range v.Values {
+			v.Values[i] = 1
 		}
 	}
-	if len(vals) != len(row.Indices) {
-		return vec.Sparse{}, fmt.Errorf("sparse row %d: %d indices but %d values", ri, len(row.Indices), len(vals))
+	if err := v.Check(dim); err != nil {
+		return vec.Sparse{}, fmt.Errorf("sparse row %d: %w", ri, err)
 	}
-	for i, ix := range row.Indices {
-		if ix < 0 || int(ix) >= dim {
-			return vec.Sparse{}, fmt.Errorf("sparse row %d: index %d out of range [0, %d)", ri, ix, dim)
-		}
-		if i > 0 && row.Indices[i-1] >= ix {
-			return vec.Sparse{}, fmt.Errorf("sparse row %d: indices must be strictly increasing", ri)
-		}
-	}
-	return vec.Sparse{Indices: row.Indices, Values: vals}, nil
+	return v, nil
 }
 
 // sparseUpload is an uploaded sparse dataset.
@@ -597,13 +588,21 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, datase
 		if len(req.Dense) < 2 {
 			return nil, dataset.Spec{}, fmt.Errorf("dense upload needs at least 2 rows, got %d", len(req.Dense))
 		}
+		for ri, row := range req.Dense {
+			if len(row) > vec.MaxDim {
+				return nil, dataset.Spec{}, fmt.Errorf("dense row %d has %d entries, at most %d", ri, len(row), vec.MaxDim)
+			}
+		}
 		ds := vec.FromDenseMatrix(name, req.Dense, measure)
+		if ds.Dim < 1 { // a cache over no dimension cannot be snapshotted
+			return nil, dataset.Spec{}, fmt.Errorf("dense upload needs a row with at least one entry")
+		}
 		ds.NormalizeRows()
 		return ds, dataset.Spec{}, nil
 	}
 	up := req.Sparse
-	if len(up.Rows) < 2 || up.Dim < 1 {
-		return nil, dataset.Spec{}, fmt.Errorf("sparse upload needs dim >= 1 and at least 2 rows")
+	if len(up.Rows) < 2 || up.Dim < 1 || up.Dim > vec.MaxDim {
+		return nil, dataset.Spec{}, fmt.Errorf("sparse upload needs dim in [1, %d] and at least 2 rows", vec.MaxDim)
 	}
 	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure}
 	for ri, row := range up.Rows {

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"plasmahd/internal/vec"
+	"plasmahd/internal/vec/vectest"
 )
 
 // ingestRows builds a deterministic dense matrix.
@@ -159,20 +162,26 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 		}
 	}
 	// One validator serves both sparse upload paths: the same bad row, at the
-	// same position, is refused with the same message by create and append.
+	// same position, is refused with the same message by create and append —
+	// these rows, and every row of the shared malformed-row table.
 	good := map[string]any{"indices": []int32{0, 2}}
-	for _, tc := range []struct {
+	type badRow struct {
 		name string
 		row  map[string]any
 		want string
-	}{
+	}
+	cases := []badRow{
 		{"index past dim", map[string]any{"indices": []int32{1, 8}}, "sparse row 1: index 8 out of range [0, 8)"},
 		{"negative index", map[string]any{"indices": []int32{-1}}, "sparse row 1: index -1 out of range [0, 8)"},
 		{"repeated index", map[string]any{"indices": []int32{2, 2}}, "sparse row 1: indices must be strictly increasing"},
 		{"decreasing", map[string]any{"indices": []int32{3, 1}, "values": []float64{1, 1}}, "sparse row 1: indices must be strictly increasing"},
 		{"too few values", map[string]any{"indices": []int32{0, 1}, "values": []float64{1}}, "sparse row 1: 2 indices but 1 values"},
 		{"values without indices", map[string]any{"indices": []int32{}, "values": []float64{1}}, "sparse row 1: 0 indices but 1 values"},
-	} {
+	}
+	for _, tc := range vectest.Malformed {
+		cases = append(cases, badRow{"table: " + tc.Name, map[string]any{"indices": tc.Row.Indices, "values": tc.Row.Values}, "sparse row 1: " + tc.Err})
+	}
+	for _, tc := range cases {
 		rows := []map[string]any{good, tc.row}
 		for path, req := range map[string]struct {
 			url  string
@@ -196,6 +205,33 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 	var after sessionInfo
 	if st := call(t, "GET", ts.URL+"/v1/sessions/"+info.ID, nil, &after); st != 200 || after.Rows != 10 {
 		t.Fatalf("failed appends changed the session: status %d rows %d", st, after.Rows)
+	}
+}
+
+// TestUploadDimensionCapped: an upload's dimension must lie in
+// [1, vec.MaxDim]. Past the cap it is refused before anything
+// dimension-sized is built — the sparse upload's declared dim over HTTP,
+// and a dense row's length at the resolver, which the JSON body would
+// otherwise have to carry. Dense rows that are all empty declare dimension
+// 0, which no snapshot can carry, and are refused too.
+func TestUploadDimensionCapped(t *testing.T) {
+	srv, ts := newTestServer(t, 4)
+	two := []vec.Sparse{vectest.Good, vectest.Good}
+	var env errorEnvelope
+	st := call(t, "POST", ts.URL+"/v1/sessions", map[string]any{"sparse": map[string]any{"dim": vec.MaxDim + 1, "rows": two}}, &env)
+	if st != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("sparse dim past the cap: status %d, error %+v, want 400 bad_request", st, env.Error)
+	}
+	st = call(t, "POST", ts.URL+"/v1/sessions", map[string]any{"dense": [][]float64{{}, {}}}, &env)
+	if st != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("dense rows with no entries: status %d, error %+v, want 400 bad_request", st, env.Error)
+	}
+	if srv.mgr.Len() != 0 {
+		t.Fatalf("a refused upload admitted %d sessions", srv.mgr.Len())
+	}
+	_, _, err := srv.resolveDataset(&createSessionRequest{Dense: [][]float64{{1}, make([]float64, vec.MaxDim+1)}})
+	if err == nil || !strings.Contains(err.Error(), "dense row 1") {
+		t.Fatalf("dense row past the cap: err = %v", err)
 	}
 }
 

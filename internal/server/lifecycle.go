@@ -59,15 +59,22 @@ type slot struct {
 // "<id>.snap", in the session snapshot format (see core.Session.Snapshot).
 const snapExt = ".snap"
 
-// validStateID reports whether id is one a plasmad node could have minted
-// ("s<n>"), the only IDs allowed to name snapshot blobs — nothing
-// path-like from a URL ever becomes a storage key.
-func validStateID(id string) bool {
+// stateIDNum parses an ID a plasmad node could have minted, "s<n>", and
+// returns n; ok is false for any other string.
+func stateIDNum(id string) (n int64, ok bool) {
 	if len(id) < 2 || id[0] != 's' {
-		return false
+		return 0, false
 	}
-	_, err := strconv.ParseUint(id[1:], 10, 63)
-	return err == nil
+	u, err := strconv.ParseUint(id[1:], 10, 63)
+	return int64(u), err == nil
+}
+
+// validStateID reports whether id is one a plasmad node could have minted,
+// the only IDs allowed to name snapshot blobs — nothing path-like from a URL
+// ever becomes a storage key.
+func validStateID(id string) bool {
+	_, ok := stateIDNum(id)
+	return ok
 }
 
 // stateKey maps a session ID to its blob-store key.

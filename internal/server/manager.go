@@ -274,11 +274,12 @@ func (m *Manager) AdmitNew(ms *ManagedSession) error {
 	return nil
 }
 
-// bumpNextID advances the ID counter past a restored "s<n>" ID so freshly
-// created sessions never collide with warm-started ones.
+// bumpNextID advances the ID counter past an "s<n>" ID that a session
+// holds or a stored snapshot names, so freshly created sessions never
+// collide with one.
 func (m *Manager) bumpNextID(id string) {
-	var n int64
-	if _, err := fmt.Sscanf(id, "s%d", &n); err != nil {
+	n, ok := stateIDNum(id)
+	if !ok {
 		return
 	}
 	for {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -66,7 +65,9 @@ func (s *Server) SaveState(ctx context.Context) (saved, failed int, firstErr err
 // until the manager is full; the rest stay in the store, revivable on
 // demand. Each is the same revival a request for it would cause, so corrupt
 // or unreadable snapshots are logged and skipped (boot never fails on a bad
-// blob). Returns how many sessions were restored.
+// blob). The ID counter moves past every owned ID listed, loaded or not, so
+// no new session is minted over a saved one. Returns how many sessions were
+// restored.
 func (s *Server) LoadState() (int, error) {
 	if s.mgr.store == nil {
 		return 0, nil
@@ -89,6 +90,7 @@ func (s *Server) LoadState() (int, error) {
 			foreign++
 			continue
 		}
+		s.mgr.bumpNextID(id)
 		ids = append(ids, id)
 	}
 	if foreign > 0 {
@@ -96,8 +98,8 @@ func (s *Server) LoadState() (int, error) {
 	}
 	// Numeric order, so "s2" warm-starts before "s10".
 	sort.Slice(ids, func(a, b int) bool {
-		na, _ := strconv.ParseUint(ids[a][1:], 10, 63)
-		nb, _ := strconv.ParseUint(ids[b][1:], 10, 63)
+		na, _ := stateIDNum(ids[a])
+		nb, _ := stateIDNum(ids[b])
 		return na < nb
 	})
 	restored := 0

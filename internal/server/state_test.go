@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -128,6 +129,43 @@ func TestRestartCycleWarmStart(t *testing.T) {
 		t.Fatalf("fresh session reused warm-started ID %s", id)
 	}
 	_ = srv2
+}
+
+// TestWarmBootAtCapacityKeepsSavedIDs: a warm boot that stops at capacity
+// leaves the later sessions in the store, and a new session must not be
+// minted over one of them. A capacity-1 daemon saves s1 (probed at 0.7) and
+// s2 (probed at 0.5); the next daemon loads only s1, its next create gets a
+// fresh ID, and GET s2 revives the saved session whole.
+func TestWarmBootAtCapacityKeepsSavedIDs(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := newStateServer(t, 1, dir)
+	s1 := createToy(t, ts1.URL)
+	probeAt(t, ts1.URL, s1, 0.7)
+	s2 := createToy(t, ts1.URL) // evicts s1 into the store
+	probeAt(t, ts1.URL, s2, 0.5)
+	var saved sessionInfo
+	if st := call(t, "GET", ts1.URL+"/v1/sessions/"+s2, nil, &saved); st != 200 || saved.CachedPairs == 0 {
+		t.Fatalf("saved session: status %d, %+v", st, saved)
+	}
+	if _, failed, err := srv1.SaveState(context.Background()); err != nil || failed != 0 {
+		t.Fatalf("SaveState: failed=%d err=%v", failed, err)
+	}
+	ts1.Close()
+
+	srv2, ts2 := newStateServer(t, 1, dir)
+	if ids := srv2.mgr.List(); len(ids) != 1 || ids[0].ID != s1 {
+		t.Fatalf("warm boot loaded %d sessions, want only %s", len(ids), s1)
+	}
+	if fresh := createToy(t, ts2.URL); fresh == s1 || fresh == s2 {
+		t.Fatalf("new session minted as saved ID %s", fresh)
+	}
+	var revived sessionInfo
+	if st := call(t, "GET", ts2.URL+"/v1/sessions/"+s2, nil, &revived); st != 200 {
+		t.Fatalf("GET %s: status %d", s2, st)
+	}
+	if revived.CachedPairs != saved.CachedPairs || !slices.Equal(revived.Thresholds, saved.Thresholds) || revived.Probes != 1 {
+		t.Fatalf("GET %s = %+v, want the saved session %+v", s2, revived, saved)
+	}
 }
 
 // TestSnapshotRestoreEndpoints drives the snapshot/restore API: download a

@@ -4,6 +4,7 @@
 package vec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -15,6 +16,34 @@ import (
 type Sparse struct {
 	Indices []int32
 	Values  []float64
+}
+
+// MaxDim is the largest feature-space dimension a dataset may declare. A
+// dimension costs memory before any row is read (a signed-random-projection
+// sketcher keeps a slot per dimension, the candidate index two counters), so
+// every dimension that arrives from outside the program — an upload, a
+// snapshot stream — is checked against it first. It is above every built-in
+// corpus: the largest generated dimensions are 2²⁰ (graphs) and 1.25 M.
+const MaxDim = 1 << 22
+
+// Check reports the first way s is not a row over dimension dim: a value
+// count that differs from the index count, an index outside [0, dim), or
+// indices that do not strictly increase. It is the one row check every row
+// passes before it is sketched, whether it arrives at create, at append or
+// in a snapshot stream.
+func (s Sparse) Check(dim int) error {
+	if len(s.Values) != len(s.Indices) {
+		return fmt.Errorf("%d indices but %d values", len(s.Indices), len(s.Values))
+	}
+	for k, ix := range s.Indices {
+		if ix < 0 || int(ix) >= dim {
+			return fmt.Errorf("index %d out of range [0, %d)", ix, dim)
+		}
+		if k > 0 && s.Indices[k-1] >= ix {
+			return errors.New("indices must be strictly increasing")
+		}
+	}
+	return nil
 }
 
 // Len returns the number of non-zeros.
