@@ -83,9 +83,13 @@ bench-workers:
 # every row with candidates) and on the explore-dense shape (500 rows, 2
 # workers, after the 0.9/0.8/0.7/0.6 ladder; hits/op is every cached pair),
 # each of whose hashes/op must read 0, and the 0.8/0.7/0.6/0.8 ladder after a
-# cold 0.9. Wall time, allocs/op and hashes/op.
+# cold 0.9. On the explore-dense shape it also times the two probes that
+# generate rows instead of walking them: a cold 0.9 on a fresh cache, and the
+# first 0.8 on a cache decoded from a snapshot taken after the ladder, whose
+# runs carry no band (rows-walked/op 0, hashes/op 0). Wall time, allocs/op
+# and hashes/op.
 bench-repeat:
-	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|RepeatProbeLong|RepeatProbeDense|Ladder)$$' -benchmem .
+	$(GO) test -run xxx -bench 'Benchmark(RepeatProbe|RepeatProbeLong|RepeatProbeDense|ColdProbeDense|RestoredProbeDense|Ladder)$$' -benchmem .
 
 # bench-curve isolates curve derivation: a 14-point curve (GET /curve's
 # default) and a single point (what a cold /cues adds) over a synthetic store

@@ -118,15 +118,8 @@ func BenchmarkRepeatProbeLong(b *testing.B) {
 // pair reaches the workers, so hashes/op must read 0 and hits/op is
 // Result.CacheHits.
 func BenchmarkRepeatProbeDense(b *testing.B) {
-	corpus := gen.ZipfCosine{Rows: 500, Dim: 6000, MinNnz: 30, MaxNnz: 60, ZipfS: 1.25,
-		Communities: 40, Cohesion: 0.85, BlockZipfS: 1.3}
-	ds := corpus.Generate(1).Dataset(0, corpus.Rows)
-	p := bayeslsh.DefaultParams()
-	p.Workers = 2
-	c := bayeslsh.NewCache(ds, p, 1)
-	for _, t := range []float64{0.9, 0.8, 0.7, 0.6} {
-		benchProbe(b, ds, t, c)
-	}
+	ds, p := denseCorpus()
+	c := laddered(b, ds, p)
 	var hashes int64
 	var hits int
 	b.ReportAllocs()
@@ -138,6 +131,73 @@ func BenchmarkRepeatProbeDense(b *testing.B) {
 	}
 	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
 	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
+// denseCorpus returns the benchmark's explore-dense shape, 500 rows, and
+// params with 2 workers.
+func denseCorpus() (*vec.Dataset, bayeslsh.Params) {
+	corpus := gen.ZipfCosine{Rows: 500, Dim: 6000, MinNnz: 30, MaxNnz: 60, ZipfS: 1.25,
+		Communities: 40, Cohesion: 0.85, BlockZipfS: 1.3}
+	p := bayeslsh.DefaultParams()
+	p.Workers = 2
+	return corpus.Generate(1).Dataset(0, corpus.Rows), p
+}
+
+// laddered returns a cache over ds probed down the 0.9/0.8/0.7/0.6 ladder.
+func laddered(b *testing.B, ds *vec.Dataset, p bayeslsh.Params) *bayeslsh.Cache {
+	c := bayeslsh.NewCache(ds, p, 1)
+	for _, t := range []float64{0.9, 0.8, 0.7, 0.6} {
+		benchProbe(b, ds, t, c)
+	}
+	return c
+}
+
+// BenchmarkColdProbeDense times the first probe, at 0.9, on a fresh cache
+// of the explore-dense shape: the candidate index build, generation of
+// every row and hashing of every candidate. The cache is sketched outside
+// the timer.
+func BenchmarkColdProbeDense(b *testing.B) {
+	ds, p := denseCorpus()
+	var hashes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := bayeslsh.NewCache(ds, p, 1)
+		b.StartTimer()
+		hashes += benchProbe(b, ds, 0.9, c).HashesCompared
+	}
+	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+}
+
+// BenchmarkRestoredProbeDense times the first 0.8 probe on a cache decoded,
+// outside the timer, from a snapshot taken after the explore-dense ladder:
+// what the first probe after a restore or a revive pays. A decoded run
+// carries no band, so the probe walks no row and generates every one;
+// hashes/op must read 0 and rows-walked/op is Result.RowsWalked.
+func BenchmarkRestoredProbeDense(b *testing.B) {
+	ds, p := denseCorpus()
+	var buf bytes.Buffer
+	if err := laddered(b, ds, p).EncodeSnapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	var hashes int64
+	var walked int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := bayeslsh.DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res := benchProbe(b, ds, 0.8, c)
+		hashes += res.HashesCompared
+		walked += res.RowsWalked
+	}
+	b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
+	b.ReportMetric(float64(walked)/float64(b.N), "rows-walked/op")
 }
 
 // BenchmarkLadder measures the exploring half of the loop: after a cold 0.9

@@ -97,6 +97,11 @@ func callHdr(t *testing.T, method, url string, body any, out any, hdr map[string
 			t.Fatalf("%s %s: decode: %v", method, url, err)
 		}
 	}
+	// The response ends only after the handler's middleware has run, so a
+	// body read to its end orders the caller after the request's metrics.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s %s: read response: %v", method, url, err)
+	}
 	return resp.StatusCode, resp.Header
 }
 

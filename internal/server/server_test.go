@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -50,6 +51,11 @@ func call(t *testing.T, method, url string, body any, out any) int {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			t.Fatalf("%s %s: decode response: %v", method, url, err)
 		}
+	}
+	// The response ends only after the handler's middleware has run, so a
+	// body read to its end orders the caller after the request's metrics.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s %s: read response: %v", method, url, err)
 	}
 	return resp.StatusCode
 }
