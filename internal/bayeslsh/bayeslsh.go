@@ -14,7 +14,6 @@
 package bayeslsh
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -239,8 +238,8 @@ type Cache struct {
 	idxMu       sync.Mutex
 	idx         atomic.Pointer[candIndex]
 	idxRebuilds atomic.Int64
-	// scratchPool recycles probe working sets (candidate/outcome batches,
-	// epoch marks) so repeat probes allocate near-zero.
+	// scratchPool recycles probe working sets (batches, the candidate
+	// bitmap) so repeat probes allocate near-zero.
 	scratchPool sync.Pool
 }
 
@@ -590,9 +589,9 @@ type Result struct {
 	// HashesCompared the comparisons they cost. CacheHits counts the pairs
 	// answered wholly from the cache — Done, or prunable at this threshold
 	// from their stored (N, M) — so Candidates + CacheHits is the number of
-	// candidates considered. A walked row's hits are answered inside the
-	// walk and a generated row's in evaluation, by the same rule, so every
-	// counter is the same whether a row was walked or generated.
+	// candidates considered. Every row's stored evidence is decided by one
+	// rule in one place, so every counter is the same whether a row was
+	// walked or generated.
 	Candidates     int
 	Pruned         int
 	CacheHits      int
@@ -610,29 +609,25 @@ type Result struct {
 // the incremental-approximation experiments (Figs 2.6-2.8).
 type ProgressFunc func(rowsProcessed, totalRows, pairsAbove int)
 
-// candidate is one (j, i) pair (j < i) produced by the candidate index.
-type candidate struct{ j, i int32 }
-
-// candOutcome is the evaluation of one candidate: ps holds the pair's stored
-// state when it is read and the state to store once it is evaluated. It is
-// computed by the worker that owns the candidate's row and merged into the
+// candOutcome is the evaluation of one pair that needs hashes: ps holds the
+// pair's stored state when it is read and the state to store once it is
+// evaluated, and pos the position it was read at, writeRow's hint. It is
+// computed by the worker that owns the pair's row and merged into the
 // Result on the search goroutine; insert marks, while the row is written, a
 // pair its run does not hold yet.
 type candOutcome struct {
-	ps       PairState
-	hashes   int64
-	cacheHit bool
-	pruned   bool
-	emit     bool
-	insert   bool
-	est      float64
+	ps     PairState
+	pos    int32
+	pruned bool
+	insert bool
+	hashes int64
 }
 
 // answered reports whether a stored state decides its pair at a probe with
 // prune bound bound, from the cache alone: the pair is Done, or its (N, M)
 // is on the schedule and the bound still covers it. (Tail is monotone in t,
 // so a pair pruned at t₀ is prunable at every t ≥ t₀.) It is the one
-// cache-hit rule, for a walked pair and an evaluated candidate alike.
+// cache-hit rule; decideRow is its one caller.
 func (c *Cache) answered(ps PairState, bound []int32) bool {
 	if ps.Done {
 		return true
@@ -651,87 +646,117 @@ func (c *Cache) emits(ps PairState, t float64) (float64, bool) {
 	return est, est >= t
 }
 
-// evalCandidate decides one candidate pair at threshold t from its stored
-// state, out.ps. The stored evidence is tested first: a pair the cache has
-// answered costs no hashes and stores nothing. Any other pair resumes the
-// incremental hash comparison from N, counting only the hashes past N, and
-// leaves the extended state in out.ps to be stored. The outcome is a pure
-// function of the stored state plus the immutable sketches and decision
-// tables, so evaluating candidates in any order or on any number of workers
-// yields identical outcomes.
-func (c *Cache) evalCandidate(ds *vec.Dataset, v *rowView, cd candidate, out *candOutcome, t float64, bound []int32) {
-	p := c.Params
-	ps := out.ps
-	*out = candOutcome{}
-	if c.answered(ps, bound) {
-		out.cacheHit = true
-	} else {
-		for !ps.Done {
-			if int(ps.N) >= p.MaxHashes {
-				// Sketch exhausted on an earlier probe (pruned at
-				// the final schedule point): evidence is complete.
-				ps.Done = true
-				break
+// decideRow reads row i's stored evidence once, under its run r's one read
+// lock, and decides every pair the cache answers. A run whose band holds
+// the index's stop-word cap is the row's candidates, ascending, and is read
+// as it is: the row is walked. Any other row's candidates are generated in
+// order and looked up in the run, each with its own position as the hint,
+// into scratch records, a pair the run lacks reading as zero; when the run
+// holds exactly those candidates, the band is recorded. One loop then reads
+// the records: a pair the cache answers at the prune bound is counted, and
+// added to sc.hits when it emits at t; every other pair goes to the batch
+// with its state and the position it was read at. It reports the hits, the
+// band and whether the row was walked. The hit test stays one inline loop
+// body: a call per pair costs a warm probe several times over.
+func (c *Cache) decideRow(r *pairRun, i int32, idx *candIndex, indices []int32, t float64, bound []int32, sc *probeScratch) (hits int, b band, walked bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	recs := r.recs
+	b = unpackBand(r.band.Load())
+	if walked = b.has(idx.maxDF); !walked {
+		sc.cands, b = idx.appendRow(i, indices, sc, sc.cands[:0])
+		recs = sc.recs[:0]
+		found := 0
+		for x, j := range sc.cands {
+			pos, ok := find(r.recs, j, x)
+			rec := pairRec{j: j}
+			if ok {
+				rec.ps = r.recs[pos].ps
+				found++
 			}
-			k := int(ps.N) / p.Step // next schedule point
-			n := (k + 1) * p.Step
-			if n > p.MaxHashes {
-				n = p.MaxHashes
-			}
-			ps.M += int32(v.matches(cd.j, cd.i, int(ps.N), n))
-			out.hashes += int64(n - int(ps.N))
-			ps.N = int32(n)
-			if ps.M <= bound[k] {
-				out.pruned = true // Eq 2.1: almost surely below t
-				break
-			}
-			if c.concentrated(k, int(ps.M)) || n == p.MaxHashes {
-				ps.Done = true // Eq 2.2 or sketch exhausted
-			}
+			recs = append(recs, rec)
 		}
-		if ps.Done && !ps.HasExact && p.Lite {
-			// BayesLSH-Lite: verify survivors exactly.
-			ps.Exact = float32(ds.Similarity(int(cd.j), int(cd.i)))
-			ps.HasExact = true
+		sc.recs = recs
+		if found > 0 && found == len(r.recs) && found == len(recs) {
+			r.band.Store(b.pack())
 		}
 	}
+	for k, rec := range recs {
+		if !c.answered(rec.ps, bound) {
+			sc.js = append(sc.js, rec.j)
+			sc.outs = append(sc.outs, candOutcome{ps: rec.ps, pos: int32(k)})
+			continue
+		}
+		hits++
+		if est, ok := c.emits(rec.ps, t); ok {
+			sc.hits = append(sc.hits, Pair{I: rec.j, J: i, Est: est})
+		}
+	}
+	return hits, b, walked
+}
+
+// evalCandidate resumes the incremental hash comparison of pair (j, i)
+// under a probe's prune bound from its stored state, out.ps, which the cache
+// did not answer: it counts only the hashes past N, and leaves the extended
+// state in out.ps to be stored. The outcome is a pure function of the stored state
+// plus the immutable sketches and decision tables, so evaluating pairs in
+// any order or on any number of workers yields identical outcomes.
+func (c *Cache) evalCandidate(ds *vec.Dataset, v *rowView, j, i int32, out *candOutcome, bound []int32) {
+	p := c.Params
+	ps := out.ps
+	for !ps.Done {
+		if int(ps.N) >= p.MaxHashes {
+			// Sketch exhausted on an earlier probe (pruned at the final
+			// schedule point): evidence is complete.
+			ps.Done = true
+			break
+		}
+		k := int(ps.N) / p.Step // next schedule point
+		n := (k + 1) * p.Step
+		if n > p.MaxHashes {
+			n = p.MaxHashes
+		}
+		ps.M += int32(v.matches(j, i, int(ps.N), n))
+		out.hashes += int64(n - int(ps.N))
+		ps.N = int32(n)
+		if ps.M <= bound[k] {
+			out.pruned = true // Eq 2.1: almost surely below t
+			break
+		}
+		if c.concentrated(k, int(ps.M)) || n == p.MaxHashes {
+			ps.Done = true // Eq 2.2 or sketch exhausted
+		}
+	}
+	if ps.Done && !ps.HasExact && p.Lite {
+		// BayesLSH-Lite: verify survivors exactly.
+		ps.Exact = float32(ds.Similarity(int(j), int(i)))
+		ps.HasExact = true
+	}
 	out.ps = ps
-	out.est, out.emit = c.emits(ps, t)
 }
 
 // evalBatch evaluates a batch of whole rows on the given number of workers:
-// marks[r] ends row r's candidates in cands, and outs[idx] receives the
-// outcome of cands[idx]. Each worker owns a row — its candidates, their
-// outcomes and the row's run in the pair store. A generated row's
-// candidates are sorted by j and their stored states read under one read
-// lock; a walked row's are the pairs its walk could not answer, already
-// ascending, each outcome already holding the state it was read with. The
-// worker evaluates them and stores what changed under one write lock. Since
-// each outcome lands at its candidate's index, the result is independent of
-// scheduling.
-func (c *Cache) evalBatch(ds *vec.Dataset, v *rowView, runs []*pairRun, cands []candidate, marks []rowMark, outs []candOutcome, t float64, bound []int32, workers int) {
+// marks[r] ends row r's pairs in js, and outs[x] holds the stored state of
+// pair (js[x], marks[r].row) and receives its outcome. Each worker owns a
+// row — its pairs, their outcomes and the row's run in the pair store — and
+// only hashes and writes: the pairs arrive ascending, each with the state
+// and position it was read at, and the worker stores what it evaluated
+// under one write lock. Since each outcome lands at its pair's index, the
+// result is independent of scheduling.
+func (c *Cache) evalBatch(ds *vec.Dataset, v *rowView, runs []*pairRun, js []int32, marks []rowMark, outs []candOutcome, bound []int32, workers int) {
 	par.For(len(marks), workers, 1, func(r int) {
-		lo, hi := 0, marks[r].end
+		lo, mk := 0, marks[r]
 		if r > 0 {
 			lo = marks[r-1].end
 		}
-		if lo == hi {
+		if lo == mk.end {
 			return
 		}
-		mk := marks[r]
-		run, rowCands, rowOuts := runs[mk.row], cands[lo:hi], outs[lo:hi]
-		if !mk.walked {
-			slices.SortFunc(rowCands, func(a, b candidate) int { return cmp.Compare(a.j, b.j) })
-			run.readRow(rowCands, rowOuts, mk.band)
+		i := int32(mk.row)
+		for x := lo; x < mk.end; x++ {
+			c.evalCandidate(ds, v, js[x], i, &outs[x], bound)
 		}
-		stored := false
-		for x := range rowCands {
-			c.evalCandidate(ds, v, rowCands[x], &rowOuts[x], t, bound)
-			stored = stored || !rowOuts[x].cacheHit
-		}
-		if stored {
-			c.Pairs.writeRow(run, rowCands, rowOuts, mk.band)
-		}
+		c.Pairs.writeRow(runs[i], js[lo:mk.end], outs[lo:mk.end], mk.band, mk.hits+mk.end-lo)
 	})
 }
 
@@ -741,19 +766,18 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v *rowView, runs []*pairRun, cands []
 // decided.
 //
 // A row's candidate set is threshold-independent, and every candidate is
-// stored, so it is read in one of two ways, sequentially: a row whose run's
-// band holds the index's stop-word cap is walked — its run's pairs are its
-// candidates — and any other row is generated from the cache's persistent
-// candidate index (built lazily on the first probe), which records the
-// row's band once its run holds exactly those candidates. The walk also
-// decides, under the run's one read lock, every pair the cache answers, so
-// only the pairs that need hashes — a walked row's resumed pairs and a
-// generated row's candidates — reach evaluation, the hash-comparison hot
-// path, which is sharded across Params.Workers goroutines in batches of
-// whole rows, then merged back in row order: each row's walked hits first,
-// then its evaluated outcomes. Results are byte-identical for every worker
-// count; progress callbacks fire once per row, in order, after the batch
-// covering that row has been merged. Batch buffers and dedup marks come
+// stored, so the search goroutine reads each row's stored evidence once,
+// in row order, under the run's one read lock (decideRow): a row whose
+// run's band holds the index's stop-word cap is walked — its run's pairs
+// are its candidates — and any other row is generated, in ascending order,
+// from the cache's persistent candidate index (built lazily on the first
+// probe). The same loop decides every pair the cache answers, so only the
+// pairs that need hashes reach evaluation, the hash-comparison hot path,
+// which is sharded across Params.Workers goroutines in batches of whole
+// rows, then merged back in row order: each row's hits first, then its
+// evaluated outcomes. Results are byte-identical for every worker count;
+// progress callbacks fire once per row, in order, after the batch covering
+// that row has been merged. Batch buffers and the candidate bitmap come
 // from a per-cache pool, so repeat probes on a warm cache allocate
 // near-zero.
 func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Result, error) {
@@ -785,35 +809,31 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	sc := c.getScratch(ds.N())
 	defer c.putScratch(sc)
 
-	// Candidates are buffered with per-row boundaries and flushed in
-	// batches of whole rows: evaluate in parallel, a row per worker at a
-	// time, then merge sequentially so counters, pairs and progress calls
-	// are in row order (pairs are sorted by I at the end). A batch holds enough rows to
-	// keep every worker busy however many candidates one row has; walked
-	// hits do not count toward it, since they need no worker.
+	// Pairs that need hashes are buffered with per-row boundaries and
+	// flushed in batches of whole rows: evaluate in parallel, a row per
+	// worker at a time, then merge sequentially so counters, pairs and
+	// progress calls are in row order (pairs are sorted by I at the end). A
+	// batch holds enough rows to keep every worker busy however many pairs
+	// one row has; hits do not count toward it, since they need no worker.
 	batchSize, batchRows := 1024*workers, 4*workers
 	flush := func() {
-		if len(sc.cands) > 0 {
-			c.evalBatch(ds, v, runs, sc.cands, sc.marks, sc.outs, t, bound, workers)
+		if len(sc.js) > 0 {
+			c.evalBatch(ds, v, runs, sc.js, sc.marks, sc.outs, bound, workers)
 		}
 		done, hit := 0, 0
 		for _, mk := range sc.marks {
 			res.CacheHits += mk.hits
 			sc.pairs = append(sc.pairs, sc.hits[hit:mk.hitEnd]...)
 			hit = mk.hitEnd
+			res.Candidates += mk.end - done
 			for ; done < mk.end; done++ {
 				oc := &sc.outs[done]
-				if oc.cacheHit {
-					res.CacheHits++
-				} else {
-					res.Candidates++
-					res.HashesCompared += oc.hashes
-					if oc.pruned {
-						res.Pruned++
-					}
+				res.HashesCompared += oc.hashes
+				if oc.pruned {
+					res.Pruned++
 				}
-				if oc.emit {
-					sc.pairs = append(sc.pairs, Pair{I: sc.cands[done].j, J: sc.cands[done].i, Est: oc.est})
+				if est, ok := c.emits(oc.ps, t); ok {
+					sc.pairs = append(sc.pairs, Pair{I: sc.js[done], J: int32(mk.row), Est: est})
 				}
 			}
 			if progress != nil {
@@ -824,15 +844,12 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	}
 
 	for i := 0; i < ds.N(); i++ {
-		hits, b, walked := c.walk(runs[i], int32(i), idx.maxDF, t, bound, sc)
+		hits, b, walked := c.decideRow(runs[i], int32(i), idx, ds.Rows[i].Indices, t, bound, sc)
 		if walked {
 			res.RowsWalked++
-		} else {
-			sc.cands, b = idx.appendRow(int32(i), ds.Rows[i].Indices, sc, sc.cands)
-			sc.outs = slices.Grow(sc.outs, len(sc.cands)-len(sc.outs))[:len(sc.cands)]
 		}
-		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.cands), band: b, walked: walked, hits: hits, hitEnd: len(sc.hits)})
-		if len(sc.cands) >= batchSize && len(sc.marks) >= batchRows {
+		sc.marks = append(sc.marks, rowMark{row: i, end: len(sc.js), hits: hits, hitEnd: len(sc.hits), band: b})
+		if len(sc.js) >= batchSize && len(sc.marks) >= batchRows {
 			flush()
 		}
 	}

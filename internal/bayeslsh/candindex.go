@@ -2,6 +2,7 @@ package bayeslsh
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"plasmahd/internal/vec"
@@ -15,7 +16,9 @@ import (
 // cached. The index is built once, lazily, on the first probe of a cache and
 // reused by every later probe — for the rows it still has to generate: a row
 // whose stored run is known to be its candidate set under the probe's
-// stop-word cap (see band) is walked instead.
+// stop-word cap (see band) is walked instead. A generated row's candidates
+// come out ascending (appendRow), the order its run keeps them in, so
+// nothing sorts them before they are looked up in the run.
 //
 // Live ingest grows the index without invalidating it: each candIndex value
 // is immutable, covering exactly total() rows. The bulk of the postings live
@@ -145,23 +148,24 @@ func (ix *candIndex) extend(dim int, all []vec.Sparse, n int, frac float64) *can
 	}
 }
 
-// appendRow appends row i's candidate pairs (j, i), j < i, to cands in
-// generation order, deduplicated through the scratch epoch marks, and returns
-// the row's band. The per-feature scan replays the old incremental build
-// exactly: only the first maxDF rows of a feature were ever indexed, and a
-// feature already carried by more than maxDF earlier rows is stop-worded for
-// row i — detectable in O(1) because the merged CSR+tail postings are
-// ascending, so the occurrence at position maxDF tells whether the cap was
-// hit before row i.
+// appendRow appends row i's candidates j < i to js, ascending and once
+// each, and returns the row's band. It marks each candidate in the scratch
+// bitmap, then drains the marked words in order, clearing each, so the
+// bitmap is zero again when it returns. The per-feature scan replays the
+// old incremental build exactly: only the first maxDF rows of a feature
+// were ever indexed, and a feature already carried by more than maxDF
+// earlier rows is stop-worded for row i — detectable in O(1) because the
+// merged CSR+tail postings are ascending, so the occurrence at position
+// maxDF tells whether the cap was hit before row i.
 //
 // So feature f is live for row i iff c_f, its postings below i, is at most
 // maxDF, and a live feature contributes exactly those postings: the
 // candidate set depends on the cap only through which features are live. It
 // is the same for every cap in the band [max live c_f, min stop-worded c_f),
 // which costs one binary search per stop-worded feature to find.
-func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands []candidate) ([]candidate, band) {
-	sc.gen++
-	gen := sc.gen
+func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, js []int32) ([]int32, band) {
+	bitmap := sc.bitmap
+	lo, hi := i, int32(-1) // the least and the greatest candidate marked
 	b := band{hi: math.MaxInt32}
 	for _, f := range indices {
 		off, end := ix.offsets[f], ix.offsets[f+1]
@@ -199,15 +203,18 @@ func (ix *candIndex) appendRow(i int32, indices []int32, sc *probeScratch, cands
 			if j >= i {
 				break
 			}
-			if sc.seen[j] == gen {
-				continue
-			}
-			sc.seen[j] = gen
-			cands = append(cands, candidate{j: j, i: i})
+			bitmap[j>>6] |= 1 << (j & 63)
+			lo, hi = min(lo, j), max(hi, j)
 		}
 		b.lo = max(b.lo, k) // k = c_f: the scan stopped at row i or the cap
 	}
-	return cands, b
+	for w := lo >> 6; w <= hi>>6; w++ {
+		for word := bitmap[w]; word != 0; word &= word - 1 {
+			js = append(js, w<<6|int32(bits.TrailingZeros64(word)))
+		}
+		bitmap[w] = 0
+	}
+	return js, b
 }
 
 // band is the range [lo, hi) of stop-word caps under which one row generates
@@ -223,40 +230,40 @@ func (b band) pack() uint64 { return uint64(uint32(b.hi))<<32 | uint64(uint32(b.
 
 func unpackBand(w uint64) band { return band{lo: int32(uint32(w)), hi: int32(w >> 32)} }
 
-// probeScratch is the reusable per-probe working set: candidate and outcome
-// batch buffers (outs[x] is the outcome of cands[x]), the similar pairs
-// walks answered, per-row batch boundaries, the dedup marks, and the probe's
-// pairs in row order with the per-row counts that sort them. Replacing
-// the old per-probe mark array (an O(N) allocation plus fill per probe) with
-// an epoch counter lets repeat probes on a warm cache run with near-zero
-// allocations: seen[j] == gen means "row j already emitted for the current
-// generating row", and bumping gen invalidates every mark at once.
+// probeScratch is the reusable per-probe working set, pooled per cache so a
+// repeat probe on a warm cache allocates near-zero: the batch of pairs that
+// need hashes (js[x] the smaller row of the pair outs[x] evaluates), the
+// similar pairs the cache answered, per-row batch boundaries, one generated
+// row's candidates and their records, the candidate bitmap, and the
+// probe's pairs in row order with the per-row counts that sort them. The
+// bitmap holds a bit per row, ⌈n/64⌉ words, and is all zero between rows:
+// appendRow clears every word it marks as it drains it.
 type probeScratch struct {
-	cands []candidate
-	outs  []candOutcome
-	hits  []Pair
-	marks []rowMark
-	seen  []int64
-	gen   int64
-	pairs []Pair
-	count []int
+	js     []int32
+	outs   []candOutcome
+	hits   []Pair
+	marks  []rowMark
+	cands  []int32
+	recs   []pairRec
+	bitmap []uint64
+	pairs  []Pair
+	count  []int
 }
 
 // reset empties the batch buffers, keeping their capacity.
 func (sc *probeScratch) reset() {
-	sc.cands, sc.outs, sc.hits, sc.marks = sc.cands[:0], sc.outs[:0], sc.hits[:0], sc.marks[:0]
+	sc.js, sc.outs, sc.hits, sc.marks = sc.js[:0], sc.outs[:0], sc.hits[:0], sc.marks[:0]
 }
 
-// rowMark records one row's ends in the batch buffers — end in cands and
-// outs, hitEnd in hits — so a flushed batch can replay counters and progress
-// callbacks in row order, and the band of caps its candidates were generated
-// or walked under. A walked row carries the number of pairs its walk
-// answered in hits; its candidates are the rest.
+// rowMark records one row's ends in the batch buffers — end in js and outs,
+// hitEnd in hits — so a flushed batch can replay counters and progress
+// callbacks in row order, the number of its pairs the cache answered, and
+// the band of caps its candidates were read under. The row's pairs that
+// need hashes start at the previous mark's end; their row index is row.
 type rowMark struct {
 	row, end     int
 	hits, hitEnd int
 	band         band
-	walked       bool
 }
 
 // candidateIndex returns a candidate index covering exactly ds's rows,
@@ -304,9 +311,8 @@ func (c *Cache) getScratch(n int) *probeScratch {
 	if sc == nil {
 		sc = &probeScratch{}
 	}
-	if len(sc.seen) < n {
-		sc.seen = make([]int64, n)
-		sc.gen = 0
+	if w := (n + 63) / 64; len(sc.bitmap) < w {
+		sc.bitmap = make([]uint64, w)
 	}
 	return sc
 }

@@ -3,6 +3,7 @@ package bayeslsh
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,9 +13,9 @@ import (
 
 // oldCandidateRows replays the pre-index candidate generation — the
 // per-probe incremental inverted index Search used to rebuild every time —
-// and returns each row's candidates in generation order. The persistent
-// CSR index must reproduce this bit-for-bit.
-func oldCandidateRows(ds *vec.Dataset, frac float64) [][]candidate {
+// and returns each row's candidates j, sorted. The persistent CSR index must
+// reproduce this exactly.
+func oldCandidateRows(ds *vec.Dataset, frac float64) [][]int32 {
 	maxDF := int(resolveMaxDF(ds.Dim, ds.N(), int64(ds.Nnz()), frac))
 	postings := make(map[int32][]int32, ds.Dim)
 	df := make(map[int32]int, ds.Dim)
@@ -22,7 +23,7 @@ func oldCandidateRows(ds *vec.Dataset, frac float64) [][]candidate {
 	for i := range mark {
 		mark[i] = -1
 	}
-	out := make([][]candidate, ds.N())
+	out := make([][]int32, ds.N())
 	for i := 0; i < ds.N(); i++ {
 		row := ds.Rows[i]
 		for _, ix := range row.Indices {
@@ -32,7 +33,7 @@ func oldCandidateRows(ds *vec.Dataset, frac float64) [][]candidate {
 			for _, j := range postings[ix] {
 				if mark[j] != int32(i) {
 					mark[j] = int32(i)
-					out[i] = append(out[i], candidate{j: j, i: int32(i)})
+					out[i] = append(out[i], j)
 				}
 			}
 		}
@@ -42,6 +43,7 @@ func oldCandidateRows(ds *vec.Dataset, frac float64) [][]candidate {
 				postings[ix] = append(postings[ix], int32(i))
 			}
 		}
+		slices.Sort(out[i])
 	}
 	return out
 }
@@ -49,8 +51,8 @@ func oldCandidateRows(ds *vec.Dataset, frac float64) [][]candidate {
 // TestCandIndexMatchesIncrementalBuild pins the tentpole equivalence: for
 // sparse data under the stop-word cap, for dense data with the cap
 // disabled, and for a tiny cap that actually truncates postings, the
-// persistent index generates exactly the candidates (same pairs, same
-// order) the old per-probe build did.
+// persistent index generates exactly the candidates the old per-probe build
+// did, in ascending order.
 func TestCandIndexMatchesIncrementalBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab, err := dataset.NewTable("wine", 1)
@@ -70,17 +72,65 @@ func TestCandIndexMatchesIncrementalBuild(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := oldCandidateRows(tc.ds, tc.frac)
 			idx := buildCandIndex(tc.ds.Dim, tc.ds.Rows, tc.frac)
-			sc := &probeScratch{seen: make([]int64, tc.ds.N())}
+			sc := &probeScratch{bitmap: make([]uint64, (tc.ds.N()+63)/64)}
 			for i := 0; i < tc.ds.N(); i++ {
 				got, _ := idx.appendRow(int32(i), tc.ds.Rows[i].Indices, sc, nil)
 				if len(got) == 0 && len(want[i]) == 0 {
 					continue
 				}
-				if !reflect.DeepEqual(got, want[i]) {
+				if !slices.Equal(got, want[i]) {
 					t.Fatalf("row %d: index candidates %v, incremental build %v", i, got, want[i])
 				}
 			}
 		})
+	}
+}
+
+// TestAppendRowOrderedAtWordBoundaries pins ordered generation through the
+// candidate bitmap: row 200 reaches rows 0, 63, 64, 127, 128 and 199, the
+// first and last bits of the bitmap's first three words and the row just
+// below it, row 64 through three features; every other row carries a
+// feature of its own too, and row 5 nothing else. For every row, from one
+// CSR build and from a build extended by a tail, appendRow returns the
+// sorted brute-force candidates, each once, and leaves every bitmap word
+// zero.
+func TestAppendRowOrderedAtWordBoundaries(t *testing.T) {
+	const n = 201
+	ds := &vec.Dataset{Name: "words", Dim: 1000, Measure: vec.JaccardSim}
+	// Generation visits feature 1 first, and it reaches 64, 127 and 199
+	// before feature 2 reaches 0.
+	shared := map[int32][]int32{0: {2}, 63: {3}, 64: {1, 2, 3}, 127: {1}, 128: {2}, 199: {1}, 200: {1, 2, 3}}
+	for i := int32(0); i < n; i++ {
+		m := map[int32]float64{int32(10 + i): 1}
+		for _, f := range shared[i] {
+			m[f] = 1
+		}
+		ds.Rows = append(ds.Rows, vec.FromMap(m))
+	}
+	want := oldCandidateRows(ds, 1)
+	if got := want[200]; !slices.Equal(got, []int32{0, 63, 64, 127, 128, 199}) {
+		t.Fatalf("vacuous corpus: row 200's brute-force candidates are %v", got)
+	}
+	if len(want[5]) != 0 {
+		t.Fatalf("vacuous corpus: row 5 has candidates %v", want[5])
+	}
+	for _, layout := range []string{"csr", "csr+tail"} {
+		ix := buildCandIndex(ds.Dim, ds.Rows, 1)
+		if layout == "csr+tail" {
+			ix = buildCandIndex(ds.Dim, ds.Rows[:100], 1).extend(ds.Dim, ds.Rows, n, 1)
+		}
+		sc := &probeScratch{bitmap: make([]uint64, (n+63)/64)}
+		for i := int32(0); i < n; i++ {
+			got, _ := ix.appendRow(i, ds.Rows[i].Indices, sc, nil)
+			if !slices.Equal(got, want[i]) {
+				t.Fatalf("%s row %d: candidates %v, want %v", layout, i, got, want[i])
+			}
+			for w, word := range sc.bitmap {
+				if word != 0 {
+					t.Fatalf("%s row %d: bitmap word %d is %#x after the row", layout, i, w, word)
+				}
+			}
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 	"plasmahd/internal/vec"
 )
 
-// The invariants re-prune-first creates. evalCandidate tests a pair's stored
-// (N, M) against the probe's own prune bound before it compares anything,
+// The invariants re-prune-first creates. A probe tests a pair's stored
+// (N, M) against its own prune bound before it compares anything,
 // and the bound is monotone in t, so the pair store is a function of the
 // lowest threshold probed and nothing else: not the order of the probes, not
 // their repeats, not the worker count, not whether they overlapped in time.

@@ -1,38 +1,47 @@
 package bayeslsh
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// pairRun is the stored evidence of one row i: every memoized pair (j, i),
-// j < i, with js ascending and st[k] the state of pair (js[k], i). A pair is
-// only ever produced while a probe processes its larger row, so a probe
-// reads and writes row i's evidence under this run's one lock.
+// pairRun is the stored evidence of one row i: a record for every memoized
+// pair (j, i), j < i, ascending in j. A pair is only ever produced while a
+// probe processes its larger row, so a probe reads and writes row i's
+// evidence under this run's one lock.
 //
 // Every candidate a probe generates is stored, so after a row's first probe
 // its run is its candidate set. band records that: it packs the band of
-// stop-word caps under which the run's js are exactly the row's candidates,
-// and is the zero band — no cap — whenever that is not known. It is set
-// under the run's lock by a probe whose candidates and run coincide, and
-// cleared by any other insert; a decoded run starts without one. A probe
-// whose cap the band holds walks the run instead of generating the row.
+// stop-word caps under which the run's pairs are exactly the row's
+// candidates, and is the zero band — no cap — whenever that is not known. It
+// is set under the run's lock by a probe whose candidates and run coincide,
+// and cleared by any other insert; a decoded run starts without one. A probe
+// whose cap the band holds reads the run as the row's candidates instead of
+// generating them.
 type pairRun struct {
 	mu   sync.RWMutex
-	js   []int32
-	st   []PairState
+	recs []pairRec
 	band atomic.Uint64
 }
 
-// find returns the position of j in the ascending js and whether it is
-// there. hint is tried first: it is the candidate's own position, which is
-// j's whenever the run holds exactly the row's candidates.
-func find(js []int32, j int32, hint int) (int, bool) {
-	if hint < len(js) && js[hint] == j {
+// pairRec is one record of row i's run, in the store and in a cache
+// snapshot alike: the smaller row j of pair (j, i) and its state.
+type pairRec struct {
+	j  int32
+	ps PairState
+}
+
+// find returns the position of j in the records, ascending in j, and
+// whether it is there. hint is tried first: it is the position the pair was
+// read at, or its candidate's own position, which is j's whenever the run
+// holds exactly the row's candidates.
+func find(recs []pairRec, j int32, hint int) (int, bool) {
+	if hint < len(recs) && recs[hint].j == j {
 		return hint, true
 	}
-	return slices.BinarySearch(js, j)
+	return slices.BinarySearchFunc(recs, j, func(r pairRec, j int32) int { return cmp.Compare(r.j, j) })
 }
 
 // PairStore is the concurrent pair-state table of the knowledge cache. Each
@@ -106,10 +115,10 @@ func (s *PairStore) Get(k uint64) (PairState, bool) {
 	}
 	r := d[i]
 	r.mu.RLock()
-	pos, ok := slices.BinarySearch(r.js, j)
+	pos, ok := find(r.recs, j, 0)
 	var ps PairState
 	if ok {
-		ps = r.st[pos]
+		ps = r.recs[pos].ps
 	}
 	r.mu.RUnlock()
 	return ps, ok
@@ -123,14 +132,13 @@ func (s *PairStore) Update(k uint64, ps PairState) {
 	j, i := UnpackKey(k)
 	r := s.runs(int(i) + 1)[i]
 	r.mu.Lock()
-	pos, ok := slices.BinarySearch(r.js, j)
+	pos, ok := find(r.recs, j, 0)
 	if !ok {
-		r.js = slices.Insert(r.js, pos, j)
-		r.st = slices.Insert(r.st, pos, ps)
+		r.recs = slices.Insert(r.recs, pos, pairRec{j, ps})
 		r.band.Store(0)
 		s.count.Add(1)
-	} else if evidence(ps) >= evidence(r.st[pos]) {
-		r.st[pos] = ps
+	} else if evidence(ps) >= evidence(r.recs[pos].ps) {
+		r.recs[pos].ps = ps
 	}
 	r.mu.Unlock()
 }
@@ -162,124 +170,64 @@ func (s *PairStore) appendRun(dst []pairRec, i int) []pairRec {
 	r := d[i]
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for k, j := range r.js {
-		dst = append(dst, pairRec{j, r.st[k]})
-	}
-	return dst
+	return append(dst, r.recs...)
 }
 
 // visit calls f for each pair of the run (larger row i) under its read lock.
 func (r *pairRun) visit(i int32, f func(key uint64, ps PairState) bool) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for k, j := range r.js {
-		if !f(PairKey(j, i), r.st[k]) {
+	for _, rec := range r.recs {
+		if !f(PairKey(rec.j, i), rec.ps) {
 			return false
 		}
 	}
 	return true
 }
 
-// walk reads row i's candidates straight from its run r when the run's band
-// holds the probe's stop-word cap maxDF: the run's pairs are then the
-// candidates generation would produce. Under the run's one read lock it
-// decides each pair the cache answers at the probe's prune bound, counting
-// it and adding it to sc.hits when it emits at t, and appends every other
-// pair to sc.cands, ascending, with its outcome in sc.outs holding the
-// state it was read with. It reports the hits, the band and whether it
-// walked; a row it does not walk is left to the candidate index.
-func (c *Cache) walk(r *pairRun, i, maxDF int32, t float64, bound []int32, sc *probeScratch) (hits int, b band, walked bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	b = unpackBand(r.band.Load())
-	if !b.has(maxDF) {
-		return 0, band{}, false
-	}
-	for k, j := range r.js {
-		ps := r.st[k]
-		if !c.answered(ps, bound) {
-			sc.cands = append(sc.cands, candidate{j: j, i: i})
-			sc.outs = append(sc.outs, candOutcome{ps: ps})
-			continue
-		}
-		hits++
-		if est, ok := c.emits(ps, t); ok {
-			sc.hits = append(sc.hits, Pair{I: j, J: i, Est: est})
-		}
-	}
-	return hits, b, true
-}
-
-// readRow copies the stored state of each candidate of one row into its
-// outcome under a single read lock; a pair with no state reads as zero.
-// cands are ascending, so while the run holds exactly the candidates,
-// candidate x is entry x and each lookup is one comparison; any other run
-// falls back to binary search. When every candidate is stored and nothing
-// else is, the run is recorded as the candidate set of the caps in b.
-func (r *pairRun) readRow(cands []candidate, outs []candOutcome, b band) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	found := 0
-	for x, cd := range cands {
-		if pos, ok := find(r.js, cd.j, x); ok {
-			outs[x].ps = r.st[pos]
-			found++
-		} else {
-			outs[x].ps = PairState{}
-		}
-	}
-	if found == len(r.js) && found == len(cands) {
-		r.band.Store(b.pack())
-	}
-}
-
-// writeRow stores the states of one row's evaluated candidates, ascending in
-// j, under a single write lock, by Update's rule: an existing pair keeps the
-// deeper of its state and the new one. New pairs are merged into the run
-// from the back in one O(run) pass; since cands are ascending, so are they.
-// Cache hits wrote nothing and are skipped. After an insert the run's band
-// is b if the run now holds exactly the candidates, and cleared otherwise.
-// A walked row's candidates skip the pairs its walk answered, so their
-// positions are no hint: each is found by binary search, a cost only a pair
-// that compared hashes pays.
-func (s *PairStore) writeRow(r *pairRun, cands []candidate, outs []candOutcome, b band) {
+// writeRow stores the evaluated states of one row's pairs that compared
+// hashes, ascending in j, under a single write lock, by Update's rule: an
+// existing pair keeps the deeper of its state and the new one. Each pair is
+// looked for first at the position it was read at, so while the run is
+// unchanged since the read each lookup is one comparison. New pairs are
+// merged into the run from the back in one O(run) pass; since js are
+// ascending, so are they. Every candidate of the row is stored once they
+// are, so after an insert the run's band is b if it holds the row's cands
+// candidates and nothing else, and cleared otherwise.
+func (s *PairStore) writeRow(r *pairRun, js []int32, outs []candOutcome, b band, cands int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	added := 0
-	for x, cd := range cands {
+	for x, j := range js {
 		oc := &outs[x]
-		if oc.cacheHit {
-			continue
-		}
-		pos, ok := find(r.js, cd.j, x)
+		pos, ok := find(r.recs, j, int(oc.pos))
 		oc.insert = !ok
 		if !ok {
 			added++
-		} else if evidence(oc.ps) >= evidence(r.st[pos]) {
-			r.st[pos] = oc.ps
+		} else if evidence(oc.ps) >= evidence(r.recs[pos].ps) {
+			r.recs[pos].ps = oc.ps
 		}
 	}
 	if added == 0 {
 		return
 	}
-	old := len(r.js)
-	r.js = slices.Grow(r.js, added)[:old+added]
-	r.st = slices.Grow(r.st, added)[:old+added]
-	// w is the next slot to fill from the back and p the last old entry not
-	// yet moved; once they meet, the old entries below are in place.
+	old := len(r.recs)
+	r.recs = slices.Grow(r.recs, added)[:old+added]
+	// w is the next slot to fill from the back and p the last old record not
+	// yet moved; once they meet, the old records below are in place.
 	w, p := old+added-1, old-1
-	for x := len(cands) - 1; w > p; x-- {
+	for x := len(js) - 1; w > p; x-- {
 		if !outs[x].insert {
 			continue
 		}
-		j := cands[x].j
-		for ; p >= 0 && r.js[p] > j; p, w = p-1, w-1 {
-			r.js[w], r.st[w] = r.js[p], r.st[p]
+		j := js[x]
+		for ; p >= 0 && r.recs[p].j > j; p, w = p-1, w-1 {
+			r.recs[w] = r.recs[p]
 		}
-		r.js[w], r.st[w] = j, outs[x].ps
+		r.recs[w] = pairRec{j, outs[x].ps}
 		w--
 	}
-	if len(r.js) == len(cands) {
+	if len(r.recs) == cands {
 		r.band.Store(b.pack())
 	} else {
 		r.band.Store(0)

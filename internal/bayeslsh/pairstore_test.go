@@ -62,9 +62,9 @@ func TestPairStoreRangeOrder(t *testing.T) {
 	}
 }
 
-// TestWriteRowMerges pins writeRow's merge: new pairs, ascending like the
-// candidates, interleave with the run's old ones in one pass; an existing
-// pair keeps the deeper state; a cache hit writes nothing; and after an
+// TestWriteRowMerges pins writeRow's merge: new pairs, ascending, interleave
+// with the run's old ones in one pass; an existing pair keeps the deeper
+// state, whether or not its read position still names it; and after an
 // insert the band is the candidates' own when the run is exactly them, and
 // cleared when the run holds another pair too.
 func TestWriteRowMerges(t *testing.T) {
@@ -74,28 +74,31 @@ func TestWriteRowMerges(t *testing.T) {
 	}
 	r := s.loaded()[20]
 	r.band.Store(band{lo: 1, hi: 2}.pack())
-	candsOf := func(js ...int32) ([]candidate, []candOutcome) {
-		cands, outs := make([]candidate, len(js)), make([]candOutcome, len(js))
+	outsOf := func(js ...int32) []candOutcome {
+		outs := make([]candOutcome, len(js))
 		for x, j := range js {
-			cands[x], outs[x].ps = candidate{j: j, i: 20}, PairState{M: j, N: 64}
+			outs[x] = candOutcome{ps: PairState{M: j, N: 64}, pos: int32(x)}
 		}
-		return cands, outs
+		return outs
 	}
-	cands, outs := candsOf(0, 1, 3, 5, 7, 9, 10, 12)
-	outs[5].cacheHit = true // 9 keeps its stored state
+	js := []int32{0, 1, 3, 5, 7, 10, 12}
 	b := band{lo: 3, hi: 7}
-	s.writeRow(r, cands, outs, b)
+	s.writeRow(r, js, outsOf(js...), b, len(js)+1)
 	want := []int32{0, 1, 2, 3, 5, 7, 9, 10, 12}
-	if !slices.Equal(r.js, want) || s.Len() != len(want) {
-		t.Fatalf("run %v (Len %d), want %v", r.js, s.Len(), want)
+	got := make([]int32, len(r.recs))
+	for k, rec := range r.recs {
+		got[k] = rec.j
 	}
-	for k, j := range r.js {
-		wantPS := PairState{M: j, N: 64}
-		if j == 2 || j == 9 {
+	if !slices.Equal(got, want) || s.Len() != len(want) {
+		t.Fatalf("run %v (Len %d), want %v", got, s.Len(), want)
+	}
+	for _, rec := range r.recs {
+		wantPS := PairState{M: rec.j, N: 64}
+		if rec.j == 2 || rec.j == 9 {
 			wantPS = PairState{M: 1, N: 32}
 		}
-		if r.st[k] != wantPS {
-			t.Errorf("pair (%d, 20): state %+v, want %+v", j, r.st[k], wantPS)
+		if rec.ps != wantPS {
+			t.Errorf("pair (%d, 20): state %+v, want %+v", rec.j, rec.ps, wantPS)
 		}
 	}
 	if got := unpackBand(r.band.Load()); got != (band{}) {
@@ -103,8 +106,8 @@ func TestWriteRowMerges(t *testing.T) {
 	}
 
 	// Every candidate, and nothing else: the band is recorded.
-	cands, outs = candsOf(append(want, 15)...)
-	s.writeRow(r, cands, outs, b)
+	js = append(want, 15)
+	s.writeRow(r, js, outsOf(js...), b, len(js))
 	if got := unpackBand(r.band.Load()); got != b {
 		t.Errorf("run is exactly the candidates, band %+v, want %+v", got, b)
 	}

@@ -81,13 +81,6 @@ const (
 	pairFlagsKnown = pairFlagDone | pairFlagHasExact
 )
 
-// pairRec is one record of row i's run: the smaller row j of pair (j, i)
-// and its state.
-type pairRec struct {
-	j  int32
-	ps PairState
-}
-
 // flagBit returns bit when set holds, for packing bools into a wire byte.
 func flagBit(set bool, bit uint8) uint8 {
 	if set {
@@ -277,24 +270,19 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 // DecodeSnapshot reads a cache snapshot written by EncodeSnapshot,
 // reconstructing the decision tables (which are pure functions of the
 // params) and leaving the per-threshold prune bounds to be rebuilt lazily.
+// Each run is kept as the records it decoded into: the wire and the store
+// hold a run alike.
 // The returned cache is immediately usable by SearchWorkers and yields
 // byte-identical probe results to the cache it was encoded from.
 func DecodeSnapshot(r io.Reader) (*Cache, error) {
 	var im cacheImage
-	var buf []pairRec // lent to each row's walk, which decodes into it
 	pairs := NewPairStore()
 	wc := wire.NewDecoder(r, snapErrors)
-	im.walk(wc, func(int) []pairRec { return buf }, func(i int, run []pairRec) {
-		buf = run
-		if len(run) == 0 {
-			return
+	im.walk(wc, func(int) []pairRec { return nil }, func(i int, run []pairRec) {
+		if len(run) > 0 {
+			pairs.runs(i + 1)[i].recs = run
+			pairs.count.Add(int64(len(run)))
 		}
-		pr := pairs.runs(i + 1)[i]
-		pr.js, pr.st = make([]int32, len(run)), make([]PairState, len(run))
-		for k, rec := range run {
-			pr.js[k], pr.st[k] = rec.j, rec.ps
-		}
-		pairs.count.Add(int64(len(run)))
 	})
 	if err := wc.Finish(); err != nil {
 		return nil, err

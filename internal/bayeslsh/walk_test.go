@@ -12,16 +12,6 @@ import (
 	"plasmahd/internal/vec"
 )
 
-// candSet returns the j of each candidate, ascending.
-func candSet(cands []candidate) []int32 {
-	js := make([]int32, len(cands))
-	for k, cd := range cands {
-		js[k] = cd.j
-	}
-	slices.Sort(js)
-	return js
-}
-
 // skewedSparseDS is a seeded Jaccard corpus of 6-feature rows, half of the
 // draws from a 4-feature head: head features sit near the stop-word cap
 // ⌊n/2⌋, so rows cross it both ways.
@@ -77,14 +67,13 @@ func TestBandIsExactAndTight(t *testing.T) {
 			if layout == "csr+tail" {
 				ix = buildCandIndex(ds.Dim, ds.Rows[:shape.n/2], 0.5).extend(ds.Dim, ds.Rows, shape.n, 0.5)
 			}
-			sc := &probeScratch{seen: make([]int64, shape.n)}
+			sc := &probeScratch{bitmap: make([]uint64, (shape.n+63)/64)}
 			for i := 0; i < shape.n; i++ {
 				what := fmt.Sprintf("n=%d dim=%d %s row %d", shape.n, shape.dim, layout, i)
 				cands, b := ix.appendRow(int32(i), ds.Rows[i].Indices, sc, nil)
 				if !b.has(ix.maxDF) {
 					t.Fatalf("%s: band [%d, %d) misses the cap %d it was generated under", what, b.lo, b.hi, ix.maxDF)
 				}
-				want := candSet(cands)
 				for cap := int32(2); cap <= int32(shape.n); cap++ {
 					at := *ix
 					at.maxDF = cap
@@ -93,9 +82,9 @@ func TestBandIsExactAndTight(t *testing.T) {
 						missed++
 						continue
 					}
-					if !slices.Equal(candSet(got), want) {
+					if !slices.Equal(got, cands) {
 						t.Fatalf("%s: band [%d, %d) holds cap %d, whose candidates %v differ from %v at cap %d",
-							what, b.lo, b.hi, cap, candSet(got), want, ix.maxDF)
+							what, b.lo, b.hi, cap, got, cands, ix.maxDF)
 					}
 				}
 				live := liveFeatures(ds, i, ix.maxDF)
@@ -120,7 +109,7 @@ func TestBandIsExactAndTight(t *testing.T) {
 // least one candidate.
 func rowsWithCandidates(ds *vec.Dataset, p Params) int {
 	ix := buildCandIndex(ds.Dim, ds.Rows, p.MaxDFFrac)
-	sc := &probeScratch{seen: make([]int64, ds.N())}
+	sc := &probeScratch{bitmap: make([]uint64, (ds.N()+63)/64)}
 	rows := 0
 	for i := range ds.Rows {
 		if cands, _ := ix.appendRow(int32(i), ds.Rows[i].Indices, sc, nil); len(cands) > 0 {
@@ -166,14 +155,14 @@ func TestRowsWalked(t *testing.T) {
 			// Pick the last row that has candidates but not every row below
 			// it, and a j < i that is not one of them.
 			runs, i := c.Pairs.loaded(), int32(ds.N()-1)
-			for i > 0 && (len(runs[i].js) == 0 || len(runs[i].js) == int(i)) {
+			for i > 0 && (len(runs[i].recs) == 0 || len(runs[i].recs) == int(i)) {
 				i--
 			}
 			if i == 0 {
 				t.Fatal("every row with candidates has all rows below it as candidates")
 			}
 			j := int32(0)
-			for runs[i].js[j] == j {
+			for runs[i].recs[j].j == j {
 				j++
 			}
 			c.Pairs.Update(PairKey(j, i), PairState{M: 1, N: int32(p.Step)})
