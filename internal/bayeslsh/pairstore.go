@@ -191,9 +191,9 @@ func (r *pairRun) visit(i int32, f func(key uint64, ps PairState) bool) bool {
 // looked for first at the position it was read at, so while the run is
 // unchanged since the read each lookup is one comparison. New pairs are
 // merged into the run from the back in one O(run) pass; since js are
-// ascending, so are they. Every candidate of the row is stored once they
-// are, so after an insert the run's band is b if it holds the row's cands
-// candidates and nothing else, and cleared otherwise.
+// ascending, so are they. The row's hits were stored already, so once these
+// are, the run holds every one of the row's cands candidates: after an
+// insert the band is b if that is all it holds, and cleared otherwise.
 func (s *PairStore) writeRow(r *pairRun, js []int32, outs []candOutcome, b band, cands int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
