@@ -54,7 +54,7 @@ lint:
 
 # fuzz runs each native fuzz target for $(FUZZTIME) on top of the checked-in
 # seed corpora in testdata/fuzz and the golden streams in testdata/golden:
-# the three snapshot decoders (cache, session, spec — the warm-start and
+# the two snapshot decoders (cache and session — the warm-start and
 # restore-upload trust boundary) and the live-ingest request parser (wire
 # trust boundary). The cache and session corpora include `schedule-bomb`, a
 # CRC-valid 85-byte empty cache (and its session-wrapped form) whose params
@@ -64,7 +64,6 @@ lint:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run xxx -fuzz FuzzSpecUnmarshal -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run xxx -fuzz FuzzAppendRowsBody -fuzztime $(FUZZTIME) ./internal/server
 
 bench:

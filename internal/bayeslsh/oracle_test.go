@@ -81,9 +81,19 @@ func above(truth []Pair, t float64) []Pair {
 // pairs must lie in Exact(t−2δ). Cases with fewer than 20 pooled true pairs
 // check precision only.
 //
-// False-failure odds: the contract is a per-pair miss probability of at most
-// ε = 0.03, and the floor sits at 2ε plus three standard errors. Taking misses
-// as independent across pairs (they are pooled over four hash families), the
+// What the recall floor checks is pooled recall ≥ 1 − 2ε less three
+// standard errors, not a per-pair miss probability of at most ε: Eq 2.1 is
+// tested afresh at each schedule point, so a pair sitting exactly at t is
+// pruned 10–12 % of the time (a dynamic program over the binomial match path
+// at p(t); ROADMAP.md, measurement (c)). The floor holds because most pooled
+// true pairs sit well above t, where the prune bounds rarely reach them, so
+// the pooled miss rate stays at or below about ε (readings below).
+//
+// False-failure odds: the figures below assume the ε contract — a per-pair
+// miss probability of at most ε = 0.03 — which the α-spending prune bounds of
+// ROADMAP.md item 2 are to make true; today only pairs well above t meet it.
+// The floor sits at 2ε plus three standard errors. Taking misses as
+// independent across pairs (they are pooled over four hash families), the
 // smallest case here (24 pooled pairs, five misses needed) fails with
 // probability 6·10⁻⁴ and a case of 100 pairs or more below 10⁻⁶; 23 cases are
 // checked for recall, pooling 24 to 25 164 pairs, so one re-roll of the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"plasmahd/internal/bayeslsh"
-	"plasmahd/internal/dataset"
 	"plasmahd/internal/graph"
 	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
@@ -39,13 +38,6 @@ type Session struct {
 	// atomically (rows are shared with the old view, never mutated).
 	ds    atomic.Pointer[vec.Dataset]
 	Cache *bayeslsh.Cache
-
-	// Spec, when non-zero, is the registry recipe the dataset was loaded
-	// from. Snapshot embeds it so RestoreSession can rehydrate the session
-	// from the spec alone; sessions over ad-hoc data leave it zero (the
-	// snapshot then embeds the data itself). A grown session always embeds:
-	// appended rows are not reproducible from the spec.
-	Spec dataset.Spec
 
 	// appendMu serializes AppendRows calls with each other and with
 	// Snapshot, so a snapshot never captures a half-published append (cache

@@ -61,75 +61,86 @@ func equalResults(t *testing.T, label string, a, b []*bayeslsh.Result) {
 
 // TestSessionSnapshotRestartDeterminism is the restart-determinism property:
 // probe -> snapshot -> restore -> probe must be byte-identical to the same
-// probe sequence in one uninterrupted session, for any worker count, and
-// regardless of whether the dataset is re-supplied or rehydrated from the
-// embedded spec. The probe history comes back as it was saved: the count
-// includes repeats, the thresholds are sorted and distinct, and the
-// processing time is the sum over the probes.
+// probe sequence in one uninterrupted session, for every registry kind, for
+// any worker count, and whether the dataset is re-supplied or taken from the
+// stream. A session restored from its own stream re-snapshots to the same
+// bytes. The probe history comes back as it was saved: the count includes
+// repeats, the thresholds are sorted and distinct, and the processing time
+// is the sum over the probes.
 func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 	forceParallel(t)
-	spec := dataset.Spec{Kind: "table", Name: "wine", Seed: 1}
-	firstHalf := []float64{0.85, 0.7, 0.85}
+	firstHalf := []float64{0.8, 0.7, 0.8}
 	secondHalf := []float64{0.9, 0.6, 0.7}
 
-	for _, workers := range []int{1, 3, 8} {
-		params := bayeslsh.DefaultParams()
-		params.Workers = workers
-
-		// Uninterrupted reference run.
-		refDS, err := dataset.Load(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := NewSession(refDS, params, 42)
-		probeSeq(t, ref, firstHalf)
-		want := probeSeq(t, ref, secondHalf)
-
-		// Interrupted run: same prefix, then snapshot/restore mid-session.
-		ds, err := dataset.Load(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSession(ds, params, 42)
-		s.Spec = spec
-		var total time.Duration
-		for _, res := range probeSeq(t, s, firstHalf) {
-			total += res.ProcessTime
-		}
-		if s.ProbeCount() != len(firstHalf) || !slices.Equal(s.Thresholds(), []float64{0.7, 0.85}) || s.ProcessTime() != total {
-			t.Fatalf("history: %d probes at %v taking %v, want %d at [0.7 0.85] taking %v",
-				s.ProbeCount(), s.Thresholds(), s.ProcessTime(), len(firstHalf), total)
-		}
-		var buf bytes.Buffer
-		if err := s.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-
-		for _, mode := range []string{"explicit dataset", "from spec"} {
-			var ds2 *vec.Dataset
-			if mode == "explicit dataset" {
-				if ds2, err = dataset.Load(spec); err != nil {
+	for _, spec := range []dataset.Spec{
+		{Kind: "toy", Seed: 1},
+		{Kind: "table", Name: "wine", Seed: 1},
+		{Kind: "corpus", Name: "twitter", Rows: 120, Seed: 1},
+		{Kind: "graph", Name: "pa", Rows: 200, Seed: 1},
+	} {
+		for _, workers := range []int{1, 3, 8} {
+			label := spec.Kind + "/" + spec.Name + " workers=" + strconv.Itoa(workers)
+			params := bayeslsh.DefaultParams()
+			params.Workers = workers
+			load := func() *vec.Dataset {
+				ds, err := dataset.Load(spec)
+				if err != nil {
 					t.Fatal(err)
 				}
+				return ds
 			}
-			restored, err := RestoreSession(bytes.NewReader(buf.Bytes()), ds2)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, mode, err)
+
+			// Uninterrupted reference run.
+			ref := NewSession(load(), params, 42)
+			probeSeq(t, ref, firstHalf)
+			want := probeSeq(t, ref, secondHalf)
+
+			// Interrupted run: same prefix, then snapshot/restore mid-session.
+			s := NewSession(load(), params, 42)
+			var total time.Duration
+			for _, res := range probeSeq(t, s, firstHalf) {
+				total += res.ProcessTime
 			}
-			if restored.ProbeCount() != s.ProbeCount() || !slices.Equal(restored.Thresholds(), s.Thresholds()) ||
-				restored.ProcessTime() != s.ProcessTime() {
-				t.Fatalf("restored history: %d probes at %v taking %v, want %d at %v taking %v",
-					restored.ProbeCount(), restored.Thresholds(), restored.ProcessTime(),
-					s.ProbeCount(), s.Thresholds(), s.ProcessTime())
+			if s.ProbeCount() != len(firstHalf) || !slices.Equal(s.Thresholds(), []float64{0.7, 0.8}) || s.ProcessTime() != total {
+				t.Fatalf("%s history: %d probes at %v taking %v, want %d at [0.7 0.8] taking %v", label,
+					s.ProbeCount(), s.Thresholds(), s.ProcessTime(), len(firstHalf), total)
 			}
-			if restored.CachedPairs() != s.CachedPairs() {
-				t.Fatalf("restored %d cached pairs, want %d", restored.CachedPairs(), s.CachedPairs())
+			if s.CachedPairs() == 0 {
+				t.Fatalf("%s: the first probes cached no evidence", label)
 			}
-			if restored.Spec != spec {
-				t.Fatalf("restored spec %+v, want %+v", restored.Spec, spec)
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
 			}
-			got := probeSeq(t, restored, secondHalf)
-			equalResults(t, mode, want, got)
+
+			for _, mode := range []string{"explicit dataset", "from stream"} {
+				var ds2 *vec.Dataset
+				if mode == "explicit dataset" {
+					ds2 = load()
+				}
+				restored, err := RestoreSession(bytes.NewReader(buf.Bytes()), ds2)
+				if err != nil {
+					t.Fatalf("%s %s: %v", label, mode, err)
+				}
+				if restored.ProbeCount() != s.ProbeCount() || !slices.Equal(restored.Thresholds(), s.Thresholds()) ||
+					restored.ProcessTime() != s.ProcessTime() {
+					t.Fatalf("%s restored history: %d probes at %v taking %v, want %d at %v taking %v", label,
+						restored.ProbeCount(), restored.Thresholds(), restored.ProcessTime(),
+						s.ProbeCount(), s.Thresholds(), s.ProcessTime())
+				}
+				if restored.CachedPairs() != s.CachedPairs() {
+					t.Fatalf("%s restored %d cached pairs, want %d", label, restored.CachedPairs(), s.CachedPairs())
+				}
+				var again bytes.Buffer
+				if err := restored.Snapshot(&again); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+					t.Fatalf("%s %s: re-snapshot is %d bytes, not the %d it was restored from", label, mode, again.Len(), buf.Len())
+				}
+				got := probeSeq(t, restored, secondHalf)
+				equalResults(t, label+" "+mode, want, got)
+			}
 		}
 	}
 }
@@ -174,10 +185,8 @@ func TestProbeHistoryWalkChecks(t *testing.T) {
 		c := wire.NewEncoder(&buf, sessErrors)
 		ds := *s.Dataset()
 		c.Header(sessSnapMagic, SessionSnapshotVersion)
-		c.Blob(nil, snapMaxStringLen) // no spec
-		c.U8(1)                       // embedded dataset
 		walkDataset(c, &ds)
-		c.U32(0) // append epoch; no content hash after embedded data
+		c.U32(0) // append epoch
 		write(c)
 		if err := s.Cache.EncodeSnapshot(c); err != nil {
 			t.Fatal(err)
@@ -229,8 +238,8 @@ func TestProbeHistoryWalkChecks(t *testing.T) {
 	}
 }
 
-// TestSessionSnapshotEmbedsUploadedData: sessions without a spec must embed
-// the dataset itself so the snapshot alone can rebuild them.
+// TestSessionSnapshotEmbedsUploadedData: a snapshot embeds the dataset
+// itself, so the snapshot alone rebuilds the session.
 func TestSessionSnapshotEmbedsUploadedData(t *testing.T) {
 	ds := vec.FromDenseMatrix("uploaded", [][]float64{
 		{1, 0, 2, 0}, {0.9, 0.1, 2.1, 0}, {0, 3, 0, 1}, {0.1, 2.9, 0, 1.2}, {1, 1, 1, 1},
@@ -267,8 +276,7 @@ func TestSessionSnapshotEmbedsUploadedData(t *testing.T) {
 	}
 }
 
-// uploadedJaccard is a small spec-less Jaccard session: its snapshots embed
-// the dataset.
+// uploadedJaccard is a small Jaccard session over uploaded rows.
 func uploadedJaccard() *Session {
 	ds := vec.FromDenseMatrix("uploaded", [][]float64{
 		{1, 0, 1, 0, 1, 1}, {1, 0, 1, 0, 1, 0}, {0, 1, 0, 1, 0, 0}, {0, 1, 0, 1, 1, 0}, {1, 1, 1, 1, 1, 1},
@@ -339,13 +347,11 @@ func TestFailedSnapshotLeavesDatasetAlone(t *testing.T) {
 // dataset must fail with the typed mismatch error, and damaged streams must
 // fail loudly.
 func TestRestoreSessionValidation(t *testing.T) {
-	spec := dataset.Spec{Kind: "table", Name: "wine", Seed: 1}
-	ds, err := dataset.Load(spec)
+	ds, err := dataset.Load(dataset.Spec{Kind: "table", Name: "wine", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSession(ds, bayeslsh.DefaultParams(), 42)
-	s.Spec = spec
 	probeSeq(t, s, []float64{0.8})
 	var buf bytes.Buffer
 	if err := s.Snapshot(&buf); err != nil {
@@ -362,67 +368,19 @@ func TestRestoreSessionValidation(t *testing.T) {
 		}
 	})
 	t.Run("content mismatch", func(t *testing.T) {
-		// Same shape (rows, dim, measure), different vectors — the
-		// generator-changed-across-versions scenario. The stored dataset
-		// hash must refuse it.
-		other, err := dataset.Load(dataset.Spec{Kind: "table", Name: "wine", Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if other.N() != ds.N() {
-			t.Fatalf("test setup: want same row count, got %d vs %d", other.N(), ds.N())
-		}
-		_, err = RestoreSession(bytes.NewReader(good), other)
-		var mismatch *SnapshotMismatchError
-		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
-			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
-		}
-	})
-	t.Run("embedded content mismatch", func(t *testing.T) {
-		// A stream that embeds its rows restored against a caller-supplied
-		// dataset of the same shape: the embedded rows are hashed and
-		// compared, since the stream stores no hash of its own.
-		other, err := dataset.Load(dataset.Spec{Kind: "table", Name: "wine", Seed: 99})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewSession(ds, bayeslsh.DefaultParams(), 42) // no spec: embeds
-		probeSeq(t, s, []float64{0.8})
-		var buf bytes.Buffer
-		if err := s.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RestoreSession(bytes.NewReader(buf.Bytes()), ds); err != nil {
+		// Same shape (rows, dim, measure), different vectors: the stream's
+		// own rows are compared with the caller's, row by row.
+		if _, err := RestoreSession(bytes.NewReader(good), ds); err != nil {
 			t.Fatalf("restore against the embedded rows themselves: %v", err)
 		}
-		_, err = RestoreSession(bytes.NewReader(buf.Bytes()), other)
-		var mismatch *SnapshotMismatchError
-		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
-			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
-		}
-	})
-	t.Run("forged spec hash", func(t *testing.T) {
-		// A CRC-valid spec-backed stream whose stored hash is not that of
-		// the rows its spec regenerates.
-		blob, err := spec.MarshalBinary()
+		other, err := dataset.Load(dataset.Spec{Kind: "table", Name: "wine", Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		c := wire.NewEncoder(&buf, sessErrors)
-		c.Header(sessSnapMagic, SessionSnapshotVersion)
-		c.Blob(blob, snapMaxStringLen)
-		c.U8(0) // no embedded dataset
-		c.U64(datasetHash(ds) ^ 1)
-		c.U32(0) // append epoch
-		s.history.walk(c)
-		if err := s.Cache.EncodeSnapshot(c); err != nil {
-			t.Fatal(err)
+		if other.N() != ds.N() || other.Dim != ds.Dim || other.Measure != ds.Measure {
+			t.Fatalf("test setup: want the same shape, got %dx%d vs %dx%d", other.N(), other.Dim, ds.N(), ds.Dim)
 		}
-		if err := c.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		_, err = RestoreSession(bytes.NewReader(buf.Bytes()), nil)
+		_, err = RestoreSession(bytes.NewReader(good), other)
 		var mismatch *SnapshotMismatchError
 		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
 			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
@@ -470,68 +428,6 @@ func TestRestoreSessionValidation(t *testing.T) {
 	})
 }
 
-// TestRestoreSessionNoDataset: a spec-less snapshot stripped of its embedded
-// dataset cannot be restored without one supplied.
-func TestRestoreSessionNoDataset(t *testing.T) {
-	// Build a snapshot from a session with a spec, then restore it with
-	// neither ds nor a loadable spec by zeroing the spec field... simpler:
-	// construct a session with no spec but probe nothing; its snapshot
-	// embeds data, so the no-dataset path needs a hand-built stream. The
-	// practical contract to pin: RestoreSession(nil ds) works for both
-	// spec-ful and embedded-data snapshots, which the tests above cover,
-	// and a session with a spec does NOT embed the dataset.
-	spec := dataset.Spec{Kind: "toy", Seed: 1}
-	ds, err := dataset.Load(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSession(ds, bayeslsh.DefaultParams(), 1)
-	s.Spec = spec
-	var withSpec bytes.Buffer
-	if err := s.Snapshot(&withSpec); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSession(ds, bayeslsh.DefaultParams(), 1)
-	var withData bytes.Buffer
-	if err := s2.Snapshot(&withData); err != nil {
-		t.Fatal(err)
-	}
-	if withSpec.Len() >= withData.Len() {
-		t.Errorf("spec-ful snapshot (%d bytes) should be smaller than data-embedding one (%d bytes)",
-			withSpec.Len(), withData.Len())
-	}
-}
-
-// TestSpecBinaryRoundTrip pins the dataset.Spec codec used inside
-// snapshots.
-func TestSpecBinaryRoundTrip(t *testing.T) {
-	for _, spec := range []dataset.Spec{
-		{},
-		{Kind: "table", Name: "wine", Seed: 1},
-		{Kind: "graph", Name: "ba", Rows: 500, Edges: 2000, Seed: -7},
-		{Kind: "corpus", Name: "twitter", Rows: 400, Seed: 1 << 40},
-	} {
-		blob, err := spec.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out dataset.Spec
-		if err := out.UnmarshalBinary(blob); err != nil {
-			t.Fatalf("%+v: %v", spec, err)
-		}
-		if out != spec {
-			t.Errorf("round trip %+v -> %+v", spec, out)
-		}
-	}
-	var out dataset.Spec
-	if err := out.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Error("truncated spec decoded")
-	}
-	if err := out.UnmarshalBinary([]byte{99}); err == nil {
-		t.Error("bad version decoded")
-	}
-}
-
 // TestRestoreSessionHugeDeclaredCounts feeds RestoreSession tiny streams
 // whose in-bounds count fields declare enormous payloads (dataset rows,
 // probed thresholds). The decode must die on the truncation, not preallocate
@@ -542,7 +438,6 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 		var buf bytes.Buffer
 		c := wire.NewEncoder(&buf, sessErrors)
 		c.Header(sessSnapMagic, SessionSnapshotVersion)
-		c.Blob(nil, snapMaxStringLen) // no spec
 		body(c)
 		if c.Err() != nil {
 			t.Fatal(c.Err())
@@ -551,7 +446,6 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 	}
 	t.Run("dataset rows", func(t *testing.T) {
 		stream := forge(func(c *wire.Codec) {
-			c.U8(1) // embedded dataset follows
 			c.Str("evil", snapMaxStringLen)
 			c.U32(1 << 20)             // dim
 			c.U8(uint8(vec.CosineSim)) // measure
@@ -563,8 +457,7 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 	})
 	t.Run("probe records", func(t *testing.T) {
 		stream := forge(func(c *wire.Codec) {
-			c.U8(0)            // no embedded dataset
-			c.U64(0)           // dataset hash
+			walkDataset(c, &vec.Dataset{Dim: 1, Measure: vec.CosineSim})
 			c.U32(0)           // append epoch
 			c.I64(1 << 40)     // probe count
 			c.U32(snapMaxRows) // declared threshold count; the stream ends here
@@ -583,8 +476,6 @@ func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte 
 	var buf bytes.Buffer
 	c := wire.NewEncoder(&buf, sessErrors)
 	c.Header(sessSnapMagic, SessionSnapshotVersion)
-	c.Blob(nil, snapMaxStringLen) // no spec
-	c.U8(1)                       // embedded dataset
 	c.Str(ds.Name, snapMaxStringLen)
 	c.U32(uint32(ds.Dim))
 	c.U8(uint8(ds.Measure))
@@ -663,11 +554,11 @@ func recodeSession(data []byte) ([]byte, error) {
 	return out.Bytes(), err
 }
 
-// TestSessionSnapshotGolden decodes the checked-in session snapshots — one
-// rehydrated from its spec, one grown session embedding its dataset, both
-// written by the encoder of the commit that introduced the version — and
-// re-encodes them byte for byte: the guard against layout drift without a
-// version bump.
+// TestSessionSnapshotGolden decodes the checked-in session snapshot of the
+// current version — a grown, probed session, written by the encoder of the
+// commit that introduced the version — and re-encodes it byte for byte: the
+// guard against layout drift without a version bump. Older goldens stay as
+// streams that must be refused.
 func TestSessionSnapshotGolden(t *testing.T) {
 	wiretest.Golden(t, wiretest.Format{
 		Name:         "session",
@@ -682,32 +573,27 @@ func TestSessionSnapshotGolden(t *testing.T) {
 			"session-v4-spec.snap":     "ca5861fd643997a8539c52dade5f134083e478360ba144114009a1cfb29f39f1",
 			"session-v5-embedded.snap": "fcf5630192db0fdbe4e177e7e7e7361c7bc00737b9c2eaa407a855aad511bc49",
 			"session-v5-spec.snap":     "eccc3953677cc86624048db4fe31512b03b5dba6addf7aef779a42ac553e3efe",
+			"session-v6-embedded.snap": "3e128d9db3c4033f903c4c23799bbb0af5cad9c98fcc5ce2f3e5b9e90037b87c",
 		},
 		Recode:     recodeSession,
 		ErrVersion: ErrSessionSnapshotVersion,
 	})
-	// There is no decode path for v2, v3 or v4 streams: they are refused as
-	// a version, never half-read.
-	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*"} {
+	// There is no decode path for v2 to v5 streams: they are refused as a
+	// version, never half-read. That includes every spec-backed stream.
+	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*", "session-v5-*"} {
 		for name, data := range wiretest.Files(t, glob) {
 			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) || s != nil {
 				t.Errorf("%s: err = %v (session %v), want ErrSessionSnapshotVersion and no session", name, err, s != nil)
 			}
 		}
 	}
-	// v5 dropped the content hash only after embedded data: the spec-backed
-	// stream is the v4 one but for its version field and checksum trailer.
-	v4, v5 := wiretest.Files(t, "session-v4-spec.snap")["session-v4-spec.snap"], wiretest.Files(t, "session-v5-spec.snap")["session-v5-spec.snap"]
-	if len(v4) != len(v5) || !bytes.Equal(v4[:8], v5[:8]) || !bytes.Equal(v4[10:len(v4)-4], v5[10:len(v5)-4]) {
-		t.Errorf("spec-backed v5 golden differs from v4 beyond its version field")
-	}
-	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v5-embedded.snap")["session-v5-embedded.snap"]), nil)
+	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v6-embedded.snap")["session-v6-embedded.snap"]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.AppendEpoch() == 0 || !s.Spec.IsZero() || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
-		t.Errorf("embedded golden: epoch %d, spec %+v, %d pairs, %d probes — want a grown spec-less probed session",
-			s.AppendEpoch(), s.Spec, s.CachedPairs(), s.ProbeCount())
+	if s.AppendEpoch() == 0 || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
+		t.Errorf("golden: epoch %d, %d pairs, %d probes — want a grown probed session",
+			s.AppendEpoch(), s.CachedPairs(), s.ProbeCount())
 	}
 }
 

@@ -34,11 +34,12 @@ type Spec struct {
 // Kinds returns the spec kinds Load understands, in sorted order.
 func Kinds() []string { return []string{"corpus", "graph", "table", "toy"} }
 
-// Generation ceilings for graph specs. Specs arrive off the wire (session
-// creation, snapshot restore), and unlike table/corpus — which only shrink
-// below a built-in source size — the graph generators scale with Rows/Edges
-// unbounded, so an absurd request must fail fast instead of generating
-// gigabytes before any later validation runs.
+// Generation ceilings for graph specs. Specs arrive off the wire only at
+// session creation (a session snapshot carries its rows, never a spec), and
+// unlike table/corpus — which only shrink below a built-in source size — the
+// graph generators scale with Rows/Edges unbounded, so an absurd request
+// must fail fast instead of generating gigabytes before any later
+// validation runs.
 const (
 	// MaxGraphRows caps the vertex count of a generated graph dataset.
 	MaxGraphRows = 1 << 20
@@ -58,22 +59,6 @@ func graphSize(spec Spec) (n, m int) {
 		m = 4 * n
 	}
 	return n, m
-}
-
-// ExpectedRows returns the exact row count Load will produce for the spec,
-// for the kinds where that is derivable without generating the data (graph
-// and toy); ok is false otherwise. Snapshot restore uses it to refuse a spec
-// that disagrees with the cache it is supposed to serve before paying the
-// generation cost.
-func (s Spec) ExpectedRows() (rows int, ok bool) {
-	switch s.Kind {
-	case "graph":
-		n, _ := graphSize(s)
-		return n, true
-	case "toy":
-		return 50, true
-	}
-	return 0, false
 }
 
 // Source describes one loadable family for discovery endpoints and CLIs.

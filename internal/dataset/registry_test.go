@@ -112,7 +112,7 @@ func TestFromGraphRows(t *testing.T) {
 }
 
 // TestGraphSpecBounds pins the generation ceilings: graph specs come off
-// the wire (session creation, snapshot restore), so absurd vertex/edge
+// the wire at session creation, so absurd vertex/edge
 // requests must fail fast instead of generating gigabytes.
 func TestGraphSpecBounds(t *testing.T) {
 	for _, spec := range []Spec{
@@ -129,42 +129,5 @@ func TestGraphSpecBounds(t *testing.T) {
 	// names the limit rather than generating to find out.
 	if _, err := Load(Spec{Kind: "graph", Name: "er", Rows: MaxGraphRows + 1, Edges: 10}); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("over-limit rows: got err %v, want a limit error", err)
-	}
-}
-
-// TestExpectedRows pins the spec kinds whose row count is derivable without
-// generating the data — what snapshot restore uses to refuse a mismatched
-// spec before paying the generation cost.
-func TestExpectedRows(t *testing.T) {
-	cases := []struct {
-		spec Spec
-		rows int
-		ok   bool
-	}{
-		{Spec{Kind: "graph", Rows: 60}, 60, true},
-		{Spec{Kind: "graph"}, 500, true}, // Load's default vertex count
-		{Spec{Kind: "toy"}, 50, true},
-		{Spec{Kind: "table", Name: "wine"}, 0, false},
-		{Spec{Kind: "corpus", Name: "twitter", Rows: 100}, 0, false},
-	}
-	for _, tc := range cases {
-		rows, ok := tc.spec.ExpectedRows()
-		if rows != tc.rows || ok != tc.ok {
-			t.Errorf("ExpectedRows(%+v) = %d, %v; want %d, %v", tc.spec, rows, ok, tc.rows, tc.ok)
-		}
-	}
-	// The derivable kinds must stay in lock-step with what Load produces.
-	for _, spec := range []Spec{{Kind: "toy", Seed: 1}, {Kind: "graph", Name: "er", Rows: 60, Edges: 120, Seed: 1}} {
-		want, ok := spec.ExpectedRows()
-		if !ok {
-			t.Fatalf("ExpectedRows(%+v): want ok", spec)
-		}
-		ds, err := Load(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ds.N() != want {
-			t.Errorf("Load(%+v) has %d rows, ExpectedRows says %d", spec, ds.N(), want)
-		}
 	}
 }

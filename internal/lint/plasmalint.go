@@ -28,7 +28,6 @@ var (
 		"internal/wire/wire.go",
 		"internal/bayeslsh/snapshot.go",
 		"internal/core/snapshot.go",
-		"internal/dataset/speccodec.go",
 	}
 	serverPkgs = []string{"plasmahd/internal/server"}
 	// envelopeFuncs implement the JSON error envelope and may touch the

@@ -534,11 +534,11 @@ func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
 	if s.cfg.Workers > 0 && (req.Params == nil || req.Params.Workers == nil) {
 		params.Workers = s.cfg.Workers
 	}
-	ds, spec, err := s.resolveDataset(&req)
+	ds, err := s.resolveDataset(&req)
 	if err != nil {
 		return 0, nil, badRequest("%v", err)
 	}
-	ms, err := s.mgr.Create(spec, ds, params, req.Seed)
+	ms, err := s.mgr.Create(ds, params, req.Seed)
 	if err != nil { // ErrCapacity: the only way an admission fails
 		return 0, nil, apiErr(http.StatusServiceUnavailable, "capacity", "%v", err)
 	}
@@ -547,7 +547,7 @@ func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
 
 // resolveDataset turns a create request into a dataset: exactly one of the
 // named spec, the dense upload, or the sparse upload must be present.
-func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, dataset.Spec, error) {
+func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, error) {
 	set := 0
 	for _, present := range []bool{req.Dataset != nil, req.Dense != nil, req.Sparse != nil} {
 		if present {
@@ -555,17 +555,13 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, datase
 		}
 	}
 	if set != 1 {
-		return nil, dataset.Spec{}, fmt.Errorf("exactly one of dataset, dense, or sparse must be set (got %d)", set)
+		return nil, fmt.Errorf("exactly one of dataset, dense, or sparse must be set (got %d)", set)
 	}
 	if req.Dataset != nil {
 		if req.Dataset.Seed == 0 {
 			req.Dataset.Seed = req.Seed
 		}
-		ds, err := dataset.Load(*req.Dataset)
-		if err != nil {
-			return nil, dataset.Spec{}, err
-		}
-		return ds, *req.Dataset, nil
+		return dataset.Load(*req.Dataset)
 	}
 	measure := vec.CosineSim
 	switch req.Measure {
@@ -573,7 +569,7 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, datase
 	case "jaccard":
 		measure = vec.JaccardSim
 	default:
-		return nil, dataset.Spec{}, fmt.Errorf("unknown measure %q (want cosine or jaccard)", req.Measure)
+		return nil, fmt.Errorf("unknown measure %q (want cosine or jaccard)", req.Measure)
 	}
 	name := req.Name
 	if name == "" {
@@ -582,38 +578,38 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, datase
 	// The name is stored verbatim in session snapshots (length-capped
 	// there); bound it here so every created session stays snapshottable.
 	if len(name) > 256 {
-		return nil, dataset.Spec{}, fmt.Errorf("name must be at most 256 bytes, got %d", len(name))
+		return nil, fmt.Errorf("name must be at most 256 bytes, got %d", len(name))
 	}
 	if req.Dense != nil {
 		if len(req.Dense) < 2 {
-			return nil, dataset.Spec{}, fmt.Errorf("dense upload needs at least 2 rows, got %d", len(req.Dense))
+			return nil, fmt.Errorf("dense upload needs at least 2 rows, got %d", len(req.Dense))
 		}
 		for ri, row := range req.Dense {
 			if len(row) > vec.MaxDim {
-				return nil, dataset.Spec{}, fmt.Errorf("dense row %d has %d entries, at most %d", ri, len(row), vec.MaxDim)
+				return nil, fmt.Errorf("dense row %d has %d entries, at most %d", ri, len(row), vec.MaxDim)
 			}
 		}
 		ds := vec.FromDenseMatrix(name, req.Dense, measure)
 		if ds.Dim < 1 { // a cache over no dimension cannot be snapshotted
-			return nil, dataset.Spec{}, fmt.Errorf("dense upload needs a row with at least one entry")
+			return nil, fmt.Errorf("dense upload needs a row with at least one entry")
 		}
 		ds.NormalizeRows()
-		return ds, dataset.Spec{}, nil
+		return ds, nil
 	}
 	up := req.Sparse
 	if len(up.Rows) < 2 || up.Dim < 1 || up.Dim > vec.MaxDim {
-		return nil, dataset.Spec{}, fmt.Errorf("sparse upload needs dim in [1, %d] and at least 2 rows", vec.MaxDim)
+		return nil, fmt.Errorf("sparse upload needs dim in [1, %d] and at least 2 rows", vec.MaxDim)
 	}
 	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure}
 	for ri, row := range up.Rows {
 		v, err := row.vec(ri, up.Dim)
 		if err != nil {
-			return nil, dataset.Spec{}, err
+			return nil, err
 		}
 		ds.Rows = append(ds.Rows, v)
 	}
 	ds.NormalizeRows()
-	return ds, dataset.Spec{}, nil
+	return ds, nil
 }
 
 func (s *Server) handleListSessions(r *http.Request) (int, any, error) {
@@ -951,9 +947,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// request (the session plus its serialized bytes), which is exactly the
 	// footprint the streaming restore path of the opposite direction was
 	// built to avoid. A small holdback keeps early failures clean: the
-	// codec's fallible header work (spec marshalling, string caps) all
-	// happens within the first few hundred bytes, and the encoder writes
-	// its magic before anything fallible — so without the holdback, no
+	// codec's fallible header work (the dataset name and count caps)
+	// happens within the first few hundred bytes, and the encoder writes its
+	// magic before anything fallible — so without the holdback, no
 	// failure could ever be reported as an error envelope.
 	hw := &holdbackWriter{w: w}
 	if err := ms.Session.Snapshot(hw); err != nil {
@@ -975,8 +971,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // snapshotHoldback is how much of a streamed snapshot is withheld before
 // the response is committed. It needs to cover the codec's fallible header
-// section (magic, spec blob, probe metadata); everything after that can
-// only fail on writer errors.
+// section (magic, dataset name and counts); everything after that can only
+// fail on writer errors.
 const snapshotHoldback = 4096
 
 // holdbackWriter buffers the first snapshotHoldback bytes and passes
@@ -1059,9 +1055,9 @@ func (t *maxBytesTracker) Read(p []byte) (int, error) {
 }
 
 // handleRestore recreates a session from an uploaded binary snapshot under
-// a fresh ID. The dataset is rehydrated from the snapshot itself (embedded
-// spec or embedded data); a snapshot that fails validation is refused with
-// the typed reason, never admitted as a silently-wrong cache. The body is
+// a fresh ID. The dataset is the rows the snapshot carries; a snapshot that
+// fails validation is refused with the typed reason, never admitted as a
+// silently-wrong cache. The body is
 // decoded as a stream — RestoreSession never needs the whole upload in
 // memory, and snapshots run to the (default 1 GiB) restore body cap.
 func (s *Server) handleRestore(r *http.Request) (int, any, error) {
@@ -1073,7 +1069,7 @@ func (s *Server) handleRestore(r *http.Request) (int, any, error) {
 		}
 		return 0, nil, apiErr(http.StatusBadRequest, "bad_snapshot", "%v", err)
 	}
-	ms := &ManagedSession{Spec: sess.Spec, Session: sess, Created: time.Now()}
+	ms := &ManagedSession{Session: sess, Created: time.Now()}
 	if err := s.mgr.AdmitNew(ms); err != nil {
 		return 0, nil, apiErr(http.StatusServiceUnavailable, "capacity", "%v", err)
 	}

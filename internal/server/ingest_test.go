@@ -229,7 +229,7 @@ func TestUploadDimensionCapped(t *testing.T) {
 	if srv.mgr.Len() != 0 {
 		t.Fatalf("a refused upload admitted %d sessions", srv.mgr.Len())
 	}
-	_, _, err := srv.resolveDataset(&createSessionRequest{Dense: [][]float64{{1}, make([]float64, vec.MaxDim+1)}})
+	_, err := srv.resolveDataset(&createSessionRequest{Dense: [][]float64{{1}, make([]float64, vec.MaxDim+1)}})
 	if err == nil || !strings.Contains(err.Error(), "dense row 1") {
 		t.Fatalf("dense row past the cap: err = %v", err)
 	}

@@ -378,8 +378,7 @@ func (m *Manager) spill(ms *ManagedSession) error {
 	return nil
 }
 
-// load restores one session from its snapshot blob, rehydrating the dataset
-// from the embedded spec or data.
+// load restores one session from its snapshot blob, dataset rows included.
 func (m *Manager) load(id string) (*ManagedSession, error) {
 	rc, err := m.store.Get(stateKey(id))
 	if err != nil {
@@ -390,5 +389,5 @@ func (m *Manager) load(id string) (*ManagedSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ManagedSession{ID: id, Spec: sess.Spec, Session: sess, Created: time.Now()}, nil
+	return &ManagedSession{ID: id, Session: sess, Created: time.Now()}, nil
 }

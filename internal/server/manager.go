@@ -11,7 +11,6 @@ import (
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/blob"
 	"plasmahd/internal/core"
-	"plasmahd/internal/dataset"
 	"plasmahd/internal/metrics"
 	"plasmahd/internal/vec"
 )
@@ -168,7 +167,6 @@ type Stats struct {
 // table that coalesces duplicate in-flight probes.
 type ManagedSession struct {
 	ID      string
-	Spec    dataset.Spec // zero for uploaded datasets
 	Session *core.Session
 	Created time.Time
 
@@ -246,13 +244,10 @@ func (ms *ManagedSession) Probe(t float64, workers int, stats *Stats) (res *baye
 // least-recently-used idle session if the manager is at capacity. Sketching
 // happens outside the manager lock — it is the expensive start-up cost of
 // Fig 2.9 — so concurrent creates do not serialize on it.
-func (m *Manager) Create(spec dataset.Spec, ds *vec.Dataset, p bayeslsh.Params, seed int64) (*ManagedSession, error) {
-	sess := core.NewSession(ds, p, seed)
-	sess.Spec = spec
+func (m *Manager) Create(ds *vec.Dataset, p bayeslsh.Params, seed int64) (*ManagedSession, error) {
 	ms := &ManagedSession{
 		ID:      m.mintID(),
-		Spec:    spec,
-		Session: sess,
+		Session: core.NewSession(ds, p, seed),
 		Created: time.Now(),
 	}
 	if err := m.admit(ms); err != nil {

@@ -228,7 +228,7 @@ func TestProbeSingleflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := NewManager(1)
-	ms, err := mgr.Create(dataset.Spec{}, ds, bayeslsh.DefaultParams(), 1)
+	ms, err := mgr.Create(ds, bayeslsh.DefaultParams(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

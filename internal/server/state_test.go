@@ -408,9 +408,9 @@ func TestBodyCap413(t *testing.T) {
 	// daemon's own snapshots routinely exceed the JSON body cap — but it
 	// is still a cap. The decoder streams, so the cap trips when a
 	// well-formed prefix keeps it reading: magic, version, then a declared
-	// spec blob longer than the whole cap.
+	// dataset name longer than the whole cap.
 	snapBody := binary.LittleEndian.AppendUint16([]byte("PLHDSESS"), core.SessionSnapshotVersion)
-	snapBody = append(snapBody, 0x60, 0xEA, 0x00, 0x00) // blob length 60000
+	snapBody = append(snapBody, 0x60, 0xEA, 0x00, 0x00) // name length 60000
 	snapBody = append(snapBody, big...)
 	st, out = rawPost(t, ts.URL+"/v1/sessions/restore", "application/octet-stream", snapBody)
 	if st != http.StatusRequestEntityTooLarge || !strings.Contains(string(out), "too_large") {

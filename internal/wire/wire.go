@@ -354,15 +354,6 @@ func (c *Codec) Blob(b []byte, max int) []byte {
 // Str walks a u32-length-prefixed string of at most max bytes.
 func (c *Codec) Str(s string, max int) string { return string(c.Blob([]byte(s), max)) }
 
-// Str16 walks a u16-length-prefixed string (at most 65535 bytes).
-func (c *Codec) Str16(s string) string {
-	if len(s) > math.MaxUint16 {
-		c.Fail("string is %d bytes, max %d", len(s), math.MaxUint16)
-		return ""
-	}
-	return string(c.bytesN([]byte(s), int(c.U16(uint16(len(s))))))
-}
-
 // Finish ends a checksummed stream with the CRC-32C (Castagnoli) of every
 // byte walked so far: appended when encoding, read and compared when
 // decoding. The trailer itself is outside the sum. It returns Err.

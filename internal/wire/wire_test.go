@@ -32,7 +32,6 @@ type record struct {
 	g    float64
 	raw  [3]byte
 	s    string
-	s16  string
 	blob []byte
 	xs   []uint32
 }
@@ -48,7 +47,6 @@ func (r *record) walk(c *Codec) {
 	r.g = c.F64(r.g)
 	c.Bytes(r.raw[:])
 	r.s = c.Str(r.s, 64)
-	r.s16 = c.Str16(r.s16)
 	r.blob = c.Blob(r.blob, 64)
 	r.xs = Slice(c, r.xs, c.Count(len(r.xs), 1<<28, "xs"), c.U32)
 }
@@ -57,7 +55,7 @@ func sample() record {
 	return record{
 		a: 0xfe, b: 0xbeef, c: 0xdeadbeef, d: 0x0123456789abcdef, e: -42,
 		f: float32(math.Inf(-1)), g: math.Pi, raw: [3]byte{1, 2, 3},
-		s: "héllo", s16: "sixteen", blob: []byte{9, 8, 7, 0}, xs: []uint32{1, 1 << 31, 3},
+		s: "héllo", blob: []byte{9, 8, 7, 0}, xs: []uint32{1, 1 << 31, 3},
 	}
 }
 
@@ -89,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.a != want.a || got.b != want.b || got.c != want.c || got.d != want.d || got.e != want.e ||
-		got.f != want.f || got.g != want.g || got.raw != want.raw || got.s != want.s || got.s16 != want.s16 ||
+		got.f != want.f || got.g != want.g || got.raw != want.raw || got.s != want.s ||
 		!bytes.Equal(got.blob, want.blob) || len(got.xs) != 3 || got.xs[1] != 1<<31 {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
@@ -147,7 +145,6 @@ func TestLengthCapsBothDirections(t *testing.T) {
 	for name, walk := range map[string]func(c *Codec){
 		"str":   func(c *Codec) { c.Str(long, 64) },
 		"blob":  func(c *Codec) { c.Blob([]byte(long), 64) },
-		"str16": func(c *Codec) { c.Str16(strings.Repeat("x", math.MaxUint16+1)) },
 		"count": func(c *Codec) { c.Count(65, 64, "n") },
 	} {
 		var buf bytes.Buffer
