@@ -386,6 +386,24 @@ func TestRestoreSessionValidation(t *testing.T) {
 			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
 		}
 	})
+	t.Run("embedded content mismatch", func(t *testing.T) {
+		// The caller's rows equal the embedded ones except for one value in
+		// the last row: the row-by-row comparison must still refuse them.
+		edited := ds.Sample(make([]int, 0))
+		edited.Rows = append(edited.Rows, ds.Rows...)
+		last := edited.Rows[len(edited.Rows)-1]
+		if len(last.Values) == 0 {
+			t.Fatal("test setup: want a non-empty last row")
+		}
+		values := append([]float64{}, last.Values...)
+		values[0] = math.Nextafter(values[0], math.Inf(1))
+		edited.Rows[len(edited.Rows)-1] = vec.Sparse{Indices: last.Indices, Values: values}
+		_, err := RestoreSession(bytes.NewReader(good), edited)
+		var mismatch *SnapshotMismatchError
+		if !errors.As(err, &mismatch) || mismatch.Field != "content" {
+			t.Fatalf("err = %v, want content SnapshotMismatchError", err)
+		}
+	})
 	t.Run("measure mismatch", func(t *testing.T) {
 		wrong := ds.Sample(make([]int, 0))
 		wrong.Rows = append(wrong.Rows, ds.Rows...)
