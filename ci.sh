@@ -25,18 +25,19 @@
 # built-in check (daemon == shadow session, grown == from-scratch, cluster
 # == single node, exact counts repeat), and its declaration must match
 # BENCHMARK.json.
-# Tier 5 (fuzz): a bounded native-fuzzing pass (~60s total) over the
-# parsers that consume untrusted bytes — the cache, session and spec
-# snapshot decoders and the live-ingest request body — seeded from the
-# checked-in corpora under testdata/fuzz/ and the golden streams under
+# Tier 5 (fuzz): a bounded native-fuzzing pass (~45s total) over the
+# parsers that consume untrusted bytes — the cache and session snapshot
+# decoders and the live-ingest request body — seeded from the checked-in
+# corpora under testdata/fuzz/ and the golden streams under
 # testdata/golden/.
 # Tier 6 (full, optional via CI_FULL=1): the complete test suite including
 # the seconds-long experiment sweeps.
 # Not tiers — timing is read by a person, not gated: the single-layer
 # `go test -bench` entries `make bench-workers` (probe worker pool),
 # `make bench-repeat` (warm repeat probe), `make bench-curve` (curve
-# derivation over 100 k cached pairs) and `make bench-snapshot` (cache
-# snapshot encode and decode), and the full `go run ./bench`.
+# derivation over 100 k cached pairs) and `make bench-snapshot` (the wire
+# block walk, cache snapshot encode and decode, and the whole session
+# snapshot and restore), and the full `go run ./bench`.
 set -eu
 
 echo "== tier 1: vet + build + short tests =="

@@ -292,17 +292,18 @@ func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
 // AppendRows sketches a batch of new rows through the same hash family
 // NewCache used and appends them to the signature table — the incremental
 // half of live ingest. Each row must pass vec.Sparse.Check against the
-// cache's dimension, and cosine rows must be normalized; a batch with a bad
-// row is refused whole. Appends are serialized with each other, but probes
-// keep running throughout: the grown view is published in one pointer swap,
-// so an in-flight probe keeps its captured view and the rows become visible
-// atomically. Sketching is parallelized across Params.Workers and is
-// byte-identical to what NewCache over the grown dataset would have
-// produced, which is the append-equals-rebuild equivalence the ingest tests
-// pin down. It returns the sketch wall time for the batch.
+// cache's dimension and measure, and cosine rows must be normalized; a
+// batch with a bad row is refused whole. Appends are serialized with each
+// other, but probes keep running throughout: the grown view is published
+// in one pointer swap, so an in-flight probe keeps its captured view and
+// the rows become visible atomically. Sketching is parallelized across
+// Params.Workers and is byte-identical to what NewCache over the grown
+// dataset would have produced, which is the append-equals-rebuild
+// equivalence the ingest tests pin down. It returns the sketch wall time
+// for the batch.
 func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
 	for ri, r := range rows {
-		if err := r.Check(c.dim); err != nil {
+		if err := r.Check(c.dim, c.Measure); err != nil {
 			return 0, fmt.Errorf("bayeslsh: append row %d: %w", ri, err)
 		}
 	}

@@ -155,9 +155,10 @@ func TestAppendRowsInterleavedProbes(t *testing.T) {
 }
 
 // TestAppendRowsValidation: each malformed row of the shared table is
-// refused with the row check's message, and a refused batch — the bad row
-// behind a good one — leaves the published view as it was: row count and
-// signatures. Both hash families.
+// refused, by a cache of the row's measure, with the row check's message,
+// and a refused batch — the bad row behind a good one — leaves the
+// published view as it was: row count and signatures. The table's
+// well-formed rows are then appended. Both hash families.
 func TestAppendRowsValidation(t *testing.T) {
 	for _, m := range []vec.Measure{vec.CosineSim, vec.JaccardSim} {
 		ds := &vec.Dataset{Name: "check", Dim: vectest.Dim, Measure: m}
@@ -166,8 +167,16 @@ func TestAppendRowsValidation(t *testing.T) {
 		}
 		c := NewCache(ds, DefaultParams(), 1)
 		before := c.view.Load()
-		for _, tc := range vectest.Malformed {
-			_, err := c.AppendRows([]vec.Sparse{vectest.Good, tc.Row})
+		var good [][]vec.Sparse
+		for _, tc := range vectest.Rows {
+			batch := []vec.Sparse{vectest.Good, tc.Row}
+			if tc.Measure != m {
+				continue
+			} else if tc.Err == "" {
+				good = append(good, batch)
+				continue
+			}
+			_, err := c.AppendRows(batch)
 			if want := "bayeslsh: append row 1: " + tc.Err; err == nil || err.Error() != want {
 				t.Errorf("%v %s: err = %v, want %q", m, tc.Name, err, want)
 			}
@@ -177,6 +186,14 @@ func TestAppendRowsValidation(t *testing.T) {
 		}
 		if _, err := c.AppendRows(nil); err != nil || c.view.Load() != before {
 			t.Fatalf("%v: empty append must be a no-op, got %v", m, err)
+		}
+		for _, batch := range good {
+			if _, err := c.AppendRows(batch); err != nil {
+				t.Errorf("%v: well-formed rows %+v refused: %v", m, batch, err)
+			}
+		}
+		if want := 10 + 2*len(good); c.Rows() != want {
+			t.Fatalf("%v: %d rows after the well-formed appends, want %d", m, c.Rows(), want)
 		}
 	}
 }

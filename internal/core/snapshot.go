@@ -20,7 +20,7 @@ import (
 // is versioned and checksummed:
 //
 //	magic   "PLHDSESS"                      (8 bytes)
-//	version uint16                          (currently 6)
+//	version uint16                          (currently 7)
 //	payload the dataset rows, the append epoch, the probe history, and the
 //	        bayeslsh cache snapshot
 //	crc     uint32 (Castagnoli) over magic+version+payload
@@ -34,6 +34,9 @@ import (
 // own: it embeds cache snapshot version 3. Version 6 gives the stream one
 // shape: every session embeds its rows, where earlier versions let a session
 // created from a registry spec store the spec and a content hash instead.
+// Version 7 writes a row's values for cosine datasets only: a Jaccard row is
+// its index set, so a Jaccard stream carries no values at all; a cosine
+// stream is the version 6 one byte for byte up to the version and the CRC.
 // Streams older than the current version are refused, never half-read.
 //
 // sessionImage.walk is the one description of the payload ahead of the
@@ -48,7 +51,7 @@ import (
 var sessSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
 
 // SessionSnapshotVersion is the current session snapshot format version.
-const SessionSnapshotVersion uint16 = 6
+const SessionSnapshotVersion uint16 = 7
 
 // Typed session-snapshot failures.
 var (
@@ -105,9 +108,12 @@ func (im *sessionImage) walk(c *wire.Codec) {
 	im.history.walk(c)
 }
 
-// walkDataset walks a dataset verbatim (post-normalization). Restored rows
-// are used exactly as stored — they are NOT re-normalized, which would perturb
-// the float values and break restart determinism.
+// walkDataset walks a dataset verbatim (post-normalization): per row the
+// non-zero count, the indices, then the values for cosine only, since a
+// Jaccard row is its index set. A decoded Jaccard row has nil Values, and a
+// Jaccard row that carries values in memory encodes exactly as one without.
+// Restored rows are used exactly as stored — they are NOT re-normalized,
+// which would perturb the float values and break restart determinism.
 func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 	ds.Name = c.Str(ds.Name, snapMaxStringLen)
 	ds.Dim = c.Count(ds.Dim, vec.MaxDim, "dataset dimension")
@@ -119,8 +125,10 @@ func walkDataset(c *wire.Codec, ds *vec.Dataset) {
 	ds.Rows = wire.Slice(c, ds.Rows, n, func(row vec.Sparse) vec.Sparse {
 		nnz := c.Count(len(row.Indices), ds.Dim, "row non-zero count")
 		row.Indices = wire.I32s(c, row.Indices, nnz)
-		row.Values = wire.F64s(c, row.Values, nnz)
-		if err := row.Check(ds.Dim); err != nil {
+		if ds.Measure == vec.CosineSim {
+			row.Values = wire.F64s(c, row.Values, nnz)
+		}
+		if err := row.Check(ds.Dim, ds.Measure); err != nil {
 			c.Fail("dataset row: %v", err)
 		}
 		return row
@@ -224,14 +232,18 @@ func RestoreSession(r io.Reader, ds *vec.Dataset) (*Session, error) {
 }
 
 // sameRows reports whether a and b hold the same rows: dimension, measure,
-// row count, and every row's indices and value bits.
+// row count, every row's indices and, for cosine, its value bits. Jaccard
+// reads no values, so values a Jaccard row carries in memory do not count.
 func sameRows(a, b *vec.Dataset) bool {
 	if a.Dim != b.Dim || a.Measure != b.Measure || len(a.Rows) != len(b.Rows) {
 		return false
 	}
 	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for i, row := range a.Rows {
-		if !slices.Equal(row.Indices, b.Rows[i].Indices) || !slices.EqualFunc(row.Values, b.Rows[i].Values, sameBits) {
+		if !slices.Equal(row.Indices, b.Rows[i].Indices) {
+			return false
+		}
+		if a.Measure == vec.CosineSim && !slices.EqualFunc(row.Values, b.Rows[i].Values, sameBits) {
 			return false
 		}
 	}

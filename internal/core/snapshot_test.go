@@ -276,6 +276,95 @@ func TestSessionSnapshotEmbedsUploadedData(t *testing.T) {
 	}
 }
 
+// TestJaccardSnapshotCarriesNoValues: a Jaccard row is its index set in the
+// stream. A grown, probed Jaccard session saves the same bytes whether its
+// rows carry all-ones values or none; restored, its rows have nil values,
+// it re-snapshots to the same bytes, and its next probe equals the
+// uninterrupted session's for any worker count. A caller's dataset that
+// still carries ones is the same rows; one with a different index is not.
+func TestJaccardSnapshotCarriesNoValues(t *testing.T) {
+	forceParallel(t)
+	bare, err := dataset.Load(dataset.Spec{Kind: "corpus", Name: "orkut", Rows: 160, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Measure != vec.JaccardSim || bare.Rows[0].Values != nil {
+		t.Fatalf("test setup: want Jaccard rows without values, got %v %+v", bare.Measure, bare.Rows[0])
+	}
+	ones := &vec.Dataset{Name: bare.Name, Dim: bare.Dim, Measure: bare.Measure}
+	for _, row := range bare.Rows {
+		values := make([]float64, len(row.Indices))
+		for k := range values {
+			values[k] = 1
+		}
+		ones.Rows = append(ones.Rows, vec.Sparse{Indices: row.Indices, Values: values})
+	}
+	grow := func(ds *vec.Dataset) (*Session, []byte) {
+		head := *ds
+		head.Rows = ds.Rows[:120]
+		s := NewSession(&head, bayeslsh.DefaultParams(), 5)
+		probeSeq(t, s, []float64{0.7})
+		if _, err := s.AppendRows(ds.Rows[120:]); err != nil {
+			t.Fatal(err)
+		}
+		probeSeq(t, s, []float64{0.5})
+		s.Cache.SketchTime = 0 // wall-clock times differ between any two runs
+		s.history.total = 0
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return s, buf.Bytes()
+	}
+	ref, snap := grow(bare)
+	if _, withOnes := grow(ones); !bytes.Equal(withOnes, snap) {
+		t.Fatalf("rows with ones save %d bytes, rows without values %d", len(withOnes), len(snap))
+	}
+	want := probeSeq(t, ref, []float64{0.4})
+
+	for _, workers := range []int{1, 4} {
+		restored, err := RestoreSession(bytes.NewReader(snap), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range restored.Dataset().Rows {
+			if row.Values != nil || !slices.Equal(row.Indices, bare.Rows[i].Indices) {
+				t.Fatalf("restored row %d: %+v, want the indices of %+v and no values", i, row, bare.Rows[i])
+			}
+		}
+		var again bytes.Buffer
+		if err := restored.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("re-snapshot is %d bytes, not the %d it was restored from", again.Len(), len(snap))
+		}
+		got, err := restored.ProbeWorkers(0.4, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, "restored workers="+strconv.Itoa(workers), want, []*bayeslsh.Result{got})
+	}
+
+	if _, err := RestoreSession(bytes.NewReader(snap), ones); err != nil {
+		t.Fatalf("restore against the same rows carrying ones: %v", err)
+	}
+	edited := *ones
+	edited.Rows = slices.Clone(ones.Rows)
+	last := edited.Rows[len(edited.Rows)-1]
+	indices := slices.Clone(last.Indices)
+	indices[len(indices)-1]++
+	if int(indices[len(indices)-1]) >= edited.Dim {
+		t.Fatal("test setup: want room to move the last index up")
+	}
+	edited.Rows[len(edited.Rows)-1] = vec.Sparse{Indices: indices, Values: last.Values}
+	_, err = RestoreSession(bytes.NewReader(snap), &edited)
+	var mismatch *SnapshotMismatchError
+	if !errors.As(err, &mismatch) || mismatch.Field != "content" {
+		t.Fatalf("restore against a moved index: err = %v, want content SnapshotMismatchError", err)
+	}
+}
+
 // uploadedJaccard is a small Jaccard session over uploaded rows.
 func uploadedJaccard() *Session {
 	ds := vec.FromDenseMatrix("uploaded", [][]float64{
@@ -487,8 +576,8 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 }
 
 // forgeEmbedded writes a session stream that embeds ds verbatim, each row
-// as its own counts say, ahead of cache's stream: nothing on the way checks
-// the rows.
+// as its own counts say (values for cosine only, as the layout has them),
+// ahead of cache's stream: nothing on the way checks the rows.
 func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -501,7 +590,9 @@ func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte 
 	for _, row := range ds.Rows {
 		c.U32(uint32(len(row.Indices)))
 		wire.I32s(c, row.Indices, len(row.Indices))
-		wire.F64s(c, row.Values, len(row.Values))
+		if ds.Measure == vec.CosineSim {
+			wire.F64s(c, row.Values, len(row.Values))
+		}
 	}
 	c.U32(0) // append epoch
 	(&probeHistory{}).walk(c)
@@ -515,31 +606,45 @@ func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte 
 }
 
 // TestSessionStreamRefusesMalformedRows: embedded rows pass the one row
-// check in both directions of the walk. A session holding a malformed row
-// cannot be saved, and a forged stream carrying one is refused, with
-// ErrSessionSnapshotCorrupt either way. A row's indices and values share one
-// count on the wire, so a row whose counts differ cannot be forged into a
-// stream; the encoder refuses it.
+// check, under the dataset's measure, in both directions of the walk. A
+// session holding a malformed row of the shared table cannot be saved, and
+// a forged stream carrying one is refused, with ErrSessionSnapshotCorrupt
+// either way; the table's well-formed rows go both ways. A row's indices
+// and values share one count on the wire, and a Jaccard row has no values
+// there at all, so a row whose counts differ cannot be forged into a
+// stream: the encoder refuses it, which is why the values-count cases are
+// cosine datasets.
 func TestSessionStreamRefusesMalformedRows(t *testing.T) {
-	good := &vec.Dataset{Name: "rows", Dim: vectest.Dim, Measure: vec.JaccardSim, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
-	cache := bayeslsh.NewCache(good, bayeslsh.DefaultParams(), 1)
-	if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, good, cache)), nil); err != nil {
-		t.Fatalf("well-formed forged stream: %v", err)
-	}
-	for _, tc := range vectest.Malformed {
-		ds := *good
-		ds.Rows = []vec.Sparse{vectest.Good, tc.Row}
-		s := &Session{Cache: cache}
-		s.ds.Store(&ds)
-		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Errorf("%s: encode err = %v, want ErrSessionSnapshotCorrupt", tc.Name, err)
+	for _, m := range []vec.Measure{vec.CosineSim, vec.JaccardSim} {
+		good := &vec.Dataset{Name: "rows", Dim: vectest.Dim, Measure: m, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
+		cache := bayeslsh.NewCache(good, bayeslsh.DefaultParams(), 1)
+		if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, good, cache)), nil); err != nil {
+			t.Fatalf("%v: well-formed forged stream: %v", m, err)
 		}
-		if len(tc.Row.Values) != len(tc.Row.Indices) {
-			continue
-		}
-		_, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &ds, cache)), nil)
-		if !errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), tc.Err) {
-			t.Errorf("%s: decode err = %v, want ErrSessionSnapshotCorrupt naming %q", tc.Name, err, tc.Err)
+		for _, tc := range vectest.Rows {
+			if tc.Measure != m {
+				continue
+			}
+			ds := *good
+			ds.Rows = []vec.Sparse{vectest.Good, tc.Row}
+			s := &Session{Cache: cache}
+			s.ds.Store(&ds)
+			err := s.Snapshot(io.Discard)
+			if tc.Err == "" && err != nil || tc.Err != "" && !errors.Is(err, ErrSessionSnapshotCorrupt) {
+				t.Errorf("%s: encode err = %v, want %q", tc.Name, err, tc.Err)
+			}
+			if tc.Err != "" && len(tc.Row.Values) != len(tc.Row.Indices) {
+				continue
+			}
+			restored, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &ds, cache)), nil)
+			switch {
+			case tc.Err == "" && err != nil:
+				t.Errorf("%s: decode err = %v, want the row accepted", tc.Name, err)
+			case tc.Err == "" && !slices.Equal(restored.Dataset().Rows[1].Indices, tc.Row.Indices):
+				t.Errorf("%s: decoded row %+v, want %+v", tc.Name, restored.Dataset().Rows[1], tc.Row)
+			case tc.Err != "" && (!errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), tc.Err)):
+				t.Errorf("%s: decode err = %v, want ErrSessionSnapshotCorrupt naming %q", tc.Name, err, tc.Err)
+			}
 		}
 	}
 }
@@ -572,11 +677,12 @@ func recodeSession(data []byte) ([]byte, error) {
 	return out.Bytes(), err
 }
 
-// TestSessionSnapshotGolden decodes the checked-in session snapshot of the
-// current version — a grown, probed session, written by the encoder of the
-// commit that introduced the version — and re-encodes it byte for byte: the
-// guard against layout drift without a version bump. Older goldens stay as
-// streams that must be refused.
+// TestSessionSnapshotGolden decodes the checked-in session snapshots of the
+// current version — a grown, probed cosine session and a grown, probed
+// Jaccard one, written by the encoder of the commit that introduced the
+// version — and re-encodes them byte for byte: the guard against layout
+// drift without a version bump. Older goldens stay as streams that must be
+// refused.
 func TestSessionSnapshotGolden(t *testing.T) {
 	wiretest.Golden(t, wiretest.Format{
 		Name:         "session",
@@ -592,26 +698,43 @@ func TestSessionSnapshotGolden(t *testing.T) {
 			"session-v5-embedded.snap": "fcf5630192db0fdbe4e177e7e7e7361c7bc00737b9c2eaa407a855aad511bc49",
 			"session-v5-spec.snap":     "eccc3953677cc86624048db4fe31512b03b5dba6addf7aef779a42ac553e3efe",
 			"session-v6-embedded.snap": "3e128d9db3c4033f903c4c23799bbb0af5cad9c98fcc5ce2f3e5b9e90037b87c",
+			"session-v7-embedded.snap": "66030eb72f7478d4d4cea454c2b326302ef5b7e326fdeea0dcd1ea37037374e0",
+			"session-v7-jaccard.snap":  "9ad8532aa9ae65d95db704e0bf437b38ace4f0858ccdfbab9f92960555d9946d",
 		},
 		Recode:     recodeSession,
 		ErrVersion: ErrSessionSnapshotVersion,
 	})
-	// There is no decode path for v2 to v5 streams: they are refused as a
-	// version, never half-read. That includes every spec-backed stream.
-	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*", "session-v5-*"} {
+	// There is no decode path for v2 to v6 streams: they are refused as a
+	// version, never half-read. That includes every spec-backed stream and
+	// the v6 stream that carried a Jaccard session's values.
+	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*", "session-v5-*", "session-v6-*"} {
 		for name, data := range wiretest.Files(t, glob) {
 			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) || s != nil {
 				t.Errorf("%s: err = %v (session %v), want ErrSessionSnapshotVersion and no session", name, err, s != nil)
 			}
 		}
 	}
-	s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, "session-v6-embedded.snap")["session-v6-embedded.snap"]), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.AppendEpoch() == 0 || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
-		t.Errorf("golden: epoch %d, %d pairs, %d probes — want a grown probed session",
-			s.AppendEpoch(), s.CachedPairs(), s.ProbeCount())
+	for name, measure := range map[string]vec.Measure{
+		"session-v7-embedded.snap": vec.CosineSim,
+		"session-v7-jaccard.snap":  vec.JaccardSim,
+	} {
+		s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, name)[name]), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.AppendEpoch() == 0 || s.CachedPairs() == 0 || s.ProbeCount() == 0 {
+			t.Errorf("%s: epoch %d, %d pairs, %d probes — want a grown probed session",
+				name, s.AppendEpoch(), s.CachedPairs(), s.ProbeCount())
+		}
+		ds := s.Dataset()
+		if ds.Measure != measure {
+			t.Errorf("%s: measure %v, want %v", name, ds.Measure, measure)
+		}
+		for i, row := range ds.Rows {
+			if hasValues := row.Values != nil; hasValues != (measure == vec.CosineSim) {
+				t.Errorf("%s: row %d decoded with values %v", name, i, row.Values)
+			}
+		}
 	}
 }
 

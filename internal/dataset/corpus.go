@@ -111,14 +111,7 @@ func NewCorpusScaled(name string, maxDocs int, seed int64) (*vec.Dataset, error)
 	}
 	if spec.Weighted {
 		d.TFIDF()
-	} else {
-		// Unweighted: all ones.
-		for _, r := range d.Rows {
-			for i := range r.Values {
-				r.Values[i] = 1
-			}
-		}
 	}
-	d.NormalizeRows()
+	d.NormalizeRows() // unweighted (Jaccard) rows keep only their index sets
 	return d, nil
 }

@@ -130,11 +130,7 @@ func FromGraph(g *graph.Graph, name string) *vec.Dataset {
 		idx = append(idx, nbrs...)
 		idx = append(idx, int32(v))
 		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-		vals := make([]float64, len(idx))
-		for i := range vals {
-			vals[i] = 1
-		}
-		d.Rows = append(d.Rows, vec.Sparse{Indices: idx, Values: vals})
+		d.Rows = append(d.Rows, vec.Sparse{Indices: idx})
 	}
 	d.NormalizeRows()
 	return d

@@ -139,13 +139,17 @@ func (s *SRP) gaussRow(d int) []float32 {
 }
 
 // Sketch returns the bit-packed signature of v. Vectors sketched by the same
-// SRP are comparable position-wise.
+// SRP are comparable position-wise. A row without values (a Jaccard row) is
+// its index set, every index weighing one.
 func (s *SRP) Sketch(v vec.Sparse) []uint64 {
 	words := (s.Bits + 63) / 64
 	acc := make([]float64, s.Bits)
 	for k, ix := range v.Indices {
 		row := s.gaussRow(int(ix))
-		w := v.Values[k]
+		w := 1.0
+		if v.Values != nil {
+			w = v.Values[k]
+		}
 		for i := 0; i < s.Bits; i++ {
 			acc[i] += w * float64(row[i])
 		}

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -96,6 +97,23 @@ func TestSRPSelfMatch(t *testing.T) {
 	sn := srp.Sketch(neg)
 	if MatchesPacked(s, sn, 256) != 0 {
 		t.Error("negated vector must fully mismatch")
+	}
+}
+
+// TestSRPIndexSet: a row without values sketches as its index set with
+// every weight one — and, the projection's sign being scale-free, as the
+// L2-normalized set too.
+func TestSRPIndexSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	srp := NewSRP(256, 500, 1)
+	for range 20 {
+		set := randSet(rng, 500, 1+rng.Intn(40))
+		want := srp.Sketch(set)
+		bare := srp.Sketch(vec.Sparse{Indices: set.Indices})
+		set.Normalize()
+		if normed := srp.Sketch(set); !slices.Equal(bare, want) || !slices.Equal(normed, want) {
+			t.Fatalf("%d indices: sketch without values %x, normalized %x, with ones %x", len(set.Indices), bare, normed, want)
+		}
 	}
 }
 

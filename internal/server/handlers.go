@@ -308,23 +308,26 @@ func (pj *paramsJSON) apply(p bayeslsh.Params) bayeslsh.Params {
 	return p
 }
 
-// sparseRow is one uploaded sparse vector; omitted values mean all-ones.
+// sparseRow is one uploaded sparse vector. Omitted values mean all-ones
+// for cosine; a Jaccard row is its index set and keeps no values.
 type sparseRow struct {
 	Indices []int32   `json:"indices"`
 	Values  []float64 `json:"values,omitempty"`
 }
 
-// vec returns row ri of an upload as a sparse vector (omitted values mean
-// all-ones) once it passes vec.Sparse.Check against the dimension.
-func (row sparseRow) vec(ri, dim int) (vec.Sparse, error) {
+// vec returns row ri of an upload as a sparse vector under measure m once
+// it passes vec.Sparse.Check against the dimension. Omitted cosine values
+// become all-ones. Sent values are counted under either measure; the
+// dataset's NormalizeRows then drops a Jaccard row's.
+func (row sparseRow) vec(ri, dim int, m vec.Measure) (vec.Sparse, error) {
 	v := vec.Sparse{Indices: row.Indices, Values: row.Values}
-	if v.Values == nil {
+	if v.Values == nil && m == vec.CosineSim {
 		v.Values = make([]float64, len(v.Indices))
 		for i := range v.Values {
 			v.Values[i] = 1
 		}
 	}
-	if err := v.Check(dim); err != nil {
+	if err := v.Check(dim, m); err != nil {
 		return vec.Sparse{}, fmt.Errorf("sparse row %d: %w", ri, err)
 	}
 	return v, nil
@@ -387,7 +390,8 @@ func sessionInfoOf(ms *ManagedSession) sessionInfo {
 // appendRowsRequest carries a batch of rows for a live session in exactly
 // one of the two upload shapes. Dense rows may be shorter than the session
 // dimension (trailing zeros); sparse rows follow the create-path contract
-// (strictly increasing indices in [0, dim), omitted values mean all-ones).
+// (strictly increasing indices in [0, dim), omitted values mean all-ones
+// for cosine, and a Jaccard session keeps no values).
 type appendRowsRequest struct {
 	Dense  [][]float64 `json:"dense,omitempty"`
 	Sparse []sparseRow `json:"sparse,omitempty"`
@@ -602,7 +606,7 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, error)
 	}
 	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure}
 	for ri, row := range up.Rows {
-		v, err := row.vec(ri, up.Dim)
+		v, err := row.vec(ri, up.Dim, measure)
 		if err != nil {
 			return nil, err
 		}
@@ -647,9 +651,9 @@ const maxAppendRows = 65536
 // session's dimension, sketched incrementally into the knowledge cache (no
 // re-sketch of existing rows), and published to the dataset view. Probes
 // already in flight keep their pinned pre-append view; the next probe sees
-// the grown session. Appended rows get the same per-row normalization as
-// the create path, so a grown session is bitwise-equivalent to one created
-// from the full data up front.
+// the grown session. Appended rows go through the same row step as the
+// create path (vec.Dataset.NormalizeRows), so a grown session is
+// bitwise-equivalent to one created from the full data up front.
 func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 	var req appendRowsRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -670,7 +674,8 @@ func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 		return 0, nil, err
 	}
 	defer release()
-	dim := ms.Session.Dataset().Dim
+	ds := ms.Session.Dataset()
+	dim := ds.Dim
 	rows := make([]vec.Sparse, 0, count)
 	for ri, drow := range req.Dense {
 		if len(drow) > dim {
@@ -679,17 +684,16 @@ func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 		rows = append(rows, vec.FromDense(drow))
 	}
 	for ri, srow := range req.Sparse {
-		v, err := srow.vec(ri, dim)
+		v, err := srow.vec(ri, dim, ds.Measure)
 		if err != nil {
 			return 0, nil, badRequest("%v", err)
 		}
 		rows = append(rows, v)
 	}
-	// Same per-row normalization as the create path (vec.NormalizeRows is
-	// row-local), so split ingests stay bitwise-identical to full uploads.
-	for _, row := range rows {
-		row.Normalize()
-	}
+	// The create path's row step over the batch (it is row-local), so split
+	// ingests stay bitwise-identical to full uploads.
+	batch := vec.Dataset{Measure: ds.Measure, Rows: rows}
+	batch.NormalizeRows()
 	d, err := ms.Session.AppendRows(rows)
 	if err != nil {
 		return 0, nil, fmt.Errorf("append failed: %w", err)

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,8 +93,8 @@ func TestAppendRowsEndpoint(t *testing.T) {
 	}
 }
 
-// TestAppendRowsSparse: the sparse request shape, including defaulted
-// all-ones values, against a Jaccard session.
+// TestAppendRowsSparse: the sparse request shape, values omitted, against
+// a Jaccard session.
 func TestAppendRowsSparse(t *testing.T) {
 	_, ts := newTestServer(t, 4)
 	mkRow := func(i int) map[string]any {
@@ -138,6 +139,69 @@ func TestAppendRowsSparse(t *testing.T) {
 	}
 }
 
+// TestJaccardUploadsStoreNoValues: a Jaccard session keeps only index sets,
+// whichever door its rows came in by: a sparse upload with values (counted,
+// then dropped), a dense upload, a sparse append with values and a dense
+// append. (A sent values array of the wrong length is still a 400: the
+// shared row table's "jaccard values count" case in
+// TestAppendRowsValidationHTTP.) Omitted values still mean all-ones for
+// cosine.
+func TestJaccardUploadsStoreNoValues(t *testing.T) {
+	srv, ts := newTestServer(t, 8)
+	rowsOf := func(id string) []vec.Sparse {
+		t.Helper()
+		ms, release, err := srv.mgr.Acquire(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return ms.Session.Dataset().Rows
+	}
+	create := func(body map[string]any) string {
+		t.Helper()
+		var info sessionInfo
+		if st := call(t, "POST", ts.URL+"/v1/sessions", body, &info); st != http.StatusCreated {
+			t.Fatalf("create %v: status %d", body, st)
+		}
+		return info.ID
+	}
+	weighted := []map[string]any{
+		{"indices": []int32{0, 2, 5}, "values": []float64{2, 0.5, 3}},
+		{"indices": []int32{1, 2}, "values": []float64{1, 4}},
+	}
+	sparse := create(map[string]any{"measure": "jaccard", "sparse": map[string]any{"dim": 8, "rows": weighted}})
+	dense := create(map[string]any{"measure": "jaccard", "dense": [][]float64{{2, 0, 1, 0}, {0, 3, 1, 0}}})
+	for id, body := range map[string]map[string]any{
+		sparse: {"sparse": weighted},
+		dense:  {"dense": [][]float64{{0, 0, 7, 0.5}}},
+	} {
+		if st := call(t, "POST", ts.URL+"/v1/sessions/"+id+"/rows", body, nil); st != http.StatusOK {
+			t.Fatalf("append %v: status %d", body, st)
+		}
+	}
+	for _, id := range []string{sparse, dense} {
+		rows := rowsOf(id)
+		if len(rows) < 3 {
+			t.Fatalf("session %s: %d rows after the append", id, len(rows))
+		}
+		for i, row := range rows {
+			if row.Values != nil || len(row.Indices) == 0 {
+				t.Errorf("session %s row %d: %+v, want an index set without values", id, i, row)
+			}
+		}
+	}
+	if got := rowsOf(sparse)[0].Indices; !slices.Equal(got, []int32{0, 2, 5}) {
+		t.Errorf("sparse row 0 indices %v, want [0 2 5]", got)
+	}
+
+	cosine := create(map[string]any{"sparse": map[string]any{"dim": 8, "rows": []map[string]any{
+		{"indices": []int32{0, 1, 2, 3}}, {"indices": []int32{4}},
+	}}})
+	if rows := rowsOf(cosine); !slices.Equal(rows[0].Values, []float64{0.5, 0.5, 0.5, 0.5}) || !slices.Equal(rows[1].Values, []float64{1}) {
+		t.Errorf("cosine rows with omitted values: %+v, want all-ones normalized", rows)
+	}
+}
+
 // TestAppendRowsValidationHTTP: every malformed append is a 400 with the
 // session unchanged; an unknown session is a 404.
 func TestAppendRowsValidationHTTP(t *testing.T) {
@@ -163,23 +227,44 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 	}
 	// One validator serves both sparse upload paths: the same bad row, at the
 	// same position, is refused with the same message by create and append —
-	// these rows, and every row of the shared malformed-row table.
+	// these rows, and every row of the shared row table, each under its own
+	// measure; the table's well-formed rows are taken by both.
 	good := map[string]any{"indices": []int32{0, 2}}
-	type badRow struct {
-		name string
-		row  map[string]any
-		want string
+	var jaccard sessionInfo
+	if st := call(t, "POST", ts.URL+"/v1/sessions", map[string]any{"measure": "jaccard",
+		"sparse": map[string]any{"dim": 8, "rows": []map[string]any{good, good}}}, &jaccard); st != http.StatusCreated {
+		t.Fatalf("create jaccard session: status %d", st)
 	}
-	cases := []badRow{
-		{"index past dim", map[string]any{"indices": []int32{1, 8}}, "sparse row 1: index 8 out of range [0, 8)"},
-		{"negative index", map[string]any{"indices": []int32{-1}}, "sparse row 1: index -1 out of range [0, 8)"},
-		{"repeated index", map[string]any{"indices": []int32{2, 2}}, "sparse row 1: indices must be strictly increasing"},
-		{"decreasing", map[string]any{"indices": []int32{3, 1}, "values": []float64{1, 1}}, "sparse row 1: indices must be strictly increasing"},
-		{"too few values", map[string]any{"indices": []int32{0, 1}, "values": []float64{1}}, "sparse row 1: 2 indices but 1 values"},
-		{"values without indices", map[string]any{"indices": []int32{}, "values": []float64{1}}, "sparse row 1: 0 indices but 1 values"},
+	appendURL := map[vec.Measure]string{vec.CosineSim: url, vec.JaccardSim: ts.URL + "/v1/sessions/" + jaccard.ID + "/rows"}
+	type rowCase struct {
+		name    string
+		measure vec.Measure
+		row     map[string]any
+		want    string // "" for a row both paths take
 	}
-	for _, tc := range vectest.Malformed {
-		cases = append(cases, badRow{"table: " + tc.Name, map[string]any{"indices": tc.Row.Indices, "values": tc.Row.Values}, "sparse row 1: " + tc.Err})
+	cases := []rowCase{
+		{"index past dim", vec.CosineSim, map[string]any{"indices": []int32{1, 8}}, "sparse row 1: index 8 out of range [0, 8)"},
+		{"negative index", vec.CosineSim, map[string]any{"indices": []int32{-1}}, "sparse row 1: index -1 out of range [0, 8)"},
+		{"repeated index", vec.CosineSim, map[string]any{"indices": []int32{2, 2}}, "sparse row 1: indices must be strictly increasing"},
+		{"decreasing", vec.CosineSim, map[string]any{"indices": []int32{3, 1}, "values": []float64{1, 1}}, "sparse row 1: indices must be strictly increasing"},
+		{"too few values", vec.CosineSim, map[string]any{"indices": []int32{0, 1}, "values": []float64{1}}, "sparse row 1: 2 indices but 1 values"},
+		{"values without indices", vec.CosineSim, map[string]any{"indices": []int32{}, "values": []float64{1}}, "sparse row 1: 0 indices but 1 values"},
+	}
+	for _, tc := range vectest.Rows {
+		// A nil Values goes on the wire as an omitted field, except for a
+		// cosine row: there an omitted field means all-ones, and the upload
+		// that carries no value is an empty array.
+		row := map[string]any{"indices": tc.Row.Indices}
+		if tc.Row.Values != nil {
+			row["values"] = tc.Row.Values
+		} else if tc.Measure == vec.CosineSim {
+			row["values"] = []float64{}
+		}
+		want := ""
+		if tc.Err != "" {
+			want = "sparse row 1: " + tc.Err
+		}
+		cases = append(cases, rowCase{"table: " + tc.Name, tc.Measure, row, want})
 	}
 	for _, tc := range cases {
 		rows := []map[string]any{good, tc.row}
@@ -187,12 +272,16 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 			url  string
 			body map[string]any
 		}{
-			"create": {ts.URL + "/v1/sessions", map[string]any{"sparse": map[string]any{"dim": 8, "rows": rows}}},
-			"append": {url, map[string]any{"sparse": rows}},
+			"create": {ts.URL + "/v1/sessions", map[string]any{"measure": tc.measure.String(), "sparse": map[string]any{"dim": 8, "rows": rows}}},
+			"append": {appendURL[tc.measure], map[string]any{"sparse": rows}},
 		} {
 			var env errorEnvelope
 			st := call(t, "POST", req.url, req.body, &env)
-			if st != http.StatusBadRequest || env.Error.Code != "bad_request" || env.Error.Message != tc.want {
+			if tc.want == "" {
+				if st != http.StatusCreated && st != http.StatusOK {
+					t.Errorf("%s via %s: status %d, error %+v, want the rows taken", tc.name, path, st, env.Error)
+				}
+			} else if st != http.StatusBadRequest || env.Error.Code != "bad_request" || env.Error.Message != tc.want {
 				t.Errorf("%s via %s: status %d, error %+v, want 400 bad_request %q", tc.name, path, st, env.Error, tc.want)
 			}
 		}

@@ -11,8 +11,9 @@ import (
 )
 
 // Sparse is a sparse vector with strictly increasing indices. The weighted
-// datasets of Table 2.1/4.6 (TF/IDF) carry values; the unweighted ones
-// (Orkut-style) carry all-ones values and use Jaccard.
+// datasets of Table 2.1/4.6 (TF/IDF) carry one value per index and use
+// cosine; the unweighted ones (Orkut-style) use Jaccard, which reads only
+// the index set, so their rows carry no values (nil Values).
 type Sparse struct {
 	Indices []int32
 	Values  []float64
@@ -26,13 +27,15 @@ type Sparse struct {
 // corpus: the largest generated dimensions are 2²⁰ (graphs) and 1.25 M.
 const MaxDim = 1 << 22
 
-// Check reports the first way s is not a row over dimension dim: a value
-// count that differs from the index count, an index outside [0, dim), or
-// indices that do not strictly increase. It is the one row check every row
-// passes before it is sketched, whether it arrives at create, at append or
-// in a snapshot stream.
-func (s Sparse) Check(dim int) error {
-	if len(s.Values) != len(s.Indices) {
+// Check reports the first way s is not a row over dimension dim under
+// measure m: a value count that differs from the index count, an index
+// outside [0, dim), or indices that do not strictly increase. A cosine row
+// needs one value per index; a Jaccard row may have nil Values, but values
+// it does carry are counted too. It is the one row check every row passes
+// before it is sketched, whether it arrives at create, at append or in a
+// snapshot stream.
+func (s Sparse) Check(dim int, m Measure) error {
+	if (s.Values != nil || m == CosineSim) && len(s.Values) != len(s.Indices) {
 		return fmt.Errorf("%d indices but %d values", len(s.Indices), len(s.Values))
 	}
 	for k, ix := range s.Indices {
@@ -214,11 +217,18 @@ func (d *Dataset) Similarity(i, j int) float64 {
 	return d.Measure.Similarity(d.Rows[i], d.Rows[j])
 }
 
-// NormalizeRows L2-normalizes every row, after which cosine similarity is a
-// plain dot product. BayesLSH's all-pairs pipeline requires this.
+// NormalizeRows puts every row in the form the measure reads. Cosine rows
+// are L2-normalized, after which cosine similarity is a plain dot product;
+// BayesLSH's all-pairs pipeline requires this. Jaccard rows lose their
+// values, since Jaccard reads only the index set. It is row-local, so a
+// batch normalized on its own matches the same rows normalized in place.
 func (d *Dataset) NormalizeRows() {
-	for _, r := range d.Rows {
-		r.Normalize()
+	for i := range d.Rows {
+		if d.Measure == JaccardSim {
+			d.Rows[i].Values = nil
+		} else {
+			d.Rows[i].Normalize()
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,6 +141,23 @@ func TestNormalizeRowsMakesCosineADot(t *testing.T) {
 				t.Fatalf("dot after normalize != cosine before at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// TestNormalizeRowsDropsJaccardValues: under Jaccard the row step keeps the
+// index sets and drops the values, whatever they were, and the similarities
+// do not move.
+func TestNormalizeRowsDropsJaccardValues(t *testing.T) {
+	d := FromDenseMatrix("sets", [][]float64{{1, 0, 2, 0}, {3, 1, 0, 0}, {0, 1, 1, 5}}, JaccardSim)
+	want := []float64{d.Similarity(0, 1), d.Similarity(0, 2), d.Similarity(1, 2)}
+	d.NormalizeRows()
+	for i, r := range d.Rows {
+		if r.Values != nil || len(r.Indices) != 2+i/2 {
+			t.Fatalf("row %d after NormalizeRows: %+v, want its indices and nil values", i, r)
+		}
+	}
+	if got := []float64{d.Similarity(0, 1), d.Similarity(0, 2), d.Similarity(1, 2)}; !slices.Equal(got, want) {
+		t.Fatalf("similarities %v, want %v", got, want)
 	}
 }
 
