@@ -54,13 +54,14 @@ lint:
 
 # fuzz runs each native fuzz target for $(FUZZTIME) on top of the checked-in
 # seed corpora in testdata/fuzz and the golden streams in testdata/golden:
-# the two snapshot decoders (cache and session — the warm-start and
-# restore-upload trust boundary) and the live-ingest request parser (wire
-# trust boundary). The cache and session corpora include `schedule-bomb`, a
-# CRC-valid 85-byte empty cache (and its session-wrapped form) whose params
-# ask for a 3·10⁷-cell schedule — Params.Validate must refuse it at once;
-# core's TestScheduleBombSeedsReachValidate keeps both seeds at the current
-# format versions.
+# the one snapshot decoder (the warm-start and restore-upload trust
+# boundary), through both of its entry points — bayeslsh.DecodeSnapshot and
+# core.RestoreSession — and the live-ingest request parser (wire trust
+# boundary). Both snapshot corpora include `schedule-bomb`, a CRC-valid
+# snapshot of an empty cache whose params ask for a 3·10⁷-cell schedule —
+# Params.Validate must refuse it at once; core's
+# TestScheduleBombSeedsReachValidate keeps both seeds at the current format
+# version.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
@@ -100,15 +101,14 @@ bench-curve:
 # bench-snapshot isolates the snapshot codecs. First the block walk itself:
 # a 1 MB array of u32 and of f64 words through wire.U32s and wire.F64s, each
 # way, in MB/s, where a per-element call in the walk shows up as a drop.
-# Then, in the engine, the cache snapshot on the explore-dense shape after
-# the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs): encode copies each row's
-# run out under its read lock and writes it as it sits, decode fills each
-# run from its records. Then the
-# whole session snapshot on the onboard-long shape after the same ladder and
-# one 40-row append (≈ 4.3 MB, dataset embedded, its Jaccard rows as index
-# sets without values), both ways: what every
-# download, spill, persist, revive and restore pays; the embedded dataset is
-# not hashed either way. Arrays move as blocks, a chunk per pack or unpack
+# Then, in the engine, the snapshot of a bare cache on the explore-dense
+# shape after the 0.9/0.8/0.7/0.6 ladder (≈ 80 k cached pairs, its rows
+# included): encode copies each row's run out under its read lock and
+# writes it as it sits, decode fills each run from its records. Then the
+# same stream as a whole session's on the onboard-long shape after the same
+# ladder and one 40-row append (≈ 4.3 MB, its Jaccard rows as index sets
+# without values), both ways: what every download, spill, persist, revive
+# and restore pays; the rows are not hashed either way. Arrays move as blocks, a chunk per pack or unpack
 # call, so ns/op tracks bytes, not words. ns/op and allocs/op; MB/s is of
 # snapshot bytes, so it is comparable only across runs of one format
 # version.

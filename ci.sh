@@ -26,9 +26,10 @@
 # == single node, exact counts repeat), and its declaration must match
 # BENCHMARK.json.
 # Tier 5 (fuzz): a bounded native-fuzzing pass (~45s total) over the
-# parsers that consume untrusted bytes — the cache and session snapshot
-# decoders and the live-ingest request body — seeded from the checked-in
-# corpora under testdata/fuzz/ and the golden streams under
+# parsers that consume untrusted bytes — the one snapshot decoder, fuzzed
+# through both entry points (bayeslsh.DecodeSnapshot and
+# core.RestoreSession), and the live-ingest request body — seeded from the
+# checked-in corpora under testdata/fuzz/ and the golden streams under
 # testdata/golden/.
 # Tier 6 (full, optional via CI_FULL=1): the complete test suite including
 # the seconds-long experiment sweeps.
@@ -36,8 +37,8 @@
 # `go test -bench` entries `make bench-workers` (probe worker pool),
 # `make bench-repeat` (warm repeat probe), `make bench-curve` (curve
 # derivation over 100 k cached pairs) and `make bench-snapshot` (the wire
-# block walk, cache snapshot encode and decode, and the whole session
-# snapshot and restore), and the full `go run ./bench`.
+# block walk, a bare cache's snapshot encode and decode, and a whole
+# session's snapshot and restore), and the full `go run ./bench`.
 set -eu
 
 echo "== tier 1: vet + build + short tests =="

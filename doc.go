@@ -64,9 +64,9 @@
 // handlers; docs/API.md documents every endpoint and is kept in lock-step
 // with the route table by a test.
 //
-// Knowledge caches are durable: every session snapshots to a versioned,
-// CRC-checked binary format (bayeslsh cache codec + core session codec),
-// and plasmad -state-dir saves on shutdown, warm-starts on boot, and
+// Knowledge caches are durable: a session's state is its knowledge cache,
+// which snapshots to one versioned, CRC-checked binary format (the bayeslsh
+// codec), and plasmad -state-dir saves on shutdown, warm-starts on boot, and
 // spills-then-revives on capacity eviction. Restores are deterministic —
 // a probe after restart returns exactly the bytes an uninterrupted
 // session would have produced.
@@ -82,7 +82,7 @@
 // error responses bypassing the JSON envelope. Where structure can carry
 // the invariant it does: plasmad's JSON handlers return values and never
 // hold a ResponseWriter, one helper owns the goroutine behind a detached
-// probe, and the append-lock order follows the import graph. See the
+// probe, and a session has one append lock, its knowledge cache's. See the
 // "Invariants and lint" section of docs/ARCHITECTURE.md.
 package plasmahd
 

@@ -162,16 +162,18 @@ func UnpackKey(k uint64) (int32, int32) {
 	return int32(k >> 32), int32(k & 0xffffffff)
 }
 
-// Cache is PLASMA-HD's knowledge cache (§2.2.1): the dataset sketches plus
-// the memoized per-pair hash-comparison states accumulated across probes.
+// Cache is PLASMA-HD's knowledge cache (§2.2.1) and the whole state of a
+// probe session: the dataset, its sketches, the memoized per-pair
+// hash-comparison states accumulated across probes, and the record of the
+// probes that built them.
 //
 // A Cache is safe for concurrent probes: the pair table is a PairStore of
 // per-row runs, each behind its own lock, with monotone writes; the
 // concentration table is precomputed at construction, and the per-threshold
-// prune bounds are built under a lock. The sketch table is one immutable
-// rowView behind an atomic pointer: each growth publishes a new view once,
-// and each probe loads one view at its start, so in-flight probes see
-// either the pre-append or post-append state, never a torn one.
+// prune bounds are built under a lock. The dataset and its sketch table are
+// one immutable rowView behind an atomic pointer: each growth publishes a
+// new view once, and each probe loads one view at its start, so in-flight
+// probes see either the pre-append or post-append state, never a torn one.
 type Cache struct {
 	Params  Params
 	Measure vec.Measure
@@ -180,14 +182,11 @@ type Cache struct {
 	// from the same dataset would reproduce the same signatures.
 	Seed int64
 
-	// view is the published row state: the row count and the signatures.
-	// Once the cache is shared, only grow replaces it, under appendMu.
+	// view is the published row state: the dataset, the append count and
+	// the signatures. Once the cache is shared, only AppendRows replaces it,
+	// under appendMu.
 	view atomic.Pointer[rowView]
 
-	// dim is the feature-space dimension rows are sketched over; immutable
-	// after construction. Rows must keep their indices below it (SRP
-	// directions only exist for dims < dim).
-	dim int
 	// sketch extends a view by a batch of rows through the cache's hash
 	// family. grow makes it on the cache's first growth, from (params,
 	// seed, dim) alone: signatures are pure functions of (row, seed[, dim]),
@@ -196,10 +195,9 @@ type Cache struct {
 	sketch func(v rowView, rows []vec.Sparse, workers int) rowView
 
 	// appendMu serializes growth with itself and with EncodeSnapshot, so a
-	// snapshot's row count can never lag pairs written by a probe that
-	// already saw the appended rows, and guards sketch. Lock order:
-	// innermost, after core.Session.appendMu — bayeslsh cannot import core,
-	// and nothing called while this is held may reach back into it.
+	// snapshot's rows can never lag pairs written by a probe that already
+	// saw the appended rows, and guards sketch. Nothing called while it is
+	// held takes another lock of the cache's but a run's read lock.
 	appendMu sync.Mutex
 
 	// Pairs memoizes evidence for every candidate pair ever evaluated,
@@ -214,6 +212,11 @@ type Cache struct {
 	// (the Fig 2.9 quantity); it is paid once per dataset. Append sketch
 	// cost is reported per call by AppendRows, not accumulated here.
 	SketchTime time.Duration
+
+	// historyMu guards history, which SearchWorkers extends as each probe
+	// finishes.
+	historyMu sync.Mutex
+	history   probeHistory
 
 	// conc[k] marks (m at schedule point k) combinations whose posterior is
 	// concentrated within Delta, and est[k][m] is the MAP similarity estimate
@@ -244,18 +247,28 @@ type Cache struct {
 }
 
 // Rows returns the number of rows currently sketched into the cache.
-func (c *Cache) Rows() int { return c.view.Load().n }
+func (c *Cache) Rows() int { return c.view.Load().ds.N() }
 
 // Dim returns the feature-space dimension the cache sketches over.
-func (c *Cache) Dim() int { return c.dim }
+func (c *Cache) Dim() int { return c.view.Load().ds.Dim }
 
-// rowView is an immutable snapshot of the cache's sketch table: the row
-// count and one signature per row, of the measure's family. A growth
-// publishes a new view whose slices never share a backing array with the
-// old one, so a probe's view stays valid for the whole probe even while
-// rows are appended concurrently.
+// Dataset returns the cache's current dataset view. The view is immutable —
+// appends publish a new one — so callers may iterate it without locking;
+// long computations should capture it once and use that view throughout.
+func (c *Cache) Dataset() *vec.Dataset { return c.view.Load().ds }
+
+// AppendEpoch returns how many non-empty append batches the cache has
+// absorbed.
+func (c *Cache) AppendEpoch() int64 { return c.view.Load().appends }
+
+// rowView is an immutable snapshot of the cache's rows: the dataset, the
+// number of append batches that grew it, and one signature per row, of the
+// measure's family. A growth publishes a new view whose slices never share
+// a backing array with the old one, so a probe's view stays valid for the
+// whole probe even while rows are appended concurrently.
 type rowView struct {
-	n       int
+	ds      *vec.Dataset
+	appends int64
 	minSigs [][]uint32
 	srpSigs [][]uint64
 }
@@ -265,73 +278,79 @@ type rowView struct {
 // for any worker count — the parallel-sketching contract.
 const sketchChunk = 16
 
-// newCache returns a cache of no rows over the given params, measure,
-// dimension, seed and pair store, with its decision tables built: what
-// NewCache grows and DecodeSnapshot fills. Params must have passed Validate.
-func newCache(p Params, m vec.Measure, dim int, seed int64, pairs *PairStore) *Cache {
-	c := &Cache{Params: p, Measure: m, dim: dim, Seed: seed, Pairs: pairs, pruneMax: make(map[float64][]int32)}
-	c.view.Store(&rowView{})
+// newCache returns a cache over the given params, measure, seed and pair
+// store, with its decision tables built and no view published: what NewCache
+// grows and DecodeSnapshot fills. Params must have passed Validate.
+func newCache(p Params, m vec.Measure, seed int64, pairs *PairStore) *Cache {
+	c := &Cache{Params: p, Measure: m, Seed: seed, Pairs: pairs, pruneMax: make(map[float64][]int32)}
 	c.buildTables()
 	return c
 }
 
-// NewCache sketches the dataset and returns an empty knowledge cache.
-// Minhash signatures are built for Jaccard data, signed-random-projection
-// signatures for cosine data. Sketching — the one-time start-up cost of
-// Fig 2.9 — is parallelized across Params.Workers goroutines; each row's
-// signature is a pure function of (row, seed), so the signatures are
-// byte-identical for any worker count.
+// NewCache sketches the dataset and returns an empty knowledge cache whose
+// first view is ds itself. Minhash signatures are built for Jaccard data,
+// signed-random-projection signatures for cosine data. Sketching — the
+// one-time start-up cost of Fig 2.9 — is parallelized across Params.Workers
+// goroutines; each row's signature is a pure function of (row, seed), so the
+// signatures are byte-identical for any worker count.
 func NewCache(ds *vec.Dataset, p Params, seed int64) *Cache {
 	start := time.Now()
-	c := newCache(p, ds.Measure, ds.Dim, seed, NewPairStore())
-	c.grow(ds.Rows) // no other goroutine can see c yet
+	c := newCache(p, ds.Measure, seed, NewPairStore())
+	c.grow(rowView{ds: ds}, ds.Rows) // no other goroutine can see c yet
 	c.SketchTime = time.Since(start)
 	return c
 }
 
-// AppendRows sketches a batch of new rows through the same hash family
-// NewCache used and appends them to the signature table — the incremental
-// half of live ingest. Each row must pass vec.Sparse.Check against the
-// cache's dimension and measure, and cosine rows must be normalized; a
-// batch with a bad row is refused whole. Appends are serialized with each
-// other, but probes keep running throughout: the grown view is published
-// in one pointer swap, so an in-flight probe keeps its captured view and
-// the rows become visible atomically. Sketching is parallelized across
+// AppendRows grows the cache by a batch of new rows: it sketches them
+// through the same hash family NewCache used and publishes the grown
+// dataset, its signatures and the append count in one view — the
+// incremental half of live ingest. Each row must pass vec.Sparse.Check
+// against the cache's dimension and measure, and cosine rows must be
+// normalized; a batch with a bad row is refused whole, and an empty batch
+// changes nothing. Appends are serialized with each other, but probes keep
+// running throughout: an in-flight probe keeps its captured view and the
+// rows become visible atomically. Sketching is parallelized across
 // Params.Workers and is byte-identical to what NewCache over the grown
 // dataset would have produced, which is the append-equals-rebuild
 // equivalence the ingest tests pin down. It returns the sketch wall time
 // for the batch.
 func (c *Cache) AppendRows(rows []vec.Sparse) (time.Duration, error) {
+	if len(rows) == 0 {
+		return 0, nil
+	}
 	for ri, r := range rows {
-		if err := r.Check(c.dim, c.Measure); err != nil {
+		if err := r.Check(c.Dim(), c.Measure); err != nil {
 			return 0, fmt.Errorf("bayeslsh: append row %d: %w", ri, err)
 		}
 	}
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
 	start := time.Now()
-	c.grow(rows)
+	v := *c.view.Load()
+	grown := *v.ds
+	grown.Rows = append(v.ds.Rows[:len(v.ds.Rows):len(v.ds.Rows)], rows...)
+	v.ds, v.appends = &grown, v.appends+1
+	c.grow(v, rows)
 	return time.Since(start), nil
 }
 
-// grow is the one growth step: it sketches rows through the cache's hash
-// family, making the sketcher on the first growth, and publishes the grown
-// view. appendMu must be held once the cache is shared.
-func (c *Cache) grow(rows []vec.Sparse) {
-	if len(rows) == 0 {
-		return
+// grow is the one growth step: it sketches added, the rows v's dataset
+// gained, onto v's signatures through the cache's hash family, making the
+// sketcher on the first growth, and publishes v. appendMu must be held once
+// the cache is shared.
+func (c *Cache) grow(v rowView, added []vec.Sparse) {
+	if len(added) > 0 {
+		if c.sketch == nil {
+			c.sketch = c.newSketch(v.ds.Dim)
+		}
+		v = c.sketch(v, added, c.Params.WorkerCount())
 	}
-	if c.sketch == nil {
-		c.sketch = c.newSketch()
-	}
-	v := c.sketch(*c.view.Load(), rows, c.Params.WorkerCount())
-	v.n += len(rows)
 	c.view.Store(&v)
 }
 
-// newSketch builds the cache's hash family — minhash for Jaccard data,
-// signed random projections for cosine — as a view extender.
-func (c *Cache) newSketch() func(rowView, []vec.Sparse, int) rowView {
+// newSketch builds the cache's hash family over dim features — minhash for
+// Jaccard data, signed random projections for cosine — as a view extender.
+func (c *Cache) newSketch(dim int) func(rowView, []vec.Sparse, int) rowView {
 	if c.Measure == vec.JaccardSim {
 		mh := lsh.NewMinHasher(c.Params.MaxHashes, c.Seed)
 		return func(v rowView, rows []vec.Sparse, workers int) rowView {
@@ -339,7 +358,7 @@ func (c *Cache) newSketch() func(rowView, []vec.Sparse, int) rowView {
 			return v
 		}
 	}
-	srp := lsh.NewSRP(c.Params.MaxHashes, c.dim, c.Seed)
+	srp := lsh.NewSRP(c.Params.MaxHashes, dim, c.Seed)
 	return func(v rowView, rows []vec.Sparse, workers int) rowView {
 		v.srpSigs = sketchRows(v.srpSigs, rows, workers, srp.Sketch)
 		return v
@@ -355,6 +374,48 @@ func sketchRows[S any](sigs [][]S, rows []vec.Sparse, workers int, sketch func(v
 	par.For(len(rows), workers, sketchChunk, func(i int) { added[i] = sketch(rows[i]) })
 	return out
 }
+
+// probeHistory is all a cache keeps of its probes beyond the evidence they
+// leave in the pair store: how many completed (repeats included), the
+// distinct thresholds they ran at, and their summed processing time. A
+// probe's pair list belongs to its caller; nothing after the probe reads it.
+type probeHistory struct {
+	count      int
+	thresholds []float64 // ascending, distinct
+	total      time.Duration
+}
+
+// add records one completed probe. A new threshold is inserted into a fresh
+// array, so a copy of the history taken under the cache's lock stays valid
+// after the lock is released.
+func (h *probeHistory) add(t float64, d time.Duration) {
+	h.count++
+	h.total += d
+	if i, found := slices.BinarySearch(h.thresholds, t); !found {
+		h.thresholds = slices.Insert(slices.Clip(h.thresholds), i, t)
+	}
+}
+
+// probes returns a copy of the probe history; add never writes into an
+// array it has shared.
+func (c *Cache) probes() probeHistory {
+	c.historyMu.Lock()
+	defer c.historyMu.Unlock()
+	return c.history
+}
+
+// ProbeCount returns the number of completed probes, repeats included.
+func (c *Cache) ProbeCount() int { return c.probes().count }
+
+// Thresholds returns the distinct probed thresholds in ascending order.
+func (c *Cache) Thresholds() []float64 {
+	h := c.probes()
+	return append(make([]float64, 0, len(h.thresholds)), h.thresholds...)
+}
+
+// ProcessTime reports the total probe processing time so far; with
+// SketchTime it is the Fig 2.9 split.
+func (c *Cache) ProcessTime() time.Duration { return c.probes().total }
 
 // matches counts agreeing hash positions in [lo, hi) for pair (i, j).
 func (v *rowView) matches(i, j int32, lo, hi int) int {
@@ -780,7 +841,7 @@ func (c *Cache) evalBatch(ds *vec.Dataset, v *rowView, runs []*pairRun, js []int
 // progress callbacks fire once per row, in order, after the batch covering
 // that row has been merged. Batch buffers and the candidate bitmap come
 // from a per-cache pool, so repeat probes on a warm cache allocate
-// near-zero.
+// near-zero. A finished probe is recorded in the cache's probe history.
 func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Result, error) {
 	return SearchWorkers(ds, t, c, progress, 0)
 }
@@ -792,11 +853,11 @@ func Search(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc) (*Resul
 // pool size.
 func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, workers int) (*Result, error) {
 	v := c.view.Load()
-	if ds.N() > v.n {
-		// The cache may hold sketches for *more* rows than the caller's
-		// dataset view (an append landed after the view was captured) —
-		// probing a prefix is fine. Fewer sketches than rows is not.
-		return nil, fmt.Errorf("bayeslsh: cache built for %d rows, dataset has %d", v.n, ds.N())
+	if ds.N() > v.ds.N() {
+		// The cache may hold more rows than the caller's dataset view (an
+		// append landed after the view was captured) — probing a prefix is
+		// fine. Fewer sketches than rows is not.
+		return nil, fmt.Errorf("bayeslsh: cache built for %d rows, dataset has %d", v.ds.N(), ds.N())
 	}
 	start := time.Now()
 	res := &Result{Threshold: t}
@@ -857,6 +918,9 @@ func SearchWorkers(ds *vec.Dataset, t float64, c *Cache, progress ProgressFunc, 
 	flush()
 	res.Pairs = sc.sortPairs(ds.N())
 	res.ProcessTime = time.Since(start)
+	c.historyMu.Lock()
+	c.history.add(t, res.ProcessTime)
+	c.historyMu.Unlock()
 	return res, nil
 }
 

@@ -18,16 +18,27 @@ import (
 // lowest threshold probed and nothing else: not the order of the probes, not
 // their repeats, not the worker count, not whether they overlapped in time.
 
-// storeBytes is the cache's snapshot with the one wall-clock field zeroed:
-// equal bytes are equal sketches, params and pair states, pair for pair.
+// storeBytes is the cache's snapshot with its history forgotten: equal
+// bytes are equal rows, sketches, params and pair states, pair for pair.
 func storeBytes(t *testing.T, c *Cache) []byte {
 	t.Helper()
-	c.SketchTime = 0
+	forgetHistory(c)
 	var buf bytes.Buffer
 	if err := c.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// forgetHistory zeroes what a quiescent cache records of how it reached its
+// state rather than the state itself: the sketch time, the append count and
+// the probe history.
+func forgetHistory(c *Cache) {
+	v := *c.view.Load()
+	v.appends = 0
+	c.view.Store(&v)
+	c.SketchTime = 0
+	c.history = probeHistory{}
 }
 
 func mustSearch(t *testing.T, ds *vec.Dataset, th float64, c *Cache) *Result {

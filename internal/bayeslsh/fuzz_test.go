@@ -26,7 +26,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	full := bytes.Clone(buf.Bytes())
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add([]byte("PLHDKCSN"))
+	f.Add([]byte("PLHDSESS"))
 	f.Add([]byte("not a snapshot"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -43,7 +43,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("re-encode of accepted snapshot: %v", err)
 		}
 		// The decoder reads exactly the stream it accepts; bytes after its
-		// trailer belong to whatever embeds it.
+		// trailer are not its own.
 		if accepted := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), accepted) {
 			t.Fatalf("accepted stream of %d bytes re-encodes to %d different bytes", len(accepted), out.Len())
 		}

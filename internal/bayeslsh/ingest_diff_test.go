@@ -50,9 +50,10 @@ func growCache(t *testing.T, full *vec.Dataset, base int, sizes []int, p Params,
 // harness: for both measures, several batch splits, and several worker
 // counts, a cache grown by AppendRows must be indistinguishable from one
 // built from the full dataset up front — identical probe results (pairs and
-// engine counters) and, once quiescent, byte-identical snapshots. Only
-// SketchTime may differ (it records the initial build's cost), so it is
-// zeroed before the byte comparison.
+// engine counters) and, once quiescent, byte-identical snapshots. Only the
+// history may differ (SketchTime records the initial build's cost, the
+// append count the batches, the probe history wall-clock times), so it is
+// forgotten before the byte comparison.
 func TestAppendRowsEquivalence(t *testing.T) {
 	forceParallel(t)
 	const base = 30
@@ -76,7 +77,8 @@ func TestAppendRowsEquivalence(t *testing.T) {
 					got := probeAll(t, m.full, grown, thresholds, wk)
 					sameResults(t, want, got)
 
-					scratch.SketchTime, grown.SketchTime = 0, 0
+					forgetHistory(scratch)
+					forgetHistory(grown)
 					var sb, gb bytes.Buffer
 					if err := scratch.EncodeSnapshot(&sb); err != nil {
 						t.Fatal(err)

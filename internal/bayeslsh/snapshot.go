@@ -11,21 +11,26 @@ import (
 	"plasmahd/internal/wire"
 )
 
-// Snapshot codec for the knowledge cache. The format is a versioned binary
-// stream:
+// Snapshot codec for the knowledge cache, which is the whole state of a
+// probe session: a restart (or an eviction spill) costs nothing but the
+// decode. The format is a versioned binary stream:
 //
-//	magic   "PLHDKCSN"                       (8 bytes)
-//	version uint16                           (currently 3)
-//	payload params, seed, measure, N, dim, sketch time, sketches,
-//	        then the pair store as it sits: one run per row i in [0, N)
+//	magic   "PLHDSESS"                       (8 bytes)
+//	version uint16                           (currently 8)
+//	payload params, seed, the dataset (name, dim, measure, rows), the append
+//	        count, the probe history, sketch time, sketches, then the pair
+//	        store as it sits: one run per row i in [0, N)
 //	crc     uint32 (Castagnoli) over magic+version+payload
 //
-// Version 2 (live ingest) added the feature-space dimension after the row
-// count, so a restored cache can rebuild its SRP sketcher and keep accepting
-// appended rows. Version 3 writes the pair store's own layout: row i's run
-// is a count of at most i, then one record per pair (j, i) with j strictly
-// ascending below i, so a record's position names its larger row and the
-// packed key leaves the wire.
+// The stream continues the session snapshot's version sequence. Versions 2
+// to 7 wrapped a separate cache stream ("PLHDKCSN", versions 2 and 3) in a
+// session stream of their own; version 8 is the one stream, so the row
+// count, dimension and measure are written once and nothing decoded twice
+// has to agree. Row i's run is a count of at most i, then one record per
+// pair (j, i) with j strictly ascending below i, so a record's position
+// names its larger row and the packed key leaves the wire. A row's values
+// are written for cosine datasets only: a Jaccard row is its index set.
+// Streams of any other version or magic are refused, never half-read.
 //
 // cacheImage.walk is the one description of the payload: internal/wire
 // drives it in both directions, so every range and structure check in it
@@ -38,11 +43,11 @@ import (
 // corrupted or truncated snapshot fails loudly instead of producing a
 // silently-wrong cache.
 
-// cacheSnapMagic identifies a knowledge-cache snapshot stream.
-var cacheSnapMagic = [8]byte{'P', 'L', 'H', 'D', 'K', 'C', 'S', 'N'}
+// snapMagic identifies a snapshot stream.
+var snapMagic = [8]byte{'P', 'L', 'H', 'D', 'S', 'E', 'S', 'S'}
 
-// CacheSnapshotVersion is the current cache snapshot format version.
-const CacheSnapshotVersion uint16 = 3
+// SnapshotVersion is the current snapshot format version.
+const SnapshotVersion uint16 = 8
 
 // Typed snapshot decode failures; all are wrapped with context, match with
 // errors.Is.
@@ -77,6 +82,8 @@ const (
 	// A generous ceiling that a real cache never exceeds but a corrupt length
 	// field easily does, so a walk fails before acting on it.
 	maxSnapRows = 1 << 28
+	// maxNameLen caps the dataset name.
+	maxNameLen = 1 << 16
 
 	pairFlagsKnown = pairFlagDone | pairFlagHasExact
 )
@@ -91,22 +98,23 @@ func flagBit(set bool, bit uint8) uint8 {
 
 // cacheImage is what a snapshot records of a cache ahead of the pair
 // records: a private copy when encoding, the decoded fields when decoding.
+// rows.ds points at a dataset header of the image's own, since the walk
+// assigns every field it visits.
 type cacheImage struct {
 	params     Params
 	seed       int64
-	measure    vec.Measure
 	rows       rowView
-	dim        int
+	history    probeHistory
 	sketchTime time.Duration
 }
 
-// walk is the cache snapshot layout: header, signature block, then the pair
-// store run by run. Moving a run between the store and the stream is the
-// only direction-specific work, so the entry points supply it: load yields
-// row i's records to walk (none when decoding) and store receives each
-// row's records once they walked clean.
+// walk is the snapshot layout: header, dataset, history, signature block,
+// then the pair store run by run. Moving a run between the store and the
+// stream is the only direction-specific work, so the entry points supply it:
+// load yields row i's records to walk (none when decoding) and store
+// receives each row's records once they walked clean.
 func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func(i int, run []pairRec)) {
-	c.Header(cacheSnapMagic, CacheSnapshotVersion)
+	c.Header(snapMagic, SnapshotVersion)
 	p := &im.params
 	p.Epsilon = c.F64(p.Epsilon)
 	p.Delta = c.F64(p.Delta)
@@ -121,19 +129,14 @@ func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func
 	}
 	p.Workers = int(int32(c.U32(uint32(p.Workers))))
 	im.seed = c.I64(im.seed)
-	im.measure = vec.Measure(c.U8(uint8(im.measure)))
-	im.rows.n = c.Count(im.rows.n, maxSnapRows, "row count")
-	im.dim = int(c.U32(uint32(im.dim)))
-	im.sketchTime = time.Duration(c.I64(int64(im.sketchTime)))
 	if err := p.Validate(); err != nil {
 		c.Fail("%v", err)
 	}
-	if im.measure != vec.CosineSim && im.measure != vec.JaccardSim {
-		c.Fail("unknown measure %d", int(im.measure))
-	}
-	if im.dim < 1 || im.dim > vec.MaxDim {
-		c.Fail("dimension %d out of range", im.dim)
-	}
+	ds := im.rows.ds
+	walkDataset(c, ds)
+	im.rows.appends = int64(c.U32(uint32(im.rows.appends)))
+	im.history.walk(c)
+	im.sketchTime = time.Duration(c.I64(int64(im.sketchTime)))
 
 	// The sketch kind is a pure function of the measure (NewCache builds
 	// minhash for Jaccard, SRP for cosine) and every signature has the exact
@@ -141,23 +144,74 @@ func (im *cacheImage) walk(c *wire.Codec, load func(i int) []pairRec, store func
 	// bounds checks, so a ragged or mislabeled sketch block would make later
 	// probes panic instead of failing the walk here.
 	kind := uint8(sketchKindSRP)
-	if im.measure == vec.JaccardSim {
+	if ds.Measure == vec.JaccardSim {
 		kind = sketchKindMinhash
 	}
 	if got := c.U8(kind); got != kind {
-		c.Fail("sketch kind %d does not match measure %v", got, im.measure)
+		c.Fail("sketch kind %d does not match measure %v", got, ds.Measure)
 	}
+	n := ds.N()
 	if kind == sketchKindMinhash {
-		im.rows.minSigs = walkSigs(c, im.rows.minSigs, im.rows.n, p.MaxHashes, wire.U32s)
+		im.rows.minSigs = walkSigs(c, im.rows.minSigs, n, p.MaxHashes, wire.U32s)
 	} else {
-		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, im.rows.n, (p.MaxHashes+63)/64, wire.U64s)
+		im.rows.srpSigs = walkSigs(c, im.rows.srpSigs, n, (p.MaxHashes+63)/64, wire.U64s)
 	}
 
-	for i := 0; i < im.rows.n && c.Err() == nil; i++ {
+	for i := 0; i < n && c.Err() == nil; i++ {
 		if run := im.walkRun(c, i, load(i)); c.Err() == nil {
 			store(i, run)
 		}
 	}
+}
+
+// walkDataset walks a dataset verbatim (post-normalization): its name,
+// dimension and measure, then per row the non-zero count, the indices, then
+// the values for cosine only, since a Jaccard row is its index set. A
+// decoded Jaccard row has nil Values, and a Jaccard row that carries values
+// in memory encodes exactly as one without. Every row passes the one row
+// check. Restored rows are used exactly as stored — they are NOT
+// re-normalized, which would perturb the float values and break restart
+// determinism.
+func walkDataset(c *wire.Codec, ds *vec.Dataset) {
+	ds.Name = c.Str(ds.Name, maxNameLen)
+	ds.Dim = c.Count(ds.Dim, vec.MaxDim, "dataset dimension")
+	ds.Measure = vec.Measure(c.U8(uint8(ds.Measure)))
+	n := c.Count(len(ds.Rows), maxSnapRows, "dataset row count")
+	if ds.Dim < 1 {
+		c.Fail("dataset dimension %d out of range [1,%d]", ds.Dim, vec.MaxDim)
+	}
+	if ds.Measure != vec.CosineSim && ds.Measure != vec.JaccardSim {
+		c.Fail("unknown dataset measure %d", int(ds.Measure))
+	}
+	ds.Rows = wire.Slice(c, ds.Rows, n, func(row vec.Sparse) vec.Sparse {
+		nnz := c.Count(len(row.Indices), ds.Dim, "row non-zero count")
+		row.Indices = wire.I32s(c, row.Indices, nnz)
+		if ds.Measure == vec.CosineSim {
+			row.Values = wire.F64s(c, row.Values, nnz)
+		}
+		if err := row.Check(ds.Dim, ds.Measure); err != nil {
+			c.Fail("dataset row: %v", err)
+		}
+		return row
+	})
+}
+
+// walk walks the probe history: the probe count, the distinct thresholds
+// (strictly increasing, which also rules out NaN, and no more of them than
+// probes), then the processing-time total.
+func (h *probeHistory) walk(c *wire.Codec) {
+	h.count = int(c.I64(int64(h.count)))
+	n := c.Count(len(h.thresholds), min(h.count, maxSnapRows), "distinct threshold count")
+	h.thresholds = wire.F64s(c, h.thresholds, n)
+	prev := math.Inf(-1)
+	for _, t := range h.thresholds {
+		if !(t > prev) {
+			c.Fail("probed thresholds not strictly increasing")
+			break
+		}
+		prev = t
+	}
+	h.total = time.Duration(c.I64(int64(h.total)))
 }
 
 // walkSigs walks the signature block: n signatures of exactly width words,
@@ -237,26 +291,31 @@ func getPair(b []byte) pairRec {
 	}
 }
 
-// EncodeSnapshot serializes the cache — params, seed, sketches, and the
-// pair store run by run — to w in the versioned binary snapshot format. It
-// is safe to call while probes or appends are in flight: the row view is
-// captured atomically, appends are held off for the duration (so no probe
-// can write pairs beyond the encoded row count, and the runs past it are
-// empty), and each row's run is copied under its read lock, which is
-// released before the copy is written — the snapshot sees a consistent
-// monotone prefix of the cache's evidence, and a slow writer never holds up
-// a probe. Encoding is deterministic for a quiescent cache.
+// EncodeSnapshot serializes the cache — params, seed, dataset, append
+// count, probe history, sketches, and the pair store run by run — to w in
+// the versioned binary snapshot format. It is safe to call while probes or
+// appends are in flight: appends are held off for the duration and the row
+// view is captured once (so no probe can write pairs beyond the encoded
+// rows, and the runs past them are empty), and each row's run is copied
+// under its read lock, which is released before the copy is written — the
+// snapshot sees a consistent monotone prefix of the cache's evidence, and a
+// slow writer never holds up a probe. Encoding is deterministic for a
+// quiescent cache.
 func (c *Cache) EncodeSnapshot(w io.Writer) error {
 	c.appendMu.Lock()
 	defer c.appendMu.Unlock()
 	im := cacheImage{
 		params:     c.Params,
 		seed:       c.Seed,
-		measure:    c.Measure,
 		rows:       *c.view.Load(),
-		dim:        c.dim,
+		history:    c.probes(),
 		sketchTime: c.SketchTime,
 	}
+	// The walk assigns every field it visits, so it gets a private shallow
+	// copy of the dataset: probes and readers share the live one and take
+	// no lock.
+	ds := *im.rows.ds
+	im.rows.ds = &ds
 	var scratch []pairRec
 	load := func(i int) []pairRec {
 		scratch = c.Pairs.appendRun(scratch[:0], i)
@@ -267,15 +326,15 @@ func (c *Cache) EncodeSnapshot(w io.Writer) error {
 	return wc.Finish()
 }
 
-// DecodeSnapshot reads a cache snapshot written by EncodeSnapshot,
-// reconstructing the decision tables (which are pure functions of the
-// params) and leaving the per-threshold prune bounds to be rebuilt lazily.
-// Each run is kept as the records it decoded into: the wire and the store
-// hold a run alike.
-// The returned cache is immediately usable by SearchWorkers and yields
-// byte-identical probe results to the cache it was encoded from.
+// DecodeSnapshot reads a snapshot written by EncodeSnapshot, reconstructing
+// the decision tables (which are pure functions of the params) and leaving
+// the per-threshold prune bounds to be rebuilt lazily. Each run is kept as
+// the records it decoded into: the wire and the store hold a run alike.
+// The returned cache is immediately usable by SearchWorkers over its own
+// Dataset and yields byte-identical probe results to the cache it was
+// encoded from.
 func DecodeSnapshot(r io.Reader) (*Cache, error) {
-	var im cacheImage
+	im := cacheImage{rows: rowView{ds: new(vec.Dataset)}}
 	pairs := NewPairStore()
 	wc := wire.NewDecoder(r, snapErrors)
 	im.walk(wc, func(int) []pairRec { return nil }, func(i int, run []pairRec) {
@@ -288,8 +347,9 @@ func DecodeSnapshot(r io.Reader) (*Cache, error) {
 		return nil, err
 	}
 
-	c := newCache(im.params, im.measure, im.dim, im.seed, pairs)
+	c := newCache(im.params, im.rows.ds.Measure, im.seed, pairs)
 	c.view.Store(&im.rows)
+	c.history = im.history
 	c.SketchTime = im.sketchTime
 	return c, nil
 }

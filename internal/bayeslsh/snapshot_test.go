@@ -2,9 +2,12 @@ package bayeslsh
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -287,6 +290,24 @@ func TestSnapshotRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesBadHistory: the probe-history checks guard the encoder
+// too. A cache whose history breaks them — thresholds out of order or NaN,
+// more of them than probes — cannot be saved.
+func TestSnapshotRefusesBadHistory(t *testing.T) {
+	ds := snapDataset(8)
+	for name, h := range map[string]probeHistory{
+		"descending":                  {count: 2, thresholds: []float64{0.8, 0.7}},
+		"NaN":                         {count: 1, thresholds: []float64{math.NaN()}},
+		"more thresholds than probes": {count: 1, thresholds: []float64{0.7, 0.8}},
+	} {
+		c := NewCache(ds, DefaultParams(), 1)
+		c.history = h
+		if err := c.EncodeSnapshot(io.Discard); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", name, err)
+		}
+	}
+}
+
 // TestWalkRunFlagsEveryChunk: a run moves in chunks of wire.PreallocCap
 // records, and the flag check or-s the flag bytes as each chunk is
 // unpacked. In a run of PreallocCap+1 records where only the first record
@@ -326,16 +347,31 @@ func TestWalkRunFlagsEveryChunk(t *testing.T) {
 	}
 }
 
-// forgeSnapshotHead writes a well-formed cache snapshot header — the given
-// params, measure and declared row count — followed by the given
-// sketch-kind byte, through the same wire primitives the real walk uses.
+// forgeSnapshotHead writes a well-formed snapshot header — the given
+// params, measure and declared row count, each row empty, no appends and no
+// probes — followed by the given sketch-kind byte, through the same wire
+// primitives the real walk uses.
 func forgeSnapshotHead(c *wire.Codec, p Params, measure vec.Measure, rows uint32, kind uint8) {
 	forgeSnapshotHeadDim(c, p, measure, rows, 24, kind)
 }
 
 // forgeSnapshotHeadDim is forgeSnapshotHead with the given dimension.
 func forgeSnapshotHeadDim(c *wire.Codec, p Params, measure vec.Measure, rows, dim uint32, kind uint8) {
-	c.Header(cacheSnapMagic, CacheSnapshotVersion)
+	forgeDatasetHead(c, p, measure, rows, dim)
+	for range rows {
+		c.U32(0) // an empty row
+	}
+	c.U32(0) // append count
+	c.I64(0) // probe count
+	c.U32(0) // distinct thresholds
+	c.I64(0) // processing time
+	c.I64(0) // sketch time
+	c.U8(kind)
+}
+
+// forgeDatasetHead writes a snapshot up to its dataset's declared row count.
+func forgeDatasetHead(c *wire.Codec, p Params, measure vec.Measure, rows, dim uint32) {
+	c.Header(snapMagic, SnapshotVersion)
 	c.F64(p.Epsilon)
 	c.F64(p.Delta)
 	c.F64(p.Gamma)
@@ -344,12 +380,11 @@ func forgeSnapshotHeadDim(c *wire.Codec, p Params, measure vec.Measure, rows, di
 	c.F64(p.MaxDFFrac)
 	c.U8(0) // Lite
 	c.U32(uint32(p.Workers))
-	c.I64(7) // seed
+	c.I64(7)     // seed
+	c.Str("", 0) // dataset name
+	c.U32(dim)   // dataset dimension
 	c.U8(uint8(measure))
 	c.U32(rows)
-	c.U32(dim)
-	c.I64(0) // sketch time
-	c.U8(kind)
 }
 
 // TestSnapshotHugeDeclaredCounts feeds the decoder a tiny stream whose
@@ -358,24 +393,19 @@ func forgeSnapshotHeadDim(c *wire.Codec, p Params, measure vec.Measure, rows, di
 // restore endpoint accepts attacker-built snapshots, so a ~100-byte body
 // must never buy a multi-gigabyte allocation.
 func TestSnapshotHugeDeclaredCounts(t *testing.T) {
-	for _, tc := range []struct {
-		kind    uint8
-		measure vec.Measure
-	}{
-		{sketchKindMinhash, vec.JaccardSim},
-		{sketchKindSRP, vec.CosineSim},
-	} {
+	for _, measure := range []vec.Measure{vec.JaccardSim, vec.CosineSim} {
 		var buf bytes.Buffer
 		c := wire.NewEncoder(&buf, snapErrors)
 		// Declared rows: in-bounds but absurd. The stream ends after the
-		// kind byte: none of the declared rows exist.
-		forgeSnapshotHead(c, DefaultParams(), tc.measure, maxSnapRows, tc.kind)
+		// count: none of the declared rows exist, and the signature block
+		// and the runs take their count from the rows that do.
+		forgeDatasetHead(c, DefaultParams(), measure, maxSnapRows, 24)
 		if c.Err() != nil {
 			t.Fatal(c.Err())
 		}
 		_, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
 		if !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("sketch kind %d: err = %v, want ErrSnapshotCorrupt", tc.kind, err)
+			t.Fatalf("%v: err = %v, want ErrSnapshotCorrupt", measure, err)
 		}
 	}
 }
@@ -440,7 +470,7 @@ func TestSnapshotRejectsRaggedSignatures(t *testing.T) {
 }
 
 // scheduleBombSnapshot forges the CRC-valid snapshot of an empty cache whose
-// params ask for the given schedule: 85 bytes whatever they are.
+// params ask for the given schedule: 113 bytes whatever they are.
 func scheduleBombSnapshot(t testing.TB, maxHashes, step int) []byte {
 	t.Helper()
 	p := DefaultParams()
@@ -489,12 +519,12 @@ func TestSnapshotRejectsHugeDimension(t *testing.T) {
 
 // TestSnapshotRejectsScheduleBomb pins that decoded params are validated
 // before the concentration table is built from them: MaxHashes 8192 at
-// Step 1 is a table of 3·10⁷ cells (35 s on a 2-CPU box) behind 85 bytes,
+// Step 1 is a table of 3·10⁷ cells (35 s on a 2-CPU box) behind 113 bytes,
 // and the old per-field ceilings admitted 5·10¹¹.
 func TestSnapshotRejectsScheduleBomb(t *testing.T) {
 	bomb := scheduleBombSnapshot(t, 8192, 1)
-	if len(bomb) != 85 {
-		t.Errorf("forged stream is %d bytes, want the 85 of an empty cache", len(bomb))
+	if len(bomb) != 113 {
+		t.Errorf("forged stream is %d bytes, want the 113 of an empty cache", len(bomb))
 	}
 	start := time.Now()
 	_, err := DecodeSnapshot(bytes.NewReader(bomb))
@@ -578,43 +608,28 @@ func TestSnapshotRejectsOffScheduleEvidence(t *testing.T) {
 	}
 }
 
-// TestSnapshotGolden decodes the checked-in snapshots — written by the
-// encoder of the commit that introduced each version — and re-encodes them
-// byte for byte: the guard against layout drift without a version bump.
+// TestSnapshotGolden pins the retired cache stream: the checked-in cache
+// snapshots ("PLHDKCSN", versions 2 and 3), written by the encoders of the
+// commits that introduced each version, are kept unedited as streams the
+// one snapshot decoder must refuse by their magic, never half-read. The
+// goldens of the current format are session streams, in internal/core.
 func TestSnapshotGolden(t *testing.T) {
-	wiretest.Golden(t, wiretest.Format{
-		Name:         "cache",
-		Version:      int(CacheSnapshotVersion),
-		VersionConst: "CacheSnapshotVersion",
-		Sums: map[string]string{
-			"cache-v2-minhash.snap": "2541a52dabbe90b585b630e43c04594bc7c1ec4dae0eaf97db426b4533b77064",
-			"cache-v2-srp.snap":     "4a5e280ee4335fb81c3e6c78d887600cb1f502a0fd8b8effdd4ea8d2dfae69f1",
-			"cache-v3-minhash.snap": "430082af240bfe668c36cb12833df77d1dc7079857a29829cc3771c6912e8bcd",
-			"cache-v3-srp.snap":     "b2b9c403712e933cd8bfdbc0eec56942187478b965273f2892522449c62862e0",
-		},
-		Recode: func(data []byte) ([]byte, error) {
-			c, err := DecodeSnapshot(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			if c.Pairs.Len() == 0 {
-				t.Error("golden snapshot carries no pair evidence")
-			}
-			var out bytes.Buffer
-			err = c.EncodeSnapshot(&out)
-			return out.Bytes(), err
-		},
-		ErrVersion: ErrSnapshotVersion,
-	})
-	// There is no decode path for v2 streams: they are refused as a version,
-	// never half-read.
-	v2 := wiretest.Files(t, "cache-v2-*")
-	if len(v2) != 2 {
-		t.Fatalf("%d cache-v2 goldens, want 2", len(v2))
+	sums := map[string]string{
+		"cache-v2-minhash.snap": "2541a52dabbe90b585b630e43c04594bc7c1ec4dae0eaf97db426b4533b77064",
+		"cache-v2-srp.snap":     "4a5e280ee4335fb81c3e6c78d887600cb1f502a0fd8b8effdd4ea8d2dfae69f1",
+		"cache-v3-minhash.snap": "430082af240bfe668c36cb12833df77d1dc7079857a29829cc3771c6912e8bcd",
+		"cache-v3-srp.snap":     "b2b9c403712e933cd8bfdbc0eec56942187478b965273f2892522449c62862e0",
 	}
-	for name, data := range v2 {
-		if c, err := DecodeSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotVersion) || c != nil {
-			t.Errorf("%s: err = %v (cache %v), want ErrSnapshotVersion and no cache", name, err, c != nil)
+	files := wiretest.Files(t, "cache-v*")
+	if len(files) != len(sums) {
+		t.Fatalf("%d cache goldens, want %d", len(files), len(sums))
+	}
+	for name, data := range files {
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != sums[name] {
+			t.Errorf("%s: bytes changed under an unchanged name", name)
+		}
+		if c, err := DecodeSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrSnapshotMagic) || c != nil {
+			t.Errorf("%s: err = %v (cache %v), want ErrSnapshotMagic and no cache", name, err, c != nil)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -67,15 +66,19 @@ func grownSession(t *testing.T, full *vec.Dataset, base int, sizes []int, p baye
 	return s
 }
 
-// normalizeForSnapshot zeroes the fields that legitimately differ between a
-// grown session and a from-scratch one: wall-clock times and the append
-// epoch. Everything else must match byte for byte.
-func normalizeForSnapshot(s *Session) {
-	s.appendEpoch.Store(0)
-	s.Cache.SketchTime = 0
-	s.mu.Lock()
-	s.history.total = 0
-	s.mu.Unlock()
+// normalizedSnapshot is a quiescent session's snapshot with the fields that
+// legitimately differ between a grown session and a from-scratch one
+// zeroed: the append epoch, the processing-time total and the sketch time,
+// the cache's record of how it got to its state rather than the state.
+// Everything else must match byte for byte.
+func normalizedSnapshot(t *testing.T, s *Session) []byte {
+	t.Helper()
+	snap := snapshotOf(t, s)
+	at := snapHeadLen + len(datasetBytes(s.Dataset()))
+	clear(snap[at : at+4]) // append epoch
+	at += 4 + 8 + 4 + 8*len(s.Thresholds())
+	clear(snap[at : at+16]) // processing-time total, sketch time
+	return resealed(snap[:len(snap)-4])
 }
 
 // TestSessionIngestEquivalence is the session half of the differential
@@ -188,17 +191,9 @@ func TestSessionIngestEquivalence(t *testing.T) {
 
 					// Grown vs scratch byte identity, once the legitimately
 					// differing fields (times, epoch) are zeroed.
-					normalizeForSnapshot(scratch)
-					normalizeForSnapshot(grown)
-					var sb, gb2 bytes.Buffer
-					if err := scratch.Snapshot(&sb); err != nil {
-						t.Fatal(err)
-					}
-					if err := grown.Snapshot(&gb2); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(sb.Bytes(), gb2.Bytes()) {
-						t.Fatalf("snapshots differ: scratch %d bytes, grown %d bytes", sb.Len(), gb2.Len())
+					sb, gb2 := normalizedSnapshot(t, scratch), normalizedSnapshot(t, grown)
+					if !bytes.Equal(sb, gb2) {
+						t.Fatalf("snapshots differ: scratch %d bytes, grown %d bytes", len(sb), len(gb2))
 					}
 				})
 			}
@@ -283,15 +278,35 @@ func TestConcurrentAppendProbeCue(t *testing.T) {
 			s.KNNThresholdEquivalent(3)
 		}
 	}()
-	// Snapshotter: the one path that takes both append locks (the session's,
-	// then the cache's) while appends and probes run. A lock taken in the
-	// other order anywhere deadlocks this test; nothing static checks it.
+	// Snapshotter: takes the append lock while appends and probes run, and
+	// restores every snapshot it takes. Each must hold whole batches — the
+	// rows, the sketches and the epoch of one published view — probe
+	// without error and re-snapshot to its own bytes.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			if err := s.Snapshot(io.Discard); err != nil {
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
 				t.Errorf("snapshot: %v", err)
+				return
+			}
+			restored, err := RestoreSession(bytes.NewReader(buf.Bytes()), nil)
+			if err != nil {
+				t.Errorf("restore snapshot %d: %v", i, err)
+				return
+			}
+			if rows, epoch := restored.Dataset().N(), restored.AppendEpoch(); rows != base+int(epoch)*8 {
+				t.Errorf("snapshot %d: %d rows at epoch %d, want %d", i, rows, epoch, base+int(epoch)*8)
+				return
+			}
+			var again bytes.Buffer
+			if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Errorf("snapshot %d re-snapshots to %d bytes, not its own %d (err %v)", i, again.Len(), buf.Len(), err)
+				return
+			}
+			if _, err := restored.Probe(0.6); err != nil {
+				t.Errorf("probe restored snapshot %d: %v", i, err)
 				return
 			}
 		}

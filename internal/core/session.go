@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,10 @@ import (
 )
 
 // Session is one PLASMA-HD exploration of a dataset: the workflow loop of
-// Fig 2.1 (probe at t1 → inspect estimates and cues → choose next t).
+// Fig 2.1 (probe at t1 → inspect estimates and cues → choose next t). Its
+// state is its knowledge cache — the dataset, the sketches, the pair
+// evidence and the probe history — plus the memoized cue layer derived
+// from it.
 //
 // A Session is safe for concurrent use: Probe calls may overlap (they share
 // the knowledge cache, whose pair evidence only grows under concurrency),
@@ -34,22 +36,7 @@ import (
 // threshold leaves. Only a probe's own pair list may gain from a deeper
 // probe running beside it — pairs that one finished can appear early.
 type Session struct {
-	// ds is the current dataset view; appends publish a grown view
-	// atomically (rows are shared with the old view, never mutated).
-	ds    atomic.Pointer[vec.Dataset]
 	Cache *bayeslsh.Cache
-
-	// appendMu serializes AppendRows calls with each other and with
-	// Snapshot, so a snapshot never captures a half-published append (cache
-	// grown, dataset view not yet swapped).
-	appendMu sync.Mutex
-	// appendEpoch counts completed append batches; it rides along in
-	// session snapshots so a warm restart of a grown session snapshots
-	// byte-identically to the session it was saved from.
-	appendEpoch atomic.Int64
-
-	mu      sync.Mutex // guards history
-	history probeHistory
 
 	// cueMu guards the memoized CueSet LRU (see CueSet in cues.go).
 	cueMu    sync.Mutex
@@ -66,40 +53,20 @@ type Session struct {
 // Dataset returns the session's current dataset view. The view is immutable
 // — appends publish a new one — so callers may iterate it without locking;
 // long computations should capture it once and use that view throughout.
-func (s *Session) Dataset() *vec.Dataset { return s.ds.Load() }
+func (s *Session) Dataset() *vec.Dataset { return s.Cache.Dataset() }
 
 // AppendEpoch returns how many append batches the session has absorbed.
-func (s *Session) AppendEpoch() int64 { return s.appendEpoch.Load() }
+func (s *Session) AppendEpoch() int64 { return s.Cache.AppendEpoch() }
 
 // AppendRows grows the session by a batch of new rows: the cache sketches
-// them through the hash family it was built with, then a grown dataset view
-// is published. Rows must be in final form — validated, and L2-normalized
-// for cosine data — exactly as the rows the session was created over; the
-// server layer owns that normalization, mirroring its dataset-create path,
-// which is what makes a grown session bit-identical to one created from the
-// full data. The cache is grown before the view is published, so a probe
-// slipping in between sees the old view against a slightly larger cache —
-// a valid prefix probe. Returns the batch's sketch wall time.
+// them through the hash family it was built with and publishes the grown
+// dataset with them. Rows must be in final form — validated, and
+// L2-normalized for cosine data — exactly as the rows the session was
+// created over; the server layer owns that normalization, mirroring its
+// dataset-create path, which is what makes a grown session bit-identical
+// to one created from the full data. Returns the batch's sketch wall time.
 func (s *Session) AppendRows(rows []vec.Sparse) (time.Duration, error) {
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
-	d, err := s.Cache.AppendRows(rows)
-	if err != nil {
-		return 0, err
-	}
-	old := s.ds.Load()
-	grown := &vec.Dataset{
-		Name:    old.Name,
-		Dim:     old.Dim,
-		Measure: old.Measure,
-		Rows:    append(old.Rows[:len(old.Rows):len(old.Rows)], rows...),
-	}
-	s.ds.Store(grown)
-	s.appendEpoch.Add(1)
-	return d, nil
+	return s.Cache.AppendRows(rows)
 }
 
 // CueCacheStats reports how many CueSet lookups hit the memoized LRU and
@@ -108,33 +75,10 @@ func (s *Session) CueCacheStats() (hits, misses int64) {
 	return s.cueHits.Load(), s.cueMisses.Load()
 }
 
-// probeHistory is all a session keeps of its probes beyond the evidence
-// they leave in the knowledge cache: how many completed (repeats included),
-// the distinct thresholds they ran at, and their summed processing time. A
-// probe's pair list belongs to its caller; nothing after the probe reads it.
-type probeHistory struct {
-	count      int
-	thresholds []float64 // ascending, distinct
-	total      time.Duration
-}
-
-// add records one completed probe. A new threshold is inserted into a fresh
-// array, so a copy of the history taken under the session lock stays valid
-// after the lock is released.
-func (h *probeHistory) add(t float64, d time.Duration) {
-	h.count++
-	h.total += d
-	if i, found := slices.BinarySearch(h.thresholds, t); !found {
-		h.thresholds = slices.Insert(slices.Clip(h.thresholds), i, t)
-	}
-}
-
 // NewSession sketches the dataset (the one-time start-up cost of Fig 2.9)
 // and returns a session with an empty knowledge cache.
 func NewSession(ds *vec.Dataset, p bayeslsh.Params, seed int64) *Session {
-	s := &Session{Cache: bayeslsh.NewCache(ds, p, seed)}
-	s.ds.Store(ds)
-	return s
+	return &Session{Cache: bayeslsh.NewCache(ds, p, seed)}
 }
 
 // Probe runs an all-pairs similarity probe at threshold t, extending the
@@ -156,22 +100,11 @@ func (s *Session) ProbeWorkers(t float64, workers int) (*bayeslsh.Result, error)
 }
 
 func (s *Session) probe(t float64, progress bayeslsh.ProgressFunc, workers int) (*bayeslsh.Result, error) {
-	res, err := bayeslsh.SearchWorkers(s.Dataset(), t, s.Cache, progress, workers)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.history.add(t, res.ProcessTime)
-	s.mu.Unlock()
-	return res, nil
+	return bayeslsh.SearchWorkers(s.Dataset(), t, s.Cache, progress, workers)
 }
 
 // ProbeCount returns the number of completed probes, repeats included.
-func (s *Session) ProbeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.history.count
-}
+func (s *Session) ProbeCount() int { return s.Cache.ProbeCount() }
 
 // CurvePoint is one point of the cumulative APSS graph: the expected number
 // of pairs with similarity ≥ Threshold, with a one-standard-deviation error
@@ -209,11 +142,7 @@ func (s *Session) CurveAt(t float64) CurvePoint {
 func (s *Session) CachedPairs() int { return s.Cache.Pairs.Len() }
 
 // Thresholds returns the distinct probed thresholds in ascending order.
-func (s *Session) Thresholds() []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append(make([]float64, 0, len(s.history.thresholds)), s.history.thresholds...)
-}
+func (s *Session) Thresholds() []float64 { return s.Cache.Thresholds() }
 
 // ThresholdGrid returns an inclusive uniform grid over [lo, hi]. Both
 // endpoints always appear: steps below 2 are clamped to 2, so a degenerate
@@ -299,11 +228,7 @@ func (s *Session) DensityProfile(t float64) []int {
 func (s *Session) SketchTime() time.Duration { return s.Cache.SketchTime }
 
 // ProcessTime reports the total probe processing time so far.
-func (s *Session) ProcessTime() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.history.total
-}
+func (s *Session) ProcessTime() time.Duration { return s.Cache.ProcessTime() }
 
 // CommunityClarity scores how clearly a threshold graph reveals planted
 // communities (Fig 2.2): the fraction of edges that are intra-community,

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -63,8 +65,8 @@ func equalResults(t *testing.T, label string, a, b []*bayeslsh.Result) {
 // probe -> snapshot -> restore -> probe must be byte-identical to the same
 // probe sequence in one uninterrupted session, for every registry kind, for
 // any worker count, and whether the dataset is re-supplied or taken from the
-// stream. A session restored from its own stream re-snapshots to the same
-// bytes. The probe history comes back as it was saved: the count includes
+// stream. A session's snapshot is its cache's stream, and a session
+// restored from it re-snapshots to the same bytes. The probe history comes back as it was saved: the count includes
 // repeats, the thresholds are sorted and distinct, and the processing time
 // is the sum over the probes.
 func TestSessionSnapshotRestartDeterminism(t *testing.T) {
@@ -108,9 +110,15 @@ func TestSessionSnapshotRestartDeterminism(t *testing.T) {
 			if s.CachedPairs() == 0 {
 				t.Fatalf("%s: the first probes cached no evidence", label)
 			}
-			var buf bytes.Buffer
+			var buf, cacheBuf bytes.Buffer
 			if err := s.Snapshot(&buf); err != nil {
 				t.Fatal(err)
+			}
+			if err := s.Cache.EncodeSnapshot(&cacheBuf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), cacheBuf.Bytes()) {
+				t.Fatalf("%s: the session snapshot is %d bytes, its cache's stream %d", label, buf.Len(), cacheBuf.Len())
 			}
 
 			for _, mode := range []string{"explicit dataset", "from stream"} {
@@ -172,29 +180,24 @@ func TestProbeHistoryDoesNotGrowSnapshot(t *testing.T) {
 	}
 }
 
-// TestProbeHistoryWalkChecks: the probe-history checks run in both
-// directions. A session whose history breaks them cannot be saved, and a
-// stream whose history breaks them is refused, with ErrSessionSnapshotCorrupt
-// either way.
+// TestProbeHistoryWalkChecks: a stream whose probe history breaks the
+// walk's checks is refused with bayeslsh.ErrSnapshotCorrupt, and a
+// well-formed history comes back as it was written. (The same checks refuse
+// a history on encode; that direction is bayeslsh's own test, since no
+// probe sequence gives a session such a history.)
 func TestProbeHistoryWalkChecks(t *testing.T) {
 	s := uploadedJaccard()
 	probeSeq(t, s, []float64{0.8})
-	// forge is a snapshot of s with the probe history write puts on the wire.
+	snap := snapshotOf(t, s)
+	// The history follows the dataset and the append epoch; the session's
+	// own is one probe at one threshold.
+	at := snapHeadLen + len(datasetBytes(s.Dataset())) + 4
+	end := at + 8 + 4 + 8 + 8
+	// forge is snap with the probe history write puts on the wire.
 	forge := func(write func(c *wire.Codec)) []byte {
-		var buf bytes.Buffer
-		c := wire.NewEncoder(&buf, sessErrors)
-		ds := *s.Dataset()
-		c.Header(sessSnapMagic, SessionSnapshotVersion)
-		walkDataset(c, &ds)
-		c.U32(0) // append epoch
-		write(c)
-		if err := s.Cache.EncodeSnapshot(c); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		var h bytes.Buffer
+		write(wire.NewEncoder(&h, wire.Errors{}))
+		return resealed(slices.Concat(snap[:at], h.Bytes(), snap[end:len(snap)-4]))
 	}
 	history := func(count int64, total time.Duration, thresholds ...float64) func(c *wire.Codec) {
 		return func(c *wire.Codec) {
@@ -205,6 +208,9 @@ func TestProbeHistoryWalkChecks(t *testing.T) {
 			}
 			c.I64(int64(total))
 		}
+	}
+	if own := forge(history(1, s.ProcessTime(), 0.8)); !bytes.Equal(own, snap) {
+		t.Fatal("test setup: the history is not where the layout puts it")
 	}
 
 	restored, err := RestoreSession(bytes.NewReader(forge(history(3, 5, 0.7, 0.8))), nil)
@@ -221,19 +227,8 @@ func TestProbeHistoryWalkChecks(t *testing.T) {
 		"more thresholds than probes": history(1, 0, 0.7, 0.8),
 		"negative probe count":        history(-1, 0),
 	} {
-		if _, err := RestoreSession(bytes.NewReader(forge(write)), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Errorf("decode %s: err = %v, want ErrSessionSnapshotCorrupt", name, err)
-		}
-	}
-	for name, h := range map[string]probeHistory{
-		"descending":                  {count: 2, thresholds: []float64{0.8, 0.7}},
-		"NaN":                         {count: 1, thresholds: []float64{math.NaN()}},
-		"more thresholds than probes": {count: 1, thresholds: []float64{0.7, 0.8}},
-	} {
-		s := uploadedJaccard()
-		s.history = h
-		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Errorf("encode %s: err = %v, want ErrSessionSnapshotCorrupt", name, err)
+		if _, err := RestoreSession(bytes.NewReader(forge(write)), nil); !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) {
+			t.Errorf("decode %s: err = %v, want ErrSnapshotCorrupt", name, err)
 		}
 	}
 }
@@ -308,13 +303,8 @@ func TestJaccardSnapshotCarriesNoValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		probeSeq(t, s, []float64{0.5})
-		s.Cache.SketchTime = 0 // wall-clock times differ between any two runs
-		s.history.total = 0
-		var buf bytes.Buffer
-		if err := s.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return s, buf.Bytes()
+		// Wall-clock times differ between any two runs.
+		return s, normalizedSnapshot(t, s)
 	}
 	ref, snap := grow(bare)
 	if _, withOnes := grow(ones); !bytes.Equal(withOnes, snap) {
@@ -416,14 +406,14 @@ func TestSnapshotConcurrentWithReaders(t *testing.T) {
 // it had — the walk's checks must not rewrite live fields on the way out.
 func TestFailedSnapshotLeavesDatasetAlone(t *testing.T) {
 	for name, damage := range map[string]func(*vec.Dataset){
-		"name over the string cap":     func(ds *vec.Dataset) { ds.Name = strings.Repeat("x", snapMaxStringLen+1) },
-		"dimension over the count cap": func(ds *vec.Dataset) { ds.Dim = snapMaxRows + 1 },
+		"name over the string cap":     func(ds *vec.Dataset) { ds.Name = strings.Repeat("x", 1<<16+1) },
+		"dimension over the count cap": func(ds *vec.Dataset) { ds.Dim = 1<<28 + 1 },
 	} {
 		s := uploadedJaccard()
 		damage(s.Dataset())
 		before := *s.Dataset()
-		if err := s.Snapshot(io.Discard); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Errorf("%s: Snapshot err = %v, want ErrSessionSnapshotCorrupt", name, err)
+		if err := s.Snapshot(io.Discard); !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) {
+			t.Errorf("%s: Snapshot err = %v, want ErrSnapshotCorrupt", name, err)
 		}
 		if after := *s.Dataset(); !reflect.DeepEqual(before, after) {
 			t.Errorf("%s: failed Snapshot changed the live dataset: %s dim %d %v -> %s dim %d %v", name,
@@ -506,15 +496,15 @@ func TestRestoreSessionValidation(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, good...)
 		bad[0] = 'x'
-		if _, err := RestoreSession(bytes.NewReader(bad), nil); !errors.Is(err, ErrSessionSnapshotMagic) {
-			t.Fatalf("err = %v, want ErrSessionSnapshotMagic", err)
+		if _, err := RestoreSession(bytes.NewReader(bad), nil); !errors.Is(err, bayeslsh.ErrSnapshotMagic) {
+			t.Fatalf("err = %v, want ErrSnapshotMagic", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		bad := append([]byte{}, good...)
 		bad[8], bad[9] = 0xff, 0xff
-		if _, err := RestoreSession(bytes.NewReader(bad), nil); !errors.Is(err, ErrSessionSnapshotVersion) {
-			t.Fatalf("err = %v, want ErrSessionSnapshotVersion", err)
+		if _, err := RestoreSession(bytes.NewReader(bad), nil); !errors.Is(err, bayeslsh.ErrSnapshotVersion) {
+			t.Fatalf("err = %v, want ErrSnapshotVersion", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -541,10 +531,10 @@ func TestRestoreSessionValidation(t *testing.T) {
 // gigabytes from the declared counts — POST /v1/sessions/restore accepts
 // attacker-built snapshots.
 func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
+	head := snapshotOf(t, uploadedJaccard())[:snapHeadLen]
 	forge := func(body func(c *wire.Codec)) []byte {
-		var buf bytes.Buffer
-		c := wire.NewEncoder(&buf, sessErrors)
-		c.Header(sessSnapMagic, SessionSnapshotVersion)
+		buf := bytes.NewBuffer(slices.Clone(head))
+		c := wire.NewEncoder(buf, wire.Errors{})
 		body(c)
 		if c.Err() != nil {
 			t.Fatal(c.Err())
@@ -553,37 +543,49 @@ func TestRestoreSessionHugeDeclaredCounts(t *testing.T) {
 	}
 	t.Run("dataset rows", func(t *testing.T) {
 		stream := forge(func(c *wire.Codec) {
-			c.Str("evil", snapMaxStringLen)
+			c.Str("evil", 1<<16)
 			c.U32(1 << 20)             // dim
 			c.U8(uint8(vec.CosineSim)) // measure
-			c.U32(snapMaxRows)         // declared rows; the stream ends here
+			c.U32(1 << 28)             // declared rows; the stream ends here
 		})
-		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
+		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) {
+			t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("probe records", func(t *testing.T) {
 		stream := forge(func(c *wire.Codec) {
-			walkDataset(c, &vec.Dataset{Dim: 1, Measure: vec.CosineSim})
-			c.U32(0)           // append epoch
-			c.I64(1 << 40)     // probe count
-			c.U32(snapMaxRows) // declared threshold count; the stream ends here
+			c.Bytes(datasetBytes(&vec.Dataset{Dim: 1, Measure: vec.CosineSim}))
+			c.U32(0)       // append epoch
+			c.I64(1 << 40) // probe count
+			c.U32(1 << 28) // declared threshold count; the stream ends here
 		})
-		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, ErrSessionSnapshotCorrupt) {
-			t.Fatalf("err = %v, want ErrSessionSnapshotCorrupt", err)
+		if _, err := RestoreSession(bytes.NewReader(stream), nil); !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) {
+			t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
 		}
 	})
 }
 
-// forgeEmbedded writes a session stream that embeds ds verbatim, each row
-// as its own counts say (values for cosine only, as the layout has them),
-// ahead of cache's stream: nothing on the way checks the rows.
-func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte {
+// snapHeadLen is where a snapshot's dataset starts: after the magic, the
+// version, the params (ε, δ, γ, maxHashes, step, maxDFFrac, lite, workers)
+// and the seed.
+const snapHeadLen = 8 + 2 + 3*8 + 2*4 + 8 + 1 + 4 + 8
+
+// snapshotOf returns s's snapshot.
+func snapshotOf(t *testing.T, s *Session) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	c := wire.NewEncoder(&buf, sessErrors)
-	c.Header(sessSnapMagic, SessionSnapshotVersion)
-	c.Str(ds.Name, snapMaxStringLen)
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// datasetBytes writes ds as a snapshot lays it out, each row as its own
+// counts say (values for cosine only): nothing on the way checks the rows.
+func datasetBytes(ds *vec.Dataset) []byte {
+	var buf bytes.Buffer
+	c := wire.NewEncoder(&buf, wire.Errors{})
+	c.Str(ds.Name, 1<<16)
 	c.U32(uint32(ds.Dim))
 	c.U8(uint8(ds.Measure))
 	c.U32(uint32(len(ds.Rows)))
@@ -594,74 +596,86 @@ func forgeEmbedded(t *testing.T, ds *vec.Dataset, cache *bayeslsh.Cache) []byte 
 			wire.F64s(c, row.Values, len(row.Values))
 		}
 	}
-	c.U32(0) // append epoch
-	(&probeHistory{}).walk(c)
-	if err := cache.EncodeSnapshot(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Finish(); err != nil {
-		t.Fatal(err)
-	}
 	return buf.Bytes()
+}
+
+// resealed returns body followed by its CRC-32C trailer, so a forged
+// stream is refused for what it carries, not for its checksum.
+func resealed(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// forgeEmbedded writes s's snapshot with ds in place of its dataset, ds
+// written verbatim by datasetBytes. ds must have s's row count, so the
+// signatures and runs that follow still fit it.
+func forgeEmbedded(t *testing.T, ds *vec.Dataset, s *Session) []byte {
+	t.Helper()
+	snap := snapshotOf(t, s)
+	own := len(datasetBytes(s.Dataset()))
+	return resealed(slices.Concat(snap[:snapHeadLen], datasetBytes(ds), snap[snapHeadLen+own:len(snap)-4]))
 }
 
 // TestSessionStreamRefusesMalformedRows: embedded rows pass the one row
 // check, under the dataset's measure, in both directions of the walk. A
 // session holding a malformed row of the shared table cannot be saved, and
-// a forged stream carrying one is refused, with ErrSessionSnapshotCorrupt
-// either way; the table's well-formed rows go both ways. A row's indices
-// and values share one count on the wire, and a Jaccard row has no values
-// there at all, so a row whose counts differ cannot be forged into a
-// stream: the encoder refuses it, which is why the values-count cases are
-// cosine datasets.
+// a forged stream carrying one is refused, with ErrSnapshotCorrupt either
+// way; the table's well-formed rows go both ways. A row's indices and
+// values share one count on the wire, and a Jaccard row has no values there
+// at all, so a row whose counts differ cannot be forged into a stream: the
+// encoder refuses it, which is why the values-count cases are cosine
+// datasets.
 func TestSessionStreamRefusesMalformedRows(t *testing.T) {
 	for _, m := range []vec.Measure{vec.CosineSim, vec.JaccardSim} {
-		good := &vec.Dataset{Name: "rows", Dim: vectest.Dim, Measure: m, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
-		cache := bayeslsh.NewCache(good, bayeslsh.DefaultParams(), 1)
-		if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, good, cache)), nil); err != nil {
+		good := func() *vec.Dataset {
+			return &vec.Dataset{Name: "rows", Dim: vectest.Dim, Measure: m, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
+		}
+		base := NewSession(good(), bayeslsh.DefaultParams(), 1)
+		if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, good(), base)), nil); err != nil {
 			t.Fatalf("%v: well-formed forged stream: %v", m, err)
 		}
 		for _, tc := range vectest.Rows {
 			if tc.Measure != m {
 				continue
 			}
-			ds := *good
-			ds.Rows = []vec.Sparse{vectest.Good, tc.Row}
-			s := &Session{Cache: cache}
-			s.ds.Store(&ds)
+			// The row is written into a live session's dataset in place: no
+			// door admits it, so only the walk's check can refuse the save.
+			s := NewSession(good(), bayeslsh.DefaultParams(), 1)
+			s.Dataset().Rows[1] = tc.Row
 			err := s.Snapshot(io.Discard)
-			if tc.Err == "" && err != nil || tc.Err != "" && !errors.Is(err, ErrSessionSnapshotCorrupt) {
+			if tc.Err == "" && err != nil || tc.Err != "" && !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) {
 				t.Errorf("%s: encode err = %v, want %q", tc.Name, err, tc.Err)
 			}
 			if tc.Err != "" && len(tc.Row.Values) != len(tc.Row.Indices) {
 				continue
 			}
-			restored, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &ds, cache)), nil)
+			ds := good()
+			ds.Rows[1] = tc.Row
+			restored, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, ds, base)), nil)
 			switch {
 			case tc.Err == "" && err != nil:
 				t.Errorf("%s: decode err = %v, want the row accepted", tc.Name, err)
 			case tc.Err == "" && !slices.Equal(restored.Dataset().Rows[1].Indices, tc.Row.Indices):
 				t.Errorf("%s: decoded row %+v, want %+v", tc.Name, restored.Dataset().Rows[1], tc.Row)
-			case tc.Err != "" && (!errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), tc.Err)):
-				t.Errorf("%s: decode err = %v, want ErrSessionSnapshotCorrupt naming %q", tc.Name, err, tc.Err)
+			case tc.Err != "" && (!errors.Is(err, bayeslsh.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), tc.Err)):
+				t.Errorf("%s: decode err = %v, want ErrSnapshotCorrupt naming %q", tc.Name, err, tc.Err)
 			}
 		}
 	}
 }
 
 // TestSessionStreamRefusesHugeDimension: an embedded dataset's dimension
-// is capped at vec.MaxDim, like the cache stream's.
+// is capped at vec.MaxDim.
 func TestSessionStreamRefusesHugeDimension(t *testing.T) {
 	ds := &vec.Dataset{Name: "wide", Dim: vec.MaxDim, Measure: vec.JaccardSim, Rows: []vec.Sparse{vectest.Good, vectest.Good}}
-	cache := bayeslsh.NewCache(ds, bayeslsh.DefaultParams(), 1)
-	if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, ds, cache)), nil); err != nil {
+	s := NewSession(ds, bayeslsh.DefaultParams(), 1)
+	if _, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, ds, s)), nil); err != nil {
 		t.Fatalf("dimension at the cap: %v", err)
 	}
 	wide := *ds
 	wide.Dim++
-	_, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &wide, cache)), nil)
-	if !errors.Is(err, ErrSessionSnapshotCorrupt) || !strings.Contains(err.Error(), "dataset dimension") {
-		t.Fatalf("dimension past the cap: err = %v, want ErrSessionSnapshotCorrupt on the dataset dimension", err)
+	_, err := RestoreSession(bytes.NewReader(forgeEmbedded(t, &wide, s)), nil)
+	if !errors.Is(err, bayeslsh.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), "dataset dimension") {
+		t.Fatalf("dimension past the cap: err = %v, want ErrSnapshotCorrupt on the dataset dimension", err)
 	}
 }
 
@@ -679,15 +693,14 @@ func recodeSession(data []byte) ([]byte, error) {
 
 // TestSessionSnapshotGolden decodes the checked-in session snapshots of the
 // current version — a grown, probed cosine session and a grown, probed
-// Jaccard one, written by the encoder of the commit that introduced the
-// version — and re-encodes them byte for byte: the guard against layout
-// drift without a version bump. Older goldens stay as streams that must be
-// refused.
+// Jaccard one, in the stream bayeslsh.Cache.EncodeSnapshot writes — and
+// re-encodes them byte for byte: the guard against layout drift without a
+// version bump. Older goldens stay as streams that must be refused.
 func TestSessionSnapshotGolden(t *testing.T) {
 	wiretest.Golden(t, wiretest.Format{
 		Name:         "session",
-		Version:      int(SessionSnapshotVersion),
-		VersionConst: "SessionSnapshotVersion",
+		Version:      int(bayeslsh.SnapshotVersion),
+		VersionConst: "bayeslsh.SnapshotVersion",
 		Sums: map[string]string{
 			"session-v2-embedded.snap": "258ed3c26d4d11c500b87021a3be390ea6c776544b805d3bf4f851b565a571df",
 			"session-v2-spec.snap":     "7d9899e803b237bc0c2bcb0b5ddeba76d79952d045b93bc62676ed61f78cc690",
@@ -700,23 +713,26 @@ func TestSessionSnapshotGolden(t *testing.T) {
 			"session-v6-embedded.snap": "3e128d9db3c4033f903c4c23799bbb0af5cad9c98fcc5ce2f3e5b9e90037b87c",
 			"session-v7-embedded.snap": "66030eb72f7478d4d4cea454c2b326302ef5b7e326fdeea0dcd1ea37037374e0",
 			"session-v7-jaccard.snap":  "9ad8532aa9ae65d95db704e0bf437b38ace4f0858ccdfbab9f92960555d9946d",
+			"session-v8-embedded.snap": "bb211edceaec916a308e90ff55a18abfbb5c62d7b63d9da8be351679efbb5ae9",
+			"session-v8-jaccard.snap":  "8ba8b45f0e6bb363d734d54985ac763a9df90aa67603aa5306fdd05b2e634ac8",
 		},
 		Recode:     recodeSession,
-		ErrVersion: ErrSessionSnapshotVersion,
+		ErrVersion: bayeslsh.ErrSnapshotVersion,
 	})
-	// There is no decode path for v2 to v6 streams: they are refused as a
-	// version, never half-read. That includes every spec-backed stream and
-	// the v6 stream that carried a Jaccard session's values.
-	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*", "session-v5-*", "session-v6-*"} {
+	// There is no decode path for v2 to v7 streams: they are refused as a
+	// version, never half-read. That includes every spec-backed stream, the
+	// v6 stream that carried a Jaccard session's values and every stream
+	// that nested a cache stream inside it.
+	for _, glob := range []string{"session-v2-*", "session-v3-*", "session-v4-*", "session-v5-*", "session-v6-*", "session-v7-*"} {
 		for name, data := range wiretest.Files(t, glob) {
-			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, ErrSessionSnapshotVersion) || s != nil {
-				t.Errorf("%s: err = %v (session %v), want ErrSessionSnapshotVersion and no session", name, err, s != nil)
+			if s, err := RestoreSession(bytes.NewReader(data), nil); !errors.Is(err, bayeslsh.ErrSnapshotVersion) || s != nil {
+				t.Errorf("%s: err = %v (session %v), want ErrSnapshotVersion and no session", name, err, s != nil)
 			}
 		}
 	}
 	for name, measure := range map[string]vec.Measure{
-		"session-v7-embedded.snap": vec.CosineSim,
-		"session-v7-jaccard.snap":  vec.JaccardSim,
+		"session-v8-embedded.snap": vec.CosineSim,
+		"session-v8-jaccard.snap":  vec.JaccardSim,
 	} {
 		s, err := RestoreSession(bytes.NewReader(wiretest.Files(t, name)[name]), nil)
 		if err != nil {
@@ -739,8 +755,8 @@ func TestSessionSnapshotGolden(t *testing.T) {
 }
 
 // TestScheduleBombSeedsReachValidate reads the checked-in schedule-bomb fuzz
-// seeds — the cache stream and its session-wrapped form — and requires the
-// refusal they exist for: Params.Validate naming the schedule. A format
+// seeds — one for each entry point of the one snapshot decoder — and
+// requires the refusal they exist for: Params.Validate naming the schedule. A format
 // version bump that left them behind would turn both into header-only
 // version rejects, and the fuzz corpus would stop exercising the check
 // without a failure anywhere.
@@ -773,8 +789,8 @@ func TestScheduleBombSeedsReachValidate(t *testing.T) {
 	}
 }
 
-// FuzzRestoreSession feeds arbitrary bytes to the session snapshot decoder,
-// the trust boundary of POST /v1/sessions/restore. It must never panic, and
+// FuzzRestoreSession feeds arbitrary bytes to the snapshot decoder through
+// RestoreSession, the trust boundary of POST /v1/sessions/restore. It must never panic, and
 // any stream it accepts must re-encode canonically: snapshot(restore(x)) is
 // a fixed point.
 func FuzzRestoreSession(f *testing.F) {

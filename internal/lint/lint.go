@@ -17,8 +17,9 @@
 //     return values and cannot; this polices the few functions that still
 //     hold a ResponseWriter.
 //
-// Invariants the structure does enforce have no analyzer: the append-lock
-// order (bayeslsh cannot import core) and the request-handling goroutine
+// Invariants the structure does enforce have no analyzer: there is no
+// append-lock order to keep (a session's state is its knowledge cache,
+// which has the one append lock) and the request-handling goroutine
 // (server.detach is the only one). docs/ARCHITECTURE.md has the audit.
 //
 // A finding prints as "file:line: [analyzer] message". A site that is

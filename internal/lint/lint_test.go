@@ -394,7 +394,7 @@ type stats struct{ n int64 }
 
 func (s *stats) bump() { atomic.AddInt64(&s.n, 1) }
 `,
-		"internal/core/snapshot.go": `package core
+		"internal/bayeslsh/snapshot.go": `package bayeslsh
 
 func decodeRows(n uint32) []float64 {
 	return make([]float64, n)

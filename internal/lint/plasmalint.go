@@ -27,7 +27,6 @@ var (
 	decodeFiles = []string{
 		"internal/wire/wire.go",
 		"internal/bayeslsh/snapshot.go",
-		"internal/core/snapshot.go",
 	}
 	serverPkgs = []string{"plasmahd/internal/server"}
 	// envelopeFuncs implement the JSON error envelope and may touch the

@@ -90,7 +90,6 @@ func MatchesRangeU32(a, b []uint32, lo, hi int) int {
 type SRP struct {
 	Bits int
 	seed uint64
-	dim  int
 	// dirs caches per-dimension Gaussian rows lazily: dirs[d] points at the
 	// row whose i-th entry is the d-th coordinate of direction i. float32
 	// halves the footprint; the precision is irrelevant next to sampling
@@ -105,13 +104,8 @@ type SRP struct {
 // given bit length over vectors of dimension dim. The returned sketcher is
 // safe for concurrent Sketch calls.
 func NewSRP(bits, dim int, seed int64) *SRP {
-	return &SRP{Bits: bits, seed: uint64(seed), dim: dim, dirs: make([]atomic.Pointer[[]float32], dim)}
+	return &SRP{Bits: bits, seed: uint64(seed), dirs: make([]atomic.Pointer[[]float32], dim)}
 }
-
-// Dim returns the vector dimension the sketcher was built for. Rows sketched
-// by this SRP must keep their indices below Dim; the incremental-ingest path
-// uses it to rebuild an equivalent sketcher from a restored cache.
-func (s *SRP) Dim() int { return s.dim }
 
 // gaussRow generates the cached Gaussian coordinates for dimension d.
 func (s *SRP) gaussRow(d int) []float32 {

@@ -92,7 +92,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 // cannot bypass the envelope or the error counter behind it. status and body
 // are ignored when err is non-nil. Only the two registry views, /metrics and
 // /v1/stats (rendered by the registry, with no error to report), and
-// .../snapshot (binary stream with a holdback) keep http.HandlerFunc.
+// .../snapshot's binary stream (with a holdback) keep http.HandlerFunc; its
+// ?persist=1 half is an endpoint.
 type endpoint func(r *http.Request) (status int, body any, err error)
 
 // json mounts an endpoint on the envelope.
@@ -914,38 +915,18 @@ func (s *Server) handleSweep(r *http.Request) (int, any, error) {
 // handleSnapshot serializes a session. By default the binary snapshot is
 // streamed back to the client (application/octet-stream), ready to be fed
 // to POST /v1/sessions/restore here or on another daemon. With ?persist=1
-// (requires a blob store, i.e. -state-dir) the snapshot is written to the
-// store instead and a JSON summary is returned.
+// the request is handlePersist's instead.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	if raw := r.URL.Query().Get("persist"); raw == "1" || raw == "true" {
+		s.json(s.handlePersist)(w, r)
+		return
+	}
 	ms, release, err := s.acquire(r)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer release()
-	if raw := r.URL.Query().Get("persist"); raw == "1" || raw == "true" {
-		if s.mgr.store == nil {
-			s.writeError(w, http.StatusBadRequest, "bad_request",
-				"persist requires the daemon to run with -state-dir")
-			return
-		}
-		n, err := s.mgr.Persist(ms)
-		if errors.Is(err, ErrNotFound) {
-			// Deleted while this request held it: nothing was written.
-			s.fail(w, notFound(ms.ID))
-			return
-		}
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, "internal", "snapshot failed: %v", err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"sessionId": ms.ID,
-			"key":       stateKey(ms.ID),
-			"bytes":     n,
-		})
-		return
-	}
 	// Stream the snapshot straight to the client instead of staging it in a
 	// buffer: the old path double-held up to a full session in memory per
 	// request (the session plus its serialized bytes), which is exactly the
@@ -971,6 +952,32 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	s.mgr.snapBytesOut.Add(hw.written)
+}
+
+// handlePersist writes a session's snapshot to the blob store (which
+// requires -state-dir) instead of the client, and returns a JSON summary.
+func (s *Server) handlePersist(r *http.Request) (int, any, error) {
+	ms, release, err := s.acquire(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer release()
+	if s.mgr.store == nil {
+		return 0, nil, badRequest("persist requires the daemon to run with -state-dir")
+	}
+	n, err := s.mgr.Persist(ms)
+	if errors.Is(err, ErrNotFound) {
+		// Deleted while this request held it: nothing was written.
+		return 0, nil, notFound(ms.ID)
+	}
+	if err != nil {
+		return 0, nil, apiErr(http.StatusInternalServerError, "internal", "snapshot failed: %v", err)
+	}
+	return http.StatusOK, map[string]any{
+		"sessionId": ms.ID,
+		"key":       stateKey(ms.ID),
+		"bytes":     n,
+	}, nil
 }
 
 // snapshotHoldback is how much of a streamed snapshot is withheld before

@@ -369,6 +369,12 @@ func TestErrorPaths(t *testing.T) {
 		{"bad sparse upload", 400, "bad_request", func() (int, errorEnvelope) {
 			return post(ts.URL+"/v1/sessions", `{"sparse":{"dim":4,"rows":[{"indices":[0,0]},{"indices":[1]}]}}`)
 		}},
+		{"persist without a blob store", 400, "bad_request", func() (int, errorEnvelope) {
+			return post(ts.URL+"/v1/sessions/"+id+"/snapshot?persist=1", "")
+		}},
+		{"persist on unknown session", 404, "not_found", func() (int, errorEnvelope) {
+			return post(ts.URL+"/v1/sessions/zz/snapshot?persist=1", "")
+		}},
 	}
 	for _, tc := range cases {
 		st, env := tc.run()

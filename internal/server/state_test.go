@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"io"
 	"log"
@@ -16,7 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/core"
+	"plasmahd/internal/vec"
 )
 
 // newStateServer returns a daemon with persistence on, rooted at dir.
@@ -332,7 +333,7 @@ func TestOldVersionStateFileSkippedOnBoot(t *testing.T) {
 			if n, err := srv.LoadState(); n != 0 || err != nil || srv.Manager().Len() != 0 {
 				t.Fatalf("LoadState = %d, %v with %d resident, want 0 sessions and no error", n, err, srv.Manager().Len())
 			}
-			if logs := logBuf.String(); !strings.Contains(logs, "revive s1 failed") || !strings.Contains(logs, core.ErrSessionSnapshotVersion.Error()) {
+			if logs := logBuf.String(); !strings.Contains(logs, "revive s1 failed") || !strings.Contains(logs, bayeslsh.ErrSnapshotVersion.Error()) {
 				t.Errorf("the refusal is not logged; log:\n%s", logs)
 			}
 			if st := call(t, "GET", ts.URL+"/v1/sessions/s1", nil, nil); st != http.StatusNotFound {
@@ -407,9 +408,15 @@ func TestBodyCap413(t *testing.T) {
 	// The restore endpoint (binary body) has its own, larger cap — the
 	// daemon's own snapshots routinely exceed the JSON body cap — but it
 	// is still a cap. The decoder streams, so the cap trips when a
-	// well-formed prefix keeps it reading: magic, version, then a declared
-	// dataset name longer than the whole cap.
-	snapBody := binary.LittleEndian.AppendUint16([]byte("PLHDSESS"), core.SessionSnapshotVersion)
+	// well-formed prefix keeps it reading: a real snapshot's magic,
+	// version, params and seed (63 bytes), then a declared dataset name
+	// longer than the whole cap.
+	var head bytes.Buffer
+	tiny := core.NewSession(vec.FromDenseMatrix("t", [][]float64{{1, 0}, {0, 1}}, vec.CosineSim), bayeslsh.DefaultParams(), 1)
+	if err := tiny.Snapshot(&head); err != nil {
+		t.Fatal(err)
+	}
+	snapBody := slices.Clone(head.Bytes()[:63])
 	snapBody = append(snapBody, 0x60, 0xEA, 0x00, 0x00) // name length 60000
 	snapBody = append(snapBody, big...)
 	st, out = rawPost(t, ts.URL+"/v1/sessions/restore", "application/octet-stream", snapBody)

@@ -1,7 +1,7 @@
 // Package vectest holds the row table every door a row enters by must
 // agree on: vec.Sparse.Check itself, the server's create and append
-// endpoints, Cache.AppendRows and a session stream that embeds the row. One
-// table, so the doors cannot drift apart.
+// endpoints, Cache.AppendRows and a snapshot stream that carries the row.
+// One table, so the doors cannot drift apart.
 package vectest
 
 import "plasmahd/internal/vec"

@@ -55,7 +55,7 @@ type Errors struct {
 
 // Codec walks one stream in one direction. It is also an io.Writer (when
 // encoding) or io.Reader (when decoding) over the same stream and checksum,
-// so a format can embed another format's complete stream, trailer included.
+// which is how its fixed-width fields move.
 type Codec struct {
 	w    io.Writer // set when encoding
 	r    io.Reader // set when decoding
