@@ -56,9 +56,11 @@ lint:
 # seed corpora in testdata/fuzz and the golden streams in testdata/golden:
 # the one snapshot decoder (the warm-start and restore-upload trust
 # boundary), through both of its entry points — bayeslsh.DecodeSnapshot and
-# core.RestoreSession — and the live-ingest request parser (wire trust
-# boundary). Both snapshot corpora include `schedule-bomb`, a CRC-valid
-# snapshot of an empty cache whose params ask for a 3·10⁷-cell schedule —
+# core.RestoreSession — the live-ingest request parser (wire trust
+# boundary), and the create/append row-body scanner against encoding/json
+# (FuzzRowBodies: it declines a body or decodes the same rows). Both
+# snapshot corpora include `schedule-bomb`, a CRC-valid snapshot of an
+# empty cache whose params ask for a 3·10⁷-cell schedule —
 # Params.Validate must refuse it at once; core's
 # TestScheduleBombSeedsReachValidate keeps both seeds at the current format
 # version.
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/bayeslsh
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAppendRowsBody -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run xxx -fuzz FuzzRowBodies -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

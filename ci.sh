@@ -25,12 +25,13 @@
 # built-in check (daemon == shadow session, grown == from-scratch, cluster
 # == single node, exact counts repeat), and its declaration must match
 # BENCHMARK.json.
-# Tier 5 (fuzz): a bounded native-fuzzing pass (~45s total) over the
+# Tier 5 (fuzz): a bounded native-fuzzing pass (~60s total) over the
 # parsers that consume untrusted bytes — the one snapshot decoder, fuzzed
 # through both entry points (bayeslsh.DecodeSnapshot and
-# core.RestoreSession), and the live-ingest request body — seeded from the
-# checked-in corpora under testdata/fuzz/ and the golden streams under
-# testdata/golden/.
+# core.RestoreSession), the live-ingest request body (FuzzAppendRowsBody),
+# and the create/append row-body scanner, differentially against
+# encoding/json (FuzzRowBodies) — seeded from the checked-in corpora under
+# testdata/fuzz/ and the golden streams under testdata/golden/.
 # Tier 6 (full, optional via CI_FULL=1): the complete test suite including
 # the seconds-long experiment sweeps.
 # Not tiers — timing is read by a person, not gated: the single-layer

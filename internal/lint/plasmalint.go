@@ -27,6 +27,7 @@ var (
 	decodeFiles = []string{
 		"internal/wire/wire.go",
 		"internal/bayeslsh/snapshot.go",
+		"internal/server/rowscan.go",
 	}
 	serverPkgs = []string{"plasmahd/internal/server"}
 	// envelopeFuncs implement the JSON error envelope and may touch the

@@ -141,8 +141,11 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 // decodeJSON strictly decodes a request body into v: 413 when the body blew
 // past the configured cap (the middleware's MaxBytesReader), 400 for
 // malformed JSON, unknown fields, or trailing garbage after the JSON value.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decodeJSON(r *http.Request, v any) error { return decodeFrom(r.Body, v) }
+
+// decodeFrom is decodeJSON over any reader of a body.
+func decodeFrom(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
@@ -301,7 +304,7 @@ func (s *Server) handleDatasets(r *http.Request) (int, any, error) {
 
 func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
 	var req createSessionRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeUpload(r, &req, scanCreate); err != nil {
 		return 0, nil, err
 	}
 	// Validate before loading: a rejected request should not pay for (or
@@ -379,14 +382,11 @@ func (s *Server) resolveDataset(req *createSessionRequest) (*vec.Dataset, error)
 	if len(up.Rows) < 2 || up.Dim < 1 || up.Dim > vec.MaxDim {
 		return nil, fmt.Errorf("sparse upload needs dim in [1, %d] and at least 2 rows", vec.MaxDim)
 	}
-	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure}
-	for ri, row := range up.Rows {
-		v, err := row.vec(ri, up.Dim, measure)
-		if err != nil {
-			return nil, err
-		}
-		ds.Rows = append(ds.Rows, v)
+	rows, err := uploadRows(up.Rows, up.Dim, measure)
+	if err != nil {
+		return nil, err
 	}
+	ds := &vec.Dataset{Name: name, Dim: up.Dim, Measure: measure, Rows: rows}
 	ds.NormalizeRows()
 	return ds, nil
 }
@@ -431,7 +431,7 @@ const maxAppendRows = 65536
 // bitwise-equivalent to one created from the full data up front.
 func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 	var req appendRowsRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeUpload(r, &req, scanAppend); err != nil {
 		return 0, nil, err
 	}
 	if (req.Dense != nil) == (req.Sparse != nil) {
@@ -451,19 +451,17 @@ func (s *Server) handleAppendRows(r *http.Request) (int, any, error) {
 	defer release()
 	ds := ms.Session.Dataset()
 	dim := ds.Dim
-	rows := make([]vec.Sparse, 0, count)
+	rows := make([]vec.Sparse, 0, len(req.Dense))
 	for ri, drow := range req.Dense {
 		if len(drow) > dim {
 			return 0, nil, badRequest("dense row %d has %d entries, session dimension is %d", ri, len(drow), dim)
 		}
 		rows = append(rows, vec.FromDense(drow))
 	}
-	for ri, srow := range req.Sparse {
-		v, err := srow.vec(ri, dim, ds.Measure)
-		if err != nil {
+	if req.Sparse != nil {
+		if rows, err = uploadRows(req.Sparse, dim, ds.Measure); err != nil {
 			return 0, nil, badRequest("%v", err)
 		}
-		rows = append(rows, v)
 	}
 	// The create path's row step over the batch (it is row-local), so split
 	// ingests stay bitwise-identical to full uploads.

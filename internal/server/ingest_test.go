@@ -1,12 +1,16 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"plasmahd/internal/vec"
 	"plasmahd/internal/vec/vectest"
@@ -144,8 +148,10 @@ func TestAppendRowsSparse(t *testing.T) {
 // then dropped), a dense upload, a sparse append with values and a dense
 // append. (A sent values array of the wrong length is still a 400: the
 // shared row table's "jaccard values count" case in
-// TestAppendRowsValidationHTTP.) Omitted values still mean all-ones for
-// cosine.
+// TestAppendRowsValidationHTTP, and the scanned body below.) Omitted values
+// still mean all-ones for cosine, carved from one block for the body. Every
+// scanned row is a window whose capacity is its length, so an append to one
+// row cannot write into its neighbour.
 func TestJaccardUploadsStoreNoValues(t *testing.T) {
 	srv, ts := newTestServer(t, 8)
 	rowsOf := func(id string) []vec.Sparse {
@@ -193,12 +199,31 @@ func TestJaccardUploadsStoreNoValues(t *testing.T) {
 	if got := rowsOf(sparse)[0].Indices; !slices.Equal(got, []int32{0, 2, 5}) {
 		t.Errorf("sparse row 0 indices %v, want [0 2 5]", got)
 	}
+	var env errorEnvelope
+	body := map[string]any{"sparse": []map[string]any{weighted[0], {"indices": []int32{0, 1}, "values": []float64{1}}}}
+	if st := call(t, "POST", ts.URL+"/v1/sessions/"+sparse+"/rows", body, &env); st != http.StatusBadRequest ||
+		env.Error.Message != "sparse row 1: 2 indices but 1 values" {
+		t.Errorf("jaccard append with a values count mismatch: status %d, error %+v", st, env.Error)
+	}
 
 	cosine := create(map[string]any{"sparse": map[string]any{"dim": 8, "rows": []map[string]any{
-		{"indices": []int32{0, 1, 2, 3}}, {"indices": []int32{4}},
+		{"indices": []int32{0, 1, 2, 3}}, {"indices": []int32{4}}, {"indices": []int32{5, 6}, "values": []float64{3, 4}},
 	}}})
-	if rows := rowsOf(cosine); !slices.Equal(rows[0].Values, []float64{0.5, 0.5, 0.5, 0.5}) || !slices.Equal(rows[1].Values, []float64{1}) {
-		t.Errorf("cosine rows with omitted values: %+v, want all-ones normalized", rows)
+	rows := rowsOf(cosine)
+	if !slices.Equal(rows[0].Values, []float64{0.5, 0.5, 0.5, 0.5}) || !slices.Equal(rows[1].Values, []float64{1}) ||
+		!slices.Equal(rows[2].Values, []float64{0.6, 0.8}) {
+		t.Errorf("cosine rows: %+v, want all-ones normalized where values were omitted", rows)
+	}
+	if unsafe.Add(unsafe.Pointer(&rows[0].Values[0]), 4*8) != unsafe.Pointer(&rows[1].Values[0]) {
+		t.Error("cosine rows with omitted values: all-ones not carved from one block")
+	}
+	for _, id := range []string{sparse, cosine} {
+		for i, row := range rowsOf(id) {
+			if cap(row.Indices) != len(row.Indices) || cap(row.Values) != len(row.Values) {
+				t.Errorf("session %s row %d: cap %d/%d over len %d/%d", id, i,
+					cap(row.Indices), cap(row.Values), len(row.Indices), len(row.Values))
+			}
+		}
 	}
 }
 
@@ -294,6 +319,153 @@ func TestAppendRowsValidationHTTP(t *testing.T) {
 	var after sessionInfo
 	if st := call(t, "GET", ts.URL+"/v1/sessions/"+info.ID, nil, &after); st != 200 || after.Rows != 10 {
 		t.Fatalf("failed appends changed the session: status %d rows %d", st, after.Rows)
+	}
+}
+
+// TestUploadRefusalParityHTTP: create and append bodies are scanned when
+// they have the canonical shape and decoded by encoding/json otherwise, and
+// every refusal still comes from encoding/json and the one row step. Each
+// case pins the status and the exact error body the daemon answered before
+// the scanner existed, on both endpoints; a valid body in a shape the
+// scanner declines builds the same session as its canonical twin.
+func TestUploadRefusalParityHTTP(t *testing.T) {
+	srv := New(Config{Capacity: 8, RequestTimeout: 30 * time.Second, MaxBodyBytes: 512})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	target := createDense(t, ts.URL, ingestRows(0, 10))
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	const (
+		eof      = `{"error":{"code":"bad_request","message":"invalid JSON body: unexpected EOF"}}`
+		bad      = `{"error":{"code":"bad_request","message":"invalid JSON body: invalid character 'x' looking for beginning of value"}}`
+		extra    = `{"error":{"code":"bad_request","message":"invalid JSON body: json: unknown field \"extra\""}}`
+		weights  = `{"error":{"code":"bad_request","message":"invalid JSON body: json: unknown field \"weights\""}}`
+		trailing = `{"error":{"code":"bad_request","message":"trailing data after JSON body"}}`
+		tooLarge = `{"error":{"code":"too_large","message":"request body exceeds the 512-byte limit"}}`
+		twoRows  = `{"error":{"code":"bad_request","message":"sparse upload needs dim in [1, 4194304] and at least 2 rows"}}`
+		outside  = `{"error":{"code":"bad_request","message":"sparse row 1: index 8 out of range [0, 8)"}}`
+		unsorted = `{"error":{"code":"bad_request","message":"sparse row 1: indices must be strictly increasing"}}`
+		count    = `{"error":{"code":"bad_request","message":"sparse row 1: 2 indices but 1 values"}}`
+	)
+	type want struct {
+		status int
+		body   string // the error body without its newline; "" for a 2xx
+	}
+	many := `{"indices":[0]}` + strings.Repeat(`,{"indices":[0]}`, 40)
+	for _, tc := range []struct {
+		name                   string
+		create, append         string
+		createWant, appendWant want
+	}{
+		{"malformed", `{"sparse":{"dim":8,"rows":[{"indices":[0]}`, `{"sparse":[{"indices":[0]}`,
+			want{400, eof}, want{400, eof}},
+		{"malformed past the cap", `{"dense":[[1,x]]}` + strings.Repeat(" ", 600), `{"dense":[[1,x]]}` + strings.Repeat(" ", 600),
+			want{400, bad}, want{400, bad}},
+		{"unknown field", `{"dense":[[1],[2]],"extra":1}`, `{"dense":[[1]],"extra":1}`,
+			want{400, extra}, want{400, extra}},
+		{"unknown row field", `{"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[1],"weights":[1]}]}}`, `{"sparse":[{"indices":[0]},{"indices":[1],"weights":[1]}]}`,
+			want{400, weights}, want{400, weights}},
+		{"trailing data", `{"dense":[[1],[2]]} {}`, `{"dense":[[1]]} {}`,
+			want{400, trailing}, want{400, trailing}},
+		{"over the cap", `{"dense":[[1],[2]],"name":"` + strings.Repeat("a", 600) + `"}`, `{"sparse":[` + many + `]}`,
+			want{413, tooLarge}, want{413, tooLarge}},
+		{"dense and sparse", `{"dense":[[1],[2]],"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[1]}]}}`, `{"dense":[[1]],"sparse":[{"indices":[0]}]}`,
+			want{400, `{"error":{"code":"bad_request","message":"exactly one of dataset, dense, or sparse must be set (got 2)"}}`},
+			want{400, `{"error":{"code":"bad_request","message":"exactly one of dense or sparse must be set"}}`}},
+		{"no rows", `{"sparse":{"dim":8,"rows":[]}}`, `{"sparse":[]}`,
+			want{400, twoRows}, want{400, `{"error":{"code":"bad_request","message":"no rows to append"}}`}},
+		{"one row", `{"sparse":{"dim":8,"rows":[{"indices":[0]}]}}`, `{"sparse":[{"indices":[0]}]}`,
+			want{400, twoRows}, want{200, ""}},
+		{"index out of range", `{"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[1,8]}]}}`, `{"sparse":[{"indices":[0]},{"indices":[1,8]}]}`,
+			want{400, outside}, want{400, outside}},
+		{"index past int32", `{"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[2147483648]}]}}`, `{"sparse":[{"indices":[0]},{"indices":[2147483648]}]}`,
+			want{400, `{"error":{"code":"bad_request","message":"invalid JSON body: json: cannot unmarshal number 2147483648 into Go struct field sparseRow.sparse.rows.indices of type int32"}}`},
+			want{400, `{"error":{"code":"bad_request","message":"invalid JSON body: json: cannot unmarshal number 2147483648 into Go struct field sparseRow.sparse.indices of type int32"}}`}},
+		{"unsorted indices", `{"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[3,1]}]}}`, `{"sparse":[{"indices":[0]},{"indices":[3,1]}]}`,
+			want{400, unsorted}, want{400, unsorted}},
+		{"values count", `{"sparse":{"dim":8,"rows":[{"indices":[0]},{"indices":[0,1],"values":[1]}]}}`, `{"sparse":[{"indices":[0]},{"indices":[0,1],"values":[1]}]}`,
+			want{400, count}, want{400, count}},
+	} {
+		for path, c := range map[string]struct {
+			url, body string
+			want      want
+		}{
+			"create": {ts.URL + "/v1/sessions", tc.create, tc.createWant},
+			"append": {ts.URL + "/v1/sessions/" + target.ID + "/rows", tc.append, tc.appendWant},
+		} {
+			st, body := post(c.url, c.body)
+			if st != c.want.status || (c.want.body != "" && body != c.want.body+"\n") {
+				t.Errorf("%s via %s: %d %s, want %d %s", tc.name, path, st, body, c.want.status, c.want.body)
+			}
+		}
+	}
+	if n := srv.mgr.Len(); n != 1 {
+		t.Errorf("refused creates admitted sessions: %d resident, want 1", n)
+	}
+
+	// Valid bodies in other shapes build what their canonical twins build:
+	// case-variant keys and an escaped name, which the scanner declines, and
+	// a -0 index, which both decoders read as 0.
+	rowsOf := func(id string) *vec.Dataset {
+		t.Helper()
+		ms, release, err := srv.mgr.Acquire(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return ms.Session.Dataset()
+	}
+	for _, tc := range []struct {
+		name                                               string
+		canonical, variant, appendCanonical, appendVariant string
+		scanned                                            bool // the variants take the scanner too
+	}{
+		{"case-variant keys",
+			`{"measure":"cosine","sparse":{"dim":8,"rows":[{"indices":[0,2],"values":[1,2]},{"indices":[1]}]}}`,
+			`{"Measure":"cosine","Sparse":{"DIM":8,"rows":[{"Indices":[0,2],"Values":[1,2]},{"indices":[1]}]}}`,
+			`{"sparse":[{"indices":[3],"values":[2]}]}`, `{"Sparse":[{"indices":[3],"VALUES":[2]}]}`, false},
+		{"escaped name",
+			`{"name":"AB/c","measure":"jaccard","sparse":{"dim":8,"rows":[{"indices":[0,2]},{"indices":[1]}]}}`,
+			`{"name":"AB\/c","measure":"jaccard","sparse":{"dim":8,"rows":[{"indices":[0,2]},{"indices":[1]}]}}`,
+			`{"sparse":[{"indices":[3,4]}]}`, `{"sparse":[{"indices":[3,4]}],"Dense":null}`, false},
+		{"-0 index",
+			`{"sparse":{"dim":8,"rows":[{"indices":[0,2]},{"indices":[0]}]}}`,
+			`{"sparse":{"dim":8,"rows":[{"indices":[-0,2]},{"indices":[-0]}]}}`,
+			`{"sparse":[{"indices":[0,7]}]}`, `{"sparse":[{"indices":[-0,7]}]}`, true},
+	} {
+		if !scans(true, []byte(tc.canonical)) || !scans(false, []byte(tc.appendCanonical)) ||
+			scans(true, []byte(tc.variant)) != tc.scanned || scans(false, []byte(tc.appendVariant)) != tc.scanned {
+			t.Fatalf("%s: the canonical bodies must take the scanner, and the variants only if scanned", tc.name)
+		}
+		var sets [2]*vec.Dataset
+		for k, body := range []string{tc.canonical, tc.variant} {
+			st, resp := post(ts.URL+"/v1/sessions", body)
+			var info sessionInfo
+			if err := json.Unmarshal([]byte(resp), &info); st != http.StatusCreated || err != nil {
+				t.Fatalf("%s: create %s: %d %s", tc.name, body, st, resp)
+			}
+			app := []string{tc.appendCanonical, tc.appendVariant}[k]
+			if st, resp := post(ts.URL+"/v1/sessions/"+info.ID+"/rows", app); st != http.StatusOK {
+				t.Fatalf("%s: append %s: %d %s", tc.name, app, st, resp)
+			}
+			sets[k] = rowsOf(info.ID)
+		}
+		a, b := sets[0], sets[1]
+		if a.Name != b.Name || a.Dim != b.Dim || a.Measure != b.Measure || !reflect.DeepEqual(a.Rows, b.Rows) {
+			t.Errorf("%s: %+v, want its canonical twin's %+v", tc.name, b, a)
+		}
 	}
 }
 

@@ -58,22 +58,38 @@ type sparseRow struct {
 	Values  []float64 `json:"values,omitempty"`
 }
 
-// vec returns row ri of an upload as a sparse vector under measure m once
-// it passes vec.Sparse.Check against the dimension. Omitted cosine values
-// become all-ones. Sent values are counted under either measure; the
-// dataset's NormalizeRows then drops a Jaccard row's.
-func (row sparseRow) vec(ri, dim int, m vec.Measure) (vec.Sparse, error) {
-	v := vec.Sparse{Indices: row.Indices, Values: row.Values}
-	if v.Values == nil && m == vec.CosineSim {
-		v.Values = make([]float64, len(v.Indices))
-		for i := range v.Values {
-			v.Values[i] = 1
+// uploadRows returns an upload's rows under measure m once each passes
+// vec.Sparse.Check against the dimension. Omitted cosine values become
+// all-ones, every such row a window into one block for the body. Sent
+// values are counted under either measure; the dataset's NormalizeRows then
+// drops a Jaccard row's.
+func uploadRows(up []sparseRow, dim int, m vec.Measure) ([]vec.Sparse, error) {
+	var ones []float64
+	if m == vec.CosineSim {
+		n := 0
+		for _, row := range up {
+			if row.Values == nil {
+				n += len(row.Indices)
+			}
+		}
+		ones = make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
 		}
 	}
-	if err := v.Check(dim, m); err != nil {
-		return vec.Sparse{}, fmt.Errorf("sparse row %d: %w", ri, err)
+	rows := make([]vec.Sparse, len(up))
+	for ri, row := range up {
+		v := vec.Sparse{Indices: row.Indices, Values: row.Values}
+		if v.Values == nil && m == vec.CosineSim {
+			k := len(v.Indices)
+			v.Values, ones = ones[:k:k], ones[k:]
+		}
+		if err := v.Check(dim, m); err != nil {
+			return nil, fmt.Errorf("sparse row %d: %w", ri, err)
+		}
+		rows[ri] = v
 	}
-	return v, nil
+	return rows, nil
 }
 
 // sparseUpload is an uploaded sparse dataset.
