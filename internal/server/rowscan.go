@@ -99,12 +99,10 @@ func scanCreate(body []byte, req *createSessionRequest) bool {
 			return false
 		}
 	}
-	s.fit()
-	if dense != noRows {
-		out.Dense = s.dense(dense)
-	}
-	if sparse != noRows {
-		out.Sparse.Rows = s.sparse(sparse)
+	var rows []sparseRow
+	out.Dense, rows = s.windows(dense, sparse)
+	if out.Sparse != nil {
+		out.Sparse.Rows = rows
 	}
 	*req = out
 	return true
@@ -125,14 +123,8 @@ func scanAppend(body []byte, req *appendRowsRequest) bool {
 	if !ok || !s.end() {
 		return false
 	}
-	s.fit()
 	var out appendRowsRequest
-	if dense != noRows {
-		out.Dense = s.dense(dense)
-	}
-	if sparse != noRows {
-		out.Sparse = s.sparse(sparse)
-	}
+	out.Dense, out.Sparse = s.windows(dense, sparse)
 	*req = out
 	return true
 }
@@ -506,12 +498,35 @@ func (s *rowScanner) object() ([]byte, bool) {
 	return nil, false
 }
 
-// fit makes the blocks final: a block that reserved more than an eighth
-// over what it holds is copied to its length, and neither is nil, so an
-// empty window stays an empty slice rather than becoming nil.
-func (s *rowScanner) fit() {
-	s.ix = fitBlock(s.ix)
-	s.val = fitBlock(s.val)
+// windows makes the blocks final and returns the rows of the dense and the
+// sparse range as windows into them, nil for a range the body did not
+// carry. A block that reserved more than an eighth over what it holds is
+// copied to its length, and neither block is nil, so an empty window stays
+// an empty slice rather than becoming nil.
+func (s *rowScanner) windows(dense, sparse spanRange) ([][]float64, []sparseRow) {
+	ix, val := fitBlock(s.ix), fitBlock(s.val)
+	var drows [][]float64
+	var srows []sparseRow
+	if dense != noRows {
+		spans := s.spans[dense.lo:dense.hi]
+		drows = make([][]float64, len(spans))
+		for k, sp := range spans {
+			drows[k] = val[sp.val:sp.valEnd:sp.valEnd]
+		}
+	}
+	if sparse != noRows {
+		spans := s.spans[sparse.lo:sparse.hi]
+		srows = make([]sparseRow, len(spans))
+		for k, sp := range spans {
+			if sp.ix >= 0 {
+				srows[k].Indices = ix[sp.ix:sp.ixEnd:sp.ixEnd]
+			}
+			if sp.val >= 0 {
+				srows[k].Values = val[sp.val:sp.valEnd:sp.valEnd]
+			}
+		}
+	}
+	return drows, srows
 }
 
 func fitBlock[T any](b []T) []T {
@@ -522,29 +537,4 @@ func fitBlock[T any](b []T) []T {
 		b = []T{}
 	}
 	return b
-}
-
-// dense returns the dense rows of r as windows into the values block.
-func (s *rowScanner) dense(r spanRange) [][]float64 {
-	spans := s.spans[r.lo:r.hi]
-	rows := make([][]float64, len(spans))
-	for k, sp := range spans {
-		rows[k] = s.val[sp.val:sp.valEnd:sp.valEnd]
-	}
-	return rows
-}
-
-// sparse returns the sparse rows of r as windows into the blocks.
-func (s *rowScanner) sparse(r spanRange) []sparseRow {
-	spans := s.spans[r.lo:r.hi]
-	rows := make([]sparseRow, len(spans))
-	for k, sp := range spans {
-		if sp.ix >= 0 {
-			rows[k].Indices = s.ix[sp.ix:sp.ixEnd:sp.ixEnd]
-		}
-		if sp.val >= 0 {
-			rows[k].Values = s.val[sp.val:sp.valEnd:sp.valEnd]
-		}
-	}
-	return rows
 }
