@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve bench-snapshot serve smoke-server smoke-cluster ci
+.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve bench-snapshot bench-sketch serve smoke-server smoke-cluster ci
 
 # fuzz time per target for the bounded CI pass (override for longer local runs).
 FUZZTIME ?= 15s
@@ -45,12 +45,20 @@ race:
 # class this repo has already shipped a fix for and that the code's
 # structure does not rule out. It is the only lint gate: any finding fails
 # it, so the tree stays clean; deliberate exceptions carry
-# //lint:<analyzer>-ok <reason> annotations.
+# //lint:<analyzer>-ok <reason> annotations. Last, the no-fusion check:
+# Go may fuse x*y + z into one FMA instruction, arm64 does, and a fused
+# product rounds differently, so lsh (sketches) and vec (exact similarity)
+# are cross-compiled for arm64 and any fused multiply-add in their assembly
+# fails the tier. It needs no arm64 machine; a product that must not fuse
+# is rounded explicitly, s += float64(a * b).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt drift:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/plasmalint ./...
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lsh ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
+	out=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b'); if [ -n "$$out" ]; then \
+		echo "fused multiply-add in arm64 code:"; echo "$$out"; exit 1; fi
 
 # fuzz runs each native fuzz target for $(FUZZTIME) on top of the checked-in
 # seed corpora in testdata/fuzz and the golden streams in testdata/golden:
@@ -119,6 +127,17 @@ bench-snapshot:
 	$(GO) test -run xxx -bench 'Benchmark(U32s|F64s)$$' -benchmem ./internal/wire
 	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
 	$(GO) test -run xxx -bench 'BenchmarkSession(Snapshot|Restore)$$' -benchmem .
+
+# bench-sketch isolates sketching, the one-time cost of Fig 2.9, and the
+# probe that follows it. NewCache on the onboard-long shape (2 500 rows of
+# 100–120 indices over 1.25 M dimensions, minhash) and on the explore-dense
+# shape (500 cosine rows, SRP, every Gaussian direction row generated
+# afresh), both on 2 workers, in ns/nnz of wall time; then the first 0.9
+# probe on a fresh onboard-long cache, sketched outside the timer: the
+# candidate index build, generation of every row and hashing of every
+# candidate. ns/op, allocs/op and hashes/op.
+bench-sketch:
+	$(GO) test -run xxx -bench 'Benchmark(NewCacheLong|NewCacheDense|ColdProbeLong)$$' -benchmem .
 
 # serve runs the probe daemon on the default address (ADDR to override).
 serve:

@@ -90,10 +90,7 @@ func BenchmarkRepeatProbe(b *testing.B) {
 // scanning the candidate index; hashes/op must read 0 and rows-walked/op is
 // Result.RowsWalked.
 func BenchmarkRepeatProbeLong(b *testing.B) {
-	d := gen.LongsetJaccard{Rows: 2500, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
-		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1)
-	ds := d.Dataset(0, len(d.Rows))
-	p := bayeslsh.DefaultParams()
+	ds, p := longCorpus()
 	p.Workers = 1
 	c := bayeslsh.NewCache(ds, p, 1)
 	benchProbe(b, ds, 0.6, c)
@@ -143,6 +140,46 @@ func denseCorpus() (*vec.Dataset, bayeslsh.Params) {
 	return corpus.Generate(1).Dataset(0, corpus.Rows), p
 }
 
+// longSets generates the benchmark's onboard-long corpus at the given row
+// count: 100–120 features a row over 1.25 M dimensions under Jaccard, with
+// near-duplicate groups supplying the similar pairs.
+func longSets(rows int) *gen.Data {
+	return gen.LongsetJaccard{Rows: rows, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
+		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1)
+}
+
+// longCorpus returns the benchmark's onboard-long shape, 2 500 rows, and
+// params with 2 workers.
+func longCorpus() (*vec.Dataset, bayeslsh.Params) {
+	p := bayeslsh.DefaultParams()
+	p.Workers = 2
+	return longSets(2500).Dataset(0, 2500), p
+}
+
+// BenchmarkNewCacheLong times sketching the onboard-long shape: NewCache's
+// minhash signatures for 2 500 rows of 100–120 indices on 2 workers, most
+// of that workload's first answer. ns/nnz is wall time per non-zero.
+func BenchmarkNewCacheLong(b *testing.B) { benchNewCache(b, longCorpus) }
+
+// BenchmarkNewCacheDense times sketching the explore-dense shape: NewCache's
+// SRP signatures on 2 workers, every Gaussian direction row generated afresh
+// since each cache fills its own. ns/nnz is wall time per non-zero.
+func BenchmarkNewCacheDense(b *testing.B) { benchNewCache(b, denseCorpus) }
+
+func benchNewCache(b *testing.B, corpus func() (*vec.Dataset, bayeslsh.Params)) {
+	ds, p := corpus()
+	nnz := 0
+	for _, r := range ds.Rows {
+		nnz += r.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bayeslsh.NewCache(ds, p, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+}
+
 // laddered returns a cache over ds probed down the 0.9/0.8/0.7/0.6 ladder.
 func laddered(b *testing.B, ds *vec.Dataset, p bayeslsh.Params) *bayeslsh.Cache {
 	c := bayeslsh.NewCache(ds, p, 1)
@@ -156,8 +193,15 @@ func laddered(b *testing.B, ds *vec.Dataset, p bayeslsh.Params) *bayeslsh.Cache 
 // of the explore-dense shape: the candidate index build, generation of
 // every row and hashing of every candidate. The cache is sketched outside
 // the timer.
-func BenchmarkColdProbeDense(b *testing.B) {
-	ds, p := denseCorpus()
+func BenchmarkColdProbeDense(b *testing.B) { benchColdProbe(b, denseCorpus) }
+
+// BenchmarkColdProbeLong is BenchmarkColdProbeDense on the onboard-long
+// shape, 2 workers: the probe that follows the create in that workload's
+// first answer.
+func BenchmarkColdProbeLong(b *testing.B) { benchColdProbe(b, longCorpus) }
+
+func benchColdProbe(b *testing.B, corpus func() (*vec.Dataset, bayeslsh.Params)) {
+	ds, p := corpus()
 	var hashes int64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -228,8 +272,7 @@ func BenchmarkLadder(b *testing.B) {
 // snapshot embeds the dataset. The session benchmarks below time its
 // snapshot both ways.
 func onboardSession(b *testing.B) *core.Session {
-	d := gen.LongsetJaccard{Rows: 2540, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
-		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1)
+	d := longSets(2540)
 	p := bayeslsh.DefaultParams()
 	p.Workers = 1
 	s := core.NewSession(d.Dataset(0, 2500), p, 1)

@@ -11,7 +11,9 @@
 # invariant analyzers (internal/lint) that catch the repo's recurring bug
 # classes (map-order nondeterminism, function-style atomics, unbounded decode
 # preallocation, envelope-bypassing error paths) in seconds, before the race
-# detector gets a chance. Any finding fails the tier.
+# detector gets a chance — and the no-fusion check: lsh and vec
+# cross-compiled for arm64 must contain no fused multiply-add. Any finding
+# fails the tier.
 # Tier 2 (race): race-detector pass over the concurrent engine, session,
 # server, sketch-family (SRP's lock-free direction cache), fan-out, miner
 # and wire-codec packages, the session-lifecycle tests ten times over.
@@ -37,15 +39,17 @@
 # Not tiers — timing is read by a person, not gated: the single-layer
 # `go test -bench` entries `make bench-workers` (probe worker pool),
 # `make bench-repeat` (warm repeat probe), `make bench-curve` (curve
-# derivation over 100 k cached pairs) and `make bench-snapshot` (the wire
+# derivation over 100 k cached pairs), `make bench-snapshot` (the wire
 # block walk, a bare cache's snapshot encode and decode, and a whole
-# session's snapshot and restore), and the full `go run ./bench`.
+# session's snapshot and restore) and `make bench-sketch` (NewCache's
+# minhash and SRP sketching, and the cold probe after it), and the full
+# `go run ./bench`.
 set -eu
 
 echo "== tier 1: vet + build + short tests =="
 make vet build short
 
-echo "== tier 1b: lint (gofmt + vet + plasmalint) =="
+echo "== tier 1b: lint (gofmt + vet + plasmalint + arm64 no-fusion) =="
 make lint
 
 echo "== tier 2: race detector on concurrent packages =="

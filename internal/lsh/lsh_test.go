@@ -56,6 +56,58 @@ func TestMinHashDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
+// minHashReference is the index-major minhash loop: for each index, every
+// seed's hash lowers that seed's slot. Sketch runs seed-major and must give
+// the same signature bit for bit.
+func minHashReference(m *MinHasher, v vec.Sparse) []uint32 {
+	sig := make([]uint32, m.K)
+	for i := range sig {
+		sig[i] = math.MaxUint32
+	}
+	for _, ix := range v.Indices {
+		x := uint64(ix) + 0x9e3779b97f4a7c15
+		for i, s := range m.seeds {
+			h := uint32(splitmix64(x ^ s))
+			if h < sig[i] {
+				sig[i] = h
+			}
+		}
+	}
+	return sig
+}
+
+// TestMinHashMatchesReference pins the seed-major Sketch to the index-major
+// loop over signature lengths around its four-seed stride and rows from
+// empty to past its on-stack key buffer, each long row holding both ends of
+// a 2²²-dimension space.
+func TestMinHashMatchesReference(t *testing.T) {
+	const dim = 1 << 22
+	rng := rand.New(rand.NewSource(11))
+	var rows []vec.Sparse
+	for _, n := range []int{0, 1, 2, 110, 128, 129, 500} {
+		m := map[int32]float64{}
+		if n >= 1 {
+			m[0] = 1
+		}
+		if n >= 2 {
+			m[dim-1] = 1
+		}
+		for len(m) < n {
+			m[int32(rng.Intn(dim))] = 1
+		}
+		rows = append(rows, vec.FromMap(m))
+	}
+	for _, k := range []int{1, 3, 4, 5, 255, 256} {
+		mh := NewMinHasher(k, int64(k))
+		for _, v := range rows {
+			got, want := mh.Sketch(v), minHashReference(mh, v)
+			if !slices.Equal(got, want) {
+				t.Fatalf("K=%d, %d indices: seed-major sketch differs from index-major", k, len(v.Indices))
+			}
+		}
+	}
+}
+
 func TestSRPUnbiased(t *testing.T) {
 	// Bit agreement fraction must estimate 1 - θ/π.
 	rng := rand.New(rand.NewSource(7))
@@ -154,6 +206,34 @@ func TestSRPConcurrentSketch(t *testing.T) {
 		for k := range want[i] {
 			if got[i][k] != want[i][k] {
 				t.Fatalf("vector %d word %d: concurrent sketch differs from serial", i, k)
+			}
+		}
+	}
+}
+
+// TestGaussRowMatchesSinCos pins gaussRow's one math.Sincos call to the
+// Box-Muller pair it replaces, r·cos θ and r·sin θ from math.Cos and
+// math.Sin, bit for bit, over three seeds and 256 bits: every dimension
+// below 5 000, then a widening stride up to 300 000.
+func TestGaussRowMatchesSinCos(t *testing.T) {
+	const bits = 256
+	for seed := int64(1); seed <= 3; seed++ {
+		srp := NewSRP(bits, 300_000, seed)
+		for d := 0; d < 300_000; d += 1 + d/5000*100 {
+			base := splitmix64(srp.seed ^ uint64(d)*0x9e3779b97f4a7c15)
+			want := make([]float32, bits)
+			for i := 0; i < bits; i += 2 {
+				u1 := (float64(splitmix64(base^uint64(i))>>11) + 0.5) / (1 << 53)
+				u2 := (float64(splitmix64(base^uint64(i)^0xdeadbeefcafef00d)>>11) + 0.5) / (1 << 53)
+				r := math.Sqrt(-2 * math.Log(u1))
+				want[i] = float32(r * math.Cos(2*math.Pi*u2))
+				want[i+1] = float32(r * math.Sin(2*math.Pi*u2))
+			}
+			got := srp.gaussRow(d)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("seed %d dim %d bit %d: %v, two-call formula %v", seed, d, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -56,7 +56,7 @@ func (s Sparse) Len() int { return len(s.Indices) }
 func (s Sparse) Norm() float64 {
 	var ss float64
 	for _, v := range s.Values {
-		ss += v * v
+		ss += float64(v * v) // rounded: no fused multiply-add
 	}
 	return math.Sqrt(ss)
 }
@@ -79,7 +79,7 @@ func Dot(a, b Sparse) float64 {
 	for i < len(a.Indices) && j < len(b.Indices) {
 		switch {
 		case a.Indices[i] == b.Indices[j]:
-			sum += a.Values[i] * b.Values[j]
+			sum += float64(a.Values[i] * b.Values[j]) // rounded: no fused multiply-add
 			i++
 			j++
 		case a.Indices[i] < b.Indices[j]:
