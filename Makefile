@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test short race lint fuzz bench bench-workers bench-repeat bench-curve bench-snapshot bench-sketch serve smoke-server smoke-cluster ci
+.PHONY: all build vet test short race lint fuzz bench-smoke bench bench-workers bench-repeat bench-curve bench-snapshot bench-sketch serve smoke-server smoke-cluster ci
 
 # fuzz time per target for the bounded CI pass (override for longer local runs).
 FUZZTIME ?= 15s
@@ -43,7 +43,9 @@ race:
 # plasmalint — the four project-specific invariant analyzers in
 # internal/lint (mapiter, atomicmix, prealloc, httperr), each encoding a bug
 # class this repo has already shipped a fix for and that the code's
-# structure does not rule out. It is the only lint gate: any finding fails
+# structure does not rule out. mapiter is one rule: the determinism
+# packages visit a map only through slices.Sorted(maps.Keys(m)), never by
+# ranging it. It is the only lint gate: any finding fails
 # it, so the tree stays clean; deliberate exceptions carry
 # //lint:<analyzer>-ok <reason> annotations. Last, the no-fusion check:
 # Go may fuse x*y + z into one FMA instruction, arm64 does, and a fused
@@ -77,6 +79,12 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRestoreSession -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAppendRowsBody -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run xxx -fuzz FuzzRowBodies -fuzztime $(FUZZTIME) ./internal/server
+
+# bench-smoke is ci tier 4: the repository's benchmark (bench/) runs all
+# four workloads and the traced pass in-process at 1/10 scale with every
+# built-in check, and its declaration must match BENCHMARK.json.
+bench-smoke:
+	$(GO) test -count=1 ./bench
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -154,4 +162,5 @@ smoke-server:
 smoke-cluster:
 	sh ./scripts/smoke-cluster.sh
 
-ci: vet build lint short race smoke-server smoke-cluster
+# ci runs tiers 1–5 in ci.sh's order; ci.sh runs this target.
+ci: vet build short lint race smoke-server smoke-cluster bench-smoke fuzz

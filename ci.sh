@@ -1,7 +1,7 @@
 #!/bin/sh
-# ci.sh — the tiered verification gate. The tier definitions live in the
-# Makefile; this script just sequences them so CI and developers run the
-# same commands.
+# ci.sh — the tiered verification gate. The tier definitions and their
+# order live in the Makefile: `make ci` runs tiers 1–5, so CI and developers
+# run the same commands. This script runs it, then tier 6 when asked.
 #
 # Tier 1 (fast): vet + build + short tests, which still smoke-run every
 # experiment ID at reduced scale, and decode + re-encode the golden
@@ -46,26 +46,7 @@
 # `go run ./bench`.
 set -eu
 
-echo "== tier 1: vet + build + short tests =="
-make vet build short
-
-echo "== tier 1b: lint (gofmt + vet + plasmalint + arm64 no-fusion) =="
-make lint
-
-echo "== tier 2: race detector on concurrent packages =="
-make race
-
-echo "== tier 3: plasmad daemon smoke =="
-make smoke-server
-
-echo "== tier 3b: plasmad 3-node cluster smoke =="
-make smoke-cluster
-
-echo "== tier 4: benchmark smoke (bench/ at 1/10 scale, all checks) =="
-go test -count=1 ./bench
-
-echo "== tier 5: bounded fuzz over untrusted-input parsers =="
-make fuzz
+make ci
 
 if [ "${CI_FULL:-0}" = "1" ]; then
     echo "== tier 6: full test suite =="

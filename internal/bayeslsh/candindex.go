@@ -1,6 +1,7 @@
 package bayeslsh
 
 import (
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -121,21 +122,20 @@ func buildCandIndex(dim int, rows []vec.Sparse, frac float64) *candIndex {
 // cap is re-derived for the grown row count so the result matches a
 // from-scratch build over all[:n] candidate-for-candidate.
 func (ix *candIndex) extend(dim int, all []vec.Sparse, n int, frac float64) *candIndex {
+	tail := maps.Clone(ix.tail)
+	if tail == nil {
+		tail = make(map[int32][]int32)
+	}
 	nnz := ix.nnz
-	grown := make(map[int32][]int32)
 	for i := int(ix.total()); i < n; i++ {
 		for _, f := range all[i].Indices {
-			grown[f] = append(grown[f], int32(i))
+			t := tail[f]
+			if len(t) == len(ix.tail[f]) {
+				t = t[:len(t):len(t)] // the receiver's list: the append copies it
+			}
+			tail[f] = append(t, int32(i))
 		}
 		nnz += int64(len(all[i].Indices))
-	}
-	tail := make(map[int32][]int32, len(ix.tail)+len(grown))
-	for f, t := range ix.tail {
-		tail[f] = t
-	}
-	for f, g := range grown {
-		t := tail[f]
-		tail[f] = append(t[:len(t):len(t)], g...)
 	}
 	return &candIndex{
 		csrRows:  ix.csrRows,

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"plasmahd/bench/gen"
 	"plasmahd/internal/dataset"
 	"plasmahd/internal/vec"
 )
@@ -134,6 +135,35 @@ func TestAppendRowOrderedAtWordBoundaries(t *testing.T) {
 	}
 }
 
+// TestCandIndexExtendCopiesOnWrite pins that extend never writes into a
+// tail list another index holds: one index extended twice, by two different
+// batches, leaves itself and both extensions with the tails a single extend
+// from the CSR build gives.
+func TestCandIndexExtendCopiesOnWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ds := randomSparseDS(rng, 200, 40)
+	other := append(slices.Clone(ds.Rows[:150]), randomSparseDS(rng, 50, 40).Rows...)
+	base := buildCandIndex(ds.Dim, ds.Rows[:100], 0.5)
+	a := base.extend(ds.Dim, ds.Rows, 150, 0.5)
+	b := a.extend(ds.Dim, ds.Rows, 200, 0.5)
+	c := a.extend(ds.Dim, other, 200, 0.5)
+	for _, tc := range []struct {
+		name string
+		ix   *candIndex
+		rows []vec.Sparse
+	}{{"a", a, ds.Rows[:150]}, {"b", b, ds.Rows}, {"c", c, other}} {
+		want := base.extend(ds.Dim, tc.rows, len(tc.rows), 0.5)
+		if len(tc.ix.tail) != len(want.tail) {
+			t.Fatalf("%s: %d tail features, want %d", tc.name, len(tc.ix.tail), len(want.tail))
+		}
+		for f, rows := range want.tail {
+			if !slices.Equal(tc.ix.tail[f], rows) {
+				t.Fatalf("%s: feature %d tail %v, want %v", tc.name, f, tc.ix.tail[f], rows)
+			}
+		}
+	}
+}
+
 // TestCandIndexBuiltOnceAndReused checks the index is built lazily on the
 // first probe and shared by later and concurrent probes on the same cache.
 func TestCandIndexBuiltOnceAndReused(t *testing.T) {
@@ -199,5 +229,23 @@ func TestParallelSketchDeterminism(t *testing.T) {
 				t.Error("SRP signatures differ between 1 and 8 sketch workers")
 			}
 		})
+	}
+}
+
+// BenchmarkCandIndexExtend times growing the candidate index's tail as live
+// ingest does: a CSR build over 2 500 rows in the onboard-long shape (100–120
+// features a row over 1.25 M dimensions), then three 40-row extends, each
+// from the index the previous one returned. Only the extends are timed.
+func BenchmarkCandIndexExtend(b *testing.B) {
+	const base, batch, batches = 2500, 40, 3
+	ds := gen.LongsetJaccard{Rows: base + batch*batches, Dim: 1_250_000, MinNnz: 100, MaxNnz: 120,
+		GroupFrac: 0.3, GroupMin: 2, GroupMax: 6, KeepLo: 0.85, KeepHi: 0.98}.Generate(1).Dataset(0, base+batch*batches)
+	ix := buildCandIndex(ds.Dim, ds.Rows[:base], 0.5)
+	b.ReportAllocs()
+	for b.Loop() {
+		next := ix
+		for n := base + batch; n <= base+batch*batches; n += batch {
+			next = next.extend(ds.Dim, ds.Rows, n, 0.5)
+		}
 	}
 }

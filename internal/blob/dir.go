@@ -30,9 +30,6 @@ func NewDir(root string) (*Dir, error) {
 	return &Dir{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (d *Dir) Root() string { return d.root }
-
 // Path returns where key lives on disk (logs and operator tooling; the
 // generic Store contract knows nothing about paths).
 func (d *Dir) Path(key string) string { return filepath.Join(d.root, key) }

@@ -2,8 +2,9 @@ package dataset
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"plasmahd/internal/vec"
 )
@@ -50,12 +51,7 @@ var corpusSpecs = map[string]CorpusSpec{
 
 // CorpusNames returns the known corpus names in sorted order.
 func CorpusNames() []string {
-	names := make([]string, 0, len(corpusSpecs))
-	for n := range corpusSpecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(corpusSpecs))
 }
 
 // NewCorpusScaled generates the named corpus capped at maxDocs rows

@@ -14,8 +14,9 @@ package dataset
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"plasmahd/internal/vec"
 )
@@ -72,12 +73,7 @@ var tableSpecs = map[string]TableSpec{
 
 // TableNames returns the known dense dataset names in sorted order.
 func TableNames() []string {
-	names := make([]string, 0, len(tableSpecs))
-	for n := range tableSpecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(tableSpecs))
 }
 
 // NewTable generates the named table at its paper-reported size.

@@ -2,8 +2,9 @@ package dataset
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TransSpec describes a transactional stand-in for the FIMI/UCI sets of
@@ -35,12 +36,7 @@ var transSpecs = map[string]TransSpec{
 
 // TransNames returns the known transactional dataset names in sorted order.
 func TransNames() []string {
-	names := make([]string, 0, len(transSpecs))
-	for n := range transSpecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(transSpecs))
 }
 
 // Transactions is a generated transactional dataset: rows of sorted distinct
@@ -107,11 +103,7 @@ func NewTransactionsScaled(name string, maxTrans int, seed int64) (*Transactions
 		for len(set) < ln {
 			set[rng.Intn(spec.Items)] = true
 		}
-		items := make([]int, 0, ln)
-		for it := range set {
-			items = append(items, it)
-		}
-		sort.Ints(items)
+		items := slices.Sorted(maps.Keys(set))
 		class := -1
 		if nClasses > 1 && p%3 != 0 { // two thirds of patterns are class-specific
 			class = p % nClasses
@@ -139,12 +131,7 @@ func NewTransactionsScaled(name string, maxTrans int, seed int64) (*Transactions
 		for k := 0; k < noise; k++ {
 			set[rng.Intn(spec.Items)] = true
 		}
-		row := make([]int, 0, len(set))
-		for it := range set {
-			row = append(row, it)
-		}
-		sort.Ints(row)
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, slices.Sorted(maps.Keys(set)))
 		if spec.Classes > 0 {
 			t.Labels = append(t.Labels, class)
 		}
@@ -178,12 +165,7 @@ var graphSpecs = map[string]GraphSpec{
 
 // GraphNames returns the known web-graph names in sorted order.
 func GraphNames() []string {
-	names := make([]string, 0, len(graphSpecs))
-	for n := range graphSpecs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(graphSpecs))
 }
 
 // NewWebGraphScaled generates the named web-graph stand-in as adjacency-list
@@ -264,12 +246,7 @@ func NewWebGraphScaled(name string, maxVertices int, seed int64) (*Transactions,
 
 	t := &Transactions{Name: name, Items: nv, Spec: TransSpec{Name: name, Trans: nv, Items: nv, Density: "graph"}}
 	for v := 0; v < nv; v++ {
-		row := make([]int, 0, len(adj[v]))
-		for u := range adj[v] {
-			row = append(row, u)
-		}
-		sort.Ints(row)
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, slices.Sorted(maps.Keys(adj[v])))
 	}
 	return t, nil
 }

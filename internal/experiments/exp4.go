@@ -201,14 +201,10 @@ func e45Classification(w io.Writer, opt Options) error {
 		acc := lam.CrossValidate(db, tr.Labels, p, 5)
 		// Majority-class baseline for context.
 		counts := map[int]int{}
+		maj := 0
 		for _, l := range tr.Labels {
 			counts[l]++
-		}
-		maj := 0
-		for _, c := range counts {
-			if c > maj {
-				maj = c
-			}
+			maj = max(maj, counts[l])
 		}
 		rows = append(rows, []string{name, viz.F(acc * 100),
 			viz.F(100 * float64(maj) / float64(len(tr.Labels)))})

@@ -6,7 +6,9 @@
 package gen
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"plasmahd/internal/graph"
@@ -169,12 +171,7 @@ var models = map[Model]GeneratorFunc{
 
 // Models returns the registered model names in sorted order.
 func Models() []Model {
-	names := make([]Model, 0, len(models))
-	for m := range models {
-		names = append(names, m)
-	}
-	sort.Slice(names, func(a, b int) bool { return names[a] < names[b] })
-	return names
+	return slices.Sorted(maps.Keys(models))
 }
 
 // Lookup returns the registered generator for a model name.

@@ -145,10 +145,3 @@ func remove(s []int32, v int32) []int32 {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

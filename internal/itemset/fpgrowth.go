@@ -1,6 +1,8 @@
 package itemset
 
 import (
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -76,8 +78,8 @@ func MineFrequent(db *DB, minsup int, maxPatterns int) ([]Itemset, bool) {
 		c    int
 	}
 	var frequents []fi
-	for it, c := range freq {
-		if c >= minsup {
+	for _, it := range slices.Sorted(maps.Keys(freq)) {
+		if c := freq[it]; c >= minsup {
 			frequents = append(frequents, fi{it, c})
 		}
 	}
@@ -130,8 +132,8 @@ func fpGrowth(tree *fpTree, suffix []int32, minsup, maxPatterns int, out *[]Item
 		c    int
 	}
 	var items []fi
-	for it, c := range tree.counts {
-		if c >= minsup {
+	for _, it := range slices.Sorted(maps.Keys(tree.counts)) {
+		if c := tree.counts[it]; c >= minsup {
 			items = append(items, fi{it, c})
 		}
 	}
@@ -166,8 +168,8 @@ func fpGrowth(tree *fpTree, suffix []int32, minsup, maxPatterns int, out *[]Item
 			c    int
 		}
 		var condItems []cfi
-		for it, c := range condFreq {
-			if c >= minsup {
+		for _, it := range slices.Sorted(maps.Keys(condFreq)) {
+			if c := condFreq[it]; c >= minsup {
 				condItems = append(condItems, cfi{it, c})
 			}
 		}
@@ -209,7 +211,8 @@ func mineClosedBySubsumption(db *DB, minsup int, maxPatterns int) ([]Itemset, bo
 		bySupport[s.Support] = append(bySupport[s.Support], s)
 	}
 	var out []Itemset
-	for _, group := range bySupport {
+	for _, sup := range slices.Sorted(maps.Keys(bySupport)) {
+		group := bySupport[sup]
 		// Within a support group, an itemset is non-closed iff some other
 		// member is a proper superset. Sort by descending length so
 		// supersets come first.
@@ -251,8 +254,8 @@ func AprioriFrequent(db *DB, minsup int) []Itemset {
 		}
 	}
 	var level []Itemset
-	for it, c := range freq {
-		if c >= minsup {
+	for _, it := range slices.Sorted(maps.Keys(freq)) {
+		if c := freq[it]; c >= minsup {
 			level = append(level, Itemset{Items: []int32{it}, Support: c})
 		}
 	}

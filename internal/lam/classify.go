@@ -1,6 +1,8 @@
 package lam
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"plasmahd/internal/itemset"
@@ -31,11 +33,7 @@ func TrainClassifier(db *itemset.DB, labels []int, p Params) *Classifier {
 	for i, row := range db.Rows {
 		classRows[labels[i]] = append(classRows[labels[i]], row)
 	}
-	classes := make([]int, 0, len(classRows))
-	for c := range classRows {
-		classes = append(classes, c)
-	}
-	sort.Ints(classes)
+	classes := slices.Sorted(maps.Keys(classRows))
 
 	// Majority class is the CBA default.
 	def, defCount := 0, -1

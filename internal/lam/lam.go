@@ -23,7 +23,9 @@ package lam
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -286,10 +288,7 @@ func (r *Result) LengthCompressionCurve() (lengths []int, cumSaved []int64) {
 		l := len(p.Items)
 		byLen[l] += int64(p.Freq*l - p.Freq - l)
 	}
-	for l := range byLen {
-		lengths = append(lengths, l)
-	}
-	sort.Ints(lengths)
+	lengths = slices.Sorted(maps.Keys(byLen))
 	var acc int64
 	for _, l := range lengths {
 		acc += byLen[l]

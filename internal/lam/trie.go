@@ -1,6 +1,8 @@
 package lam
 
 import (
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -117,13 +119,8 @@ func generatePotentials(root *trieNode, rows [][]int32, u Utility) []Potential {
 	var walk func(n *trieNode)
 	walk = func(n *trieNode) {
 		deepest := true
-		// Deterministic child order.
-		kids := make([]*trieNode, 0, len(n.children))
-		for _, c := range n.children {
-			kids = append(kids, c)
-		}
-		sort.Slice(kids, func(a, b int) bool { return kids[a].item < kids[b].item })
-		for _, c := range kids {
+		for _, item := range slices.Sorted(maps.Keys(n.children)) {
+			c := n.children[item]
 			if c.count() > 1 {
 				deepest = false
 				walk(c)

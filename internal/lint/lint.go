@@ -5,7 +5,9 @@
 // bugfix for, where nothing in the code's structure enforces it:
 //
 //   - mapiter:   PR 7 — CumulativeAPSS accumulated floats in Go-map
-//     iteration order, so curve points drifted by an ulp run to run.
+//     iteration order, so curve points drifted by an ulp run to run. The
+//     determinism packages visit a map only through its sorted keys
+//     (slices.Sorted(maps.Keys(m))), so any range over a map is flagged.
 //   - atomicmix: PR 5 — SRP.gaussRow mixed atomic and plain access to the
 //     same field; the fix was typed atomics, so function-style sync/atomic
 //     calls are flagged outright.
@@ -219,17 +221,9 @@ func sortFindings(fs []Finding) {
 
 // ---- shared AST/type helpers ----
 
-// typeOf returns the type of e, or nil.
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if t, ok := info.Types[e]; ok {
-		return t.Type
-	}
-	return nil
-}
-
 // isMapType reports whether e has map type (after unaliasing).
 func isMapType(info *types.Info, e ast.Expr) bool {
-	t := typeOf(info, e)
+	t := info.TypeOf(e)
 	if t == nil {
 		return false
 	}
@@ -256,24 +250,35 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkg, name string, ok b
 	return fn.Pkg().Path(), fn.Name(), true
 }
 
-// rootIdent walks to the leftmost identifier of a selector/index chain:
-// rootIdent(a.b[i].c) == a. Returns nil when the root is not an identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
+// isBuiltin reports whether call invokes the named builtin.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, isB := info.Uses[id].(*types.Builtin)
+	return isB
+}
+
+// exprString renders a short expression for messages.
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprString(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(x.X) + "[…]"
+	case *ast.CallExpr:
+		return exprString(x.Fun) + "(…)"
+	case *ast.ParenExpr:
+		return "(" + exprString(x.X) + ")"
+	case *ast.StarExpr:
+		return "*" + exprString(x.X)
+	case *ast.UnaryExpr:
+		return x.Op.String() + exprString(x.X)
+	default:
+		return "expr"
 	}
 }
 

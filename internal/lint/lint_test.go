@@ -149,8 +149,8 @@ func TestAnnotationHygiene(t *testing.T) {
 import "fmt"
 
 func bad(m map[string]int) {
+	//lint:mapiter-ok
 	for k := range m {
-		//lint:mapiter-ok
 		fmt.Println(k)
 	}
 }
@@ -446,15 +446,13 @@ func TestDriverCleanModule(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"internal/core/ok.go": `package core
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 func keys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(m))
 }
 `,
 	})

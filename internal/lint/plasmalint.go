@@ -14,13 +14,17 @@ import (
 // configs; this block is the production wiring.
 var (
 	// determinismPkgs are the packages whose outputs must be bit-identical
-	// run to run (the differential ingest harness compares them exactly).
+	// run to run (the differential ingest harness compares them exactly),
+	// and the data generators whose rows and names feed them.
 	determinismPkgs = []string{
 		"plasmahd/internal/bayeslsh",
 		"plasmahd/internal/core",
 		"plasmahd/internal/experiments",
 		"plasmahd/internal/lam",
 		"plasmahd/internal/itemset",
+		"plasmahd/internal/dataset",
+		"plasmahd/internal/gen",
+		"plasmahd/internal/vec",
 	}
 	// decodeFiles are the codec files that parse untrusted bytes. New
 	// codec files must be added here.

@@ -92,8 +92,8 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, format stri
 // cannot bypass the envelope or the error counter behind it. status and body
 // are ignored when err is non-nil. Only the two registry views, /metrics and
 // /v1/stats (rendered by the registry, with no error to report), and
-// .../snapshot's binary stream (with a holdback) keep http.HandlerFunc; its
-// ?persist=1 half is an endpoint.
+// .../snapshot's binary stream keep http.HandlerFunc; its ?persist=1 half is
+// an endpoint.
 type endpoint func(r *http.Request) (status int, body any, err error)
 
 // json mounts an endpoint on the envelope.
@@ -700,30 +700,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	// Stream the snapshot straight to the client instead of staging it in a
-	// buffer: the old path double-held up to a full session in memory per
-	// request (the session plus its serialized bytes), which is exactly the
-	// footprint the streaming restore path of the opposite direction was
-	// built to avoid. A small holdback keeps early failures clean: the
-	// codec's fallible header work (the dataset name and count caps)
-	// happens within the first few hundred bytes, and the encoder writes its
-	// magic before anything fallible — so without the holdback, no
-	// failure could ever be reported as an error envelope.
-	hw := &holdbackWriter{w: w}
-	if err := ms.Session.Snapshot(hw); err != nil {
-		if !hw.committed {
-			// Nothing on the wire yet: a clean error envelope is possible.
-			s.writeError(w, http.StatusInternalServerError, "internal", "snapshot failed: %v", err)
-			return
-		}
-		// Mid-stream failure: bytes are already on the wire. Abort the
-		// connection so the client sees a truncated (CRC-failing) stream,
-		// never a clean EOF on a silently short snapshot.
+	// buffer: a staged copy would double-hold up to a full session in memory
+	// per request, the footprint the streaming restore path of the opposite
+	// direction was built to avoid. Every check the encoder runs already
+	// held when the session's params, name and rows came in, so a failure
+	// here is a writer's.
+	w.Header().Set("Content-Type", "application/octet-stream")
+	cw := &countWriter{w: w}
+	if err := ms.Session.Snapshot(cw); err != nil {
+		// Bytes may already be on the wire. Abort the connection so the
+		// client sees a truncated (CRC-failing) stream, never a clean EOF
+		// on a silently short snapshot.
 		panic(http.ErrAbortHandler)
 	}
-	if err := hw.flush(); err != nil {
-		panic(http.ErrAbortHandler)
-	}
-	s.mgr.snapBytesOut.Add(hw.written)
+	s.mgr.snapBytesOut.Add(cw.n)
 }
 
 // handlePersist writes a session's snapshot to the blob store (which
@@ -750,53 +740,6 @@ func (s *Server) handlePersist(r *http.Request) (int, any, error) {
 		"key":       stateKey(ms.ID),
 		"bytes":     n,
 	}, nil
-}
-
-// snapshotHoldback is how much of a streamed snapshot is withheld before
-// the response is committed. It needs to cover the codec's fallible header
-// section (magic, dataset name and counts); everything after that can only
-// fail on writer errors.
-const snapshotHoldback = 4096
-
-// holdbackWriter buffers the first snapshotHoldback bytes and passes
-// everything after them straight through. Headers (and the implicit 200)
-// are only committed once the buffer overflows or flush is called, so a
-// failure inside the codec's header work can still become a JSON 500.
-type holdbackWriter struct {
-	w         http.ResponseWriter
-	head      []byte
-	committed bool
-	written   int64 // total snapshot bytes accepted, committed or held back
-}
-
-func (hw *holdbackWriter) commit() error {
-	hw.w.Header().Set("Content-Type", "application/octet-stream")
-	hw.committed = true
-	_, err := hw.w.Write(hw.head)
-	hw.head = nil
-	return err
-}
-
-func (hw *holdbackWriter) Write(p []byte) (int, error) {
-	hw.written += int64(len(p))
-	if !hw.committed {
-		if len(hw.head)+len(p) <= snapshotHoldback {
-			hw.head = append(hw.head, p...)
-			return len(p), nil
-		}
-		if err := hw.commit(); err != nil {
-			return 0, err
-		}
-	}
-	return hw.w.Write(p)
-}
-
-// flush commits a snapshot that fit entirely inside the holdback.
-func (hw *holdbackWriter) flush() error {
-	if hw.committed {
-		return nil
-	}
-	return hw.commit()
 }
 
 // restore decodes a session snapshot from r, the one path restore uploads

@@ -6,8 +6,9 @@ package vec
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sparse is a sparse vector with strictly increasing indices. The weighted
@@ -138,13 +139,9 @@ func FromDense(row []float64) Sparse {
 // FromMap builds a Sparse vector from an index->value map, sorting indices.
 func FromMap(m map[int32]float64) Sparse {
 	s := Sparse{
-		Indices: make([]int32, 0, len(m)),
+		Indices: slices.Sorted(maps.Keys(m)),
 		Values:  make([]float64, 0, len(m)),
 	}
-	for i := range m {
-		s.Indices = append(s.Indices, i)
-	}
-	sort.Slice(s.Indices, func(a, b int) bool { return s.Indices[a] < s.Indices[b] })
 	for _, i := range s.Indices {
 		s.Values = append(s.Values, m[i])
 	}
