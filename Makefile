@@ -45,21 +45,22 @@ race:
 # class this repo has already shipped a fix for and that the code's
 # structure does not rule out. mapiter is one rule: the determinism
 # packages visit a map only through slices.Sorted(maps.Keys(m)), never by
-# ranging it. It is the only lint gate: any finding fails
-# it, so the tree stays clean; deliberate exceptions carry
-# //lint:<analyzer>-ok <reason> annotations. Last, the no-fusion check:
-# Go may fuse x*y + z into one FMA instruction, arm64 does, and a fused
-# product rounds differently, so lsh (sketches) and vec (exact similarity)
-# are cross-compiled for arm64 and any fused multiply-add in their assembly
-# fails the tier. It needs no arm64 machine; a product that must not fuse
-# is rounded explicitly, s += float64(a * b).
+# ranging it. It is the only lint gate and every rule is absolute: any
+# finding fails it, no comment excuses a site, and each finding names the
+# rewrite that satisfies its rule. Last, the no-fusion check: Go may fuse
+# x*y + z into one FMA instruction, arm64 does, and a fused product rounds
+# differently, so lsh (sketches), vec (exact similarity), stats (Beta
+# tails, fits), bayeslsh (bounds, estimates) and core (curve, cues) are
+# cross-compiled for arm64 and any fused multiply-add, double or single
+# precision, in their assembly fails the tier. It needs no arm64 machine;
+# a product that must not fuse is rounded explicitly, s += float64(a * b).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt drift:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/plasmalint ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lsh ./internal/vec 2>&1) || { echo "$$asm"; exit 1; }; \
-	out=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b'); if [ -n "$$out" ]; then \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lsh ./internal/vec ./internal/bayeslsh ./internal/stats ./internal/core 2>&1) || { echo "$$asm"; exit 1; }; \
+	out=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b'); if [ -n "$$out" ]; then \
 		echo "fused multiply-add in arm64 code:"; echo "$$out"; exit 1; fi
 
 # fuzz runs each native fuzz target for $(FUZZTIME) on top of the checked-in
@@ -130,10 +131,12 @@ bench-curve:
 # and restore pays; the rows are not hashed either way. Arrays move as blocks, a chunk per pack or unpack
 # call, so ns/op tracks bytes, not words. ns/op and allocs/op; MB/s is of
 # snapshot bytes, so it is comparable only across runs of one format
-# version.
+# version. The engine step also times the decision tables alone
+# (BenchmarkDecisionTables): a cache with no rows for the default params,
+# per measure, which every NewCache and every decode builds afresh.
 bench-snapshot:
 	$(GO) test -run xxx -bench 'Benchmark(U32s|F64s)$$' -benchmem ./internal/wire
-	$(GO) test -run xxx -bench 'Benchmark(Encode|Decode)Snapshot$$' -benchmem ./internal/bayeslsh
+	$(GO) test -run xxx -bench 'Benchmark(EncodeSnapshot|DecodeSnapshot|DecisionTables)$$' -benchmem ./internal/bayeslsh
 	$(GO) test -run xxx -bench 'BenchmarkSession(Snapshot|Restore)$$' -benchmem .
 
 # bench-sketch isolates sketching, the one-time cost of Fig 2.9, and the

@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	plasmalint [-only mapiter,httperr] [packages]
+//	plasmalint [packages]
 //
 // With no packages it lints ./... from the current directory. Findings
 // print as "file:line: [analyzer] message" and exit status 1; a clean tree
-// exits 0. Deliberate violations carry a //lint:<analyzer>-ok <reason>
-// comment on the flagged line or the line above — the reason is mandatory.
+// exits 0. Every rule is absolute: no comment excuses a finding, and each
+// message names the rewrite that satisfies the rule.
 package main
 
 import (

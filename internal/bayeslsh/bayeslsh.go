@@ -534,8 +534,8 @@ func (c *Cache) MassAbove(thresholds []float64, rows int) (est, varsum []float64
 			state := PairState{M: int32(m), N: int32(n)}
 			for k, t := range thresholds {
 				p := c.ProbAbove(state, t)
-				est[k] += float64(count) * p
-				varsum[k] += float64(count) * p * (1 - p)
+				est[k] += float64(float64(count) * p)              // rounded: no fused multiply-add
+				varsum[k] += float64(float64(count) * p * (1 - p)) // rounded: no fused multiply-add
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"plasmahd/bench/gen"
+	"plasmahd/internal/vec"
 )
 
 // denseLadderCache is the cache of the explore-dense benchmark workload's
@@ -68,5 +69,20 @@ func BenchmarkDecodeSnapshot(b *testing.B) {
 		if _, err := DecodeSnapshot(bytes.NewReader(snap)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDecisionTables builds a cache with no rows for the default
+// params under each measure: the concentration and estimate tables that
+// NewCache and DecodeSnapshot both pay for before the first row, a cost
+// that depends on the params and the measure alone (`make bench-snapshot`).
+func BenchmarkDecisionTables(b *testing.B) {
+	for _, m := range []vec.Measure{vec.JaccardSim, vec.CosineSim} {
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				newCache(DefaultParams(), m, 1, NewPairStore())
+			}
+		})
 	}
 }

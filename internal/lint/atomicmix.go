@@ -17,7 +17,6 @@ import (
 func NewAtomicmix() *Analyzer {
 	return &Analyzer{
 		Name: "atomicmix",
-		Doc:  "function-style sync/atomic calls (typed atomics only)",
 		Run:  runAtomicmix,
 	}
 }
@@ -34,7 +33,7 @@ func runAtomicmix(p *Package) []Finding {
 				out = append(out, Finding{
 					Pos:      p.Fset.Position(call.Pos()),
 					Analyzer: "atomicmix",
-					Message: fmt.Sprintf("function-style atomic.%s leaves its operand open to non-atomic access — use a typed atomic (atomic.Int64, atomic.Pointer) or annotate //lint:atomicmix-ok <reason>",
+					Message: fmt.Sprintf("function-style atomic.%s leaves its operand open to non-atomic access — use a typed atomic (atomic.Int64, atomic.Pointer)",
 						name),
 				})
 			}

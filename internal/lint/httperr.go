@@ -31,7 +31,6 @@ type HTTPErrConfig struct {
 func NewHTTPErr(cfg HTTPErrConfig) *Analyzer {
 	return &Analyzer{
 		Name: "httperr",
-		Doc:  "error responses bypassing the JSON envelope",
 		Run:  func(p *Package) []Finding { return runHTTPErr(p, cfg) },
 	}
 }
@@ -60,7 +59,7 @@ func runHTTPErr(p *Package, cfg HTTPErrConfig) []Finding {
 					out = append(out, Finding{
 						Pos:      p.Fset.Position(call.Pos()),
 						Analyzer: "httperr",
-						Message:  "http.Error bypasses the JSON envelope and its error counters — use writeError, or annotate //lint:httperr-ok <reason>",
+						Message:  "http.Error bypasses the JSON envelope and its error counters — use writeError",
 					})
 					return true
 				}
@@ -68,7 +67,7 @@ func runHTTPErr(p *Package, cfg HTTPErrConfig) []Finding {
 					out = append(out, Finding{
 						Pos:      p.Fset.Position(call.Pos()),
 						Analyzer: "httperr",
-						Message: fmt.Sprintf("bare WriteHeader(%d) bypasses the JSON envelope and its error counters — use writeError, or annotate //lint:httperr-ok <reason>",
+						Message: fmt.Sprintf("bare WriteHeader(%d) bypasses the JSON envelope and its error counters — use writeError",
 							status),
 					})
 				}

@@ -24,10 +24,10 @@
 // which has the one append lock) and the request-handling goroutine
 // (server.detach is the only one). docs/ARCHITECTURE.md has the audit.
 //
-// A finding prints as "file:line: [analyzer] message". A site that is
-// deliberate carries a "//lint:<analyzer>-ok <reason>" comment on the same
-// line or the line above; the reason is mandatory — a bare annotation is
-// itself a finding.
+// A finding prints as "file:line: [analyzer] message". Every rule is
+// absolute: no comment excuses a site, and each message names the rewrite
+// that satisfies the rule. A false positive is mended by narrowing the
+// analyzer, not by excusing the site.
 package lint
 
 import (
@@ -55,10 +55,7 @@ func (f Finding) String() string {
 // Analyzer is one invariant checker over one type-checked package.
 type Analyzer struct {
 	Name string
-	Doc  string
-	// Run reports raw findings; annotation suppression is the framework's
-	// job (see Lint), so analyzers stay oblivious to the escape hatch.
-	Run func(p *Package) []Finding
+	Run  func(p *Package) []Finding
 }
 
 // Package is one type-checked package: what analyzers consume.
@@ -70,136 +67,14 @@ type Package struct {
 	Info       *types.Info
 }
 
-// annotation is one //lint:<name>-ok <reason> comment.
-type annotation struct {
-	analyzer string
-	reason   string
-	used     bool
-	pos      token.Position
-}
-
-const annotPrefix = "//lint:"
-
-// annotationsFor indexes a file's lint annotations by line. One comment
-// may carry several annotations ("//lint:a-ok reason //lint:b-ok reason"),
-// so a single line flagged by two analyzers can excuse both; each
-// annotation's reason runs up to the next "//lint:" marker.
-func annotationsFor(fset *token.FileSet, file *ast.File) map[string][]*annotation {
-	out := make(map[string][]*annotation)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, annotPrefix) {
-				continue
-			}
-			pos := fset.Position(c.Pos())
-			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-			for _, seg := range splitAnnotations(text) {
-				name, reason, _ := strings.Cut(seg, " ")
-				if !strings.HasSuffix(name, "-ok") {
-					continue
-				}
-				out[key] = append(out[key], &annotation{
-					analyzer: strings.TrimSuffix(name, "-ok"),
-					reason:   strings.TrimSpace(reason),
-					pos:      pos,
-				})
-			}
-		}
-	}
-	return out
-}
-
-// splitAnnotations cuts a "//lint:…" comment into its annotation segments,
-// each starting right after an annotPrefix occurrence.
-func splitAnnotations(text string) []string {
-	var segs []string
-	rest := strings.TrimPrefix(text, annotPrefix)
-	for {
-		if i := strings.Index(rest, annotPrefix); i >= 0 {
-			segs = append(segs, strings.TrimSpace(rest[:i]))
-			rest = rest[i+len(annotPrefix):]
-			continue
-		}
-		segs = append(segs, strings.TrimSpace(rest))
-		return segs
-	}
-}
-
 // Lint runs every analyzer over every package and returns the findings
-// that survive annotation suppression, sorted by position. An annotation
-// suppresses a finding of its analyzer on the same line or the line
-// directly below (i.e. the comment sits on the flagged line or immediately
-// above it). Annotations with no reason, and annotations that suppress
-// nothing, are findings themselves: the escape hatch must stay auditable.
-//
-// Generated files (per the standard "Code generated … DO NOT EDIT."
-// marker) are exempt end to end: no findings are reported in them and
-// their annotations are neither honoured nor reported stale — generated
-// code is the generator's problem, not the tree's. Packages under
-// testdata never reach here at all (the go tool refuses to list them).
+// sorted by position. Packages under testdata never reach here (the go
+// tool refuses to list them).
 func Lint(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	annots := make(map[string][]*annotation)
-	generated := make(map[string]bool)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			if ast.IsGenerated(f) {
-				generated[p.Fset.Position(f.Pos()).Filename] = true
-				continue
-			}
-			for k, v := range annotationsFor(p.Fset, f) {
-				annots[k] = v
-			}
-		}
-	}
-	lookup := func(an string, pos token.Position) *annotation {
-		for _, line := range []int{pos.Line, pos.Line - 1} {
-			for _, a := range annots[fmt.Sprintf("%s:%d", pos.Filename, line)] {
-				if a.analyzer == an {
-					return a
-				}
-			}
-		}
-		return nil
-	}
-
 	var out []Finding
 	for _, az := range analyzers {
-		var raw []Finding
 		for _, p := range pkgs {
-			raw = append(raw, az.Run(p)...)
-		}
-		for _, f := range raw {
-			if generated[f.Pos.Filename] {
-				continue
-			}
-			if a := lookup(az.Name, f.Pos); a != nil {
-				a.used = true
-				if a.reason == "" {
-					out = append(out, Finding{Pos: a.pos, Analyzer: az.Name,
-						Message: "annotation //lint:" + az.Name + "-ok needs a reason"})
-				}
-				continue
-			}
-			out = append(out, f)
-		}
-	}
-	known := make(map[string]bool, len(analyzers))
-	for _, az := range analyzers {
-		known[az.Name] = true
-	}
-	for _, as := range annots {
-		for _, a := range as {
-			if a.used {
-				continue
-			}
-			msg := "unused annotation //lint:" + a.analyzer + "-ok (no finding here — stale?)"
-			an := a.analyzer
-			if !known[an] {
-				msg = "annotation //lint:" + a.analyzer + "-ok names no known analyzer"
-				an = "lint"
-			}
-			out = append(out, Finding{Pos: a.pos, Analyzer: an, Message: msg})
+			out = append(out, az.Run(p)...)
 		}
 	}
 	sortFindings(out)

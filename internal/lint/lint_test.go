@@ -79,8 +79,8 @@ func collectWants(t *testing.T, dir string) []*want {
 	return wants
 }
 
-// runGolden loads a fixture package, runs one analyzer through the full
-// Lint pipeline (annotation suppression included), and matches findings
+// runGolden loads a fixture package, runs one analyzer through Lint, and
+// matches findings
 // against the fixture's want comments — both directions: every finding
 // needs a want, every want a finding.
 func runGolden(t *testing.T, az *Analyzer, fixture string) {
@@ -138,148 +138,6 @@ func TestHTTPErrGolden(t *testing.T) {
 		Packages:   []string{"src/httperr"},
 		AllowFuncs: []string{"writeJSON", "writeError"},
 	}), "httperr")
-}
-
-// TestAnnotationHygiene pins the framework rules around the escape hatch:
-// a reasonless annotation and a stale annotation are findings themselves.
-func TestAnnotationHygiene(t *testing.T) {
-	dir := t.TempDir()
-	src := `package annot
-
-import "fmt"
-
-func bad(m map[string]int) {
-	//lint:mapiter-ok
-	for k := range m {
-		fmt.Println(k)
-	}
-}
-
-func stale(xs []int) int {
-	total := 0
-	//lint:mapiter-ok slices iterate in index order
-	for _, x := range xs {
-		total += x
-	}
-	return total
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "annot.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := sharedLoader(t).LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := Lint([]*Package{pkg}, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{dir}})})
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(findings), findings)
-	}
-	if !strings.Contains(findings[0].Message, "needs a reason") {
-		t.Errorf("finding 0 = %s, want reasonless-annotation finding", findings[0])
-	}
-	if !strings.Contains(findings[1].Message, "unused annotation") {
-		t.Errorf("finding 1 = %s, want stale-annotation finding", findings[1])
-	}
-}
-
-// loadSnippet type-checks one in-test source file and returns the package.
-func loadSnippet(t *testing.T, filename, src string) *Package {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, filename), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := sharedLoader(t).LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
-}
-
-// TestAnnotationMultilineStatement pins that an annotation suppresses a
-// finding anchored to the line below it even when the flagged statement
-// spans several lines — the finding position is the statement's first
-// line, which is what the annotation scanner keys on.
-func TestAnnotationMultilineStatement(t *testing.T) {
-	pkg := loadSnippet(t, "decode.go", `package annot
-
-func decodeRows(n uint32) []float64 {
-	//lint:prealloc-ok n is cross-checked against the blob length above
-	out := make(
-		[]float64,
-		n,
-	)
-	return out
-}
-`)
-	findings := Lint([]*Package{pkg}, []*Analyzer{NewPrealloc(PreallocConfig{Files: []string{"decode.go"}})})
-	if len(findings) != 0 {
-		t.Errorf("annotation above multi-line make did not suppress: %v", findings)
-	}
-}
-
-// TestAnnotationTwoAnalyzersOneLine pins splitAnnotations: one comment
-// line carrying annotations for two different analyzers suppresses both
-// findings on the statement below. The unannotated twin package proves
-// both analyzers actually fire on that line.
-func TestAnnotationTwoAnalyzersOneLine(t *testing.T) {
-	body := func(annot string) string {
-		return `package annot2
-
-var sink []float64
-
-func accumulate(m map[string]float64, n int) float64 {
-	total := 0.0
-` + annot + `	for _, v := range m { total += v; sink = make([]float64, n) }
-	return total
-}
-`
-	}
-	azs := func(pkg *Package) []*Analyzer {
-		return []*Analyzer{
-			NewMapiter(MapiterConfig{Packages: []string{pkg.ImportPath}}),
-			NewPrealloc(PreallocConfig{Files: []string{"decode.go"}}),
-		}
-	}
-	bare := loadSnippet(t, "decode.go", body(""))
-	if got := Lint([]*Package{bare}, azs(bare)); len(got) != 2 {
-		t.Fatalf("unannotated twin: %d findings, want 2 (mapiter + prealloc): %v", len(got), got)
-	}
-	annotated := loadSnippet(t, "decode.go",
-		body("\t//lint:mapiter-ok order-independent sum //lint:prealloc-ok n is a bounded fixture size\n"))
-	if got := Lint([]*Package{annotated}, azs(annotated)); len(got) != 0 {
-		t.Errorf("two annotations on one line did not suppress both analyzers: %v", got)
-	}
-}
-
-// TestAnnotationGeneratedFile pins that generated files are exempt end to
-// end: no findings are reported in them, and their annotations are
-// neither honoured nor reported stale.
-func TestAnnotationGeneratedFile(t *testing.T) {
-	pkg := loadSnippet(t, "gen.go", `// Code generated by fixturegen. DO NOT EDIT.
-
-package gen
-
-import "fmt"
-
-func emit(m map[string]int) {
-	for k := range m {
-		fmt.Println(k)
-	}
-}
-
-func clean(xs []int) {
-	//lint:mapiter-ok this would be a stale-annotation finding in a hand-written file
-	for _, x := range xs {
-		fmt.Println(x)
-	}
-}
-`)
-	findings := Lint([]*Package{pkg}, []*Analyzer{NewMapiter(MapiterConfig{Packages: []string{pkg.ImportPath}})})
-	if len(findings) != 0 {
-		t.Errorf("generated file produced findings: %v", findings)
-	}
 }
 
 // ---- loader tests ----

@@ -12,8 +12,7 @@ import (
 // moved by an ulp between identical runs. Rather than judge which loop
 // bodies leak the order, the determinism-critical packages visit a map only
 // through its sorted keys or through an order-free helper (maps.Copy,
-// maps.Clone). A deliberate order-free range carries //lint:mapiter-ok
-// <reason>.
+// maps.Clone).
 type MapiterConfig struct {
 	// Packages are import-path patterns (prefix or suffix match) the
 	// analyzer applies to.
@@ -24,7 +23,6 @@ type MapiterConfig struct {
 func NewMapiter(cfg MapiterConfig) *Analyzer {
 	return &Analyzer{
 		Name: "mapiter",
-		Doc:  "map visits in iteration order in determinism-critical packages",
 		Run:  func(p *Package) []Finding { return runMapiter(p, cfg) },
 	}
 }
@@ -38,7 +36,7 @@ func runMapiter(p *Package, cfg MapiterConfig) []Finding {
 		out = append(out, Finding{
 			Pos:      p.Fset.Position(n.Pos()),
 			Analyzer: "mapiter",
-			Message:  fmt.Sprintf(format, args...) + " — visit slices.Sorted(maps.Keys(…)) instead or annotate //lint:mapiter-ok <reason>",
+			Message:  fmt.Sprintf(format, args...) + " — visit slices.Sorted(maps.Keys(…)) instead",
 		})
 	}
 	for _, file := range p.Files {

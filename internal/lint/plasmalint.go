@@ -56,37 +56,13 @@ func DefaultAnalyzers() []*Analyzer {
 func Main(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("plasmalint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: plasmalint [-only analyzers] [packages]\n")
-		fs.PrintDefaults()
-	}
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: plasmalint [packages]") }
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-
-	analyzers := DefaultAnalyzers()
-	if *only != "" {
-		sel := make(map[string]bool)
-		for _, n := range strings.Split(*only, ",") {
-			sel[strings.TrimSpace(n)] = true
-		}
-		var keep []*Analyzer
-		for _, az := range analyzers {
-			if sel[az.Name] {
-				keep = append(keep, az)
-				delete(sel, az.Name)
-			}
-		}
-		for n := range sel {
-			fmt.Fprintf(stderr, "plasmalint: unknown analyzer %q\n", n)
-			return 2
-		}
-		analyzers = keep
 	}
 
 	loader, err := NewLoader(dir)
@@ -108,7 +84,7 @@ func Main(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	all := Lint(pkgs, analyzers)
+	all := Lint(pkgs, DefaultAnalyzers())
 	for _, f := range all {
 		f.Pos.Filename = relPath(dir, f.Pos.Filename)
 		fmt.Fprintln(stdout, f.String())

@@ -18,7 +18,7 @@ import (
 // Allowed size expressions: compile-time constants, len()/cap() of
 // in-memory values, and min(…) with at least one constant argument (the
 // cap). Anything else — a parameter, a decoded field, arithmetic on one —
-// is flagged unless annotated //lint:prealloc-ok <reason>.
+// is flagged.
 type PreallocConfig struct {
 	// Files are path suffixes of the decode-path files the analyzer
 	// applies to. New codec files must be added here (the lint golden
@@ -30,7 +30,6 @@ type PreallocConfig struct {
 func NewPrealloc(cfg PreallocConfig) *Analyzer {
 	return &Analyzer{
 		Name: "prealloc",
-		Doc:  "unbounded preallocation from decoded lengths in decode paths",
 		Run:  func(p *Package) []Finding { return runPrealloc(p, cfg) },
 	}
 }
@@ -54,7 +53,7 @@ func runPrealloc(p *Package, cfg PreallocConfig) []Finding {
 				out = append(out, Finding{
 					Pos:      p.Fset.Position(call.Pos()),
 					Analyzer: "prealloc",
-					Message: fmt.Sprintf("make sized by %s, which is not provably bounded in a decode path — use the capped-append pattern (make(…, 0, min(n, cap)) + append) or annotate //lint:prealloc-ok <reason>",
+					Message: fmt.Sprintf("make sized by %s, which is not provably bounded in a decode path — use the capped-append pattern (make(…, 0, min(n, cap)) + append)",
 						exprString(arg)),
 				})
 				break

@@ -34,12 +34,6 @@ func (c *counter) typedOnly(v *int64) int64 {
 	return c.typed.Load() + *c.ptr.Load()
 }
 
-// legacy shows the escape hatch.
-func (c *counter) legacy() {
-	//lint:atomicmix-ok fixture: operand is a local no other goroutine sees
-	atomic.StoreInt64(new(int64), 1)
-}
-
 // onlyPlain is untouched by the analyzer: no atomics at all.
 func (c *counter) onlyPlain() int64 {
 	c.plain++

@@ -36,9 +36,3 @@ func created(w http.ResponseWriter) {
 func relay(w http.ResponseWriter, upstream int) {
 	w.WriteHeader(upstream)
 }
-
-// annotated shows the escape hatch.
-func annotated(w http.ResponseWriter) {
-	//lint:httperr-ok load-balancer health probe wants a bare 503, no body
-	w.WriteHeader(http.StatusServiceUnavailable)
-}

@@ -1,7 +1,7 @@
 // Package mapitertest is the mapiter golden fixture: each flagged line
 // visits a map in Go's randomized iteration order, whatever the loop body
-// does with it, and each clean case visits it through its sorted keys,
-// through an order-free helper, or under an annotation.
+// does with it, and each clean case visits it through its sorted keys or
+// through an order-free helper.
 package mapitertest
 
 import (
@@ -93,14 +93,4 @@ func sortedKeys(m map[string]float64) float64 {
 // copyKeyed copies keyed slots with an order-free helper.
 func copyKeyed(dst, src map[string]int) {
 	maps.Copy(dst, src)
-}
-
-// annotated shows the escape hatch: the site is deliberate and reviewed.
-func annotated(m map[string]int) int {
-	total := 0
-	//lint:mapiter-ok integer sum; addition of ints is order-free
-	for _, v := range m {
-		total += v
-	}
-	return total
 }

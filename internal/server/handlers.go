@@ -29,8 +29,12 @@ type Route struct {
 	handler http.HandlerFunc
 }
 
-// Routes returns the server's endpoint table.
-func (s *Server) Routes() []Route {
+// Routes returns the server's endpoint table, the one New built the mux
+// from. It is shared: callers must not modify it.
+func (s *Server) Routes() []Route { return s.routes }
+
+// routeTable builds the endpoint table. New calls it once.
+func (s *Server) routeTable() []Route {
 	return []Route{
 		{"GET", "/healthz", "liveness check", s.json(s.handleHealthz)},
 		{"GET", "/metrics", "Prometheus text exposition of the metrics registry", s.handleMetrics},

@@ -98,6 +98,7 @@ type Server struct {
 	// (never the raw path — bounded cardinality), the counter additionally
 	// by method and status class. A method no route serves is labeled
 	// "other": the catch-all accepts any token as a method.
+	routes       []Route               // the endpoint table the mux is built from
 	httpRequests *metrics.CounterVec   // route, method, code class
 	routeMethods map[string]bool       // methods of the route table
 	httpLatency  *metrics.HistogramVec // route
@@ -195,7 +196,8 @@ func New(cfg Config) *Server {
 	if cfg.RateLimit > 0 {
 		s.limiter = newTokenLimiter(cfg.RateLimit, float64(cfg.RateBurst))
 	}
-	for _, rt := range s.Routes() {
+	s.routes = s.routeTable()
+	for _, rt := range s.routes {
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, s.instrument(rt))
 		s.routeMethods[rt.Method] = true
 	}
@@ -341,7 +343,7 @@ func (s *Server) instrument(rt Route) http.HandlerFunc {
 // under a different method.
 func (s *Server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
 	var allowed []string
-	for _, rt := range s.Routes() {
+	for _, rt := range s.routes {
 		if rt.Method != r.Method && patternMatches(rt.Pattern, r.URL.Path) {
 			allowed = append(allowed, rt.Method)
 		}

@@ -23,7 +23,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -69,7 +69,7 @@ func NewHistogram(xs []float64, n int, lo, hi float64) *Histogram {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
+	return h.Lo + float64(w*(float64(i)+0.5))
 }
 
 // Total returns the number of binned samples.
@@ -111,7 +111,7 @@ func ZNorm(x [][]float64) {
 		var ss float64
 		for i := range x {
 			dv := x[i][j] - mean
-			ss += dv * dv
+			ss += float64(dv * dv)
 		}
 		sd := math.Sqrt(ss / float64(len(x)))
 		for i := range x {

@@ -37,9 +37,9 @@ func FitOLS(x [][]float64, y []float64) (*LinearModel, error) {
 		copy(row[1:], x[i])
 		for a := 0; a < k; a++ {
 			for b := 0; b < k; b++ {
-				xtx[a][b] += row[a] * row[b]
+				xtx[a][b] += float64(row[a] * row[b])
 			}
-			xty[a] += row[a] * y[i]
+			xty[a] += float64(row[a] * y[i])
 		}
 	}
 	const ridge = 1e-9
@@ -57,7 +57,7 @@ func FitOLS(x [][]float64, y []float64) (*LinearModel, error) {
 func (m *LinearModel) Predict(x []float64) float64 {
 	y := m.Coef[0]
 	for i, v := range x {
-		y += m.Coef[i+1] * v
+		y += float64(m.Coef[i+1] * v)
 	}
 	return y
 }
@@ -86,16 +86,16 @@ func solveLinear(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		s := b[r]
 		for c := r + 1; c < n; c++ {
-			s -= a[r][c] * x[c]
+			s -= float64(a[r][c] * x[c])
 		}
 		x[r] = s / a[r][r]
 	}
@@ -113,14 +113,14 @@ func SimpleRegression(x, y []float64) (a, b float64) {
 	for i := range x {
 		sx += x[i]
 		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
+		sxx += float64(x[i] * x[i])
+		sxy += float64(x[i] * y[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return sy / n, 0
 	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
+	b = (float64(n*sxy) - float64(sx*sy)) / den
+	a = (sy - float64(b*sx)) / n
 	return a, b
 }
