@@ -49,17 +49,17 @@ race:
 # finding fails it, no comment excuses a site, and each finding names the
 # rewrite that satisfies its rule. Last, the no-fusion check: Go may fuse
 # x*y + z into one FMA instruction, arm64 does, and a fused product rounds
-# differently, so lsh (sketches), vec (exact similarity), stats (Beta
-# tails, fits), bayeslsh (bounds, estimates) and core (curve, cues) are
+# differently, so every package under internal, cmd and examples (the
+# engine, the data generators, the experiments and the daemon) is
 # cross-compiled for arm64 and any fused multiply-add, double or single
-# precision, in their assembly fails the tier. It needs no arm64 machine;
+# precision, in its assembly fails the tier. It needs no arm64 machine;
 # a product that must not fuse is rounded explicitly, s += float64(a * b).
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt drift:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/plasmalint ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/lsh ./internal/vec ./internal/bayeslsh ./internal/stats ./internal/core 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... ./cmd/... ./examples/... 2>&1) || { echo "$$asm"; exit 1; }; \
 	out=$$(echo "$$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS)\b'); if [ -n "$$out" ]; then \
 		echo "fused multiply-add in arm64 code:"; echo "$$out"; exit 1; fi
 

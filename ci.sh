@@ -11,8 +11,8 @@
 # invariant analyzers (internal/lint) that catch the repo's recurring bug
 # classes (map-order nondeterminism, function-style atomics, unbounded decode
 # preallocation, envelope-bypassing error paths) in seconds, before the race
-# detector gets a chance — and the no-fusion check: lsh, vec, bayeslsh,
-# stats and core cross-compiled for arm64 must contain no fused
+# detector gets a chance — and the no-fusion check: every package under
+# internal, cmd and examples cross-compiled for arm64 must contain no fused
 # multiply-add. Every rule is absolute: any finding fails the tier, and no
 # comment excuses one.
 # Tier 2 (race): race-detector pass over the concurrent engine, session,

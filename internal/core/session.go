@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -431,9 +430,4 @@ func RunInteractiveScenario(ds *vec.Dataset, p bayeslsh.Params, first float64, g
 		out.SavingsPct = 100 * (1 - float64(twoProbe)/float64(bf))
 	}
 	return out, nil
-}
-
-// String renders a curve point compactly for the CLI.
-func (c CurvePoint) String() string {
-	return fmt.Sprintf("t=%.2f est=%.0f ±%.0f", c.Threshold, c.Estimate, c.ErrBar)
 }

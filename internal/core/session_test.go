@@ -381,10 +381,3 @@ func TestRunInteractiveScenario(t *testing.T) {
 		}
 	}
 }
-
-func TestCurvePointString(t *testing.T) {
-	s := CurvePoint{Threshold: 0.8, Estimate: 120.4, ErrBar: 3.2}.String()
-	if s == "" {
-		t.Error("empty string")
-	}
-}

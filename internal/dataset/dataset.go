@@ -109,7 +109,7 @@ func NewTableScaled(name string, maxPoints int, seed int64) (*Table, error) {
 	weights := make([]float64, spec.Clusters)
 	var wsum float64
 	for c := range weights {
-		weights[c] = 0.5 + rng.Float64()
+		weights[c] = 0.5 + float64(rng.Float64())
 		wsum += weights[c]
 	}
 
@@ -121,7 +121,7 @@ func NewTableScaled(name string, maxPoints int, seed int64) (*Table, error) {
 			src := rng.Intn(len(t.X))
 			row := append([]float64(nil), t.X[src]...)
 			for j := range row {
-				row[j] += rng.NormFloat64() * 0.01
+				row[j] += float64(rng.NormFloat64() * 0.01)
 			}
 			t.X = append(t.X, row)
 			t.Labels = append(t.Labels, t.Labels[src])
@@ -135,7 +135,7 @@ func NewTableScaled(name string, maxPoints int, seed int64) (*Table, error) {
 		}
 		row := make([]float64, spec.Dims)
 		for j := range row {
-			row[j] = centers[c][j] + rng.NormFloat64()*spec.Spread*3
+			row[j] = centers[c][j] + float64(rng.NormFloat64()*spec.Spread*3)
 		}
 		t.X = append(t.X, row)
 		t.Labels = append(t.Labels, c)
@@ -159,7 +159,7 @@ func Toy50(seed int64) *Table {
 		c := i % 3
 		row := make([]float64, 3)
 		for j := range row {
-			v := centers[c][j] + rng.NormFloat64()*0.13
+			v := centers[c][j] + float64(rng.NormFloat64()*0.13)
 			if v < 0.01 {
 				v = 0.01
 			}

@@ -154,12 +154,12 @@ func withinClusterVar(vals []float64, clusterOf []int, k int) float64 {
 				continue
 			}
 			s += v
-			ss += v * v
+			ss += float64(v * v)
 			n++
 		}
 		if n > 1 {
 			mean := s / n
-			total += ss/n - mean*mean
+			total += ss/n - float64(mean*mean)
 		}
 	}
 	return total / float64(k)

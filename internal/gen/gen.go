@@ -135,7 +135,7 @@ func RandomGeometric(n, m int, seed int64) *graph.Graph {
 		for v := u + 1; v < n; v++ {
 			dx := xs[u] - xs[v]
 			dy := ys[u] - ys[v]
-			pairs = append(pairs, pair{d: dx*dx + dy*dy, u: int32(u), v: int32(v)})
+			pairs = append(pairs, pair{d: float64(dx*dx) + float64(dy*dy), u: int32(u), v: int32(v)})
 		}
 	}
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a].d < pairs[b].d })

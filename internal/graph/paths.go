@@ -107,7 +107,7 @@ func (g *Graph) Betweenness() []float64 {
 		for i := len(queue) - 1; i > 0; i-- {
 			w := queue[i]
 			for _, v := range preds[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+				delta[v] += float64(sigma[v] / sigma[w] * (1 + delta[w]))
 			}
 			bc[w] += delta[w]
 		}

@@ -45,7 +45,7 @@ func (g *Graph) TopEigenvalues(k int, iters int, seed int64) []float64 {
 		g.multiply(v, next)
 		var rq float64
 		for i := range v {
-			rq += v[i] * next[i]
+			rq += float64(v[i] * next[i])
 		}
 		vals = append(vals, rq)
 		basis = append(basis, append([]float64(nil), v...))
@@ -71,10 +71,10 @@ func orthogonalize(v []float64, basis [][]float64) {
 	for _, b := range basis {
 		var dot float64
 		for i := range v {
-			dot += v[i] * b[i]
+			dot += float64(v[i] * b[i])
 		}
 		for i := range v {
-			v[i] -= dot * b[i]
+			v[i] -= float64(dot * b[i])
 		}
 	}
 }
@@ -82,7 +82,7 @@ func orthogonalize(v []float64, basis [][]float64) {
 func norm(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -325,7 +325,7 @@ func predictTS(synthX, synthY []float64, realY0, realYEnd float64, predictIdx []
 	syN := normCurve(synthY, synthX)
 	out := make([]float64, 0, len(predictIdx))
 	for _, i := range predictIdx {
-		out = append(out, realY0+syN[i]*(realYEnd-realY0))
+		out = append(out, realY0+float64(syN[i]*(realYEnd-realY0)))
 	}
 	return out
 }
@@ -341,7 +341,7 @@ func predictTS(synthX, synthY []float64, realY0, realYEnd float64, predictIdx []
 // extrapolation error of the learned correction — exactly the paper's
 // framing ("takes into account the entire training spectrum rather than
 // just curve endpoints").
-func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0, realYEnd float64, predictIdx []int) ([]float64, error) {
+func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0, realYEnd float64, predictIdx []int) []float64 {
 	syN := normCurve(synthY, synthX)
 	ryN := make([]float64, len(realY))
 	if realYEnd != realY0 {
@@ -353,7 +353,7 @@ func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0,
 	rs := make([]float64, 0, q)
 	for k := 0; k < q; k++ {
 		f := float64(k) / float64(q-1)
-		pos := f * float64(trainCut-1)
+		pos := float64(f * float64(trainCut-1))
 		i := int(pos)
 		frac := pos - float64(i)
 		if i+1 >= trainCut {
@@ -365,7 +365,7 @@ func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0,
 		}
 		interp := func(v []float64) float64 {
 			if i+1 < len(v) {
-				return v[i]*(1-frac) + v[i+1]*frac
+				return float64(v[i]*(1-frac)) + float64(v[i+1]*frac)
 			}
 			return v[i]
 		}
@@ -378,7 +378,7 @@ func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0,
 	// from the narrow sparse x-range is unstable.
 	a, b := stats.SimpleRegression(xs, rs)
 	xc := synthX[trainCut-1] // training boundary in density space
-	boundaryResidual := a + b*xc
+	boundaryResidual := a + float64(b*xc)
 	out := make([]float64, 0, len(predictIdx))
 	for _, i := range predictIdx {
 		x := synthX[i]
@@ -394,10 +394,10 @@ func predictRegression(synthX, synthY, realY []float64, trainCut, q int, realY0,
 		if decay > 1 {
 			decay = 1
 		}
-		yN := syN[i] + boundaryResidual*decay
-		out = append(out, realY0+yN*(realYEnd-realY0))
+		yN := syN[i] + float64(boundaryResidual*decay)
+		out = append(out, realY0+float64(yN*(realYEnd-realY0)))
 	}
-	return out, nil
+	return out
 }
 
 // Config parameterizes one Algorithm 1 run.
@@ -530,15 +530,11 @@ func Run(x [][]float64, cfg Config) (*Outcome, error) {
 	yEnd := tx(completeV)
 
 	var predT []float64
-	var err error
 	switch cfg.Predictor {
 	case TranslationScaling:
 		predT = predictTS(fracs, sY, rY[0], yEnd, predictIdx)
 	default:
-		predT, err = predictRegression(fracs, sY, rY, trainCut, cfg.Pieces, rY[0], yEnd, predictIdx)
-		if err != nil {
-			return nil, err
-		}
+		predT = predictRegression(fracs, sY, rY, trainCut, cfg.Pieces, rY[0], yEnd, predictIdx)
 	}
 
 	// Errors in transformed (log) space, per Table 3.2.

@@ -1,9 +1,10 @@
 // Package itemset provides the transactional-database substrate of chapter
-// 4 and the baseline miners LAM is compared against: an FP-growth frequent
-// and closed itemset miner, an Apriori reference implementation, and the
-// greedy cover compressor that turns any candidate pattern list into a
-// compressed database (the harness the paper applies uniformly to closed
-// sets, Krimp-style candidates, and CDB-style candidates).
+// 4 and the baseline miners LAM is compared against: an LCM closed itemset
+// miner, the Apriori and subsumption references the tests check it
+// against, and the greedy cover compressor that turns any candidate
+// pattern list into a compressed database (the harness the paper applies
+// uniformly to closed sets, Krimp-style candidates, and CDB-style
+// candidates).
 package itemset
 
 import (
@@ -120,4 +121,14 @@ func (s Itemset) key() string {
 		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
 	}
 	return string(b)
+}
+
+// lessItems orders sorted itemsets lexicographically, a proper prefix first.
+func lessItems(a, b []int32) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
 }

@@ -69,38 +69,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestMineFrequentMatchesApriori(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 5; trial++ {
-		rows := make([][]int, 30)
-		for i := range rows {
-			n := 2 + rng.Intn(5)
-			row := map[int]bool{}
-			for len(row) < n {
-				row[rng.Intn(12)] = true
-			}
-			rows[i] = keys(row)
-		}
-		db := FromRows(rows)
-		for _, minsup := range []int{2, 4, 8} {
-			fp, complete := MineFrequent(db, minsup, 0)
-			if !complete {
-				t.Fatal("uncapped mining reported incomplete")
-			}
-			ap := AprioriFrequent(db, minsup)
-			if len(fp) != len(ap) {
-				t.Fatalf("minsup %d: fp-growth %d vs apriori %d itemsets", minsup, len(fp), len(ap))
-			}
-			for i := range fp {
-				if fp[i].key() != ap[i].key() || fp[i].Support != ap[i].Support {
-					t.Fatalf("minsup %d mismatch at %d: %v/%d vs %v/%d",
-						minsup, i, fp[i].Items, fp[i].Support, ap[i].Items, ap[i].Support)
-				}
-			}
-		}
-	}
-}
-
 func keys(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -158,7 +126,7 @@ func TestClosedSubsetOfFrequentProperty(t *testing.T) {
 			rows[i] = keys(row)
 		}
 		db := FromRows(rows)
-		freq, _ := MineFrequent(db, 2, 0)
+		freq := AprioriFrequent(db, 2)
 		closed, _ := MineClosed(db, 2, 0)
 		if len(closed) > len(freq) {
 			return false
@@ -196,8 +164,8 @@ func TestLCMMatchesSubsumptionOracleProperty(t *testing.T) {
 		db := FromRows(rows)
 		minsup := 1 + rng.Intn(4)
 		lcm, c1 := MineClosed(db, minsup, 0)
-		oracle, c2 := mineClosedBySubsumption(db, minsup, 0)
-		if !c1 || !c2 || len(lcm) != len(oracle) {
+		oracle := mineClosedBySubsumption(db, minsup)
+		if !c1 || len(lcm) != len(oracle) {
 			return false
 		}
 		for i := range lcm {
@@ -235,17 +203,6 @@ func TestMineClosedDenseFeasible(t *testing.T) {
 	}
 	if maxLen < 5 {
 		t.Errorf("max closed length %d; planted patterns missing", maxLen)
-	}
-}
-
-func TestMineFrequentCap(t *testing.T) {
-	db := toyDB()
-	capped, complete := MineFrequent(db, 1, 3)
-	if complete {
-		t.Error("cap should report incomplete")
-	}
-	if len(capped) > 3 {
-		t.Errorf("cap exceeded: %d", len(capped))
 	}
 }
 

@@ -67,13 +67,13 @@ func TrainClassifier(db *itemset.DB, labels []int, p Params) *Classifier {
 				if o == c {
 					continue
 				}
-				rest += supportRate(classRows[o], items) * float64(len(classRows[o]))
+				rest += float64(supportRate(classRows[o], items) * float64(len(classRows[o])))
 				restN += float64(len(classRows[o]))
 			}
 			if restN > 0 {
 				rest /= restN
 			}
-			if own > 1.5*rest+0.01 {
+			if own > float64(1.5*rest)+0.01 {
 				model.Patterns = append(model.Patterns, items)
 			}
 		}

@@ -33,11 +33,6 @@ type Loader struct {
 	checks  int // parse+type-check runs actually performed
 }
 
-// Checks reports how many parse+type-check passes the loader has run. The
-// driver test asserts this equals the number of distinct packages linted:
-// every analyzer shares one load, none trigger a re-check.
-func (l *Loader) Checks() int { return l.checks }
-
 // listEntry is the subset of `go list -json` output the loader consumes.
 type listEntry struct {
 	ImportPath string
@@ -138,26 +133,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	}
 	l.pkgs[path] = p
 	return p, nil
-}
-
-// LoadDir type-checks an out-of-module directory of Go files — the golden
-// fixture packages under testdata, which the go tool refuses to list. The
-// synthetic import path is the directory path itself.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	return l.check(dir, files)
 }
 
 func (l *Loader) check(path string, filenames []string) (*Package, error) {

@@ -136,12 +136,12 @@ func ReduceEnergy(left, right []float64, clusters []int, k int, p EnergyParams) 
 			r := clusterOf[i]
 			ee := z[i] - mid[i]
 			ea := z[i] - centers[r]
-			e += p.Alpha*ee*ee + p.Beta*ea*ea
+			e += float64(p.Alpha*ee*ee) + float64(p.Beta*ea*ea)
 			if r > 0 && r < k-1 {
 				wp, wn := repelWeights(r)
 				er1 := z[i] - centerAt(r-1)
 				er2 := z[i] - centerAt(r+1)
-				e += p.Gamma * (wp*er1*er1 + wn*er2*er2)
+				e += float64(p.Gamma * (float64(wp*er1*er1) + float64(wn*er2*er2)))
 			}
 		}
 		return e
@@ -158,15 +158,15 @@ func ReduceEnergy(left, right []float64, clusters []int, k int, p EnergyParams) 
 				// Boundary clusters: elastic + attraction only.
 				den := p.Alpha + p.Beta
 				if den > 0 {
-					z[i] = (p.Alpha*mid[i] + p.Beta*centers[r]) / den
+					z[i] = (float64(p.Alpha*mid[i]) + float64(p.Beta*centers[r])) / den
 				}
 				continue
 			}
 			wp, wn := repelWeights(r)
-			den := p.Alpha + p.Beta + p.Gamma*(wp+wn)
+			den := p.Alpha + p.Beta + float64(p.Gamma*(wp+wn))
 			if den > 0 {
-				z[i] = (p.Alpha*mid[i] + p.Beta*centers[r] +
-					p.Gamma*(wp*centerAt(r-1)+wn*centerAt(r+1))) / den
+				z[i] = (float64(p.Alpha*mid[i]) + float64(p.Beta*centers[r]) +
+					float64(p.Gamma*(float64(wp*centerAt(r-1))+float64(wn*centerAt(r+1))))) / den
 			}
 		}
 		// Lemma 2 / Corollary 2: stationary pseudo-centers given z.
@@ -198,15 +198,15 @@ func ReduceEnergy(left, right []float64, clusters []int, k int, p EnergyParams) 
 					}
 				}
 			}
-			num := p.Beta * sumZ[r]
-			den := p.Beta * sizeAt(r)
+			num := float64(p.Beta * sumZ[r])
+			den := float64(p.Beta * sizeAt(r))
 			if pPrev > 0 && r-1 >= 0 {
-				num += p.Gamma * pPrev * sumZ[r-1]
-				den += p.Gamma * pPrev * sizeAt(r-1)
+				num += float64(p.Gamma * pPrev * sumZ[r-1])
+				den += float64(p.Gamma * pPrev * sizeAt(r-1))
 			}
 			if pNext > 0 && r+1 < k {
-				num += p.Gamma * pNext * sumZ[r+1]
-				den += p.Gamma * pNext * sizeAt(r+1)
+				num += float64(p.Gamma * pNext * sumZ[r+1])
+				den += float64(p.Gamma * pNext * sizeAt(r+1))
 			}
 			if den > 0 {
 				centers[r] = num / den

@@ -54,7 +54,7 @@ func RenderSVG(data [][]float64, clusters []int, k int, opt RenderOptions) strin
 	w := float64(opt.Width) - 2*margin
 	h := float64(opt.Height) - 2*margin
 	axisX := func(pos int) float64 { return margin + w*float64(pos)/float64(len(order)-1) }
-	plotY := func(v float64) float64 { return margin + h*(1-v) }
+	plotY := func(v float64) float64 { return margin + float64(h*(1-v)) }
 
 	// Axes.
 	for pos := range order {
@@ -97,7 +97,7 @@ func RenderSVG(data [][]float64, clusters []int, k int, opt RenderOptions) strin
 				// Control point such that the curve midpoint hits zm:
 				// c = 2*zm - (yPrev+y)/2.
 				cx := (xPrev + x) / 2
-				cy := 2*zm - (yPrev+y)/2
+				cy := float64(2*zm) - float64((yPrev+y)/2)
 				fmt.Fprintf(&path, " Q%.1f %.1f %.1f %.1f", cx, cy, x, y)
 			} else {
 				fmt.Fprintf(&path, " L%.1f %.1f", x, y)

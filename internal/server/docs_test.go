@@ -22,7 +22,7 @@ func TestAPIDocsCoverEveryRoute(t *testing.T) {
 	doc := string(raw)
 
 	srv := New(Config{})
-	routes := srv.Routes()
+	routes := srv.routes
 	if len(routes) < 8 {
 		t.Fatalf("plasmad must serve at least 8 endpoints, route table has %d", len(routes))
 	}

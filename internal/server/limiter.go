@@ -58,7 +58,7 @@ func (l *tokenLimiter) allow(key string, now time.Time) (retryAfter time.Duratio
 	} else {
 		elapsed := now.Sub(b.last).Seconds()
 		if elapsed > 0 {
-			b.tokens = math.Min(l.burst, b.tokens+elapsed*l.rate)
+			b.tokens = math.Min(l.burst, b.tokens+float64(elapsed*l.rate))
 			b.last = now
 		}
 	}
@@ -76,7 +76,7 @@ func (l *tokenLimiter) evictLocked(now time.Time) {
 	var oldestKey string
 	var oldest time.Time
 	for k, b := range l.buckets {
-		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+		if b.tokens+float64(now.Sub(b.last).Seconds()*l.rate) >= l.burst {
 			delete(l.buckets, k)
 			continue
 		}

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery PLASMA-HD depends on:
 // Beta posteriors for BayesLSH inference (regularized incomplete beta
-// function), ordinary least squares regression for graph-growth prediction,
-// and descriptive statistics and error metrics used across the experiment
+// function), simple linear regression for graph-growth prediction, and
+// descriptive statistics and error metrics used across the experiment
 // harness.
 //
 // Every product that feeds an add or a subtract is rounded explicitly,
@@ -122,10 +122,4 @@ func (d Beta) MAP() float64 {
 		return d.Mean()
 	}
 	return (d.Alpha - 1) / (d.Alpha + d.BetaP - 2)
-}
-
-// Variance returns the posterior variance.
-func (d Beta) Variance() float64 {
-	s := d.Alpha + d.BetaP
-	return d.Alpha * d.BetaP / (s * s * (s + 1))
 }

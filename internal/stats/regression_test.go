@@ -7,66 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestFitOLSRecoversExactLinear(t *testing.T) {
-	// y = 2 + 3a - 5b must be recovered exactly from noiseless data.
-	rng := rand.New(rand.NewSource(1))
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 50; i++ {
-		a, b := rng.Float64()*10, rng.Float64()*10
-		x = append(x, []float64{a, b})
-		y = append(y, 2+3*a-5*b)
-	}
-	m, err := FitOLS(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, m.Coef[0], 2, 1e-6, "intercept")
-	approx(t, m.Coef[1], 3, 1e-6, "coef a")
-	approx(t, m.Coef[2], -5, 1e-6, "coef b")
-	approx(t, m.Predict([]float64{1, 1}), 0, 1e-6, "predict")
-}
-
-func TestFitOLSNoisy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 2000; i++ {
-		a := rng.Float64() * 4
-		x = append(x, []float64{a})
-		y = append(y, 1+0.5*a+rng.NormFloat64()*0.01)
-	}
-	m, err := FitOLS(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, m.Coef[0], 1, 0.01, "noisy intercept")
-	approx(t, m.Coef[1], 0.5, 0.01, "noisy slope")
-}
-
-func TestFitOLSErrors(t *testing.T) {
-	if _, err := FitOLS(nil, nil); err == nil {
-		t.Error("want error for empty input")
-	}
-	if _, err := FitOLS([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("want error for length mismatch")
-	}
-	if _, err := FitOLS([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-		t.Error("want error for ragged rows")
-	}
-}
-
-func TestFitOLSNearSingular(t *testing.T) {
-	// Duplicated predictor columns: ridge term must keep this solvable.
-	x := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
-	y := []float64{2, 4, 6, 8}
-	m, err := FitOLS(x, y)
-	if err != nil {
-		t.Fatalf("near-singular fit failed: %v", err)
-	}
-	approx(t, m.Predict([]float64{5, 5}), 10, 1e-3, "collinear prediction")
-}
-
 func TestSimpleRegression(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7}
@@ -89,27 +29,19 @@ func TestOLSInterpolatesTrainingMeanProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + int(seed%10+10)%10
-		var x [][]float64
-		var y []float64
-		mx := make([]float64, 2)
-		var my float64
-		for i := 0; i < n; i++ {
-			r := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			v := rng.NormFloat64() * 3
-			x = append(x, r)
-			y = append(y, v)
-			mx[0] += r[0]
-			mx[1] += r[1]
-			my += v
+		x := make([]float64, n)
+		y := make([]float64, n)
+		var mx, my float64
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			y[i] = rng.NormFloat64() * 3
+			mx += x[i]
+			my += y[i]
 		}
-		mx[0] /= float64(n)
-		mx[1] /= float64(n)
+		mx /= float64(n)
 		my /= float64(n)
-		m, err := FitOLS(x, y)
-		if err != nil {
-			return false
-		}
-		return math.Abs(m.Predict(mx)-my) < 1e-6
+		a, b := SimpleRegression(x, y)
+		return math.Abs(a+b*mx-my) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
