@@ -17,7 +17,9 @@ test:
 	$(GO) test ./...
 
 # short skips the seconds-long experiment sweeps but still smoke-runs every
-# experiment ID at reduced scale.
+# experiment ID at reduced scale, and pins the SHA-256 of the output of every
+# experiment that prints no wall time: a hash mismatch there is output drift
+# (a changed table), not flakiness.
 short:
 	$(GO) test -short ./...
 

@@ -4,7 +4,9 @@
 # run the same commands. This script runs it, then tier 6 when asked.
 #
 # Tier 1 (fast): vet + build + short tests, which still smoke-run every
-# experiment ID at reduced scale, and decode + re-encode the golden
+# experiment ID at reduced scale and pin the SHA-256 of the output of every
+# experiment that prints no wall time (a mismatch is output drift, not
+# flakiness), and decode + re-encode the golden
 # snapshot streams byte for byte (wire-format drift without a version bump
 # fails here).
 # Tier 1b (lint): gofmt drift, go vet, and plasmalint — the custom

@@ -132,15 +132,15 @@ func main() {
 			if !ok {
 				continue
 			}
-			fmt.Printf("triangles: %d\n", session.TriangleCount(t))
-			h := session.TriangleHistogram(t, 8)
+			cs := session.CueSet(t)
+			fmt.Printf("triangles: %d\n", cs.Triangles())
+			h := cs.TriangleHistogram(8)
 			var rows [][]string
 			for i, c := range h.Counts {
 				rows = append(rows, []string{viz.F(h.BinCenter(i)), fmt.Sprint(c)})
 			}
 			viz.Table(os.Stdout, []string{"triangles/vertex", "vertices"}, rows)
-			prof := session.DensityProfile(t)
-			top := prof
+			top := cs.DensityProfile()
 			if len(top) > 20 {
 				top = top[:20]
 			}

@@ -59,5 +59,5 @@ func main() {
 
 	fmt.Printf("suggested next probe (curve knee): %.2f\n", core.FindKnee(curve))
 	fmt.Printf("triangles at t=0.9: %d (clusterability cue of Fig 2.5)\n",
-		session.TriangleCount(0.9))
+		session.CueSet(0.9).Triangles())
 }

@@ -29,35 +29,37 @@ import (
 	"plasmahd/internal/vec"
 )
 
-// Params are the inference and sketching knobs of BayesLSH.
+// Params are the inference and sketching knobs of BayesLSH. The JSON names
+// are the params object of plasmad's create request; MaxDFFrac is not
+// client-settable.
 type Params struct {
 	// Epsilon bounds the false-negative probability of pruning (Eq 2.1).
-	Epsilon float64
+	Epsilon float64 `json:"epsilon"`
 	// Delta is the similarity-estimate accuracy radius of Eq 2.2.
-	Delta float64
+	Delta float64 `json:"delta"`
 	// Gamma bounds the probability the estimate is off by more than Delta.
-	Gamma float64
+	Gamma float64 `json:"gamma"`
 	// MaxHashes is the sketch length; pairs still undecided after MaxHashes
 	// are finalized with their MAP estimate.
-	MaxHashes int
+	MaxHashes int `json:"maxHashes"`
 	// Step is the number of hashes compared per incremental round.
-	Step int
+	Step int `json:"step"`
 	// MaxDFFrac skips features present in more than this fraction of rows
 	// during candidate generation (the standard stop-word optimization of
 	// all-pairs search); such features carry negligible TF/IDF weight.
-	MaxDFFrac float64
+	MaxDFFrac float64 `json:"-"`
 	// Lite enables BayesLSH-Lite behaviour: pairs that survive pruning have
 	// their similarity computed exactly instead of estimated from hashes.
 	// Pruned pairs keep posterior-only evidence, so the cumulative curve
 	// stays exact above the probed threshold and uncertain below it — the
 	// Fig 2.3/2.4 asymmetry.
-	Lite bool
+	Lite bool `json:"lite"`
 	// Workers sets the candidate-evaluation parallelism of Search and the
 	// fan-out width of the session-level grid sweeps. 0 or negative means
 	// runtime.GOMAXPROCS(0), and a value above 256 runs 256 (maxWorkers).
 	// Results are deterministic for any value: the same probe returns
 	// byte-identical pairs with 1 worker or 64.
-	Workers int
+	Workers int `json:"workers"`
 }
 
 // maxWorkers is the ceiling on any worker count the engine runs. Counts
@@ -638,8 +640,9 @@ func (c *Cache) pruneBound(t float64) []int32 {
 
 // Pair is a finalized similar pair.
 type Pair struct {
-	I, J int32
-	Est  float64
+	I   int32   `json:"i"`
+	J   int32   `json:"j"`
+	Est float64 `json:"est"`
 }
 
 // Result summarizes one all-pairs probe.

@@ -76,7 +76,9 @@ func (cs *CueSet) TriangleHistogram(bins int) *stats.Histogram {
 }
 
 // DensityProfile returns the vertex core numbers sorted descending (the
-// Fig 2.5c plot), computed on first use. Callers must not modify it.
+// Fig 2.5c plot), computed on first use. Flat high plateaus indicate
+// potential cliques, the CSV-plot reading of §2.2.3. Callers must not
+// modify it.
 func (cs *CueSet) DensityProfile() []int {
 	cs.profOnce.Do(func() {
 		cores := cs.g.CoreNumbers()

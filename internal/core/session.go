@@ -14,7 +14,6 @@ import (
 
 	"plasmahd/internal/bayeslsh"
 	"plasmahd/internal/graph"
-	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
 
@@ -83,12 +82,7 @@ func NewSession(ds *vec.Dataset, p bayeslsh.Params, seed int64) *Session {
 // Probe runs an all-pairs similarity probe at threshold t, extending the
 // knowledge cache.
 func (s *Session) Probe(t float64) (*bayeslsh.Result, error) {
-	return s.ProbeWithProgress(t, nil)
-}
-
-// ProbeWithProgress is Probe with a per-row observer.
-func (s *Session) ProbeWithProgress(t float64, progress bayeslsh.ProgressFunc) (*bayeslsh.Result, error) {
-	return s.probe(t, progress, 0)
+	return s.probe(t, nil, 0)
 }
 
 // ProbeWorkers is Probe with a per-call worker-pool override (0 = the
@@ -109,9 +103,9 @@ func (s *Session) ProbeCount() int { return s.Cache.ProbeCount() }
 // of pairs with similarity ≥ Threshold, with a one-standard-deviation error
 // bar from the per-pair posteriors.
 type CurvePoint struct {
-	Threshold float64
-	Estimate  float64
-	ErrBar    float64
+	Threshold float64 `json:"threshold"`
+	Estimate  float64 `json:"estimate"`
+	ErrBar    float64 `json:"errBar"`
 }
 
 // CumulativeAPSS evaluates the cumulative APSS curve on a threshold grid
@@ -203,26 +197,6 @@ func (s *Session) ThresholdGraph(t float64) *graph.Graph {
 	return s.CueSet(t).Graph()
 }
 
-// TriangleCount estimates the number of triangles at threshold t from the
-// cache — the Fig 2.5a cue.
-func (s *Session) TriangleCount(t float64) int64 {
-	return s.CueSet(t).Triangles()
-}
-
-// TriangleHistogram returns the triangle vertex-cover histogram at
-// threshold t (Fig 2.5b); see CueSet.TriangleHistogram.
-func (s *Session) TriangleHistogram(t float64, bins int) *stats.Histogram {
-	return s.CueSet(t).TriangleHistogram(bins)
-}
-
-// DensityProfile returns the cohesive-subgraph density plot at threshold t
-// (Fig 2.5c): vertex core numbers sorted descending. Flat high plateaus
-// indicate potential cliques, the CSV-plot reading of §2.2.3. The returned
-// slice is the caller's to modify (the memoized profile is copied).
-func (s *Session) DensityProfile(t float64) []int {
-	return append([]int(nil), s.CueSet(t).DensityProfile()...)
-}
-
 // SketchTime reports the initial sketch generation cost (Fig 2.9).
 func (s *Session) SketchTime() time.Duration { return s.Cache.SketchTime }
 
@@ -302,7 +276,7 @@ func (s *Session) ProbeIncremental(t1 float64, targets []float64, snapshots int)
 		}
 		out = append(out, snap)
 	}
-	if _, err := s.ProbeWithProgress(t1, progress); err != nil {
+	if _, err := s.probe(t1, progress, 0); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -107,20 +107,20 @@ func TestThresholdGraphAndCues(t *testing.T) {
 		t.Errorf("threshold graph edges %d vs exact %d", g.M(), exact)
 	}
 	// Cues must be computable from cache only.
-	if s.TriangleCount(0.8) <= 0 {
+	if s.CueSet(0.8).Triangles() <= 0 {
 		t.Error("wine at 0.8 should have triangles")
 	}
-	h := s.TriangleHistogram(0.8, 10)
+	h := s.CueSet(0.8).TriangleHistogram(10)
 	if h.Total() != ds.N() || len(h.Counts) != 10 {
 		t.Errorf("histogram total %d in %d bins, want %d in 10", h.Total(), len(h.Counts), ds.N())
 	}
 	// No estimate reaches 1.5, so that graph has no triangles: its histogram
 	// is the single meaningful bucket [0, 1), not ten with nine phantoms.
-	if h := s.TriangleHistogram(1.5, 10); len(h.Counts) != 1 || h.Lo != 0 || h.Hi != 1 || h.Total() != ds.N() {
+	if h := s.CueSet(1.5).TriangleHistogram(10); len(h.Counts) != 1 || h.Lo != 0 || h.Hi != 1 || h.Total() != ds.N() {
 		t.Errorf("no-triangle histogram = {lo:%v hi:%v counts:%v}, want all %d vertices in [0,1)",
 			h.Lo, h.Hi, h.Counts, ds.N())
 	}
-	prof := s.DensityProfile(0.8)
+	prof := s.CueSet(0.8).DensityProfile()
 	if len(prof) != ds.N() {
 		t.Fatalf("profile length %d", len(prof))
 	}

@@ -7,19 +7,15 @@ import (
 	"plasmahd/internal/graph"
 )
 
-// KNNGraph materializes the per-node top-K similarity graph from the
-// knowledge cache — the §2.5 extension ("changing the graph-formation
-// objective from a graph-wide global threshold to a per-node top-K") that
-// lets PLASMA-HD guide nearest-neighbour graph construction for manifold
-// learning and clustered indexing. Each vertex contributes edges to its K
-// most similar cached counterparts; the union is returned as an undirected
-// graph. Fidelity depends on how low the session has probed: pairs the
-// engine pruned early carry only coarse estimates.
-func (s *Session) KNNGraph(k int) *graph.Graph {
-	type scored struct {
-		j   int32
-		est float64
-	}
+// scored is one cached counterpart of a vertex and the pair's estimate.
+type scored struct {
+	j   int32
+	est float64
+}
+
+// rankNeighbours lists each vertex's cached counterparts, most similar
+// first (ties by lower row).
+func (s *Session) rankNeighbours() [][]scored {
 	n := s.Dataset().N()
 	neigh := make([][]scored, n)
 	s.Cache.Pairs.Range(func(key uint64, ps bayeslsh.PairState) bool {
@@ -34,24 +30,34 @@ func (s *Session) KNNGraph(k int) *graph.Graph {
 		neigh[j] = append(neigh[j], scored{i, est})
 		return true
 	})
-	var edges [][2]int32
-	for v := range neigh {
-		l := neigh[v]
+	for _, l := range neigh {
 		sort.Slice(l, func(a, b int) bool {
 			if l[a].est != l[b].est {
 				return l[a].est > l[b].est
 			}
 			return l[a].j < l[b].j
 		})
-		top := k
-		if top > len(l) {
-			top = len(l)
-		}
-		for _, sc := range l[:top] {
+	}
+	return neigh
+}
+
+// KNNGraph materializes the per-node top-K similarity graph from the
+// knowledge cache — the §2.5 extension ("changing the graph-formation
+// objective from a graph-wide global threshold to a per-node top-K") that
+// lets PLASMA-HD guide nearest-neighbour graph construction for manifold
+// learning and clustered indexing. Each vertex contributes edges to its K
+// most similar cached counterparts; the union is returned as an undirected
+// graph. Fidelity depends on how low the session has probed: pairs the
+// engine pruned early carry only coarse estimates.
+func (s *Session) KNNGraph(k int) *graph.Graph {
+	neigh := s.rankNeighbours()
+	var edges [][2]int32
+	for v, l := range neigh {
+		for _, sc := range l[:min(k, len(l))] {
 			edges = append(edges, [2]int32{int32(v), sc.j})
 		}
 	}
-	return graph.FromEdges(n, edges)
+	return graph.FromEdges(len(neigh), edges)
 }
 
 // KNNThresholdEquivalent reports, for a given K, the similarity of the
@@ -60,29 +66,13 @@ func (s *Session) KNNGraph(k int) *graph.Graph {
 // Its spread is the §2.5 argument for top-K formation: a single global t
 // cannot serve all vertices.
 func (s *Session) KNNThresholdEquivalent(k int) []float64 {
-	n := s.Dataset().N()
-	weakest := make([]float64, 0, n)
-	kth := make([][]float64, n)
-	s.Cache.Pairs.Range(func(key uint64, ps bayeslsh.PairState) bool {
-		i, j := bayeslsh.UnpackKey(key)
-		if int(j) >= n {
-			return false
-		}
-		est := s.Cache.Estimate(ps)
-		kth[i] = append(kth[i], est)
-		kth[j] = append(kth[j], est)
-		return true
-	})
-	for _, l := range kth {
+	neigh := s.rankNeighbours()
+	weakest := make([]float64, 0, len(neigh))
+	for _, l := range neigh {
 		if len(l) == 0 {
 			continue
 		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(l)))
-		idx := k - 1
-		if idx >= len(l) {
-			idx = len(l) - 1
-		}
-		weakest = append(weakest, l[idx])
+		weakest = append(weakest, l[min(k, len(l))-1].est)
 	}
 	return weakest
 }

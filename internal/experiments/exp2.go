@@ -112,12 +112,13 @@ func e24TriangleCues(w io.Writer, opt Options) error {
 	grid := core.ThresholdGrid(0.7, 0.99, 8)
 	var rows [][]string
 	for _, t := range grid {
-		rows = append(rows, []string{viz.F(t), fmt.Sprint(s.TriangleCount(t))})
+		rows = append(rows, []string{viz.F(t), fmt.Sprint(s.CueSet(t).Triangles())})
 	}
 	fmt.Fprintln(w, "Fig 2.5a: triangle count across thresholds")
 	viz.Table(w, []string{"t", "triangles"}, rows)
 
-	hist := s.TriangleHistogram(0.9, 10)
+	cs := s.CueSet(0.9)
+	hist := cs.TriangleHistogram(10)
 	rows = rows[:0]
 	for i, c := range hist.Counts {
 		rows = append(rows, []string{viz.F(hist.BinCenter(i)), fmt.Sprint(c)})
@@ -125,7 +126,7 @@ func e24TriangleCues(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "Fig 2.5b: triangle vertex-cover histogram at t=0.9")
 	viz.Table(w, []string{"triangles/vertex", "vertices"}, rows)
 
-	prof := s.DensityProfile(0.9)
+	prof := cs.DensityProfile()
 	fmt.Fprintln(w, "Fig 2.5c: density profile (sorted core numbers) at t=0.9; flat")
 	fmt.Fprintln(w, "high plateaus indicate potential cliques")
 	profF := make([]float64, len(prof))

@@ -52,8 +52,8 @@ func e51OrderingTimes(w io.Writer, opt Options) error {
 		maxIter := 0
 		order := cmp.ApproxOrder
 		for pos := 0; pos+1 < len(order); pos++ {
-			left := columnOf(tab.X, order[pos])
-			right := columnOf(tab.X, order[pos+1])
+			left := pcoord.Column(tab.X, order[pos])
+			right := pcoord.Column(tab.X, order[pos+1])
 			res := pcoord.ReduceEnergy(left, right, km.Assign, d.k, pcoord.DefaultEnergyParams())
 			if res.Iterations > maxIter {
 				maxIter = res.Iterations
@@ -106,8 +106,8 @@ func e52EnergyReduction(w io.Writer, opt Options) error {
 		var before, after float64
 		pairs := 0
 		for pos := 0; pos+1 < len(cmp.ApproxOrder); pos++ {
-			left := columnOf(tab.X, cmp.ApproxOrder[pos])
-			right := columnOf(tab.X, cmp.ApproxOrder[pos+1])
+			left := pcoord.Column(tab.X, cmp.ApproxOrder[pos])
+			right := pcoord.Column(tab.X, cmp.ApproxOrder[pos+1])
 			res := pcoord.ReduceEnergy(left, right, km.Assign, d.k, pcoord.DefaultEnergyParams())
 			mid := make([]float64, len(left))
 			for i := range mid {
@@ -135,14 +135,6 @@ func e52EnergyReduction(w io.Writer, opt Options) error {
 		"reduction %", "de-clutter %"}, rows)
 	fmt.Fprintln(w, "SVG renderings: see examples/pcoordsvg")
 	return nil
-}
-
-func columnOf(data [][]float64, j int) []float64 {
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = data[i][j]
-	}
-	return out
 }
 
 func withinClusterVar(vals []float64, clusterOf []int, k int) float64 {

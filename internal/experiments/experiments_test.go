@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -32,9 +34,34 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// outputSHA256 pins, at the smoke scale, the output of every experiment
+// that prints no wall time and no figure computed from one: its bytes are
+// the same from run to run and for any worker count. A mismatch is output
+// drift (a changed table), not flakiness. The hashes were recorded on
+// amd64; the generators and the engine round every product that could
+// fuse, but arm64 is unverified.
+var outputSHA256 = map[string]string{
+	"E2.1": "123efda749a0d0af1a1dd7b2d2a7bdfbd3f508aa9d5ea7923bfd4e3a1f6e9e56",
+	"E2.2": "03f1c2a8ccadf65456ac621ba6f0399c10140298eef6523de680f89946aba69f",
+	"E2.4": "c6b41f2bc9a4d87e56a9099483f7c39656165b4429fd2b273cbe77899ca14429",
+	"E2.5": "36d16f0f719301a205a9f1d2b588ecab5cb5a33e5136045769f28b3a2f8fea22",
+	"E3.1": "18517c16496db8c636885048264d58e702552ecd7b4b82fe21426a8529ce1c64",
+	"E3.2": "34a5ff186566c96ac9b7031fcca1b68907b5e615187e16f45a6b889901b45b63",
+	"E3.3": "19e80bb49ad8a8164b72c19e43019f9a0caad481ab74b5dcc03e35413b0d8527",
+	"E3.4": "334030d7d623e2759fec8ff1c0d5bfa8c3cf30e40c85395b702b866cfe973ac3",
+	"E3.5": "152c6c94af2c43927384a51cbc5966e5df6291e01900fa4f96159438cbc5538e",
+	"E3.6": "70352608a6bb33d628ae9be820d6265e73ac98e0dc07ee5fa90024b9f9ac097c",
+	"E4.2": "92f31aa6fd10e7b66e73a57e93c2f1d6cc7fe8ecd30429ed5e2e0a694365fcd6",
+	"E4.5": "43eb7dd51ffb0b92cd2d40cb0d4c1553af283b468b8bc53f07eb8dd332305d51",
+	"E4.8": "bf616e0cce36b184a76a5771e1e21693f303a7bbc4b366708d62d2e936ba1862",
+	"E4.9": "caaee9dcfd33cf376847e216a99c10b5caba39a8b2900b9ea5c8cbace54b1a3b",
+	"E5.2": "a8aeda1d2b06b872027f035958fa3a8a1200bfbb9fc42742fd9a2940eac7c1b6",
+}
+
 // TestEveryExperimentSmoke runs every experiment at a drastically reduced
 // scale — small enough that the full sweep stays inside a -short budget —
-// asserting each still executes end to end and produces output. The
+// asserting each still executes end to end and produces output, and that
+// the output of each experiment in outputSHA256 has its pinned hash. The
 // statistically meaningful scale lives in TestAllExperimentsRunAtSmallScale.
 func TestEveryExperimentSmoke(t *testing.T) {
 	opt := Options{Scale: 60, Seed: 1}
@@ -47,6 +74,11 @@ func TestEveryExperimentSmoke(t *testing.T) {
 			}
 			if buf.Len() == 0 {
 				t.Fatalf("%s produced no output", e.ID)
+			}
+			if want, ok := outputSHA256[e.ID]; ok {
+				if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+					t.Errorf("%s output SHA-256 %s, want %s; output:\n%s", e.ID, got, want, buf.Bytes())
+				}
 			}
 		})
 	}

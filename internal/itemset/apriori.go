@@ -40,7 +40,7 @@ func mineClosedBySubsumption(db *DB, minsup int) []Itemset {
 		if len(out[a].Items) != len(out[b].Items) {
 			return len(out[a].Items) < len(out[b].Items)
 		}
-		return lessItems(out[a].Items, out[b].Items)
+		return slices.Compare(out[a].Items, out[b].Items) < 0
 	})
 	return out
 }
@@ -65,7 +65,7 @@ func AprioriFrequent(db *DB, minsup int) []Itemset {
 			level = append(level, Itemset{Items: []int32{it}, Support: c})
 		}
 	}
-	sort.Slice(level, func(a, b int) bool { return lessItems(level[a].Items, level[b].Items) })
+	sort.Slice(level, func(a, b int) bool { return slices.Compare(level[a].Items, level[b].Items) < 0 })
 	for len(level) > 0 {
 		out = append(out, level...)
 		// Generate next level by joining itemsets sharing a prefix.
@@ -80,23 +80,23 @@ func AprioriFrequent(db *DB, minsup int) []Itemset {
 				cand := append(append([]int32(nil), a...), b[len(b)-1])
 				slices.Sort(cand)
 				is := Itemset{Items: cand}
-				if seen[is.key()] {
+				if seen[Key(is.Items)] {
 					continue
 				}
-				seen[is.key()] = true
+				seen[Key(is.Items)] = true
 				if sup := db.Support(cand); sup >= minsup {
 					next = append(next, Itemset{Items: cand, Support: sup})
 				}
 			}
 		}
-		sort.Slice(next, func(a, b int) bool { return lessItems(next[a].Items, next[b].Items) })
+		sort.Slice(next, func(a, b int) bool { return slices.Compare(next[a].Items, next[b].Items) < 0 })
 		level = next
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if len(out[a].Items) != len(out[b].Items) {
 			return len(out[a].Items) < len(out[b].Items)
 		}
-		return lessItems(out[a].Items, out[b].Items)
+		return slices.Compare(out[a].Items, out[b].Items) < 0
 	})
 	return out
 }

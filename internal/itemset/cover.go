@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -52,7 +53,7 @@ func Cover(db *DB, candidates []Itemset, order CandidateOrder) *CoverResult {
 			if cands[a].Support != cands[b].Support {
 				return cands[a].Support > cands[b].Support
 			}
-			return lessItems(cands[a].Items, cands[b].Items)
+			return slices.Compare(cands[a].Items, cands[b].Items) < 0
 		})
 	default:
 		sort.Slice(cands, func(a, b int) bool {
@@ -61,7 +62,7 @@ func Cover(db *DB, candidates []Itemset, order CandidateOrder) *CoverResult {
 			if ua != ub {
 				return ua > ub
 			}
-			return lessItems(cands[a].Items, cands[b].Items)
+			return slices.Compare(cands[a].Items, cands[b].Items) < 0
 		})
 	}
 
@@ -85,7 +86,7 @@ func Cover(db *DB, candidates []Itemset, order CandidateOrder) *CoverResult {
 			continue
 		}
 		for _, i := range hits {
-			work.Rows[i] = removeSubset(work.Rows[i], cand.Items)
+			work.Rows[i] = RemoveSubset(work.Rows[i], cand.Items)
 			work.Rows[i] = append(work.Rows[i], nextCode)
 		}
 		res.CodeTable = append(res.CodeTable, Itemset{Items: cand.Items, Support: f})
@@ -100,9 +101,9 @@ func Cover(db *DB, candidates []Itemset, order CandidateOrder) *CoverResult {
 	return res
 }
 
-// removeSubset removes the (sorted) subset items from sorted row in place.
+// RemoveSubset removes the (sorted) subset items from sorted row in place.
 // Pointer codes appended past the sorted region are preserved.
-func removeSubset(row, sub []int32) []int32 {
+func RemoveSubset(row, sub []int32) []int32 {
 	out := row[:0]
 	j := 0
 	for _, it := range row {

@@ -114,21 +114,11 @@ type Itemset struct {
 	Support int
 }
 
-// key renders the itemset as a comparable map key.
-func (s Itemset) key() string {
-	b := make([]byte, 0, len(s.Items)*4)
-	for _, it := range s.Items {
+// Key renders an item list as a comparable map key.
+func Key(items []int32) string {
+	b := make([]byte, 0, len(items)*4)
+	for _, it := range items {
 		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
 	}
 	return string(b)
-}
-
-// lessItems orders sorted itemsets lexicographically, a proper prefix first.
-func lessItems(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

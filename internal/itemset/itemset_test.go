@@ -133,10 +133,10 @@ func TestClosedSubsetOfFrequentProperty(t *testing.T) {
 		}
 		fset := map[string]int{}
 		for _, s := range freq {
-			fset[s.key()] = s.Support
+			fset[Key(s.Items)] = s.Support
 		}
 		for _, s := range closed {
-			if sup, ok := fset[s.key()]; !ok || sup != s.Support {
+			if sup, ok := fset[Key(s.Items)]; !ok || sup != s.Support {
 				return false
 			}
 		}
@@ -169,7 +169,7 @@ func TestLCMMatchesSubsumptionOracleProperty(t *testing.T) {
 			return false
 		}
 		for i := range lcm {
-			if lcm[i].key() != oracle[i].key() || lcm[i].Support != oracle[i].Support {
+			if Key(lcm[i].Items) != Key(oracle[i].Items) || lcm[i].Support != oracle[i].Support {
 				return false
 			}
 		}

@@ -1,6 +1,9 @@
 package itemset
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // MineClosed mines the closed frequent itemsets (frequent itemsets with no
 // proper superset of equal support, §4.2) with an LCM-style enumeration:
@@ -39,7 +42,7 @@ func MineClosed(db *DB, minsup int, maxPatterns int) ([]Itemset, bool) {
 		if len(m.out[a].Items) != len(m.out[b].Items) {
 			return len(m.out[a].Items) < len(m.out[b].Items)
 		}
-		return lessItems(m.out[a].Items, m.out[b].Items)
+		return slices.Compare(m.out[a].Items, m.out[b].Items) < 0
 	})
 	return m.out, complete
 }

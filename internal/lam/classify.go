@@ -54,7 +54,7 @@ func TrainClassifier(db *itemset.DB, labels []int, p Params) *Classifier {
 			if len(items) < 2 {
 				continue
 			}
-			k := keyOf(items)
+			k := itemset.Key(items)
 			if seen[k] {
 				continue
 			}
@@ -114,14 +114,6 @@ func expandPattern(res *Result, items []int32) []int32 {
 		}
 	}
 	return dedup
-}
-
-func keyOf(items []int32) string {
-	b := make([]byte, 0, len(items)*4)
-	for _, it := range items {
-		b = append(b, byte(it), byte(it>>8), byte(it>>16), byte(it>>24))
-	}
-	return string(b)
 }
 
 func supportRate(rows [][]int32, items []int32) float64 {

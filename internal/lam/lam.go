@@ -182,23 +182,9 @@ func minePartition(rows [][]int32, part []int, u Utility, pass int) []minedPatte
 			continue
 		}
 		for _, t := range hits {
-			rows[t] = removeSubsetSorted(rows[t], pot.Items)
+			rows[t] = itemset.RemoveSubset(rows[t], pot.Items)
 		}
 		out = append(out, minedPattern{Pattern{Items: pot.Items, Freq: f, Pass: pass}, hits})
-	}
-	return out
-}
-
-// removeSubsetSorted removes sorted subset sub from sorted row in place.
-func removeSubsetSorted(row, sub []int32) []int32 {
-	out := row[:0]
-	j := 0
-	for _, it := range row {
-		if j < len(sub) && it == sub[j] {
-			j++
-			continue
-		}
-		out = append(out, it)
 	}
 	return out
 }

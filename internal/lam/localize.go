@@ -1,23 +1,20 @@
 package lam
 
 import (
-	"math/rand"
+	"slices"
 	"sort"
+
+	"plasmahd/internal/lsh"
+	"plasmahd/internal/vec"
 )
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Localize implements Algorithm 3: each row gets a K-value minhash
-// signature, rows are sorted lexicographically by signature, and the sorted
-// order is split column-by-column into runs of equal hashes until a run
-// fits under the chunk threshold (or columns are exhausted). It returns
-// groups of row indices; singleton groups are legal and simply yield no
-// patterns downstream.
+// signature from the engine's minwise family (lsh.MinHasher), rows are
+// sorted lexicographically by signature, and the sorted order is split
+// column-by-column into runs of equal hashes until a run fits under the
+// chunk threshold (or columns are exhausted). It returns groups of row
+// indices; singleton groups are legal and simply yield no patterns
+// downstream.
 func Localize(rows [][]int32, k, chunk int, seed int64) [][]int {
 	n := len(rows)
 	if n == 0 {
@@ -29,38 +26,19 @@ func Localize(rows [][]int32, k, chunk int, seed int64) [][]int {
 	if chunk < 2 {
 		chunk = 2
 	}
-	rng := rand.New(rand.NewSource(seed))
-	seeds := make([]uint64, k)
-	for i := range seeds {
-		seeds[i] = rng.Uint64() | 1
-	}
+	mh := lsh.NewMinHasher(k, seed)
 	// Minhash matrix M[i][j].
 	m := make([][]uint32, n)
 	for i, row := range rows {
-		sig := make([]uint32, k)
-		for j := range sig {
-			sig[j] = ^uint32(0)
-		}
-		for _, it := range row {
-			x := uint64(uint32(it)) + 0x9e3779b97f4a7c15
-			for j, s := range seeds {
-				if h := uint32(splitmix64(x ^ s)); h < sig[j] {
-					sig[j] = h
-				}
-			}
-		}
-		m[i] = sig
+		m[i] = mh.Sketch(vec.Sparse{Indices: row})
 	}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := m[idx[a]], m[idx[b]]
-		for j := 0; j < k; j++ {
-			if sa[j] != sb[j] {
-				return sa[j] < sb[j]
-			}
+		if c := slices.Compare(m[idx[a]], m[idx[b]]); c != 0 {
+			return c < 0
 		}
 		return idx[a] < idx[b]
 	})

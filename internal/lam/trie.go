@@ -138,7 +138,7 @@ func generatePotentials(root *trieNode, rows [][]int32, u Utility) []Potential {
 		if len(out[a].Items) != len(out[b].Items) {
 			return len(out[a].Items) > len(out[b].Items)
 		}
-		return lessInt32(out[a].Items, out[b].Items)
+		return slices.Compare(out[a].Items, out[b].Items) < 0
 	})
 	return out
 }
@@ -167,13 +167,4 @@ func utilityOf(u Utility, items []int32, tids []int32, rows [][]int32) float64 {
 	default:
 		return float64(len(items)-1) * float64(len(tids)-1)
 	}
-}
-
-func lessInt32(a, b []int32) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -117,11 +117,8 @@ func CrossingMatrix(data [][]float64) [][]int64 {
 	}
 	d := len(data[0])
 	cols := make([][]float64, d)
-	for j := 0; j < d; j++ {
-		cols[j] = make([]float64, len(data))
-		for i := range data {
-			cols[j][i] = data[i][j]
-		}
+	for j := range cols {
+		cols[j] = Column(data, j)
 	}
 	m := make([][]int64, d)
 	for i := range m {
@@ -135,6 +132,15 @@ func CrossingMatrix(data [][]float64) [][]int64 {
 		}
 	}
 	return m
+}
+
+// Column returns column j of a row-major table.
+func Column(data [][]float64, j int) []float64 {
+	out := make([]float64, len(data))
+	for i := range data {
+		out[i] = data[i][j]
+	}
+	return out
 }
 
 // TotalCrossings sums crossings along consecutive pairs of an ordering.

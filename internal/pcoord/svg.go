@@ -68,8 +68,8 @@ func RenderSVG(data [][]float64, clusters []int, k int, opt RenderOptions) strin
 	if opt.UseEnergy && len(order) > 1 {
 		mids = make([][]float64, len(order)-1)
 		for pos := 0; pos+1 < len(order); pos++ {
-			left := column(data, order[pos])
-			right := column(data, order[pos+1])
+			left := Column(data, order[pos])
+			right := Column(data, order[pos+1])
 			res := ReduceEnergy(left, right, clusters, k, opt.Energy)
 			mids[pos] = res.Z
 		}
@@ -108,12 +108,4 @@ func RenderSVG(data [][]float64, clusters []int, k int, opt RenderOptions) strin
 	}
 	b.WriteString("</svg>")
 	return b.String()
-}
-
-func column(data [][]float64, j int) []float64 {
-	out := make([]float64, len(data))
-	for i := range data {
-		out[i] = data[i][j]
-	}
-	return out
 }

@@ -303,18 +303,20 @@ func (s *Server) handleDatasets(r *http.Request) (int, any, error) {
 }
 
 func (s *Server) handleCreateSession(r *http.Request) (int, any, error) {
-	var req createSessionRequest
+	// The body decodes over the defaults: a field it leaves out or sets to
+	// null keeps its default, the daemon's worker count included.
+	req := createSessionRequest{Params: paramsJSON(bayeslsh.DefaultParams())}
+	if s.cfg.Workers > 0 {
+		req.Params.Workers = s.cfg.Workers
+	}
 	if err := decodeUpload(r, &req, scanCreate); err != nil {
 		return 0, nil, err
 	}
 	// Validate before loading: a rejected request should not pay for (or
 	// generate) its dataset first.
-	params := req.Params.apply(bayeslsh.DefaultParams())
+	params := bayeslsh.Params(req.Params)
 	if err := params.Validate(); err != nil {
 		return 0, nil, badRequest("params: %v", err)
-	}
-	if s.cfg.Workers > 0 && (req.Params == nil || req.Params.Workers == nil) {
-		params.Workers = s.cfg.Workers
 	}
 	ds, err := s.resolveDataset(&req)
 	if err != nil {
@@ -523,10 +525,7 @@ func probeResponseOf(id string, t float64, res *bayeslsh.Result, coalesced, incl
 		if maxPairs > 0 && len(pairs) > maxPairs {
 			pairs = pairs[:maxPairs]
 		}
-		resp.Pairs = make([]pairJSON, len(pairs))
-		for i, p := range pairs {
-			resp.Pairs[i] = pairJSON{I: p.I, J: p.J, Est: p.Est}
-		}
+		resp.Pairs = pairs
 	}
 	return resp
 }
@@ -551,12 +550,7 @@ func (s *Server) handleCurve(r *http.Request) (int, any, error) {
 	// sweep still evaluates both endpoints instead of silently dropping hi.
 	grid := core.ThresholdGrid(lo, hi, steps)
 	pts := ms.Session.CumulativeAPSS(grid)
-	resp := curveResponse{SessionID: ms.ID, Knee: core.FindKnee(pts)}
-	resp.Points = make([]curvePointJSON, len(pts))
-	for i, p := range pts {
-		resp.Points[i] = curvePointJSON{Threshold: p.Threshold, Estimate: p.Estimate, ErrBar: p.ErrBar}
-	}
-	return http.StatusOK, resp, nil
+	return http.StatusOK, curveResponse{SessionID: ms.ID, Points: pts, Knee: core.FindKnee(pts)}, nil
 }
 
 func (s *Server) handleGraph(r *http.Request) (int, any, error) {
@@ -619,12 +613,11 @@ func (s *Server) handleCues(r *http.Request) (int, any, error) {
 	// Fig 2.5b histogram, the cores give the Fig 2.5c profile, and the curve
 	// estimate is memoized beside them, so a repeated read scans nothing.
 	cs := ms.Session.CueSet(t)
-	h := cs.TriangleHistogram(bins)
 	return http.StatusOK, cuesResponse{
 		SessionID:         ms.ID,
 		Threshold:         t,
 		Triangles:         cs.Triangles(),
-		TriangleHistogram: histogramJSON{Lo: h.Lo, Hi: h.Hi, Counts: h.Counts},
+		TriangleHistogram: *cs.TriangleHistogram(bins),
 		DensityProfile:    topK(cs.DensityProfile(), top),
 		CurveAt:           cs.CurveEstimate(),
 	}, nil

@@ -62,11 +62,12 @@ type failReader struct{ err error }
 
 func (f failReader) Read([]byte) (int, error) { return 0, f.err }
 
-// scanCreate decodes a create body holding an upload; false declines it.
-// A body naming a generator spec (dataset) is declined: it carries no rows.
+// scanCreate decodes a create body holding an upload over req's params;
+// false declines it and leaves req as it was. A body naming a generator
+// spec (dataset) is declined: it carries no rows.
 func scanCreate(body []byte, req *createSessionRequest) bool {
 	s := newRowScanner(body)
-	var out createSessionRequest
+	out := createSessionRequest{Params: req.Params}
 	dense, sparse := noRows, noRows
 	var params []byte
 	ok := s.fields(createKeys, func(key string) (ok bool) {
@@ -92,10 +93,9 @@ func scanCreate(body []byte, req *createSessionRequest) bool {
 	if params != nil {
 		// The one small object left to encoding/json, from its own span:
 		// a client that tunes parameters keeps the fast path.
-		out.Params = new(paramsJSON)
 		dec := json.NewDecoder(bytes.NewReader(params))
 		dec.DisallowUnknownFields()
-		if dec.Decode(out.Params) != nil || dec.InputOffset() != int64(len(params)) {
+		if dec.Decode(&out.Params) != nil || dec.InputOffset() != int64(len(params)) {
 			return false
 		}
 	}

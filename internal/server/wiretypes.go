@@ -5,51 +5,18 @@ import (
 	"time"
 
 	"plasmahd/internal/bayeslsh"
+	"plasmahd/internal/core"
 	"plasmahd/internal/dataset"
+	"plasmahd/internal/stats"
 	"plasmahd/internal/vec"
 )
 
 // ---- wire types ----
 
-// paramsJSON is the client-settable subset of bayeslsh.Params; nil fields
-// keep the engine defaults.
-type paramsJSON struct {
-	Epsilon   *float64 `json:"epsilon,omitempty"`
-	Delta     *float64 `json:"delta,omitempty"`
-	Gamma     *float64 `json:"gamma,omitempty"`
-	MaxHashes *int     `json:"maxHashes,omitempty"`
-	Step      *int     `json:"step,omitempty"`
-	Lite      *bool    `json:"lite,omitempty"`
-	Workers   *int     `json:"workers,omitempty"`
-}
-
-func (pj *paramsJSON) apply(p bayeslsh.Params) bayeslsh.Params {
-	if pj == nil {
-		return p
-	}
-	if pj.Epsilon != nil {
-		p.Epsilon = *pj.Epsilon
-	}
-	if pj.Delta != nil {
-		p.Delta = *pj.Delta
-	}
-	if pj.Gamma != nil {
-		p.Gamma = *pj.Gamma
-	}
-	if pj.MaxHashes != nil {
-		p.MaxHashes = *pj.MaxHashes
-	}
-	if pj.Step != nil {
-		p.Step = *pj.Step
-	}
-	if pj.Lite != nil {
-		p.Lite = *pj.Lite
-	}
-	if pj.Workers != nil {
-		p.Workers = *pj.Workers
-	}
-	return p
-}
+// paramsJSON is a create request's params: bayeslsh.Params under its JSON
+// tags, decoded over the defaults so that absent and null fields keep them.
+// It is a defined type so that a decode error names it.
+type paramsJSON bayeslsh.Params
 
 // sparseRow is one uploaded sparse vector. Omitted values mean all-ones
 // for cosine; a Jaccard row is its index set and keeps no values.
@@ -107,7 +74,7 @@ type createSessionRequest struct {
 	Sparse  *sparseUpload `json:"sparse,omitempty"`
 	Measure string        `json:"measure,omitempty"` // uploads: "cosine" (default) or "jaccard"
 	Name    string        `json:"name,omitempty"`    // uploads: display name
-	Params  *paramsJSON   `json:"params,omitempty"`
+	Params  paramsJSON    `json:"params"`
 	Seed    int64         `json:"seed,omitempty"`
 }
 
@@ -172,36 +139,24 @@ type probeRequest struct {
 	MaxPairs     int     `json:"maxPairs,omitempty"` // cap on returned pairs; 0 = all
 }
 
-type pairJSON struct {
-	I   int32   `json:"i"`
-	J   int32   `json:"j"`
-	Est float64 `json:"est"`
-}
-
 type probeResponse struct {
-	SessionID      string     `json:"sessionId"`
-	Threshold      float64    `json:"threshold"`
-	PairCount      int        `json:"pairCount"`
-	Candidates     int        `json:"candidates"`
-	Pruned         int        `json:"pruned"`
-	CacheHits      int        `json:"cacheHits"`
-	HashesCompared int64      `json:"hashesCompared"`
-	RowsWalked     int        `json:"rowsWalked"`
-	ProcessMillis  float64    `json:"processMillis"`
-	Coalesced      bool       `json:"coalesced"`
-	Pairs          []pairJSON `json:"pairs,omitempty"`
-}
-
-type curvePointJSON struct {
-	Threshold float64 `json:"threshold"`
-	Estimate  float64 `json:"estimate"`
-	ErrBar    float64 `json:"errBar"`
+	SessionID      string          `json:"sessionId"`
+	Threshold      float64         `json:"threshold"`
+	PairCount      int             `json:"pairCount"`
+	Candidates     int             `json:"candidates"`
+	Pruned         int             `json:"pruned"`
+	CacheHits      int             `json:"cacheHits"`
+	HashesCompared int64           `json:"hashesCompared"`
+	RowsWalked     int             `json:"rowsWalked"`
+	ProcessMillis  float64         `json:"processMillis"`
+	Coalesced      bool            `json:"coalesced"`
+	Pairs          []bayeslsh.Pair `json:"pairs,omitempty"`
 }
 
 type curveResponse struct {
-	SessionID string           `json:"sessionId"`
-	Points    []curvePointJSON `json:"points"`
-	Knee      float64          `json:"knee"`
+	SessionID string            `json:"sessionId"`
+	Points    []core.CurvePoint `json:"points"`
+	Knee      float64           `json:"knee"`
 }
 
 type graphResponse struct {
@@ -217,19 +172,13 @@ type graphResponse struct {
 	DensityProfile  []int   `json:"densityProfile"`
 }
 
-type histogramJSON struct {
-	Lo     float64 `json:"lo"`
-	Hi     float64 `json:"hi"`
-	Counts []int   `json:"counts"`
-}
-
 type cuesResponse struct {
-	SessionID         string        `json:"sessionId"`
-	Threshold         float64       `json:"threshold"`
-	Triangles         int64         `json:"triangles"`
-	TriangleHistogram histogramJSON `json:"triangleHistogram"`
-	DensityProfile    []int         `json:"densityProfile"`
-	CurveAt           float64       `json:"curveEstimate"`
+	SessionID         string          `json:"sessionId"`
+	Threshold         float64         `json:"threshold"`
+	Triangles         int64           `json:"triangles"`
+	TriangleHistogram stats.Histogram `json:"triangleHistogram"`
+	DensityProfile    []int           `json:"densityProfile"`
+	CurveAt           float64         `json:"curveEstimate"`
 }
 
 // sweepRequest runs ProbeIncremental: a probe at threshold with extrapolated

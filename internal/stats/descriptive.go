@@ -35,8 +35,9 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // distributions of Fig 3.18 and the triangle vertex-cover histogram of
 // Fig 2.5b.
 type Histogram struct {
-	Lo, Hi float64
-	Counts []int
+	Lo     float64 `json:"lo"`
+	Hi     float64 `json:"hi"`
+	Counts []int   `json:"counts"`
 }
 
 // NewHistogram bins xs into n equal-width bins over [lo, hi]. Values outside
