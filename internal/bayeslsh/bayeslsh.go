@@ -31,7 +31,8 @@ import (
 
 // Params are the inference and sketching knobs of BayesLSH. The JSON names
 // are the params object of plasmad's create request; MaxDFFrac is not
-// client-settable.
+// client-settable. A new field is tagged `json:"-"` unless clients may set
+// it, with a bound in Validate (the server's TestParamsWireFields checks).
 type Params struct {
 	// Epsilon bounds the false-negative probability of pruning (Eq 2.1).
 	Epsilon float64 `json:"epsilon"`

@@ -2,21 +2,21 @@ package server
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
-)
 
-var updateResponses = flag.Bool("update-responses", false,
-	"rewrite testdata/responses.golden from this run (only for an intended response change)")
+	"plasmahd/internal/bayeslsh"
+)
 
 // timingFields matches the response fields that carry wall times; their
 // values are masked before bodies are compared.
@@ -27,10 +27,12 @@ var sessionID = regexp.MustCompile(`"id":"([^"]*)"`)
 
 // TestResponseBytes drives one wine session through the routes whose bodies
 // encode engine values (pairs, curve points, histograms) and five create
-// bodies that exercise params decoding, and compares every body, wall
-// times masked, byte for byte with testdata/responses.golden. A created
-// session's params are recorded beside its body, so a body that decodes to
-// different params fails too.
+// bodies that exercise params decoding, then two uploads, which the row
+// scanner decodes over the defaults and the daemon's workers. It compares
+// every body, wall times masked, byte for byte with
+// testdata/responses.golden. A created session's params are recorded beside
+// its body, so a body that decodes to different params fails too. An
+// intended response change edits the golden by hand from the printed body.
 func TestResponseBytes(t *testing.T) {
 	srv := New(Config{Capacity: 8, Workers: 2, RequestTimeout: 30 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
@@ -83,18 +85,45 @@ func TestResponseBytes(t *testing.T) {
 	}
 	// An unprobed session has no edge: its histogram is one bucket.
 	send("cues-1-unprobed", "GET", "/v1/sessions/s2/cues?t=1", "")
+	for _, c := range []struct{ name, body string }{
+		{"upload-params", `{"dense":[[1,0],[0,1],[1,1]],"params":{"step":16}}`},
+		{"upload-no-params", `{"dense":[[1,0],[0,1],[1,1]]}`},
+	} {
+		if !scans(true, []byte(c.body)) {
+			t.Fatalf("%s: the row scanner declined %s", c.name, c.body)
+		}
+		send(c.name, "POST", "/v1/sessions", c.body)
+	}
 
 	golden := filepath.Join("testdata", "responses.golden")
-	if *updateResponses {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("response bodies differ from %s:\n--- got\n%s--- want\n%s", golden, got.Bytes(), want)
+	}
+}
+
+// TestParamsWireFields: the create request decodes params straight into
+// bayeslsh.Params, so its JSON-visible fields are exactly what a client may
+// set. A new Params field fails this test until it is tagged `json:"-"` or
+// added here, with a bound in Validate.
+func TestParamsWireFields(t *testing.T) {
+	want := []string{"epsilon", "delta", "gamma", "maxHashes", "step", "lite", "workers"}
+	var got []string
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[bayeslsh.Params]()) {
+		tag := f.Tag.Get("json")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		name, _, _ := strings.Cut(tag, ",")
+		if name == "" {
+			name = f.Name
+		}
+		got = append(got, name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("params a create request may set: %q, want %q", got, want)
 	}
 }
